@@ -3,18 +3,13 @@
 Measures the numbers that bound experiment throughput (see
 ``docs/benchmarking.md``):
 
-* **event_core** — raw pending-set throughput, heap vs array backend,
-  scalar one-event-per-call and bulk ``schedule_many``/``pop_many``
-  lanes, with the calendar-queue counters (bucket resizes, slot-reuse
-  hit rate) alongside;
 * **sim events/sec** — kernel throughput through the ``Environment``
-  facade (timeout schedule/fire cycles) plus an end-to-end cell rate
+  (timeout schedule/fire cycles) plus an end-to-end cell rate
   (simulated requests/sec through a full cluster), the quantities the
   hot-path work in ``repro.sim`` / ``repro.kvstore.items`` targets;
 * **cells/sec, sequential vs N workers** — the parallel engine's fan-out
   gain on a multi-cell scenario, with a cell-for-cell equality check
-  against the sequential runner (the determinism guarantee).  The whole
-  record carries a top-level ``backend`` field (``$REPRO_ENGINE``).
+  against the sequential runner (the determinism guarantee).
 
 Run from the repository root::
 
@@ -43,85 +38,10 @@ from repro.experiments.parallel import run_scenario_parallel
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import get_scenario
 from repro.sim.core import Environment
-from repro.sim.eventcore import NORMAL, ArrayEventCore, HeapEventCore, resolve_engine
 from repro.sim.rand import BatchedStream
 
 #: Experiment the cells/sec comparison runs (small grid, mixed schedulers).
 SCENARIO_ID = "E2"
-
-
-def measure_event_core(
-    n: int = 200_000, hold: int = 1024, bulk_batch: int = 8192, repeats: int = 3
-) -> dict:
-    """Raw event-core throughput: heap vs array, scalar vs bulk (best of N).
-
-    All legs run the classic *hold model* (pop the next event, schedule
-    its successor one time unit later, at a steady ``hold`` pending
-    events) so the numbers isolate the pending-set data structure from
-    everything the :class:`Environment` layers on top.  The scalar legs
-    drive one event per call — the facade's hot path; the bulk leg
-    drives :meth:`ArrayEventCore.schedule_many` / ``pop_many`` in
-    ``bulk_batch``-sized rounds, which is the ≥5M events/s lane (per-call
-    Python overhead cannot reach that figure, vectorized columns can).
-    """
-
-    def scalar_rate(make_core) -> float:
-        best = 0.0
-        for _ in range(repeats):
-            core = make_core()
-            seq = 0
-            for i in range(hold):
-                core.schedule(float(i), NORMAL, seq, None)
-                seq += 1
-            pop, schedule = core.pop, core.schedule
-            t0 = time.perf_counter()
-            for _ in range(n):
-                when, _prio, _seq, _payload = pop()
-                schedule(when + float(hold), NORMAL, seq, None)
-                seq += 1
-            best = max(best, n / (time.perf_counter() - t0))
-        return best
-
-    heap_rate = scalar_rate(HeapEventCore)
-    array_rate = scalar_rate(ArrayEventCore)
-
-    bulk_best = 0.0
-    bulk_stats: dict = {}
-    rounds = max(1, n // bulk_batch)
-    for _ in range(repeats):
-        core = ArrayEventCore()
-        rng = np.random.default_rng(5)
-        times = np.sort(rng.random(bulk_batch))
-        core.schedule_many(times, NORMAL, np.arange(bulk_batch, dtype=np.int64))
-        next_seq = bulk_batch
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            popped, _slots, _ = core.pop_many(bulk_batch)
-            k = popped.shape[0]
-            core.schedule_many(
-                popped + 1.0,
-                NORMAL,
-                np.arange(next_seq, next_seq + k, dtype=np.int64),
-            )
-            next_seq += k
-        rate = rounds * bulk_batch / (time.perf_counter() - t0)
-        if rate > bulk_best:
-            bulk_best = rate
-            bulk_stats = core.stats()
-    return {
-        "hold": hold,
-        "cycles": n,
-        "heap_events_per_second": heap_rate,
-        "array_events_per_second": array_rate,
-        "array_speedup": array_rate / heap_rate,
-        "bulk_batch": bulk_batch,
-        "array_bulk_events_per_second": bulk_best,
-        "bucket_resizes": bulk_stats.get("bucket_resizes", 0),
-        "array_grows": bulk_stats.get("array_grows", 0),
-        "slot_reuse_hits": bulk_stats.get("slot_reuse_hits", 0),
-        "slot_reuse_misses": bulk_stats.get("slot_reuse_misses", 0),
-        "slot_reuse_hit_rate": bulk_stats.get("slot_reuse_hit_rate", 0.0),
-    }
 
 
 def measure_kernel_events(n: int = 200_000, repeats: int = 3) -> float:
@@ -264,21 +184,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workers = args.workers or os.cpu_count() or 1
 
-    backend = resolve_engine()
-    print(f"[bench_engine] backend: {backend}", flush=True)
-
-    print(f"[bench_engine] event core (heap vs array, scalar vs bulk) ...",
-          flush=True)
-    event_core = measure_event_core()
-    print(
-        f"[bench_engine]   scalar {event_core['heap_events_per_second']:,.0f} "
-        f"(heap) -> {event_core['array_events_per_second']:,.0f} (array) "
-        f"events/s; bulk {event_core['array_bulk_events_per_second']:,.0f} "
-        f"events/s (resizes {event_core['bucket_resizes']}, "
-        f"slot reuse {event_core['slot_reuse_hit_rate']:.3f})",
-        flush=True,
-    )
-
     print(f"[bench_engine] kernel events/sec ...", flush=True)
     events_per_second = measure_kernel_events()
     print(f"[bench_engine]   {events_per_second:,.0f} events/s", flush=True)
@@ -325,9 +230,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "backend": backend,
         "sim_events_per_second": events_per_second,
-        "event_core": event_core,
         "sampling": sampling,
         "cell_end_to_end": cell,
         "scenario_throughput": scenario,

@@ -17,26 +17,12 @@ def main(path: str) -> None:
     with open(path, encoding="utf-8") as handle:
         record = json.load(handle)
     for key in (
-        "backend",
         "sim_events_per_second",
-        "event_core",
         "sampling",
         "cell_end_to_end",
         "scenario_throughput",
     ):
         assert key in record, f"missing record key: {key}"
-    assert record["backend"] in ("heap", "array"), record["backend"]
-    core = record["event_core"]
-    for key in (
-        "heap_events_per_second",
-        "array_events_per_second",
-        "array_bulk_events_per_second",
-        "bucket_resizes",
-        "slot_reuse_hits",
-        "slot_reuse_misses",
-        "slot_reuse_hit_rate",
-    ):
-        assert key in core, f"missing event_core key: {key}"
     for key in (
         "scalar_draws_per_second",
         "batched_draws_per_second",

@@ -14,33 +14,18 @@ from repro.obs.registry import MetricsRegistry
 
 
 def register_engine_gauges(registry: MetricsRegistry, env) -> None:
-    """Register live gauges over the environment's event core.
+    """Register live gauges over the environment's clock and event queue.
 
-    Opt-in (benchmarks, examples, ad-hoc debugging): cell runs do *not*
-    register these, because the values differ between the ``heap`` and
-    ``array`` backends and would break the heap-vs-array metrics-snapshot
-    equality that the trace-identity tests pin.
+    Opt-in (benchmarks, examples, ad-hoc debugging): cell runs do not
+    register these.
     """
     registry.gauge(
         "sim_now", "Current simulation time", fn=lambda: env.now
     )
     registry.gauge(
         "sim_pending_events",
-        "Events currently scheduled in the event core",
+        "Events currently scheduled",
         fn=lambda: float(env.core_stats()["pending"]),
-        engine=env.engine,
-    )
-    registry.gauge(
-        "sim_bucket_resizes_total",
-        "Calendar-queue width rebuilds (monotone; 0 on the heap backend)",
-        fn=lambda: float(env.core_stats()["bucket_resizes"]),
-        engine=env.engine,
-    )
-    registry.gauge(
-        "sim_slot_reuse_hit_rate",
-        "Bulk-lane slot free-list hit rate (0 on the heap backend)",
-        fn=lambda: env.core_stats()["slot_reuse_hit_rate"],
-        engine=env.engine,
     )
 
 

@@ -24,12 +24,6 @@ Example
 """
 
 from repro.sim.core import Environment
-from repro.sim.eventcore import (
-    ArrayEventCore,
-    HeapEventCore,
-    make_event_core,
-    resolve_engine,
-)
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -45,10 +39,8 @@ from repro.sim.rand import RandomStreams
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ArrayEventCore",
     "Environment",
     "Event",
-    "HeapEventCore",
     "Interrupt",
     "PriorityStore",
     "Process",
@@ -57,6 +49,4 @@ __all__ = [
     "StopSimulation",
     "Store",
     "Timeout",
-    "make_event_core",
-    "resolve_engine",
 ]

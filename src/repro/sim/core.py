@@ -1,12 +1,8 @@
 """The simulation environment: virtual clock plus event loop.
 
-Since the event-core rework the pending-event set lives behind a
-swappable backend (:mod:`repro.sim.eventcore`): the default ``array``
-backend is a calendar-queue over preallocated numpy slot storage, and
-``heap`` is the original binary-heap engine kept as the bit-identity
-oracle and escape hatch.  Both implement the same ``(time, priority,
-seq)`` total order, so runs are trace-identical across backends; select
-with ``Environment(engine=...)`` or ``$REPRO_ENGINE``.
+The pending-event set is one :mod:`heapq` list of ``(time, priority,
+seq, event)`` tuples; ``seq`` is a per-environment counter, so the order
+is total and runs are deterministic.
 """
 
 from __future__ import annotations
@@ -15,8 +11,9 @@ import heapq
 from itertools import count
 from typing import Any, Generator, Optional, Union
 
-from repro.sim.eventcore import NORMAL, URGENT, make_event_core, resolve_engine
 from repro.sim.events import (
+    NORMAL,
+    URGENT,
     AllOf,
     AnyOf,
     Event,
@@ -48,29 +45,19 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulation clock.
-    engine:
-        Event-core backend: ``"array"`` (calendar queue over numpy slot
-        storage, the default) or ``"heap"`` (the original binary heap).
-        ``None`` reads ``$REPRO_ENGINE``, falling back to ``"array"``.
-        Firing order is bit-identical either way.
     """
+
+    #: Constant; read by benchmarks/perf/trials.py (record["event_core"]).
+    engine = "heap"
 
     #: Free-list bounds: enough to absorb every in-flight pooled object of
     #: a large cell without pinning unbounded garbage after a burst.
     _TIMEOUT_POOL_MAX = 4096
     _CB_POOL_MAX = 8192
 
-    def __init__(self, initial_time: float = 0.0, engine: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._engine = resolve_engine(engine)
-        self._core = make_event_core(self._engine)
-        #: Heap fast path: the run loop pushes/pops the heap list directly
-        #: (None under the array backend, where the core's calendar is
-        #: the hot path instead).
-        self._queue: Optional[list[tuple[float, int, int, Event]]] = (
-            self._core.entries if self._engine == "heap" else None
-        )
-        self._core_schedule = self._core.schedule
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._active_process: Optional[Process] = None
         #: Free lists (see :meth:`pooled_timeout`): recycled Timeout
@@ -90,11 +77,6 @@ class Environment:
         return self._now
 
     @property
-    def engine(self) -> str:
-        """Name of the event-core backend (``"heap"`` or ``"array"``)."""
-        return self._engine
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
@@ -106,14 +88,13 @@ class Environment:
         return proc._generator if proc is not None else None
 
     def core_stats(self) -> dict:
-        """The event core's counters (pending, resizes, slot reuse...)."""
-        return self._core.stats()
+        """Pending-set counters."""
+        # "backend" and "bucket_resizes" are constants; benchmarks/perf/trials.py
+        # reads them (C.eventcore_bucket_resizes).
+        return {"backend": "heap", "pending": len(self._queue), "bucket_resizes": 0}
 
     def __repr__(self) -> str:
-        return (
-            f"<Environment now={self._now} queued={len(self._core)} "
-            f"engine={self._engine}>"
-        )
+        return f"<Environment now={self._now} queued={len(self._queue)}>"
 
     # ------------------------------------------------------------------
     # Event factories
@@ -140,8 +121,8 @@ class Environment:
         """
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
+            if not delay >= 0:
+                raise ValueError(f"delay must be non-negative and not NaN, got {delay}")
             self.timeout_pool_hits += 1
             t = pool.pop()
             t._delay = float(delay)
@@ -190,22 +171,20 @@ class Environment:
         schedules itself at NORMAL) — this method is the hottest function
         in the simulator and does no classification of its own.
         """
-        queue = self._queue
-        if queue is not None:
-            heapq.heappush(queue, (self._now + delay, priority, next(self._eid), event))
-        else:
-            self._core_schedule(self._now + delay, priority, next(self._eid), event)
+        heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._core.peek_time()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event; advance the clock to it."""
         try:
-            when, _, _, event = self._core.pop()
+            when, _, _, event = heapq.heappop(self._queue)
         except IndexError:
-            raise EmptySchedule(self._core.empty_message(self._now)) from None
+            raise EmptySchedule(
+                f"event queue is empty: 0 pending events at now={self._now}"
+            ) from None
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -266,25 +245,8 @@ class Environment:
             stop_event._ok = True
             stop_event._value = None
             stop_event.callbacks.append(_stop_callback)
-            self._core.schedule(at, URGENT, -1, stop_event)
+            heapq.heappush(self._queue, (at, URGENT, -1, stop_event))
 
-        try:
-            if self._queue is not None:
-                self._run_heap()
-            else:
-                self._run_array()
-        except StopSimulation as stop:
-            return stop.value
-        if stop_event is not None and not stop_event.triggered:
-            if isinstance(until, Event):
-                raise RuntimeError(
-                    "simulation ran out of events before the awaited "
-                    f"event {until!r} triggered"
-                )
-        return None
-
-    def _run_heap(self) -> None:
-        """Drain the heap backend until empty or :class:`StopSimulation`."""
         # Inlined event loop (rather than `while True: self.step()`): the
         # loop body runs once per simulated event, so the method-call and
         # attribute-lookup overhead of delegating to step() is measurable
@@ -295,65 +257,38 @@ class Environment:
         timeout_pool = self._timeout_pool
         cb_pool_max = self._CB_POOL_MAX
         timeout_pool_max = self._TIMEOUT_POOL_MAX
-        while queue:
-            when, _, _, event = pop(queue)
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                # Nobody consumed the failure: surface it rather than
-                # losing it.
-                raise event._value
-            # Inlined _recycle (same reasoning as inlining the loop).
-            callbacks.clear()
-            if len(cb_pool) < cb_pool_max:
-                cb_pool.append(callbacks)
-            if (
-                type(event) is Timeout
-                and event._recyclable
-                and len(timeout_pool) < timeout_pool_max
-            ):
-                event._value = None
-                timeout_pool.append(event)
-
-    def _run_array(self) -> None:
-        """Drain the calendar backend until empty or :class:`StopSimulation`.
-
-        Same inlined body as :meth:`_run_heap`; only the pop source
-        differs (the core's scalar lane instead of ``heapq``).
-        """
-        pop = self._core.pop
-        cb_pool = self._cb_pool
-        timeout_pool = self._timeout_pool
-        cb_pool_max = self._CB_POOL_MAX
-        timeout_pool_max = self._TIMEOUT_POOL_MAX
-        while True:
-            try:
-                when, _, _, event = pop()
-            except IndexError:
-                return
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                # Nobody consumed the failure: surface it rather than
-                # losing it.
-                raise event._value
-            # Inlined _recycle (same reasoning as inlining the loop).
-            callbacks.clear()
-            if len(cb_pool) < cb_pool_max:
-                cb_pool.append(callbacks)
-            if (
-                type(event) is Timeout
-                and event._recyclable
-                and len(timeout_pool) < timeout_pool_max
-            ):
-                event._value = None
-                timeout_pool.append(event)
+        try:
+            while queue:
+                when, _, _, event = pop(queue)
+                self._now = when
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event.defused:
+                    # Nobody consumed the failure: surface it rather than
+                    # losing it.
+                    raise event._value
+                # Inlined _recycle (same reasoning as inlining the loop).
+                callbacks.clear()
+                if len(cb_pool) < cb_pool_max:
+                    cb_pool.append(callbacks)
+                if (
+                    type(event) is Timeout
+                    and event._recyclable
+                    and len(timeout_pool) < timeout_pool_max
+                ):
+                    event._value = None
+                    timeout_pool.append(event)
+        except StopSimulation as stop:
+            return stop.value
+        if stop_event is not None and not stop_event.triggered:
+            if isinstance(until, Event):
+                raise RuntimeError(
+                    "simulation ran out of events before the awaited "
+                    f"event {until!r} triggered"
+                )
+        return None
 
     def run_until_idle(self) -> None:
         """Drain every remaining event (alias of ``run()`` with no bound)."""

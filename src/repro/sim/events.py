@@ -20,10 +20,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from repro.sim.eventcore import NORMAL, URGENT  # noqa: F401  (re-exported)
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.core import Environment
+
+#: Scheduling priorities.  URGENT is used for already-triggered events
+#: (succeed/fail/interrupt) so they run before timeouts scheduled for
+#: the same instant; NORMAL is used for timeouts.
+URGENT = 0
+NORMAL = 1
 
 #: Sentinel for "this event has not been given a value yet".
 PENDING = object()
@@ -146,8 +150,8 @@ class Timeout(Event):
     __slots__ = ("_delay", "_recyclable")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(f"delay must be non-negative and not NaN, got {delay}")
         super().__init__(env)
         self._delay = float(delay)
         self._ok = True

@@ -157,28 +157,14 @@ class TestPrometheusExport:
 
 
 class TestEngineGauges:
-    def test_register_engine_gauges_reads_event_core(self):
+    def test_register_engine_gauges_reads_clock_and_queue(self):
         from repro.obs import register_engine_gauges
         from repro.sim import Environment
 
-        env = Environment(engine="array")
+        env = Environment()
         env.timeout(1.0)
         reg = MetricsRegistry()
         register_engine_gauges(reg, env)
-        gauges = reg.snapshot()["gauges"]
-        assert gauges["sim_now"] == 0.0
-        assert gauges['sim_pending_events{engine="array"}'] == 1.0
-        assert 'sim_bucket_resizes_total{engine="array"}' in gauges
+        assert reg.snapshot()["gauges"] == {"sim_now": 0.0, "sim_pending_events": 1.0}
         env.run()
-        assert reg.snapshot()["gauges"]["sim_now"] == 1.0
-        assert reg.snapshot()["gauges"]['sim_pending_events{engine="array"}'] == 0.0
-
-    def test_engine_gauges_cover_heap_backend_too(self):
-        from repro.obs import register_engine_gauges
-        from repro.sim import Environment
-
-        env = Environment(engine="heap")
-        reg = MetricsRegistry()
-        register_engine_gauges(reg, env)
-        gauges = reg.snapshot()["gauges"]
-        assert gauges['sim_slot_reuse_hit_rate{engine="heap"}'] == 0.0
+        assert reg.snapshot()["gauges"] == {"sim_now": 1.0, "sim_pending_events": 0.0}

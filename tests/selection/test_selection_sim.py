@@ -114,14 +114,13 @@ class TestX5SimWiring:
 
 
 class TestX5Determinism:
-    def test_parallel_matches_sequential_on_x5_cells(self, monkeypatch):
-        """X5 cells must satisfy cells_identical under the array engine.
+    def test_parallel_matches_sequential_on_x5_cells(self):
+        """X5 cells must satisfy cells_identical.
 
         Trimmed to the smallest fleet's report-fed and probe-fed cells so
         the test stays fast; the full grid runs through the same gate in
         ``benchmarks/bench_x5_scaleout.py``.
         """
-        monkeypatch.setenv("REPRO_ENGINE", "array")
         scenario = get_scenario("X5", scale=0.02)
         keep = [
             p for p in scenario.points

@@ -33,6 +33,34 @@ class TestRun:
         with pytest.raises(ValueError):
             env.run(until=1)
 
+    def test_run_until_negative_raises(self, env):
+        with pytest.raises(ValueError, match="negative"):
+            env.run(until=-1.0)
+
+    def test_run_until_nan_raises(self, env):
+        with pytest.raises(ValueError, match="NaN"):
+            env.run(until=float("nan"))
+
+    def test_run_until_time_fires_everything_before_it(self, env):
+        log = []
+
+        def proc():
+            while True:
+                yield env.timeout(1.0)
+                log.append(env.now)
+
+        env.process(proc())
+        env.run(until=5.0)
+        assert env.now == 5.0
+        assert log == [1.0, 2.0, 3.0, 4.0]
+
+    def test_inf_time_event_is_served_last(self, env):
+        fired = []
+        env.timeout(float("inf")).callbacks.append(lambda e: fired.append("end"))
+        env.timeout(2.0).callbacks.append(lambda e: fired.append("mid"))
+        env.run()
+        assert fired == ["mid", "end"]
+
     def test_run_until_event_returns_its_value(self, env):
         def proc():
             yield env.timeout(2)
@@ -93,7 +121,7 @@ class TestStepAndPeek:
         assert env.now == 2.0
 
     def test_step_on_empty_raises(self, env):
-        with pytest.raises(EmptySchedule):
+        with pytest.raises(EmptySchedule, match="0 pending events"):
             env.step()
 
     def test_urgent_events_precede_timeouts_at_same_instant(self, env):

@@ -28,15 +28,17 @@ class TestPooledTimeout:
         env.run()
         assert seen == [(2.5, "payload")]
 
-    def test_negative_delay_rejected_on_both_paths(self):
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_negative_delay_rejected_on_both_paths(self, bad):
+        # NaN too: a NaN key would silently break the heap invariant.
         env = Environment()
         with pytest.raises(ValueError):
-            env.pooled_timeout(-1.0)  # miss path (empty pool)
+            env.pooled_timeout(bad)  # miss path (empty pool): Timeout.__init__
         env.run()
         env.pooled_timeout(0.0)
         env.run()
         with pytest.raises(ValueError):
-            env.pooled_timeout(-1.0)  # hit path (non-empty pool)
+            env.pooled_timeout(bad)  # hit path (non-empty pool)
 
     def test_fired_timeout_is_reused(self):
         env = Environment()
