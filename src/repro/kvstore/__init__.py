@@ -31,7 +31,6 @@ _EXPORTS = {
     "Request": "repro.kvstore.items",
     "Response": "repro.kvstore.items",
     "NetworkModel": "repro.kvstore.network",
-    "TopologyNetwork": "repro.kvstore.network",
     "UniformLatencyNetwork": "repro.kvstore.network",
     "ConsistentHashRing": "repro.kvstore.partitioning",
     "ReplicaPlacement": "repro.kvstore.replication",
@@ -48,11 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     from repro.kvstore.cluster import Cluster, RunResult, run_cluster
     from repro.kvstore.config import ClusterConfig, ServiceConfig, SimulationConfig
     from repro.kvstore.items import Feedback, OpKind, Operation, Request, Response
-    from repro.kvstore.network import (
-        NetworkModel,
-        TopologyNetwork,
-        UniformLatencyNetwork,
-    )
+    from repro.kvstore.network import NetworkModel, UniformLatencyNetwork
     from repro.kvstore.partitioning import ConsistentHashRing
     from repro.kvstore.replication import ReplicaPlacement
     from repro.kvstore.server import Server

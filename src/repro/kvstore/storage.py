@@ -165,6 +165,19 @@ class StorageEngine:
         record = space.get(key)
         return record is not None and not record.expired(now)
 
+    def peek_size(
+        self, key: str, now: float = 0.0, namespace: str = DEFAULT_NAMESPACE
+    ) -> int:
+        """Non-counting size lookup, 0 when ``key`` is absent or expired.
+
+        For sizing an operation before it is served: the read that serves
+        it is the one that counts as the hit or miss.
+        """
+        record = self._space(namespace).get(key)
+        if record is None or record.expired(now):
+            return 0
+        return record.size
+
     def delete(self, key: str, namespace: str = DEFAULT_NAMESPACE) -> bool:
         """Remove ``key``; returns True if it was present."""
         space = self._space(namespace)

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigError
 
@@ -76,6 +75,9 @@ def mean_confidence_interval(
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size < 2:
         raise ConfigError("need at least two samples for a confidence interval")
+    # scipy.stats is 0.7 s of import; only these two helpers need it.
+    from scipy import stats
+
     mean = float(arr.mean())
     sem = float(stats.sem(arr))
     half = sem * float(stats.t.ppf((1 + confidence) / 2.0, arr.size - 1))
@@ -96,6 +98,8 @@ def compare_means(
         raise ConfigError("both samples must be non-empty")
     reduction = 1.0 - treat.mean() / base.mean()
     if base.size > 1 and treat.size > 1:
+        from scipy import stats
+
         _, p_value = stats.ttest_ind(base, treat, equal_var=False)
     else:
         p_value = float("nan")

@@ -24,10 +24,10 @@ Naming scheme (documented in ``docs/architecture.md``): metric names are
 from __future__ import annotations
 
 import math
+from math import frexp
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.metrics.percentiles import P2Quantile
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -104,14 +104,26 @@ class Gauge:
         return self._value
 
 
-class Histogram:
-    """Streaming distribution: count/sum/min/max plus P² quantiles.
+#: Log-bucket resolution: sub-buckets per power of two.  A bucket is at
+#: most 1/8 wider than its lower bound, so a quantile read from the
+#: buckets is within ~6% of the sample it stands for.
+SUB_BUCKETS_PER_OCTAVE = 8
 
-    Bounded memory regardless of sample volume — each tracked quantile is
-    five P² markers, so a multi-hour run costs the same as a test run.
+
+class Histogram:
+    """Streaming distribution: count/sum/min/max plus log-spaced bucket counts.
+
+    ``observe`` costs one bucket increment; quantiles are worked out from
+    the buckets when read, so the per-sample path carries no estimator.
+    Memory is bounded by the dynamic range of the samples
+    (:data:`SUB_BUCKETS_PER_OCTAVE` sparse buckets per factor of two),
+    not by their number.
     """
 
-    __slots__ = ("name", "help", "label_key", "count", "sum", "min", "max", "_quantiles")
+    __slots__ = (
+        "name", "help", "label_key", "count", "sum", "min", "max",
+        "quantiles", "_buckets", "_nonpositive",
+    )
 
     kind = "histogram"
 
@@ -129,23 +141,55 @@ class Histogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self._quantiles = {q: P2Quantile(q) for q in quantiles}
+        #: The quantiles :meth:`summary` and the exposition report.
+        self.quantiles = tuple(quantiles)
+        for q in self.quantiles:
+            if not 0 < q < 1:
+                raise ConfigError(f"quantile must be in (0, 1), got {q}")
+        #: bucket index -> samples in it, for positive samples.
+        self._buckets: Dict[int, int] = {}
+        self._nonpositive = 0
 
     def observe(self, x: float) -> None:
-        x = float(x)
         self.count += 1
         self.sum += x
         if x < self.min:
             self.min = x
         if x > self.max:
             self.max = x
-        for est in self._quantiles.values():
-            est.update(x)
+        if x > 0.0:
+            # x = mantissa * 2**exponent with mantissa in [0.5, 1): the
+            # bucket is the octave and the mantissa's top bits.
+            mantissa, exponent = frexp(x)
+            index = (exponent - 1) * SUB_BUCKETS_PER_OCTAVE + int(
+                mantissa * (2 * SUB_BUCKETS_PER_OCTAVE)
+            )
+            try:
+                self._buckets[index] += 1
+            except KeyError:
+                self._buckets[index] = 1
+        else:
+            self._nonpositive += 1
 
     def quantile(self, q: float) -> float:
+        """The ``q``-quantile, interpolated within the bucket that holds it."""
         if self.count == 0:
             return float("nan")
-        return self._quantiles[q].value
+        rank = q * (self.count - 1)
+        seen = self._nonpositive
+        if rank < seen:
+            # Between the smallest sample and zero.
+            return min(self.min, 0.0) * (1.0 - rank / seen)
+        for index in sorted(self._buckets):
+            in_bucket = self._buckets[index]
+            if rank < seen + in_bucket:
+                octave, sub = divmod(index, SUB_BUCKETS_PER_OCTAVE)
+                width = math.ldexp(1.0 / (2 * SUB_BUCKETS_PER_OCTAVE), octave)
+                low = (SUB_BUCKETS_PER_OCTAVE + sub) * width
+                value = low + width * (rank - seen) / in_bucket
+                return min(max(value, self.min), self.max)
+            seen += in_bucket
+        return self.max
 
     def summary(self) -> Dict[str, float]:
         out: Dict[str, float] = {
@@ -154,7 +198,7 @@ class Histogram:
             "min": self.min if self.count else float("nan"),
             "max": self.max if self.count else float("nan"),
         }
-        for q in self._quantiles:
+        for q in self.quantiles:
             out[f"p{q * 100:g}"] = self.quantile(q)
         return out
 
@@ -270,13 +314,12 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {ptype}")
             for metric in metrics:
                 if isinstance(metric, Histogram):
-                    for q, est in metric._quantiles.items():
+                    for q in metric.quantiles:
                         labels = _render_labels(
                             metric.label_key,
                             dict(extra_labels or {}, quantile=f"{q:g}"),
                         )
-                        value = est.value if metric.count else float("nan")
-                        lines.append(f"{name}{labels} {value}")
+                        lines.append(f"{name}{labels} {metric.quantile(q)}")
                     suffix = _render_labels(metric.label_key, extra_labels)
                     lines.append(f"{name}_count{suffix} {metric.count}")
                     lines.append(f"{name}_sum{suffix} {metric.sum}")

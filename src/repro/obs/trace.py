@@ -64,17 +64,17 @@ class OpSpan:
     def from_op(cls, op: Any, server_id: Optional[int] = None) -> "OpSpan":
         """Build a span from any op-shaped object (sim or runtime).
 
-        Reads ``key``/``enqueue_time``/``start_time``/``finish_time`` and
-        the ``obs.*`` tag annotations.
+        Reads ``key``/``enqueue_time``/``start_time``/``finish_time``,
+        the ``obs.*`` annotations in ``tag`` and, unless ``server_id`` is
+        given, the op's own ``server_id``.
         """
-        tag = getattr(op, "tag", {}) or {}
-        sid = server_id if server_id is not None else getattr(op, "server_id", -1)
+        tag = op.tag or {}
         return cls(
-            key=getattr(op, "key", ""),
-            server_id=sid,
-            enqueue=getattr(op, "enqueue_time", float("nan")),
-            service_start=getattr(op, "start_time", float("nan")),
-            service_end=getattr(op, "finish_time", float("nan")),
+            key=op.key,
+            server_id=server_id if server_id is not None else op.server_id,
+            enqueue=op.enqueue_time,
+            service_start=op.start_time,
+            service_end=op.finish_time,
             band=tag.get(OBS_BAND),
             threshold=tag.get(OBS_THRESHOLD),
             promoted=bool(tag.get(OBS_PROMOTED, False)),

@@ -4,7 +4,8 @@ The same :mod:`repro.schedulers` queue implementations that drive the
 simulator order operations inside real asyncio TCP servers here — the
 point being that simulation results carry over to a runnable system.
 
-* :mod:`repro.runtime.protocol` — length-prefixed JSON wire protocol;
+* :mod:`repro.runtime.protocol` — length-prefixed binary wire protocol
+  and the callback frame parser both sides use;
 * :mod:`repro.runtime.scheduling` — the scheduled executor wrapping a
   :class:`~repro.schedulers.base.ServerQueue`;
 * :mod:`repro.runtime.server` — the TCP key-value server;
@@ -30,7 +31,7 @@ from repro.runtime.faults import (
     RefuseConnections,
 )
 from repro.runtime.loadgen import LoadGenerator, LoadgenResult
-from repro.runtime.protocol import Message, read_message, write_message
+from repro.runtime.protocol import Message
 from repro.runtime.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -67,6 +68,4 @@ __all__ = [
     "RuntimeClient",
     "ScheduledExecutor",
     "ServerUnavailableError",
-    "read_message",
-    "write_message",
 ]

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import logging
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -39,13 +37,7 @@ from repro.obs import (
     TRACE_REQUESTED,
     Tracer,
 )
-from repro.runtime.protocol import (
-    Message,
-    decode_value,
-    encode_value,
-    read_message,
-    write_message,
-)
+from repro.runtime.protocol import FrameProtocol, Message, write_message
 from repro.runtime.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -63,8 +55,6 @@ from repro.selection import (
     selection_policy_needs,
 )
 
-logger = logging.getLogger(__name__)
-
 #: Assumed value size for keys never seen before (bytes).
 DEFAULT_SIZE_GUESS = 1024
 
@@ -74,17 +64,92 @@ UNHEALTHY_QUEUED_WORK = 60.0
 UNHEALTHY_RATE_SAMPLE = 1e-3
 
 
-@dataclass
-class _Connection:
-    """One server connection plus its in-flight correlation table."""
+class _Connection(FrameProtocol):
+    """One server connection plus its in-flight correlation table.
 
-    server_id: int
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    pending: Dict[int, asyncio.Future]
-    reader_task: Optional[asyncio.Task] = None
-    write_lock: Optional[asyncio.Lock] = None
-    closed: bool = False
+    ``pending`` maps a request id to whatever waits for its reply: an
+    ``asyncio.Future`` or a :class:`_Slot` (same ``done`` /
+    ``set_result`` / ``set_exception``).  Nothing here is awaited: frames
+    are written synchronously and replies are matched in
+    ``data_received``.  The write side is not flow-controlled — a caller
+    has at most its own outstanding requests buffered.
+    """
+
+    def __init__(self, client: "RuntimeClient", server_id: int):
+        super().__init__()
+        self.client = client
+        self.server_id = server_id
+        self.pending: Dict[int, Any] = {}
+        self.closed = False
+
+    def message_received(self, message: Message) -> None:
+        self.client._absorb_feedback(self.server_id, message)
+        waiter = self.pending.pop(message.id, None)
+        if waiter is not None and not waiter.done():
+            waiter.set_result(message)
+
+    def protocol_error(self, exc: ProtocolError) -> None:
+        self.client._fail_connection(self, exc)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.client._fail_connection(self, exc or "server closed connection")
+
+
+class _Scatter:
+    """The sub-requests of one unprotected fan-out, awaited as one future.
+
+    ``partial`` waits for every slot whatever happens to the others;
+    otherwise the first failure wakes the caller at once.
+    """
+
+    __slots__ = ("future", "remaining", "partial")
+
+    def __init__(self, future: asyncio.Future, count: int, partial: bool):
+        self.future = future
+        self.remaining = count
+        self.partial = partial
+
+
+class _Slot:
+    """Future-shaped correlation entry for one sub-request of a :class:`_Scatter`."""
+
+    __slots__ = ("client", "scatter", "server_id", "sent_at", "outcome")
+
+    def __init__(self, client: "RuntimeClient", scatter: _Scatter, server_id: int):
+        self.client = client
+        self.scatter = scatter
+        self.server_id = server_id
+        self.sent_at = time.monotonic()
+        #: The reply, or the exception that ended the sub-request.
+        self.outcome: Any = None
+        if client._track_inflight:
+            client.selection_policy.on_dispatch(server_id, self.sent_at)
+
+    def done(self) -> bool:
+        return self.outcome is not None
+
+    def set_result(self, reply: Message) -> None:
+        self.client._record_latency(time.monotonic() - self.sent_at)
+        self._settle(reply)
+
+    def set_exception(self, exc: BaseException) -> None:
+        scatter = self.scatter
+        if not scatter.partial and not scatter.future.done():
+            scatter.future.set_exception(exc)
+        self._settle(exc)
+
+    def _settle(self, outcome: Any) -> None:
+        self.outcome = outcome
+        client = self.client
+        if client._track_inflight:
+            now = time.monotonic()
+            client.selection_policy.on_response(
+                self.server_id, now, now - self.sent_at
+            )
+        scatter = self.scatter
+        scatter.remaining -= 1
+        if scatter.remaining == 0 and not scatter.future.done():
+            scatter.future.set_result(None)
 
 
 class RuntimeClient:
@@ -249,17 +314,8 @@ class RuntimeClient:
 
     async def _open_connection(self, server_id: int, hedge: bool) -> _Connection:
         host, port = self.endpoints[server_id]
-        reader, writer = await asyncio.open_connection(host, port)
-        role = "hedge" if hedge else "main"
-        conn = _Connection(
-            server_id=server_id,
-            reader=reader,
-            writer=writer,
-            pending={},
-            write_lock=asyncio.Lock(),
-        )
-        conn.reader_task = asyncio.create_task(
-            self._read_loop(conn), name=f"kv-client-reader-{role}-{server_id}"
+        _, conn = await asyncio.get_running_loop().create_connection(
+            lambda: _Connection(self, server_id), host, port
         )
         pool = self._hedge_connections if hedge else self._connections
         pool[server_id] = conn
@@ -281,16 +337,20 @@ class RuntimeClient:
                 return conn
             return await self._open_connection(server_id, hedge)
 
-    def _fail_connection(self, conn: _Connection, exc: BaseException) -> None:
-        """Mark ``conn`` dead and fail its in-flight futures fast."""
+    def _fail_connection(self, conn: _Connection, reason: object) -> None:
+        """Mark ``conn`` dead and fail whatever waits for a reply on it."""
+        if conn.closed:
+            return
         conn.closed = True
-        for fut in conn.pending.values():
-            if not fut.done():
-                fut.set_exception(
-                    ConnectionError(f"connection to server {conn.server_id} lost: {exc}")
+        pending, conn.pending = conn.pending, {}
+        for waiter in pending.values():
+            if not waiter.done():
+                waiter.set_exception(
+                    ConnectionError(
+                        f"connection to server {conn.server_id} lost: {reason}"
+                    )
                 )
-        conn.pending.clear()
-        conn.writer.close()
+        conn.transport.close()
 
     async def close(self) -> None:
         for task in list(self._probe_tasks):
@@ -301,38 +361,11 @@ class RuntimeClient:
         for conn in list(self._connections.values()) + list(
             self._hedge_connections.values()
         ):
-            if conn.reader_task is not None:
-                conn.reader_task.cancel()
-                try:
-                    await conn.reader_task
-                except asyncio.CancelledError:
-                    pass
-                except Exception:  # noqa: BLE001 - teardown must not mask bugs silently
-                    logger.exception(
-                        "reader task for server %d raised during close", conn.server_id
-                    )
-            conn.writer.close()
-            try:
-                await conn.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._fail_connection(conn, "client closed")
         self._connections.clear()
         self._hedge_connections.clear()
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        try:
-            while True:
-                message = await read_message(conn.reader)
-                if message is None:
-                    raise ConnectionError("server closed connection")
-                self._absorb_feedback(conn.server_id, message)
-                fut = conn.pending.pop(message.id, None)
-                if fut is not None and not fut.done():
-                    fut.set_result(message)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any wire error kills the connection
-            self._fail_connection(conn, exc)
+        # One turn of the loop, in which the transports release their sockets.
+        await asyncio.sleep(0)
 
     def _absorb_feedback(self, server_id: int, message: Message) -> None:
         feedback = message.fields.get("feedback")
@@ -357,7 +390,7 @@ class RuntimeClient:
         if self._track_feedback:
             # The one funnel into the policy: piggybacked replies, probe
             # replies, and load-report broadcasts all land here via the
-            # shared read loop.  Control-plane accounting tags the kind:
+            # connection's frame handler.  Control-plane accounting tags the kind:
             # a broadcast report is a dedicated message, a probe reply is
             # the return leg of a round-trip, and piggybacked feedback
             # rides an existing data reply (bytes only, zero messages).
@@ -401,6 +434,28 @@ class RuntimeClient:
             )
         )
 
+    def _send(self, conn: _Connection, mtype: str, fields: Dict, waiter: Any) -> int:
+        """Register ``waiter`` for the reply and write the request frame.
+
+        The one way a request leaves this client.  Synchronous: the
+        transport buffers what the socket does not take at once.  Returns
+        the request id ``waiter`` is registered under.
+        """
+        message = Message(mtype, next(self._ids), fields)
+        conn.pending[message.id] = waiter
+        try:
+            write_message(conn.transport, message)
+        except Exception:
+            # Nothing was sent, so no reply can arrive: drop the
+            # correlation entry instead of leaking it.
+            del conn.pending[message.id]
+            raise
+        return message.id
+
+    def _record_latency(self, elapsed: float) -> None:
+        self._latency.record(elapsed)
+        self._attempt_latency.observe(elapsed)
+
     async def _attempt(
         self,
         server_id: int,
@@ -411,28 +466,17 @@ class RuntimeClient:
     ) -> Message:
         """One send/await round-trip over one connection."""
         conn = await self._ensure_connection(server_id, hedge=hedge)
-        message = Message(type=mtype, id=next(self._ids), fields=fields)
-        fut = asyncio.get_running_loop().create_future()
-        conn.pending[message.id] = fut
-        try:
-            async with conn.write_lock:
-                await write_message(conn.writer, message)
-        except BaseException:
-            # The write failed (or was cancelled): the reply can never
-            # arrive, so drop the correlation entry instead of leaking it.
-            conn.pending.pop(message.id, None)
-            raise
+        reply_future = asyncio.get_running_loop().create_future()
+        request_id = self._send(conn, mtype, fields, reply_future)
         sent_at = time.monotonic()
         try:
             if timeout is None:
-                reply = await fut
+                reply = await reply_future
             else:
-                reply = await asyncio.wait_for(fut, timeout)
+                reply = await asyncio.wait_for(reply_future, timeout)
         finally:
-            conn.pending.pop(message.id, None)
-        elapsed = time.monotonic() - sent_at
-        self._latency.record(elapsed)
-        self._attempt_latency.observe(elapsed)
+            conn.pending.pop(request_id, None)
+        self._record_latency(time.monotonic() - sent_at)
         return reply
 
     async def _attempt_maybe_hedged(
@@ -591,13 +635,63 @@ class RuntimeClient:
             now = time.monotonic()
             self.selection_policy.on_response(server_id, now, now - started)
 
+    async def _scatter(
+        self,
+        requests: Sequence[Tuple[int, str, Dict]],
+        partial: bool = False,
+        idempotent: bool = False,
+    ) -> List[Any]:
+        """Send ``(server_id, type, fields)`` sub-requests, wait for them all.
+
+        Returns their replies in order; with ``partial`` a sub-request
+        that failed yields its exception instead of raising it.
+
+        With a retry policy every sub-request runs :meth:`_call`'s
+        machinery in a task of its own.  Without one there is no deadline
+        to arm and nothing to retry, so the frames are written back to
+        back, each reply lands in a :class:`_Slot`, and the caller wakes
+        once, after the last: no task and no timer per server.
+        """
+        if self.retry_policy is not None:
+            return await asyncio.gather(
+                *(
+                    self._tracked_call(server_id, mtype, fields, idempotent=idempotent)
+                    for server_id, mtype, fields in requests
+                ),
+                return_exceptions=partial,
+            )
+        scatter = _Scatter(
+            asyncio.get_running_loop().create_future(), len(requests), partial
+        )
+        sent: List[Tuple[_Connection, int, _Slot]] = []
+        slots: List[_Slot] = []
+        try:
+            for server_id, mtype, fields in requests:
+                slot = _Slot(self, scatter, server_id)
+                slots.append(slot)
+                try:
+                    conn = self._connections.get(server_id)
+                    if conn is None or conn.closed:
+                        conn = await self._ensure_connection(server_id)
+                    sent.append((conn, self._send(conn, mtype, fields, slot), slot))
+                except (OSError, ProtocolError) as exc:
+                    slot.set_exception(exc)
+            await scatter.future
+        finally:
+            # Abandoned (failed fast, or the caller was cancelled): a late
+            # reply must find no entry, and the selection policy must see
+            # every dispatch end.
+            for conn, request_id, slot in sent:
+                if not slot.done():
+                    conn.pending.pop(request_id, None)
+                    slot.set_exception(asyncio.CancelledError())
+        return [slot.outcome for slot in slots]
+
     async def put(self, key: str, value: bytes) -> None:
         servers = self.write_set(key)
         tags = self._tags_for({sid: [key] for sid in servers})
-        fields = {"key": key, "value": encode_value(value), "tags": tags}
-        replies = await asyncio.gather(
-            *(self._tracked_call(sid, "put", dict(fields)) for sid in servers)
-        )
+        fields = {"key": key, "value": value, "tags": tags}
+        replies = await self._scatter([(sid, "put", fields) for sid in servers])
         for reply in replies:
             if not reply.fields.get("ok"):
                 raise ProtocolError(f"put failed: {reply.fields.get('error')}")
@@ -607,30 +701,19 @@ class RuntimeClient:
         values = await self.multiget([key])
         return values[key]
 
-    async def _fetch(
-        self,
-        server_id: int,
-        server_keys: List[str],
-        tags: Dict[str, float],
-        span_sink: Optional[List[dict]] = None,
+    def _mget_values(
+        self, reply: Message, span_sink: Optional[List[dict]]
     ) -> Dict[str, Optional[bytes]]:
-        reply = await self._tracked_call(
-            server_id,
-            "mget",
-            {"keys": server_keys, "tags": tags},
-            idempotent=True,
-        )
+        """The values one ``mget`` reply carries (raises if it is an error reply)."""
         if not reply.fields.get("ok"):
             raise ProtocolError(f"mget failed: {reply.fields.get('error')}")
         if span_sink is not None:
             span_sink.extend(reply.fields.get("spans") or [])
-        out: Dict[str, Optional[bytes]] = {}
-        for key, encoded in reply.fields.get("values", {}).items():
-            value = decode_value(encoded) if encoded is not None else None
-            out[key] = value
+        values = reply.fields.get("values", {})
+        for key, value in values.items():
             if value is not None:
                 self._size_cache[key] = len(value)
-        return out
+        return values
 
     async def multiget(
         self, keys: Sequence[str], partial: bool = False
@@ -662,19 +745,26 @@ class RuntimeClient:
         retries_before = self.counters["retries"].value
         hedges_before = self.counters["hedges_sent"].value
 
-        results = await asyncio.gather(
-            *(
-                self._fetch(sid, by_server[sid], tags, span_sink=span_sink)
-                for sid in server_ids
-            ),
-            return_exceptions=partial,
+        results = await self._scatter(
+            [(sid, "mget", {"keys": by_server[sid], "tags": tags}) for sid in server_ids],
+            partial=partial,
+            idempotent=True,
         )
+        reply_time = time.monotonic()
+        for index, reply in enumerate(results):
+            if isinstance(reply, Message):
+                try:
+                    results[index] = self._mget_values(reply, span_sink)
+                except ProtocolError as exc:
+                    if not partial:
+                        raise
+                    results[index] = exc
         if span_sink is not None:
             self.tracer.record(
                 RequestTrace(
                     request_id=next(self._trace_ids),
                     tag_time=tag_time,
-                    reply_time=time.monotonic(),
+                    reply_time=reply_time,
                     ops=[OpSpan(**span) for span in span_sink],
                     meta={"keys": len(keys), "servers": len(server_ids)},
                 )
@@ -709,7 +799,7 @@ class RuntimeClient:
         touched keys' replica sets, so the pool stays fresh for exactly
         the servers this client might route to next.  Probes are
         fire-and-forget background tasks: their replies refresh the pool
-        through the read loop's feedback funnel, never blocking the
+        through the frame handler's feedback funnel, never blocking the
         request that triggered them.
         """
         if not self._want_probes:
@@ -732,7 +822,7 @@ class RuntimeClient:
     async def _probe(self, server_id: int) -> None:
         """One probe round-trip (bypasses retry/hedge/breaker machinery)."""
         self.counters["probes_sent"].inc()
-        # The outbound leg; the reply leg is accounted by the read loop.
+        # The outbound leg; the reply leg is accounted by the frame handler.
         self.selection_policy.record_control_message(
             "probe", payload_bytes=PROBE_WIRE_BYTES
         )

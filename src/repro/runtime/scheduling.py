@@ -6,14 +6,20 @@ repeatedly pops the queue's pick and executes it.  An optional service
 throttle emulates a bounded-rate backend so scheduling visibly matters in
 demos; production use would set ``byte_rate=None`` and let real storage
 latency be the cost.
+
+The worker serves *runs*: it pops and executes picks back to back and
+gives the event loop a turn once per :data:`RUN_BUDGET_SECONDS`, not once
+per operation.  Completion is per *message*: the operations a message
+fans into share one :class:`OpSink`, which fires after the last of them.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +27,12 @@ from repro.core.estimator import EwmaEstimator
 from repro.obs import MetricsRegistry, register_queue_gauges
 from repro.schedulers.base import QueueContext, SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import create_policy
+
+logger = logging.getLogger(__name__)
+
+#: How long the worker serves picks back to back before it yields the
+#: event loop (socket reads, timers and other tasks wait that long at most).
+RUN_BUDGET_SECONDS = 200e-6
 
 
 class ExecutorStoppedError(RuntimeError):
@@ -31,7 +43,33 @@ class ExecutorStoppedError(RuntimeError):
     """
 
 
-@dataclass
+class OpSink:
+    """Countdown completion shared by the operations of one message.
+
+    ``on_done(cancelled)`` is called exactly once: with False right after
+    the last operation has been served (results and errors are then on
+    the operations), or with True when :meth:`ScheduledExecutor.abort`
+    discarded one of them.
+    """
+
+    __slots__ = ("remaining", "on_done")
+
+    def __init__(self, count: int, on_done: Callable[[bool], None]):
+        self.remaining = count
+        self.on_done = on_done
+
+    def op_done(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.on_done(False)
+
+    def cancel(self) -> None:
+        if self.remaining > 0:
+            self.remaining = 0
+            self.on_done(True)
+
+
+@dataclass(slots=True)
 class QueuedOp:
     """The minimal operation shape the scheduler queues require.
 
@@ -46,10 +84,13 @@ class QueuedOp:
     size: int = 0
     tag: Dict[str, Any] = field(default_factory=dict)
     enqueue_time: float = float("nan")
-    #: Resolved when the operation has been executed (created at submit).
-    done: Optional[asyncio.Future] = None
+    #: Told when the operation has been executed (set at submit).
+    sink: Optional[OpSink] = None
     #: The actual work to run, set by the server.
     work: Optional[Callable[[], Any]] = None
+    #: What ``work`` returned, or the exception it raised.
+    result: Any = None
+    error: Optional[Exception] = None
 
     # The queue bookkeeping also reads nothing else; timestamps below are
     # filled by the executor for observability.
@@ -137,8 +178,9 @@ class ScheduledExecutor:
     async def abort(self) -> None:
         """Halt immediately without draining queued work (crash semantics).
 
-        Queued operations' futures are cancelled so no submitter awaits a
-        result that will never come.
+        The sinks of queued operations (and of the one in service) are
+        cancelled so no submitter waits for a completion that will never
+        come.
         """
         self._stopping = True
         if self._worker is not None:
@@ -149,12 +191,10 @@ class ScheduledExecutor:
                 pass
             self._worker = None
         while len(self.queue) > 0:
-            op = self.queue.pop(time.monotonic())
-            if op.done is not None and not op.done.done():
-                op.done.cancel()
+            self.queue.pop(time.monotonic()).sink.cancel()
 
     def submit(self, op: QueuedOp) -> asyncio.Future:
-        """Enqueue an operation; the returned future resolves with its result.
+        """Enqueue one operation; the returned future resolves with its result.
 
         Submitting before :meth:`start` is allowed (the batch is served
         once the worker runs); submitting after :meth:`stop` or
@@ -162,56 +202,97 @@ class ScheduledExecutor:
         the queue is dead and a future enqueued onto it would hang its
         awaiter forever.
         """
+        future = asyncio.get_running_loop().create_future()
+
+        def resolve(cancelled: bool) -> None:
+            if future.done():
+                return  # the awaiter gave up
+            if cancelled:
+                future.cancel()
+            elif op.error is not None:
+                future.set_exception(op.error)
+            else:
+                future.set_result(op.result)
+
+        self.submit_message([op], resolve)
+        return future
+
+    def submit_message(
+        self, ops: Sequence[QueuedOp], on_done: Callable[[bool], None]
+    ) -> None:
+        """Enqueue the operations of one message behind one :class:`OpSink`.
+
+        ``on_done`` runs inside the worker, right after the message's last
+        operation: one completion per message, no future per operation.
+        Raises :class:`ExecutorStoppedError` like :meth:`submit`, before
+        anything is enqueued.
+        """
         if self._stopping:
             self._rejected.inc()
             raise ExecutorStoppedError("executor is stopped; operation rejected")
-        if op.done is None:
-            op.done = asyncio.get_running_loop().create_future()
-        self.queue.push(op, time.monotonic())
+        if not ops:
+            on_done(False)  # nothing to wait for (an mget of no keys)
+            return
+        sink = OpSink(len(ops), on_done)
+        now = time.monotonic()
+        for op in ops:
+            op.sink = sink
+            self.queue.push(op, now)
         self._wakeup.set()
-        return op.done
 
     # ------------------------------------------------------------------
     async def _run(self) -> None:
+        queue = self.queue
+        monotonic = time.monotonic
         while True:
-            if len(self.queue) == 0:
+            if len(queue) == 0:
                 self._wakeup.clear()
                 if self._stopping:
                     return
                 await self._wakeup.wait()
                 continue
-            op = self.queue.pop(time.monotonic())
-            op.start_time = time.monotonic()
-            self._serving = True
-            try:
-                result = op.work() if op.work is not None else None
-                if self.byte_rate is not None and op.demand > 0:
-                    await asyncio.sleep(op.demand)
+            # One run: picks served back to back until the queue is empty
+            # or the budget is spent.  ``pop`` is still called once per
+            # operation, so what the scheduler decides is unchanged.
+            run_ends = monotonic() + RUN_BUDGET_SECONDS
+            while len(queue) > 0:
+                started = monotonic()
+                op = queue.pop(started)
+                op.start_time = started
+                self._serving = True
+                try:
+                    if op.work is not None:
+                        op.result = op.work()
+                except Exception as exc:  # noqa: BLE001 - forwarded to the sink
+                    op.error = exc
+                if self.byte_rate is not None and op.demand > 0 and op.error is None:
+                    try:
+                        await asyncio.sleep(op.demand)
+                    except asyncio.CancelledError:
+                        op.sink.cancel()  # abort() caught this one in service
+                        raise
+                    run_ends = monotonic() + RUN_BUDGET_SECONDS
+                finished = op.finish_time = monotonic()
+                self._serving = False
+                elapsed = finished - started
+                if op.error is not None:
+                    self._ops_failed.inc()
                 else:
+                    if op.demand > 0 and elapsed > 0:
+                        self._rate_ewma.update(op.demand / elapsed)
+                    self._ops_executed.inc()
+                self._service_hist.observe(elapsed)
+                # A failed operation left service too; skipping the hook
+                # would desynchronize adaptive queue state from reality.
+                queue.on_service_complete(op, finished)
+                try:
+                    op.sink.op_done()
+                except Exception:  # noqa: BLE001 - the worker must outlive a bad callback
+                    logger.exception("completion callback of %r raised", op.key)
+                if finished >= run_ends:
                     # Yield so a flood of zero-cost ops cannot starve the loop.
                     await asyncio.sleep(0)
-            except Exception as exc:  # noqa: BLE001 - forwarded to the waiter
-                # The queue saw this op leave service even though it
-                # failed; skipping the hook would desynchronize adaptive
-                # state (EWMAs, controller) from reality.
-                op.finish_time = time.monotonic()
-                self._serving = False
-                self._ops_failed.inc()
-                self._service_hist.observe(op.finish_time - op.start_time)
-                self.queue.on_service_complete(op, op.finish_time)
-                if not op.done.done():
-                    op.done.set_exception(exc)
-                continue
-            op.finish_time = time.monotonic()
-            self._serving = False
-            elapsed = op.finish_time - op.start_time
-            if op.demand > 0 and elapsed > 0:
-                self._rate_ewma.update(op.demand / elapsed)
-            self._ops_executed.inc()
-            self._service_hist.observe(elapsed)
-            self.queue.on_service_complete(op, op.finish_time)
-            if not op.done.done():
-                op.done.set_result(result)
+                    run_ends = monotonic() + RUN_BUDGET_SECONDS
 
     # ------------------------------------------------------------------
     @property

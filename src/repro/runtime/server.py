@@ -18,25 +18,52 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
-import logging
 import time
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import KeyNotFoundError, ProtocolError
 from repro.kvstore.storage import StorageEngine
 from repro.obs import MetricsRegistry, OpSpan, TRACE_REQUESTED
-from repro.runtime.faults import DELAY, DISCONNECT, DROP, FaultInjector
-from repro.runtime.protocol import (
-    Message,
-    decode_value,
-    encode_value,
-    read_message,
-    write_message,
-)
+from repro.runtime.faults import DELAY, DISCONNECT, DROP, FaultDecision, FaultInjector
+from repro.runtime.protocol import FrameProtocol, Message, write_message
 from repro.runtime.scheduling import ExecutorStoppedError, QueuedOp, ScheduledExecutor
 
-logger = logging.getLogger(__name__)
+
+class _ServerConnection(FrameProtocol):
+    """One accepted connection: frames in, replies out, nothing awaited.
+
+    Every frame is handed to the server as it arrives, so a connection's
+    in-flight messages queue together in the executor and are answered in
+    the order the scheduler serves them.  Back-pressure: when the peer
+    stops reading and the reply buffer passes the transport's high-water
+    mark, the server stops reading that connection's requests until the
+    buffer has drained.
+    """
+
+    def __init__(self, server: "KVServer"):
+        super().__init__()
+        self.server = server
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        super().connection_made(transport)
+        server = self.server
+        if not server.faults.connection_allowed():
+            transport.close()
+            return
+        server._c_connections.inc()
+        server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+
+    def message_received(self, message: Message) -> None:
+        self.server._dispatch(self, message)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
 
 
 class KVServer:
@@ -105,7 +132,7 @@ class KVServer:
         self.load_report_interval = load_report_interval
         self._report_task: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_ServerConnection] = set()
         sid = str(server_id)
         self._c_connections = self.registry.counter(
             "server_connections_total", "Connections accepted", server=sid
@@ -130,7 +157,7 @@ class KVServer:
         self.registry.gauge(
             "server_active_connections",
             "Currently open connections",
-            fn=lambda: len(self._writers),
+            fn=lambda: len(self._connections),
             server=sid,
         )
 
@@ -143,8 +170,8 @@ class KVServer:
 
     async def start(self) -> None:
         await self.executor.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ServerConnection(self), self.host, self._requested_port
         )
         # Remember the concrete port so crash/restart reuses it and
         # clients can reconnect to the same endpoint.
@@ -193,9 +220,9 @@ class KVServer:
             self._server = None
 
     def _drop_connections(self) -> None:
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
+        for connection in list(self._connections):
+            connection.transport.close()
+        self._connections.clear()
 
     async def _stop_report_loop(self) -> None:
         if self._report_task is None:
@@ -210,8 +237,7 @@ class KVServer:
 
         ``id=0`` never collides with a client correlation id (clients
         count from 1), so receivers absorb the feedback and drop the
-        frame.  A writer that fails mid-broadcast is skipped — the
-        connection handler owns its teardown.
+        frame.
         """
         assert self.load_report_interval is not None
         while True:
@@ -224,12 +250,10 @@ class KVServer:
                     "in_flight": self.executor.in_flight,
                 },
             )
-            for writer in list(self._writers):
-                try:
-                    await write_message(writer, message)
-                except (ConnectionError, OSError):
-                    continue
-                self._c_reports.inc()
+            for connection in list(self._connections):
+                if not connection.transport.is_closing():
+                    write_message(connection.transport, message)
+                    self._c_reports.inc()
 
     # ------------------------------------------------------------------
     def _demand(self, value_size: int) -> float:
@@ -237,67 +261,36 @@ class KVServer:
             return 0.0
         return self.per_op_overhead + value_size / self.byte_rate
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if not self.faults.connection_allowed():
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
+    def _dispatch(self, connection: _ServerConnection, message: Message) -> None:
+        """Serve one incoming frame; the reply is written when it is ready."""
+        decision = self.faults.decide(message)
+        if decision.action == DISCONNECT:
+            connection.transport.close()
             return
-        self._c_connections.inc()
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    message = await read_message(reader)
-                except ProtocolError as exc:
-                    logger.warning("protocol error from peer: %s", exc)
-                    break
-                if message is None:
-                    break
-                decision = self.faults.decide(message)
-                if decision.action == DISCONNECT:
-                    break
-                if decision.action == DROP:
-                    continue
-                reply = await self._serve(message)
-                if decision.action == DELAY:
-                    delay = decision.delay
-                    if decision.delay_per_byte > 0.0:
-                        delay += (
-                            decision.delay_per_byte
-                            * self._message_value_bytes(message)
-                        )
-                    await asyncio.sleep(delay)
-                await write_message(writer, reply)
-        except (ConnectionError, OSError):
-            pass  # peer went away (or crash() severed us) mid-exchange
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
-
-    async def _serve(self, message: Message) -> Message:
+        if decision.action == DROP:
+            return
         extra: Dict[str, Any] = {}
+        fields = message.fields
         try:
-            if message.type == "get":
-                values, spans = await self._do_gets(
-                    [message.fields["key"]], message.fields
-                )
+            ops = None
+            if message.type == "put":
+                ops = [self._put_op(fields)]
             elif message.type == "mget":
-                values, spans = await self._do_gets(
-                    list(message.fields["keys"]), message.fields
+                ops = self._get_ops(fields["keys"], fields.get("tags", {}))
+            elif message.type == "get":
+                ops = self._get_ops([fields["key"]], fields.get("tags", {}))
+            if ops is not None:
+                # Answered from inside the executor, after the last op.
+                self.executor.submit_message(
+                    ops,
+                    lambda cancelled: self._finish(
+                        connection, message, decision, ops, cancelled
+                    ),
                 )
-            elif message.type == "put":
-                values, spans = await self._do_put(message.fields)
-            elif message.type == "stats":
+                return
+            if message.type == "stats":
                 # Control plane: answered directly, never queued behind
                 # data operations (a scrape must work on a loaded server).
-                values, spans = {}, None
                 extra["stats"] = self.stats()
             elif message.type == "probe":
                 # Control plane, like stats: a load probe must reflect the
@@ -305,80 +298,100 @@ class KVServer:
                 # queue it is trying to measure.  The reply's standard
                 # feedback block carries the signals; in_flight adds the
                 # in-service operation the queue length misses.
-                values, spans = {}, None
                 extra["in_flight"] = self.executor.in_flight
                 self._c_probes.inc()
             else:
                 raise ProtocolError(f"unexpected message type {message.type!r}")
-            ok, error = True, None
-            self._c_ops_served.inc()
-            if spans is not None:
-                extra["spans"] = spans
+            error = None
         except KeyError as exc:
-            values, ok, error = {}, False, f"missing field {exc}"
-            self._c_errors.inc()
+            error = f"missing field {exc}"
         except ExecutorStoppedError:
-            values, ok, error = {}, False, "server shutting down"
-            self._c_errors.inc()
+            error = "server shutting down"
         except ProtocolError as exc:
-            values, ok, error = {}, False, str(exc)
-            self._c_errors.inc()
-        return Message(
-            type="reply",
-            id=message.id,
-            fields={
-                "ok": ok,
-                "values": values,
-                "error": error,
-                "feedback": self.executor.feedback(),
-                **extra,
-            },
-        )
+            error = str(exc)
+        self._reply(connection, message, decision, {}, error, extra)
 
-    async def _do_gets(self, keys: list, fields: Dict[str, Any]):
-        tags = dict(fields.get("tags", {}))
-        futures = []
+    def _finish(
+        self,
+        connection: _ServerConnection,
+        message: Message,
+        decision: FaultDecision,
+        ops: List[QueuedOp],
+        cancelled: bool,
+    ) -> None:
+        """The operations of a data message have all been served: answer it."""
+        if cancelled:
+            return  # crash(): the connection went with the queue
+        failed = next((op for op in ops if op.error is not None), None)
+        if failed is not None:
+            error = f"operation on {failed.key!r} failed: {failed.error}"
+            self._reply(connection, message, decision, {}, error)
+            return
+        extra = None
+        if message.fields.get("tags", {}).get(TRACE_REQUESTED):
+            extra = {
+                "spans": [
+                    vars(OpSpan.from_op(op, server_id=self.server_id)) for op in ops
+                ]
+            }
+        values = {op.key: op.result for op in ops}
+        self._reply(connection, message, decision, values, None, extra)
+
+    def _reply(
+        self,
+        connection: _ServerConnection,
+        message: Message,
+        decision: FaultDecision,
+        values: Dict[str, Any],
+        error: Optional[str] = None,
+        extra: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Build the reply to ``message`` and send it (late under a DELAY fault)."""
+        if error is None:
+            self._c_ops_served.inc()
+        else:
+            self._c_errors.inc()
+        fields = {
+            "ok": error is None,
+            "values": values,
+            "error": error,
+            "feedback": self.executor.feedback(),
+        }
+        if extra:
+            fields.update(extra)
+        reply = Message("reply", message.id, fields)
+        if decision.action != DELAY:
+            self._send(connection, reply)
+            return
+        delay = decision.delay
+        if decision.delay_per_byte > 0.0:
+            delay += decision.delay_per_byte * self._message_value_bytes(message)
+        # Holds back this reply only; the connection keeps serving others.
+        asyncio.get_running_loop().call_later(delay, self._send, connection, reply)
+
+    def _send(self, connection: _ServerConnection, reply: Message) -> None:
+        transport = connection.transport
+        if transport.is_closing():
+            return
+        try:
+            write_message(transport, reply)
+        except ProtocolError as exc:
+            # The values asked for do not fit one frame: say so instead of
+            # leaving the client waiting.
+            self._c_errors.inc()
+            fields = dict(reply.fields, ok=False, values={}, error=str(exc))
+            write_message(transport, Message("reply", reply.id, fields))
+
+    def _get_ops(self, keys: List[str], tags: Dict[str, Any]) -> List[QueuedOp]:
+        now = time.monotonic()
         ops = []
         for key in keys:
-            size = self._stored_size(key)
+            # Sized without counting: the read that serves the op is the hit.
+            size = self.storage.peek_size(key, now)
             op = QueuedOp(key=key, demand=self._demand(size), size=size, tag=dict(tags))
             op.work = self._make_get_work(key)
             ops.append(op)
-            futures.append(self.executor.submit(op))
-        results = await asyncio.gather(*futures)
-        spans = None
-        if tags.get(TRACE_REQUESTED):
-            spans = [
-                dataclasses.asdict(OpSpan.from_op(op, server_id=self.server_id))
-                for op in ops
-            ]
-        return dict(zip(keys, results)), spans
-
-    def _stored_size(self, key: str) -> int:
-        """Size lookup for demand estimation (0 when the key is absent)."""
-        try:
-            return self.storage.get(key, now=time.monotonic()).size
-        except KeyNotFoundError:
-            return 0
-
-    def _message_value_bytes(self, message: Message) -> int:
-        """Value bytes a data message moves (size-dependent fault delays).
-
-        Control-plane messages (stats, probe) move no value bytes, so a
-        slow node still answers them promptly — like the real server,
-        whose scrapes bypass the service queue.
-        """
-        fields = message.fields
-        if message.type == "get":
-            return self._stored_size(fields.get("key", ""))
-        if message.type == "mget":
-            return sum(self._stored_size(k) for k in fields.get("keys", ()))
-        if message.type == "put":
-            try:
-                return len(decode_value(fields["value"]))
-            except (KeyError, AttributeError, ProtocolError):
-                return 0
-        return 0
+        return ops
 
     def _make_get_work(self, key: str):
         def work():
@@ -387,17 +400,19 @@ class KVServer:
             except KeyNotFoundError:
                 return None
             if record.payload is None:
-                return encode_value(b"\x00" * record.size)
-            return encode_value(record.payload)
+                return b"\x00" * record.size
+            return record.payload
 
         return work
 
-    async def _do_put(self, fields: Dict[str, Any]):
+    def _put_op(self, fields: Dict[str, Any]) -> QueuedOp:
         key = fields["key"]
-        payload = decode_value(fields["value"])
-        tags = dict(fields.get("tags", {}))
+        payload = fields["value"]
         op = QueuedOp(
-            key=key, demand=self._demand(len(payload)), size=len(payload), tag=tags
+            key=key,
+            demand=self._demand(len(payload)),
+            size=len(payload),
+            tag=dict(fields.get("tags", {})),
         )
 
         def work():
@@ -407,11 +422,24 @@ class KVServer:
             return True
 
         op.work = work
-        await self.executor.submit(op)
-        spans = None
-        if tags.get(TRACE_REQUESTED):
-            spans = [dataclasses.asdict(OpSpan.from_op(op, server_id=self.server_id))]
-        return {key: True}, spans
+        return op
+
+    def _message_value_bytes(self, message: Message) -> int:
+        """Value bytes a data message moves (size-dependent fault delays).
+
+        Control-plane messages (stats, probe) move no value bytes, so a
+        slow node still answers them promptly — like the real server,
+        whose scrapes bypass the service queue.
+        """
+        fields = message.fields
+        now = time.monotonic()
+        if message.type == "get":
+            return self.storage.peek_size(fields.get("key", ""), now)
+        if message.type == "mget":
+            return sum(self.storage.peek_size(k, now) for k in fields.get("keys", ()))
+        if message.type == "put":
+            return len(fields.get("value", b""))
+        return 0
 
     # ------------------------------------------------------------------
     # Observability
@@ -441,7 +469,7 @@ class KVServer:
         """
         return {
             "connections_accepted": self.connections,
-            "active_connections": len(self._writers),
+            "active_connections": len(self._connections),
             "probes_answered": int(self._c_probes.value),
             "load_reports_sent": int(self._c_reports.value),
             "ops_served": self.ops_served,

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.kvstore.network import (
-    TopologyNetwork,
-    UniformLatencyNetwork,
-    fat_tree_like_topology,
-)
+from repro.kvstore.network import UniformLatencyNetwork
 
 
 class TestUniformNetwork:
@@ -61,72 +57,3 @@ class TestUniformNetwork:
     def test_negative_base_delay_rejected(self, env):
         with pytest.raises(ConfigError):
             UniformLatencyNetwork(env, base_delay=-1)
-
-
-class TestTopologyNetwork:
-    def test_shortest_path_delay(self, env):
-        graph = fat_tree_like_topology(n_servers=4, n_clients=2, rack_size=2)
-        net = TopologyNetwork(env, graph)
-        # client -> spine -> tor -> server
-        delay = net.delay(("client", 0), ("server", 0))
-        assert delay > 0
-
-    def test_same_rack_cheaper_than_cross_rack(self, env):
-        graph = fat_tree_like_topology(
-            n_servers=4,
-            n_clients=1,
-            rack_size=2,
-            intra_rack_delay=10e-6,
-            inter_rack_delay=100e-6,
-        )
-        net = TopologyNetwork(env, graph)
-        same_rack = net.delay(("server", 0), ("server", 1))
-        cross_rack = net.delay(("server", 0), ("server", 2))
-        assert same_rack < cross_rack
-
-    def test_self_delay_zero(self, env):
-        graph = fat_tree_like_topology(2, 1)
-        net = TopologyNetwork(env, graph)
-        assert net.delay(("server", 0), ("server", 0)) == 0.0
-
-    def test_unknown_endpoint_rejected(self, env):
-        graph = fat_tree_like_topology(2, 1)
-        net = TopologyNetwork(env, graph)
-        with pytest.raises(ConfigError):
-            net.delay(("server", 99), ("server", 0))
-
-    def test_delivery_via_topology(self, env):
-        graph = fat_tree_like_topology(2, 1)
-        net = TopologyNetwork(env, graph)
-        received = []
-        net.send(("client", 0), ("server", 1), "msg", lambda p: received.append(p))
-        env.run()
-        assert received == ["msg"]
-        assert env.now == pytest.approx(net.delay(("client", 0), ("server", 1)))
-
-    def test_distance_caching_consistent(self, env):
-        graph = fat_tree_like_topology(4, 2)
-        net = TopologyNetwork(env, graph)
-        first = net.delay(("client", 0), ("server", 3))
-        second = net.delay(("client", 0), ("server", 3))
-        assert first == second
-
-
-class TestTopologyBuilder:
-    def test_all_endpoints_present(self):
-        graph = fat_tree_like_topology(n_servers=10, n_clients=3, rack_size=4)
-        for s in range(10):
-            assert ("server", s) in graph
-        for c in range(3):
-            assert ("client", c) in graph
-
-    def test_rack_count(self):
-        graph = fat_tree_like_topology(n_servers=10, n_clients=1, rack_size=4)
-        tors = [n for n in graph if isinstance(n, tuple) and n[0] == "tor"]
-        assert len(tors) == 3  # ceil(10/4)
-
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(ConfigError):
-            fat_tree_like_topology(0, 1)
-        with pytest.raises(ConfigError):
-            fat_tree_like_topology(1, 0)

@@ -237,3 +237,179 @@ class TestFailurePath:
             assert hist.count == 2  # failures are observed too
 
         run(scenario())
+
+
+class TestRuns:
+    """The worker serves runs of picks and completes messages, not ops."""
+
+    @staticmethod
+    def backlog(rng):
+        """Ops with second-scale tags: no aging or starvation bound can fire
+        in the milliseconds a test takes, so the order is the tags' alone."""
+        ops = []
+        for i in range(240):
+            outlier = rng.random() < 0.1
+            size = rng.uniform(50.0, 100.0) if outlier else rng.uniform(1.0, 5.0)
+            ops.append(
+                QueuedOp(
+                    key=f"k{i}",
+                    demand=0.0,
+                    tag={"rpt": size, "bottleneck": rng.choice((1.0, 2.0, size))},
+                )
+            )
+        return ops
+
+    @pytest.mark.parametrize("policy", ["fcfs", "sbf", "das"])
+    def test_pop_order_matches_the_per_op_loop(self, policy):
+        import random
+        import time
+
+        # The reference: the loop the executor ran before it served runs —
+        # pop, serve, completion hook, one operation at a time.
+        reference = ScheduledExecutor(policy_name=policy, byte_rate=None).queue
+        for op in self.backlog(random.Random(7)):
+            reference.push(op, time.monotonic())
+        expected = []
+        while len(reference) > 0:
+            op = reference.pop(time.monotonic())
+            expected.append(op.key)
+            reference.on_service_complete(op, time.monotonic())
+
+        async def scenario():
+            executor = ScheduledExecutor(policy_name=policy, byte_rate=None)
+            served = []
+            ops = self.backlog(random.Random(7))
+            for op in ops:
+                op.work = lambda key=op.key: served.append(key)
+            done = []
+            # Preloaded as messages of five operations each.
+            for start in range(0, len(ops), 5):
+                executor.submit_message(ops[start : start + 5], done.append)
+            await executor.start()
+            await executor.stop()
+            assert done == [False] * (len(ops) // 5)
+            return served, executor.queue
+
+        served, queue = run(scenario())
+        assert served == expected
+        if policy == "das":
+            assert queue.demotions > 0  # both bands took part
+
+    def test_one_completion_per_message_after_its_last_op(self):
+        async def scenario():
+            executor = ScheduledExecutor(policy_name="fcfs", byte_rate=None)
+            events = []
+            first = [make_queued_op(key=f"a{i}", result=i) for i in range(3)]
+            second = [make_queued_op(key=f"b{i}", result=i) for i in range(2)]
+            for op in first + second:
+                op.work = lambda key=op.key: events.append(key)
+            executor.submit_message(first, lambda cancelled: events.append("A done"))
+            executor.submit_message(second, lambda cancelled: events.append("B done"))
+            await executor.start()
+            await executor.stop()
+            assert events == ["a0", "a1", "a2", "A done", "b0", "b1", "B done"]
+
+        run(scenario())
+
+    def test_empty_message_completes_at_once(self):
+        async def scenario():
+            executor = ScheduledExecutor(policy_name="fcfs", byte_rate=None)
+            done = []
+            executor.submit_message([], done.append)
+            assert done == [False]
+
+        run(scenario())
+
+    def test_backlog_does_not_starve_the_loop(self):
+        import statistics
+        import time
+
+        from repro.runtime.scheduling import RUN_BUDGET_SECONDS
+
+        async def scenario():
+            executor = ScheduledExecutor(policy_name="fcfs", byte_rate=None)
+            ops = [make_queued_op(key=f"k{i}") for i in range(10_000)]
+            finished = asyncio.get_running_loop().create_future()
+            executor.submit_message(ops, lambda cancelled: finished.set_result(None))
+            ticks = []
+
+            async def ticker():
+                while not finished.done():
+                    ticks.append(time.monotonic())
+                    await asyncio.sleep(0)
+
+            await executor.start()
+            tick_task = asyncio.create_task(ticker())
+            await finished
+            await tick_task
+            await executor.stop()
+            return ticks, executor.ops_executed
+
+        ticks, executed = run(scenario())
+        assert executed == 10_000
+        gaps = [b - a for a, b in zip(ticks, ticks[1:])]
+        # The ticker ran once per run budget (the median shrugs off the odd
+        # preemption by another process), and far less than once per op.
+        assert len(gaps) >= 5
+        assert statistics.median(gaps) <= 4 * RUN_BUDGET_SECONDS
+        assert len(ticks) < 10_000 / 4
+
+    def test_throttled_ops_yield_at_their_sleep(self):
+        async def scenario():
+            executor = ScheduledExecutor(policy_name="fcfs", byte_rate=1.0)
+            ops = [make_queued_op(key=f"k{i}", demand=0.002) for i in range(5)]
+            finished = asyncio.get_running_loop().create_future()
+            executor.submit_message(ops, lambda cancelled: finished.set_result(None))
+            ticks = 0
+
+            async def ticker():
+                nonlocal ticks
+                while not finished.done():
+                    ticks += 1
+                    await asyncio.sleep(0.0005)
+
+            await executor.start()
+            tick_task = asyncio.create_task(ticker())
+            await finished
+            await tick_task
+            await executor.stop()
+            assert ticks >= 5  # the loop ran during every emulated service
+
+        run(scenario())
+
+    def test_abort_cancels_a_half_served_message(self):
+        async def scenario():
+            executor = ScheduledExecutor(policy_name="fcfs", byte_rate=1.0)
+            served = []
+            ops = [make_queued_op(key=f"k{i}", demand=0.05) for i in range(3)]
+            for op in ops:
+                op.work = lambda key=op.key: served.append(key)
+            outcomes = []
+            executor.submit_message(ops, outcomes.append)
+            lone = executor.submit(make_queued_op(key="lone", demand=0.05))
+            await executor.start()
+            await asyncio.sleep(0.075)  # k0 done at 50 ms, k1 in service until 100
+            assert served == ["k0", "k1"]
+            await asyncio.wait_for(executor.abort(), timeout=2.0)
+            # One cancellation for the message, whatever had been served.
+            assert outcomes == [True]
+            with pytest.raises(asyncio.CancelledError):
+                await asyncio.wait_for(lone, timeout=2.0)
+            assert len(executor.queue) == 0
+            assert served == ["k0", "k1"]
+
+        run(scenario())
+
+    def test_bad_completion_callback_does_not_kill_the_worker(self):
+        async def scenario():
+            executor = ScheduledExecutor(policy_name="fcfs", byte_rate=None)
+            await executor.start()
+
+            def explode(cancelled):
+                raise RuntimeError("reply could not be built")
+
+            executor.submit_message([make_queued_op()], explode)
+            assert await executor.submit(make_queued_op(result="alive")) == "alive"
+            await executor.stop()
+
+        run(scenario())
