@@ -7,7 +7,7 @@ Two cooperating pieces:
   model consults it per message (partition drops, seeded packet loss,
   additive delay spikes).  When no windows are active the check is one
   attribute read, so healthy runs pay nothing measurable.
-* :class:`SimFaultDriver` — a simulation process that walks the plan's
+* :class:`SimFaultDriver` — a re-arming timer that walks the plan's
   scheduled events in time order and applies each one: ``Crash`` /
   ``Recover`` call the sim server's crash/recover lifecycle (queue
   drained to failure), windowed link entries toggle :class:`LinkFaults`,
@@ -159,6 +159,7 @@ class SimFaultDriver:
             if isinstance(entry, PacketLoss)
         }
         self._schedule = plan.scheduled_events()
+        self._cursor = 0
         self._counters: Dict[str, Any] = {}
         self._registry = registry
         if registry is not None:
@@ -175,7 +176,7 @@ class SimFaultDriver:
                 ),
             )
         if self._schedule:
-            self.process = env.process(self._run())
+            env.event().succeed().callbacks.append(self._run)
 
     # ------------------------------------------------------------------
     def active_kinds(self) -> Tuple[str, ...]:
@@ -194,12 +195,17 @@ class SimFaultDriver:
                 self._counters[kind] = counter
             counter.inc()
 
-    def _run(self):
+    def _run(self, _event) -> None:
+        """Apply every entry that is due, then sleep until the next one."""
         env = self.env
-        for when, _, kind, entry in self._schedule:
+        schedule = self._schedule
+        while self._cursor < len(schedule):
+            when, _, kind, entry = schedule[self._cursor]
             delay = when - env.now
             if delay > 0:
-                yield env.pooled_timeout(delay)
+                env.pooled_timeout(delay).callbacks.append(self._run)
+                return
+            self._cursor += 1
             self._apply(when, kind, entry)
 
     def _apply(self, when: float, kind: str, entry) -> None:

@@ -136,30 +136,34 @@ class Client:
         self._latency = LatencyTracker() if hedge is not None else None
         #: server_id -> failure-detector breaker (created on first failure).
         self._breakers: Dict[int, CircuitBreaker] = {}
-        self.process = env.process(
-            self._generate_closed() if closed_loop else self._generate()
+        # Generation starts from an event of its own, not here: the
+        # cluster sets ``max_requests`` / ``end_time`` after construction.
+        env.event().succeed().callbacks.append(
+            self._start_closed if closed_loop else self._arm_next_arrival
         )
 
     # ------------------------------------------------------------------
     # Request generation
     # ------------------------------------------------------------------
-    def _generate(self):
-        env = self.env
-        while True:
-            if self.max_requests is not None and self.requests_sent >= self.max_requests:
-                break
-            gap = self.factory.next_interarrival(env.now)
-            if gap == float("inf"):
-                break  # trace exhausted
-            if self.end_time is not None and env.now + gap > self.end_time:
-                break
-            yield env.pooled_timeout(gap)
-            self._dispatch(self._build_request())
-        self.generation_done = True
-        if self._on_finished is not None:
-            self._on_finished(self)
+    def _arm_next_arrival(self, _event=None) -> None:
+        """Open loop: time the next arrival, or end generation."""
+        now = self.env.now
+        done = self.max_requests is not None and self.requests_sent >= self.max_requests
+        if not done:
+            gap = self.factory.next_interarrival(now)  # inf: trace exhausted
+            done = gap == float("inf") or (
+                self.end_time is not None and now + gap > self.end_time
+            )
+        if done:
+            self._finish_generation()
+        else:
+            self.env.pooled_timeout(gap).callbacks.append(self._arrive)
 
-    def _generate_closed(self):
+    def _arrive(self, _event) -> None:
+        self._dispatch(self._build_request())
+        self._arm_next_arrival()
+
+    def _start_closed(self, _event) -> None:
         """Closed-loop generation: a fixed window of in-flight requests.
 
         The initial window is dispatched here; every full-request
@@ -172,11 +176,12 @@ class Client:
                 break
             self._dispatch(self._build_request())
         if not self._closed_can_issue():
-            self.generation_done = True
-            if self._on_finished is not None:
-                self._on_finished(self)
-        return
-        yield  # pragma: no cover — env.process needs a generator
+            self._finish_generation()
+
+    def _finish_generation(self) -> None:
+        self.generation_done = True
+        if self._on_finished is not None:
+            self._on_finished(self)
 
     def _closed_can_issue(self) -> bool:
         if self.max_requests is not None and self.requests_sent >= self.max_requests:

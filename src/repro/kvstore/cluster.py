@@ -14,7 +14,7 @@ from repro.kvstore.config import ClusterConfig, SimulationConfig
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.partitioning import ConsistentHashRing
 from repro.kvstore.replication import ReplicaPlacement
-from repro.kvstore.server import Server, make_periodic_broadcaster
+from repro.kvstore.server import Server, start_periodic_broadcaster
 from repro.kvstore.service import DegradationEvent, ServiceModel
 from repro.kvstore.storage import StorageEngine
 from repro.metrics.collector import MetricsCollector
@@ -361,10 +361,8 @@ class Cluster:
             return deliver
 
         for server in self.servers.values():
-            self.env.process(
-                make_periodic_broadcaster(
-                    self.env, server, interval, deliver_factory(server)
-                )
+            start_periodic_broadcaster(
+                self.env, server, interval, deliver_factory(server)
             )
 
     # ------------------------------------------------------------------

@@ -6,6 +6,11 @@ queued it serves the one the scheduler picks, for a service time drawn
 from the server's :class:`~repro.kvstore.service.ServiceModel` (which may
 degrade over time).  Completions are shipped back to the issuing client
 with optional piggybacked feedback.
+
+The loop is a re-arming timer callback, not a coroutine:
+:meth:`Server._start_next` runs whenever the server might be able to
+start work (a delivery, a completion, the end of an outage, a recovery)
+and arms at most one timer, whose callback calls it again.
 """
 
 from __future__ import annotations
@@ -68,7 +73,10 @@ class Server:
         #: client_id -> Client, wired by the cluster after construction.
         self.clients: dict[int, "Client"] = {}
 
-        self._wakeup = None
+        #: True while a timer of the service loop is pending — the
+        #: completion of the operation in service or the end of an outage
+        #: — so at most one is ever armed.
+        self._timer_armed = False
         self._current_finish: Optional[float] = None
         self._rate_ewma = EwmaEstimator(rate_alpha, initial=service.base_speed)
 
@@ -86,14 +94,16 @@ class Server:
         #: until :meth:`recover`.
         self.crashed = False
         self.crashes = 0
-        self._recover_event = None
 
         self.ops_served = 0
         self.ops_failed = 0
         self.ops_dropped = 0
         self.probes_answered = 0
         self.busy_time = 0.0
-        self.process = env.process(self._run())
+        # The loop's first look at the clock (an outage may cover t=0) is
+        # an event of its own, so it runs in construction order with the
+        # other components' start-up events.
+        env.event().succeed().callbacks.append(self._start_next)
 
     # ------------------------------------------------------------------
     # Ingress
@@ -106,8 +116,7 @@ class Server:
             self.ops_dropped += 1
             return
         self.queue.push(op, self.env.now)
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        self._start_next()
 
     def handle_probe(self, client_id: int) -> None:
         """Network delivery point for a selection probe.
@@ -151,19 +160,13 @@ class Server:
         while len(self.queue):
             self.queue.pop(now)
             self.ops_dropped += 1
-        self._recover_event = self.env.event()
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
 
     def recover(self) -> None:
         """Bring a crashed server back, empty-queued, ready to serve."""
         if not self.crashed:
             return
         self.crashed = False
-        event = self._recover_event
-        self._recover_event = None
-        if event is not None and not event.triggered:
-            event.succeed()
+        self._start_next()
 
     # ------------------------------------------------------------------
     # Service loop
@@ -179,48 +182,66 @@ class Server:
             return self.outages[i][1]
         return None
 
-    def _run(self):
+    def _start_next(self, _event=None) -> None:
+        """Start serving the scheduler's pick, or wait out an outage.
+
+        Safe to call at any time: does nothing while a timer is pending
+        (busy, or already waiting for an outage to end), while crashed,
+        or when up with an empty queue.
+        """
+        if self._timer_armed or self.crashed:
+            return
         env = self.env
-        while True:
-            if self.crashed:
-                yield self._recover_event
-                continue
-            outage_end = self._outage_end(env.now)
-            if outage_end is not None:
-                yield env.pooled_timeout(outage_end - env.now)
-                continue
-            if len(self.queue) == 0:
-                self._wakeup = env.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-            op = self.queue.pop(env.now)
-            op.start_time = env.now
-            epoch = self.crashes
-            ok, size = self._execute(op)
-            service_time = self.service.sample_service_time(size, env.now)
-            self._current_finish = env.now + service_time
-            yield env.pooled_timeout(service_time)
-            self._current_finish = None
-            if self.crashes != epoch:
-                # The process died mid-service; the op dies with it.
-                self.ops_dropped += 1
-                continue
-            op.finish_time = env.now
-            self.busy_time += service_time
-            if self.lanes is not None:
-                lane = op.tag.get("lane")
-                if lane in self.lane_busy_time:
-                    self.lane_busy_time[lane] += service_time
-            # Learn our own effective rate from the completed operation.
-            observed = self.service.rate_sample(op.demand, service_time)
-            self._rate_ewma.update(observed)
-            self.queue.on_service_complete(op, env.now)
-            if ok:
-                self.ops_served += 1
-            else:
-                self.ops_failed += 1
-            self._respond(op, ok, size)
+        now = env.now
+        outage_end = self._outage_end(now)
+        if outage_end is not None:
+            self._timer_armed = True
+            env.pooled_timeout(outage_end - now).callbacks.append(self._outage_over)
+            return
+        if len(self.queue) == 0:
+            return
+        op = self.queue.pop(now)
+        op.start_time = now
+        ok, size = self._execute(op)
+        service_time = self.service.sample_service_time(size, now)
+        self._current_finish = now + service_time
+        self._timer_armed = True
+        env.pooled_timeout(
+            service_time, (op, self.crashes, ok, size, service_time)
+        ).callbacks.append(self._service_done)
+
+    def _outage_over(self, _timer) -> None:
+        self._timer_armed = False
+        self._start_next()
+
+    def _service_done(self, timer) -> None:
+        op, epoch, ok, size, service_time = timer.value
+        self._timer_armed = False
+        self._current_finish = None
+        if self.crashes != epoch:
+            # The server died mid-service; the op dies with it.
+            self.ops_dropped += 1
+        else:
+            self._complete(op, ok, size, service_time)
+        self._start_next()
+
+    def _complete(self, op: Operation, ok: bool, size: int, service_time: float) -> None:
+        now = self.env.now
+        op.finish_time = now
+        self.busy_time += service_time
+        if self.lanes is not None:
+            lane = op.tag.get("lane")
+            if lane in self.lane_busy_time:
+                self.lane_busy_time[lane] += service_time
+        # Learn our own effective rate from the completed operation.
+        observed = self.service.rate_sample(op.demand, service_time)
+        self._rate_ewma.update(observed)
+        self.queue.on_service_complete(op, now)
+        if ok:
+            self.ops_served += 1
+        else:
+            self.ops_failed += 1
+        self._respond(op, ok, size)
 
     def _execute(self, op: Operation) -> tuple[bool, int]:
         """Run the operation against the storage engine.
@@ -306,25 +327,26 @@ class Server:
         )
 
 
-def make_periodic_broadcaster(
+def start_periodic_broadcaster(
     env: Environment,
     server: Server,
     interval: float,
     deliver: Callable[[Feedback], None],
-):
-    """Process generator broadcasting feedback snapshots every ``interval``.
+) -> None:
+    """Broadcast ``server``'s feedback snapshot every ``interval`` from now on.
 
     ``deliver`` receives the snapshot and is responsible for fanning it out
     to clients (the cluster wires this through the network model).
     """
 
-    def _broadcast():
-        while True:
-            yield env.pooled_timeout(interval)
-            if server.crashed:
-                # A dead server gossips nothing; clients keep their last
-                # (stale) view until the failure detector marks it.
-                continue
-            deliver(server.make_feedback())
+    def arm(_event) -> None:
+        env.pooled_timeout(interval).callbacks.append(broadcast)
 
-    return _broadcast()
+    def broadcast(event) -> None:
+        # A dead server gossips nothing; clients keep their last (stale)
+        # view until the failure detector marks it.
+        if not server.crashed:
+            deliver(server.make_feedback())
+        arm(event)
+
+    env.event().succeed().callbacks.append(arm)

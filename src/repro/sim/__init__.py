@@ -1,9 +1,11 @@
 """Discrete-event simulation kernel.
 
-A small, self-contained process-based discrete-event simulation engine in
-the style of SimPy.  Simulation *processes* are Python generator functions
-that ``yield`` events; the :class:`~repro.sim.core.Environment` advances
-virtual time and resumes processes when the events they wait on fire.
+An event + timer + callback kernel: the
+:class:`~repro.sim.core.Environment` keeps a virtual clock and a heap of
+pending :class:`~repro.sim.events.Event` objects, and processing an event
+runs the callbacks attached to it.  A recurring activity (a client's
+arrivals, a server's service loop) is a callback that arms the next
+:class:`~repro.sim.events.Timeout` itself.  There are no coroutines.
 
 The kernel is deliberately dependency-free so the rest of the library (the
 key-value cluster model, the schedulers, the experiment harness) can run in
@@ -14,39 +16,24 @@ Example
 >>> from repro.sim import Environment
 >>> env = Environment()
 >>> log = []
->>> def proc(env):
-...     yield env.timeout(3)
+>>> def tick(_event):
 ...     log.append(env.now)
->>> _ = env.process(proc(env))
+...     if len(log) < 2:
+...         env.timeout(3).callbacks.append(tick)
+>>> env.timeout(3).callbacks.append(tick)
 >>> env.run()
 >>> log
-[3.0]
+[3.0, 6.0]
 """
 
 from repro.sim.core import Environment
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    StopSimulation,
-    Timeout,
-)
-from repro.sim.queues import PriorityStore, Resource, Store
+from repro.sim.events import Event, StopSimulation, Timeout
 from repro.sim.rand import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
-    "PriorityStore",
-    "Process",
     "RandomStreams",
-    "Resource",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

@@ -9,18 +9,9 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Generator, Optional, Union
+from typing import Any, Optional, Union
 
-from repro.sim.events import (
-    NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    StopSimulation,
-    Timeout,
-)
+from repro.sim.events import NORMAL, URGENT, Event, StopSimulation, Timeout
 
 __all__ = [
     "URGENT",
@@ -59,7 +50,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_process: Optional[Process] = None
         #: Free lists (see :meth:`pooled_timeout`): recycled Timeout
         #: objects and recycled callback lists.  ``_cb_pool`` must exist
         #: before any Event is constructed — Event.__init__ reads it.
@@ -75,17 +65,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
-
-    @property
-    def active_process_generator(self):
-        """The running process's generator (SimPy-compat convenience)."""
-        proc = self._active_process
-        return proc._generator if proc is not None else None
 
     def core_stats(self) -> dict:
         """Pending-set counters."""
@@ -114,10 +93,9 @@ class Environment:
         which the object is returned to the pool and later reused —
         callers must not retain a reference past the callbacks (internal
         hot paths: network delivery, service waits, interarrival gaps, op
-        timers).  Wrapping one in :class:`AllOf`/:class:`AnyOf` is safe:
-        conditions pin their members.  Event allocation is a measurable
-        slice of kernel time (see ``BENCH_engine.json``'s ``sampling``
-        section for the hit rate), which is the whole point.
+        timers).  Event allocation is a measurable slice of kernel time
+        (``C.timeout_pool_hit_rate`` of a traced ``benchmarks/perf`` trial
+        is the hit rate), which is the whole point.
         """
         pool = self._timeout_pool
         if pool:
@@ -149,18 +127,6 @@ class Environment:
             "timeout_pool_hit_rate": hits / total if total else 0.0,
         }
 
-    def process(self, generator: Generator) -> Process:
-        """Start a new process from ``generator``."""
-        return Process(self, generator)
-
-    def all_of(self, events) -> AllOf:
-        """Event that fires once all of ``events`` have succeeded."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that fires once any of ``events`` has succeeded."""
-        return AnyOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling and stepping
     # ------------------------------------------------------------------
@@ -178,7 +144,7 @@ class Environment:
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the single next event; advance the clock to it."""
+        """Fire the single next event; advance the clock to it."""
         try:
             when, _, _, event = heapq.heappop(self._queue)
         except IndexError:
@@ -250,7 +216,7 @@ class Environment:
         # Inlined event loop (rather than `while True: self.step()`): the
         # loop body runs once per simulated event, so the method-call and
         # attribute-lookup overhead of delegating to step() is measurable
-        # (~15% of kernel throughput, see benchmarks/bench_engine.py).
+        # (~15% of kernel throughput).
         queue = self._queue
         pop = heapq.heappop
         cb_pool = self._cb_pool
@@ -282,12 +248,16 @@ class Environment:
                     timeout_pool.append(event)
         except StopSimulation as stop:
             return stop.value
-        if stop_event is not None and not stop_event.triggered:
-            if isinstance(until, Event):
-                raise RuntimeError(
-                    "simulation ran out of events before the awaited "
-                    f"event {until!r} triggered"
-                )
+        finally:
+            # However this run ended, a stop event that has not fired must
+            # not end a later run.
+            if stop_event is not None and stop_event.callbacks is not None:
+                stop_event.callbacks.remove(_stop_callback)
+        if isinstance(until, Event):
+            raise RuntimeError(
+                "simulation ran out of events before the awaited "
+                f"event {until!r} triggered"
+            )
         return None
 
     def run_until_idle(self) -> None:

@@ -26,7 +26,7 @@ BUNDLED_SPECS_DIR = Path(__file__).parent / "specs"
 #: CSV) that ``trace-sample`` replays and docs/workloads.md walks through.
 SAMPLE_TRACE = BUNDLED_SPECS_DIR / "sample_trace.csv"
 
-#: Process-lifetime cache: specs are immutable and bundled files do not
+#: Per-process cache: specs are immutable and bundled files do not
 #: change under a running process, so each file parses at most once.
 _CACHE: Dict[str, WorkloadSpec] = {}
 

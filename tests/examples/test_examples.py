@@ -5,6 +5,7 @@ release blocker.  Each runs in a subprocess exactly as a user would run
 it.  These are the slowest tests in the suite (~2 minutes total).
 """
 
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,9 @@ EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 ALL_EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
 
+@functools.lru_cache(maxsize=None)
 def run_example(name: str, timeout: float = 240.0) -> subprocess.CompletedProcess:
+    """Run one example in a fresh subprocess, once per test session."""
     return subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],
         capture_output=True,

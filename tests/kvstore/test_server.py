@@ -4,7 +4,7 @@ import pytest
 
 from repro.kvstore.items import OpKind, Operation, Request
 from repro.kvstore.network import UniformLatencyNetwork
-from repro.kvstore.server import Server, make_periodic_broadcaster
+from repro.kvstore.server import Server, start_periodic_broadcaster
 from repro.kvstore.service import DegradationEvent, ServiceModel
 from repro.kvstore.storage import StorageEngine
 from repro.schedulers.base import QueueContext
@@ -103,12 +103,9 @@ class TestServing:
     def test_server_sleeps_when_idle_and_wakes_on_push(self, env):
         server, client = make_server(env)
         server.storage.put("k", 1000)
-
-        def late_push():
-            yield env.timeout(5.0)
-            server.handle_operation(make_op("k"))
-
-        env.process(late_push())
+        env.timeout(5.0).callbacks.append(
+            lambda _e: server.handle_operation(make_op("k"))
+        )
         env.run(until=10.0)
         assert len(client.responses) == 1
         op = client.responses[0].operation
@@ -123,6 +120,25 @@ class TestServing:
         env.run(until=1.0)
         keys = [r.operation.key for r in client.responses]
         assert keys == ["a", "b"]
+
+
+class TestSameInstantDeliveries:
+    @pytest.mark.parametrize("base_delay", [0.0, 1e-3])
+    def test_idle_server_starts_first_delivered(self, env, base_delay):
+        """A delivery to an idle server starts service at once: of several
+        same-instant deliveries the first delivered is served first even
+        where the scheduler would prefer a later one, and the scheduler
+        orders what queues up behind it — at zero network delay (URGENT
+        deliveries) exactly as at a positive one (NORMAL deliveries)."""
+        server, client = make_server(env, scheduler="sjf-op", base_delay=base_delay)
+        for key, size in (("big", 4000), ("mid", 2000), ("small", 100)):
+            server.storage.put(key, size)
+            server.network.send(
+                ("client", 0), ("server", 0), make_op(key, size),
+                server.handle_operation,
+            )
+        env.run()
+        assert [r.operation.key for r in client.responses] == ["big", "small", "mid"]
 
 
 class TestFeedback:
@@ -176,22 +192,14 @@ class TestFeedback:
         server, client = make_server(env)
         server.storage.put("k", 1000)
         server.handle_operation(make_op("k"))
-
-        def peek():
-            yield env.timeout(1e-3)  # halfway through the 2ms service
-            return server.in_service_residual(env.now)
-
-        p = env.process(peek())
-        env.run(until=p)
-        assert p.value == pytest.approx(1e-3)
+        env.run(until=1e-3)  # halfway through the 2ms service
+        assert server.in_service_residual(env.now) == pytest.approx(1e-3)
         env.run()
         assert server.in_service_residual(env.now) == 0.0
 
     def test_periodic_broadcaster_emits(self, env):
         server, client = make_server(env)
         snapshots = []
-        env.process(
-            make_periodic_broadcaster(env, server, 0.5, snapshots.append)
-        )
+        start_periodic_broadcaster(env, server, 0.5, snapshots.append)
         env.run(until=2.1)
         assert len(snapshots) == 4  # at 0.5, 1.0, 1.5, 2.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.core import EmptySchedule, Environment
+from tests.sim.helpers import tick_every
 
 
 class TestRun:
@@ -43,13 +44,7 @@ class TestRun:
 
     def test_run_until_time_fires_everything_before_it(self, env):
         log = []
-
-        def proc():
-            while True:
-                yield env.timeout(1.0)
-                log.append(env.now)
-
-        env.process(proc())
+        tick_every(env, 1.0, 100, lambda: log.append(env.now))
         env.run(until=5.0)
         assert env.now == 5.0
         assert log == [1.0, 2.0, 3.0, 4.0]
@@ -62,12 +57,10 @@ class TestRun:
         assert fired == ["mid", "end"]
 
     def test_run_until_event_returns_its_value(self, env):
-        def proc():
-            yield env.timeout(2)
-            return "answer"
-
-        p = env.process(proc())
-        assert env.run(until=p) == "answer"
+        done = env.event()
+        env.timeout(2).callbacks.append(lambda e: done.succeed("answer"))
+        env.timeout(9)
+        assert env.run(until=done) == "answer"
         assert env.now == 2.0
 
     def test_run_until_already_processed_event(self, env):
@@ -83,13 +76,35 @@ class TestRun:
             env.run(until=stuck)
 
     def test_run_until_failed_event_raises(self, env):
-        def proc():
-            yield env.timeout(1)
-            raise KeyError("whoops")
-
-        p = env.process(proc())
+        done = env.event()
+        env.timeout(1).callbacks.append(lambda e: done.fail(KeyError("whoops")))
         with pytest.raises(KeyError):
-            env.run(until=p)
+            env.run(until=done)
+        assert env.now == 1.0
+        env.run()  # the failure was consumed by run(until=...)
+
+    def test_failed_run_until_event_does_not_end_a_later_run(self, env):
+        """The stop callback is detached when the queue drains first."""
+        late = env.event()
+        with pytest.raises(RuntimeError, match="ran out of events"):
+            env.run(until=late)
+        env.timeout(1.0).callbacks.append(lambda e: late.succeed("x"))
+        fired = []
+        env.timeout(5.0).callbacks.append(lambda e: fired.append(env.now))
+        assert env.run() is None
+        assert fired == [5.0]
+
+    def test_exception_during_run_until_time_leaves_no_stop_behind(self, env):
+        def boom(_event):
+            raise ValueError("boom")
+
+        env.timeout(1.0).callbacks.append(boom)
+        with pytest.raises(ValueError, match="boom"):
+            env.run(until=3.0)
+        fired = []
+        env.timeout(5.0).callbacks.append(lambda e: fired.append(env.now))
+        env.run()
+        assert fired == [6.0]
 
     def test_run_on_empty_environment_is_noop(self, env):
         env.run()
@@ -126,12 +141,7 @@ class TestStepAndPeek:
 
     def test_urgent_events_precede_timeouts_at_same_instant(self, env):
         order = []
-
-        def proc():
-            yield env.timeout(1)
-            order.append("timeout-done")
-
-        env.process(proc())
+        env.timeout(1).callbacks.append(lambda e: order.append("timeout-done"))
         # An event succeeded at t=0 runs before the t=0 timeout below.
         t0 = env.timeout(0)
         t0.callbacks.append(lambda e: order.append("timeout-zero"))

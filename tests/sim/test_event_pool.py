@@ -3,8 +3,8 @@
 ``Environment.pooled_timeout`` recycles fired timeouts through a free
 list; these tests pin the semantics that make that safe: pooled timeouts
 behave exactly like plain ones up to the firing, recycled objects are
-reinitialized completely, condition membership pins an object out of the
-pool, and the plain ``timeout`` factory never recycles.
+reinitialized completely, and the plain ``timeout`` factory never
+recycles.
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ import pytest
 
 from repro.sim.core import Environment
 from repro.sim.events import Timeout
+from tests.sim.helpers import tick_every
 
 
 class TestPooledTimeout:
     def test_fires_at_the_right_time_with_value(self):
         env = Environment()
         seen = []
-
-        def proc():
-            value = yield env.pooled_timeout(2.5, value="payload")
-            seen.append((env.now, value))
-
-        env.process(proc())
+        env.pooled_timeout(2.5, value="payload").callbacks.append(
+            lambda e: seen.append((env.now, e.value))
+        )
         env.run()
         assert seen == [(2.5, "payload")]
 
@@ -89,53 +87,26 @@ class TestPooledTimeout:
 
     def test_hit_rate_is_high_in_steady_state(self):
         env = Environment()
-
-        def proc():
-            for _ in range(500):
-                yield env.pooled_timeout(0.01)
-
-        env.process(proc())
+        tick_every(env, 0.01, 500, lambda: None, factory="pooled_timeout")
         env.run()
         assert env.pool_stats()["timeout_pool_hit_rate"] > 0.99
 
     def test_determinism_identical_to_unpooled(self):
-        """A simulation using pooled timeouts produces the same trace."""
+        """Re-arming pooled timers produce the same trace as plain ones."""
 
-        def simulate(factory_name):
+        def simulate(factory):
             env = Environment()
             trace = []
-
-            def proc(delay):
-                factory = getattr(env, factory_name)
-                for i in range(50):
-                    yield factory(delay)
-                    trace.append((round(env.now, 9), delay))
-
-            env.process(proc(0.3))
-            env.process(proc(0.7))
+            for delay in (0.3, 0.7):
+                tick_every(
+                    env, delay, 50,
+                    lambda d=delay: trace.append((env.now, d)),
+                    factory=factory,
+                )
             env.run()
             return trace
 
         assert simulate("pooled_timeout") == simulate("timeout")
-
-    def test_condition_pins_members_out_of_the_pool(self):
-        env = Environment()
-        results = []
-
-        def proc():
-            a = env.pooled_timeout(1.0, value="a")
-            b = env.pooled_timeout(2.0, value="b")
-            condition = env.all_of([a, b])
-            # Churn more pooled timeouts while the condition is pending so
-            # a recycled member would visibly corrupt the result.
-            for _ in range(10):
-                yield env.pooled_timeout(0.1)
-            got = yield condition
-            results.append(sorted(got.values()))
-
-        env.process(proc())
-        env.run()
-        assert results == [["a", "b"]]
 
     def test_step_path_recycles_too(self):
         env = Environment()

@@ -2,9 +2,6 @@
 
 import pytest
 
-from repro.sim.core import Environment
-from repro.sim.events import AllOf, AnyOf
-
 
 class TestEvent:
     def test_new_event_is_pending(self, env):
@@ -105,82 +102,3 @@ class TestTimeout:
 
     def test_delay_property(self, env):
         assert env.timeout(3.25).delay == 3.25
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self, env):
-        a, b = env.event(), env.event()
-        cond = AllOf(env, [a, b])
-        a.succeed(1)
-        env.run()
-        assert not cond.triggered
-        b.succeed(2)
-        env.run()
-        assert cond.triggered
-        assert cond.value == {a: 1, b: 2}
-
-    def test_any_of_fires_on_first(self, env):
-        a, b = env.event(), env.event()
-        cond = AnyOf(env, [a, b])
-        a.succeed("first")
-        env.run()
-        assert cond.triggered
-        assert cond.value == {a: "first"}
-
-    def test_empty_all_of_succeeds_immediately(self, env):
-        cond = AllOf(env, [])
-        assert cond.triggered
-        assert cond.value == {}
-
-    def test_empty_any_of_succeeds_immediately(self, env):
-        assert AnyOf(env, []).triggered
-
-    def test_all_of_failure_propagates(self, env):
-        a, b = env.event(), env.event()
-        cond = AllOf(env, [a, b])
-        a.fail(RuntimeError("part failed"))
-        # The condition fails too; with no waiter, run() surfaces it.
-        with pytest.raises(RuntimeError, match="part failed"):
-            env.run()
-        assert cond.triggered
-        assert not cond.ok
-
-    def test_all_of_failure_caught_by_waiting_process(self, env):
-        a, b = env.event(), env.event()
-        cond = AllOf(env, [a, b])
-
-        def waiter():
-            try:
-                yield cond
-            except RuntimeError as exc:
-                return str(exc)
-
-        p = env.process(waiter())
-        a.fail(RuntimeError("part failed"))
-        env.run()
-        assert p.value == "part failed"
-
-    def test_all_of_with_preprocessed_events(self, env):
-        a = env.event()
-        a.succeed(7)
-        env.run()  # a fully processed
-        b = env.event()
-        cond = AllOf(env, [a, b])
-        b.succeed(8)
-        env.run()
-        assert cond.value == {a: 7, b: 8}
-
-    def test_condition_rejects_mixed_environments(self, env):
-        other = Environment()
-        with pytest.raises(ValueError):
-            AllOf(env, [env.event(), other.event()])
-
-    def test_env_helpers(self, env):
-        a, b = env.event(), env.event()
-        assert isinstance(env.all_of([a, b]), AllOf)
-        assert isinstance(env.any_of([a, b]), AnyOf)
-
-    def test_events_property_snapshot(self, env):
-        a, b = env.event(), env.event()
-        cond = AllOf(env, [a, b])
-        assert cond.events == [a, b]

@@ -2,143 +2,82 @@
 
 import pytest
 
-from repro.sim.events import AllOf, AnyOf, Interrupt
-from repro.sim.queues import Store
+from tests.sim.helpers import tick_every
 
 
-class TestProcessEdgeCases:
-    def test_process_yielding_already_processed_event_continues_synchronously(
-        self, env
-    ):
-        done = env.event()
-        done.succeed("cached")
-        env.run()  # `done` is fully processed now
-
-        def proc():
-            value = yield done
-            return value
-
-        p = env.process(proc())
+class TestCallbacks:
+    def test_rearming_callback_fires_n_times_on_time(self, env):
+        fired = []
+        tick_every(env, 0.25, 6, lambda: fired.append(env.now))
         env.run()
-        assert p.value == "cached"
+        assert fired == [0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+        assert env.peek() == float("inf")
 
-    def test_two_processes_waiting_on_one_event(self, env):
+    def test_same_instant_urgent_first_then_fifo(self, env):
+        order = []
+
+        def at_one(_event):
+            order.append("timer-1")
+            # Triggered after timer-2 was scheduled for this instant, yet
+            # URGENT events run before it, in the order they were triggered.
+            for name in ("urgent-1", "urgent-2"):
+                ev = env.event()
+                ev.callbacks.append(lambda e, n=name: order.append(n))
+                ev.succeed()
+            env.timeout(0.0).callbacks.append(lambda e: order.append("timer-3"))
+
+        env.timeout(1.0).callbacks.append(at_one)
+        env.timeout(1.0).callbacks.append(lambda e: order.append("timer-2"))
+        env.run()
+        assert order == ["timer-1", "urgent-1", "urgent-2", "timer-2", "timer-3"]
+
+    def test_two_rearming_timers_interleave_by_creation(self, env):
+        log = []
+        tick_every(env, 1, 3, lambda: log.append((env.now, "a")))
+        tick_every(env, 1, 3, lambda: log.append((env.now, "b")))
+        env.run()
+        assert log == [
+            (1.0, "a"), (1.0, "b"),
+            (2.0, "a"), (2.0, "b"),
+            (3.0, "a"), (3.0, "b"),
+        ]
+
+    def test_callbacks_run_in_registration_order(self, env):
         gate = env.event()
         results = []
-
-        def waiter(name):
-            value = yield gate
-            results.append((name, value, env.now))
-
-        env.process(waiter("first"))
-        env.process(waiter("second"))
-
-        def opener():
-            yield env.timeout(2)
-            gate.succeed("open")
-
-        env.process(opener())
+        for name in ("first", "second"):
+            gate.callbacks.append(
+                lambda e, n=name: results.append((n, e.value, env.now))
+            )
+        env.timeout(2).callbacks.append(lambda e: gate.succeed("open"))
         env.run()
         assert results == [("first", "open", 2.0), ("second", "open", 2.0)]
 
-    def test_process_chain_returns_through_layers(self, env):
-        def leaf():
-            yield env.timeout(1)
-            return 1
+    def test_callback_exception_leaves_run_at_firing_time(self, env):
+        def boom(_event):
+            raise ValueError("inside")
 
-        def middle():
-            value = yield env.process(leaf())
-            return value + 1
+        env.timeout(1.5).callbacks.append(boom)
+        later = env.timeout(4.0)
+        with pytest.raises(ValueError, match="inside"):
+            env.run()
+        assert env.now == 1.5
+        assert not later.processed
+        env.run()  # the rest of the schedule is still runnable
+        assert env.now == 4.0
 
-        def root():
-            value = yield env.process(middle())
-            return value + 1
+    def test_defusing_callback_consumes_the_failure(self, env):
+        event = env.event()
+        handled = []
 
-        p = env.process(root())
+        def handler(e):
+            e.defused = True
+            handled.append(str(e.value))
+
+        event.callbacks.append(handler)
+        event.fail(RuntimeError("event failed"))
         env.run()
-        assert p.value == 3
-
-    def test_interrupt_during_store_get(self, env):
-        store = Store(env)
-        outcome = []
-
-        def consumer():
-            try:
-                yield store.get()
-            except Interrupt as interrupt:
-                outcome.append(interrupt.cause)
-
-        def attacker(victim):
-            yield env.timeout(1)
-            victim.interrupt("give up")
-
-        victim = env.process(consumer())
-        env.process(attacker(victim))
-        env.run()
-        assert outcome == ["give up"]
-
-    def test_interrupted_getter_does_not_steal_items(self, env):
-        """After an interrupted get, the next getter still receives the
-        item — the waiter list must not hold dead entries that swallow it."""
-        store = Store(env)
-        received = []
-
-        def doomed():
-            try:
-                yield store.get()
-            except Interrupt:
-                pass
-
-        def attacker(victim):
-            yield env.timeout(1)
-            victim.interrupt()
-
-        def survivor():
-            yield env.timeout(2)
-            item = yield store.get()
-            received.append(item)
-
-        victim = env.process(doomed())
-        env.process(attacker(victim))
-        env.process(survivor())
-
-        def producer():
-            yield env.timeout(3)
-            store.put("the-item")
-
-        env.process(producer())
-        env.run()
-        # The doomed getter was first in line; its event still consumes the
-        # item (it was already promised).  Document the actual semantics:
-        # either the survivor got it, or the item went to the dead event.
-        # With this kernel the dead get-event is still queued, so the item
-        # resolves the dead event and the survivor keeps waiting; assert
-        # exactly that so regressions are visible.
-        assert received == []
-
-    def test_condition_of_processes(self, env):
-        def worker(delay, value):
-            yield env.timeout(delay)
-            return value
-
-        a = env.process(worker(1, "a"))
-        b = env.process(worker(2, "b"))
-        both = AllOf(env, [a, b])
-        env.run(until=both)
-        assert env.now == 2.0
-        assert set(both.value.values()) == {"a", "b"}
-
-    def test_any_of_processes_returns_first(self, env):
-        def worker(delay, value):
-            yield env.timeout(delay)
-            return value
-
-        slow = env.process(worker(5, "slow"))
-        fast = env.process(worker(1, "fast"))
-        first = AnyOf(env, [slow, fast])
-        value = env.run(until=first)
-        assert list(value.values()) == ["fast"]
-        assert env.now == 1.0
+        assert handled == ["event failed"]
 
 
 class TestClockEdgeCases:
@@ -152,11 +91,7 @@ class TestClockEdgeCases:
         assert order == [0, 1, 2, 3, 4]
 
     def test_float_time_accumulates_without_drift_blowup(self, env):
-        def ticker():
-            for _ in range(1000):
-                yield env.timeout(0.1)
-
-        env.process(ticker())
+        tick_every(env, 0.1, 1000, lambda: None)
         env.run()
         assert env.now == pytest.approx(100.0, abs=1e-6)
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import Environment
-from repro.sim.queues import PriorityStore, Store
+from tests.sim.helpers import tick_every
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
@@ -40,74 +40,16 @@ def test_equal_delays_preserve_creation_order(delays):
 
 
 @given(
-    ops=st.lists(
-        st.one_of(
-            st.tuples(st.just("put"), st.integers(0, 1000)),
-            st.tuples(st.just("get"), st.just(0)),
-        ),
-        max_size=60,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_store_matches_fifo_model(ops):
-    """Store.get returns exactly what a plain FIFO model would."""
-    env = Environment()
-    store = Store(env)
-    model = []
-    expected = []
-    got = []
-    pending_gets = 0
-    for kind, value in ops:
-        if kind == "put":
-            store.put(value)
-            model.append(value)
-        else:
-            event = store.get()
-            event.callbacks.append(lambda e: got.append(e.value))
-            pending_gets += 1
-        # The model satisfies gets greedily in FIFO order.
-    satisfied = min(pending_gets, len(model))
-    expected = model[:satisfied]
-    env.run()
-    assert got == expected
-
-
-@given(values=st.lists(st.integers(-1000, 1000), min_size=1, max_size=50))
-@settings(max_examples=100, deadline=None)
-def test_priority_store_yields_sorted(values):
-    env = Environment()
-    store = PriorityStore(env)
-    for value in values:
-        store.put(value)
-    got = []
-
-    def consumer():
-        for _ in range(len(values)):
-            item = yield store.get()
-            got.append(item)
-
-    env.process(consumer())
-    env.run()
-    assert got == sorted(values)
-
-
-@given(
-    n_processes=st.integers(1, 10),
+    delays=st.lists(st.floats(min_value=0.001, max_value=10), min_size=1, max_size=10),
     steps=st.integers(1, 10),
-    delay=st.floats(min_value=0.001, max_value=10),
 )
 @settings(max_examples=50, deadline=None)
-def test_time_never_goes_backwards(n_processes, steps, delay):
+def test_time_never_goes_backwards(delays, steps):
+    """Re-arming timers of mixed periods only ever see the clock advance."""
     env = Environment()
     observed = []
-
-    def proc():
-        for _ in range(steps):
-            yield env.timeout(delay)
-            observed.append(env.now)
-
-    for _ in range(n_processes):
-        env.process(proc())
+    for delay in delays:
+        tick_every(env, delay, steps, lambda: observed.append(env.now))
     env.run()
     assert observed == sorted(observed)
-    assert len(observed) == n_processes * steps
+    assert len(observed) == len(delays) * steps
