@@ -17,7 +17,9 @@ EWMA of observed queue lengths — simple, local, and stable.
 
 from __future__ import annotations
 
-from repro.core.estimator import EwmaEstimator
+from typing import Optional
+
+from repro.core.estimator import check_alpha
 from repro.errors import ConfigError
 
 
@@ -72,19 +74,25 @@ class AdaptiveThreshold:
         self.gain = gain
         self.adapt_interval = adapt_interval
         self.enabled = enabled
-        self._queue_ewma = EwmaEstimator(alpha)
+        self.alpha = check_alpha(alpha)
+        #: EWMA of observed queue lengths; None before the first sample.
+        self._pressure: Optional[float] = None
         self._last_adapt = float("-inf")
         self.adjustments = 0
 
     def observe(self, queue_length: int, now: float) -> None:
         """Record a queue-length sample and maybe adjust ``k``."""
-        self._queue_ewma.update(queue_length)
+        pressure = self._pressure
+        if pressure is None:
+            pressure = float(queue_length)
+        else:
+            pressure += self.alpha * (queue_length - pressure)
+        self._pressure = pressure
         if not self.enabled:
             return
         if now - self._last_adapt < self.adapt_interval:
             return
         self._last_adapt = now
-        pressure = self._queue_ewma.value_or(0.0)
         if pressure > self.q_high and self.k > self.k_min:
             self.k = max(self.k_min, self.k * (1.0 - self.gain))
             self.adjustments += 1
@@ -95,7 +103,7 @@ class AdaptiveThreshold:
     @property
     def queue_pressure(self) -> float:
         """Smoothed queue length the controller is reacting to."""
-        return self._queue_ewma.value_or(0.0)
+        return self._pressure if self._pressure is not None else 0.0
 
     def threshold(self, rpt_scale: float) -> float:
         """Demotion threshold for the current ``k`` and RPT scale."""

@@ -41,8 +41,8 @@ from itertools import count
 from typing import Optional
 
 from repro.core.adaptive import AdaptiveThreshold
-from repro.core.estimator import EwmaEstimator, ServerEstimates
-from repro.core.priority import completion_horizon, remaining_processing_time
+from repro.core.estimator import ServerEstimates
+from repro.core.priority import rpt_and_horizon
 from repro.errors import ConfigError, SchedulerError
 from repro.kvstore.items import Operation, Request
 from repro.obs.trace import OBS_BAND, OBS_PROMOTED, OBS_THRESHOLD
@@ -65,8 +65,7 @@ class DasTagger(ClientTagger):
         self, request: Request, now: float, estimates: Optional[ServerEstimates]
     ) -> None:
         """Write the RPT and horizon tags onto every operation."""
-        rpt = remaining_processing_time(request, now, estimates)
-        horizon = completion_horizon(request, now, estimates)
+        rpt, horizon = rpt_and_horizon(request, now, estimates)
         for op in request.operations:
             op.tag[TAG_RPT] = rpt
             op.tag[TAG_HORIZON] = horizon
@@ -90,7 +89,9 @@ class DasQueue(ServerQueue):
         if starvation_factor <= 0:
             raise ConfigError("starvation_factor must be positive")
         self.controller = controller
-        self._scale_ewma = EwmaEstimator(scale_alpha)
+        self._scale_alpha = scale_alpha
+        #: EWMA of tagged RPTs; None until the first push.
+        self._scale: Optional[float] = None
         self._starvation_factor = starvation_factor
         self._srpt_front = srpt_front
         self._last_band_enabled = last_band
@@ -112,7 +113,7 @@ class DasQueue(ServerQueue):
     @property
     def rpt_scale(self) -> float:
         """Running mean of tagged RPTs (the threshold's scale)."""
-        return self._scale_ewma.value_or(0.0)
+        return self._scale if self._scale is not None else 0.0
 
     @property
     def threshold(self) -> float:
@@ -130,32 +131,32 @@ class DasQueue(ServerQueue):
         return len(self._last_index)
 
     # ------------------------------------------------------------------
-    def _front_key(self, op: Operation, rpt: float) -> float:
-        # SRPT-first orders by RPT; the FIFO ablation orders by enqueue time.
-        return rpt if self._srpt_front else op.enqueue_time
-
     def _push(self, op: Operation, now: float) -> None:
-        rpt = float(op.tag.get(TAG_RPT, op.demand))
+        tag = op.tag
+        rpt = float(tag.get(TAG_RPT, op.demand))
         # Classify against the scale *before* folding this item in, so an
         # outlier cannot raise the threshold past itself.
-        prev_scale = self._scale_ewma.value
-        self._scale_ewma.update(rpt)
+        prev_scale = self._scale
+        if prev_scale is None:
+            self._scale = rpt
+        else:
+            self._scale = prev_scale + self._scale_alpha * (rpt - prev_scale)
         self.controller.observe(self._length + 1, now)
-        threshold = (
-            self.controller.threshold(prev_scale) if prev_scale is not None else None
-        )
-        if threshold is not None:
-            op.tag[OBS_THRESHOLD] = threshold
+        threshold = None
+        if prev_scale is not None:
+            threshold = tag[OBS_THRESHOLD] = self.controller.threshold(prev_scale)
         if self._last_band_enabled and threshold is not None and rpt > threshold:
             entry = [rpt, next(self._seq), op]
             heapq.heappush(self._last, entry)
             self._last_index[id(op)] = entry
             self._last_by_age.append(op)
             self.demotions += 1
-            op.tag[OBS_BAND] = "last"
+            tag[OBS_BAND] = "last"
         else:
-            heapq.heappush(self._front, (self._front_key(op, rpt), next(self._seq), op))
-            op.tag[OBS_BAND] = "front"
+            # SRPT-first orders by RPT; the FIFO ablation by enqueue time.
+            key = rpt if self._srpt_front else op.enqueue_time
+            heapq.heappush(self._front, (key, next(self._seq), op))
+            tag[OBS_BAND] = "front"
 
     def _pop_last(self) -> Operation:
         """Pop the smallest-RPT live entry from the last band."""

@@ -17,13 +17,21 @@ from repro.errors import ConfigError
 from repro.kvstore.items import Feedback
 
 
+_NEVER = float("-inf")
+
+
+def check_alpha(alpha: float, name: str = "alpha") -> float:
+    """Return ``alpha`` if it is a valid EWMA weight, else raise ConfigError."""
+    if not 0 < alpha <= 1:
+        raise ConfigError(f"{name} must be in (0, 1], got {alpha}")
+    return alpha
+
+
 class EwmaEstimator:
     """Exponentially weighted moving average with a defined empty state."""
 
     def __init__(self, alpha: float, initial: Optional[float] = None):
-        if not 0 < alpha <= 1:
-            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
+        self.alpha = check_alpha(alpha)
         self._value = initial
         self.samples = 0
 
@@ -52,15 +60,15 @@ class EwmaEstimator:
         return f"EwmaEstimator(alpha={self.alpha}, value={self._value})"
 
 
-@dataclass
+@dataclass(slots=True)
 class _ServerState:
-    """Per-server estimate bundle."""
+    """Per-server estimate bundle: two EWMAs (None before a sample),
+    folded in place by :meth:`ServerEstimates.observe`."""
 
-    queued_work: EwmaEstimator
-    rate: EwmaEstimator
-    last_update: float = float("-inf")
+    queued_work: Optional[float] = None
+    rate: Optional[float] = None
+    last_update: float = _NEVER
     observations: int = 0
-
     snapshot_queue_length: int = 0
 
 
@@ -92,32 +100,34 @@ class ServerEstimates:
     ):
         if default_rate <= 0:
             raise ConfigError("default_rate must be positive")
-        self.alpha_work = alpha_work
-        self.alpha_rate = alpha_rate
+        self.alpha_work = check_alpha(alpha_work, "alpha_work")
+        self.alpha_rate = check_alpha(alpha_rate, "alpha_rate")
         self.default_rate = default_rate
         self.drain = drain
         self._servers: Dict[int, _ServerState] = {}
         self.feedback_count = 0
-
-    def _state(self, server_id: int) -> _ServerState:
-        state = self._servers.get(server_id)
-        if state is None:
-            state = _ServerState(
-                queued_work=EwmaEstimator(self.alpha_work),
-                rate=EwmaEstimator(self.alpha_rate),
-            )
-            self._servers[server_id] = state
-        return state
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def observe(self, feedback: Feedback) -> None:
         """Fold one feedback snapshot into the estimates."""
-        state = self._state(feedback.server_id)
-        state.queued_work.update(max(0.0, feedback.queued_work))
-        if feedback.rate_sample > 0:
-            state.rate.update(feedback.rate_sample)
+        state = self._servers.get(feedback.server_id)
+        if state is None:
+            state = self._servers[feedback.server_id] = _ServerState()
+        work = max(0.0, feedback.queued_work)
+        previous = state.queued_work
+        if previous is None:
+            state.queued_work = float(work)
+        else:
+            state.queued_work = previous + self.alpha_work * (work - previous)
+        sample = feedback.rate_sample
+        if sample > 0:
+            previous = state.rate
+            if previous is None:
+                state.rate = float(sample)
+            else:
+                state.rate = previous + self.alpha_rate * (sample - previous)
         state.last_update = feedback.timestamp
         state.snapshot_queue_length = feedback.queue_length
         state.observations += 1
@@ -129,9 +139,9 @@ class ServerEstimates:
     def rate(self, server_id: int) -> float:
         """Estimated speed of ``server_id`` (demand-seconds per second)."""
         state = self._servers.get(server_id)
-        if state is None:
+        if state is None or state.rate is None:
             return self.default_rate
-        return state.rate.value_or(self.default_rate)
+        return state.rate
 
     def queued_work(self, server_id: int, now: float) -> float:
         """Estimated queued work in *wall seconds* at ``now``.
@@ -141,10 +151,10 @@ class ServerEstimates:
         happens at 1 wall-second per second.
         """
         state = self._servers.get(server_id)
-        if state is None or state.queued_work.value is None:
+        if state is None or state.queued_work is None:
             return 0.0
-        work = state.queued_work.value
-        if self.drain and state.last_update > float("-inf"):
+        work = state.queued_work
+        if self.drain and state.last_update > _NEVER:
             work = max(0.0, work - (now - state.last_update))
         return work
 
@@ -163,7 +173,7 @@ class ServerEstimates:
         congestion information by this age.
         """
         state = self._servers.get(server_id)
-        if state is None or state.last_update == float("-inf"):
+        if state is None or state.last_update == _NEVER:
             return float("inf")
         return max(0.0, now - state.last_update)
 

@@ -12,10 +12,10 @@ local estimates only:
 
 * **completion horizon** — the wait-inclusive estimate
   ``max_s (queued-work(s) + slice(s)/rate(s))``: how long until the
-  request's last operation would finish if dispatched now.  This is the
-  *demotion* key (LRPT-last): a request whose horizon is far beyond the
-  norm is going to finish late no matter what, so serving its operations
-  last costs it little and helps everyone else.
+  request's last operation would finish if dispatched now.  Diagnostic,
+  not read by the scheduler: it travels on the operation as the
+  ``horizon`` tag, but :class:`~repro.core.das.DasQueue` bands and
+  orders by RPT alone.
 
 With no estimates (cold start, feedback disabled) both degrade to the
 static bottleneck demand, i.e. DAS falls back to Rein-SBF ordering — the
@@ -24,12 +24,39 @@ correct zero-information behaviour.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.estimator import ServerEstimates
 from repro.kvstore.items import Request
 
 _MIN_RATE = 1e-9
+
+
+def rpt_and_horizon(
+    request: Request,
+    now: float,
+    estimates: Optional[ServerEstimates],
+) -> Tuple[float, float]:
+    """Both quantities from one pass over the per-server demands.
+
+    The pass also sees the request's raw bottleneck, so it leaves it on
+    the request for whoever asks :meth:`Request.bottleneck_demand` later.
+    """
+    rpt = horizon = bottleneck = 0.0
+    for server_id, demand in request.demands_by_server().items():
+        if demand > bottleneck:
+            bottleneck = demand
+        if estimates is None:
+            adjusted = ahead = demand
+        else:
+            adjusted = demand / max(estimates.rate(server_id), _MIN_RATE)
+            ahead = estimates.queued_work(server_id, now) + adjusted
+        if adjusted > rpt:
+            rpt = adjusted
+        if ahead > horizon:
+            horizon = ahead
+    request.bottleneck = bottleneck
+    return rpt, horizon
 
 
 def remaining_processing_time(
@@ -38,16 +65,7 @@ def remaining_processing_time(
     estimates: Optional[ServerEstimates],
 ) -> float:
     """Speed-adjusted bottleneck of ``request`` (the SRPT ranking key)."""
-    per_server = request.demands_by_server()
-    worst = 0.0
-    for server_id, demand in per_server.items():
-        if estimates is None:
-            adjusted = demand
-        else:
-            adjusted = demand / max(estimates.rate(server_id), _MIN_RATE)
-        if adjusted > worst:
-            worst = adjusted
-    return worst
+    return rpt_and_horizon(request, now, estimates)[0]
 
 
 def completion_horizon(
@@ -55,18 +73,8 @@ def completion_horizon(
     now: float,
     estimates: Optional[ServerEstimates],
 ) -> float:
-    """Wait-inclusive completion estimate (the LRPT demotion key)."""
-    per_server = request.demands_by_server()
-    worst = 0.0
-    for server_id, demand in per_server.items():
-        if estimates is None:
-            horizon = demand
-        else:
-            rate = max(estimates.rate(server_id), _MIN_RATE)
-            horizon = estimates.wait_estimate(server_id, now) + demand / rate
-        if horizon > worst:
-            worst = horizon
-    return worst
+    """Wait-inclusive completion estimate of ``request``."""
+    return rpt_and_horizon(request, now, estimates)[1]
 
 
 def residual_processing_time(

@@ -34,6 +34,7 @@ from repro.faults.plan import (
     Partition,
     event_record,
 )
+from repro.sim.core import NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kvstore.network import NetworkModel
@@ -176,7 +177,7 @@ class SimFaultDriver:
                 ),
             )
         if self._schedule:
-            env.event().succeed().callbacks.append(self._run)
+            env._schedule(self._run, None)
 
     # ------------------------------------------------------------------
     def active_kinds(self) -> Tuple[str, ...]:
@@ -195,7 +196,7 @@ class SimFaultDriver:
                 self._counters[kind] = counter
             counter.inc()
 
-    def _run(self, _event) -> None:
+    def _run(self, _) -> None:
         """Apply every entry that is due, then sleep until the next one."""
         env = self.env
         schedule = self._schedule
@@ -203,7 +204,7 @@ class SimFaultDriver:
             when, _, kind, entry = schedule[self._cursor]
             delay = when - env.now
             if delay > 0:
-                env.pooled_timeout(delay).callbacks.append(self._run)
+                env._schedule(self._run, None, delay, NORMAL)
                 return
             self._cursor += 1
             self._apply(when, kind, entry)

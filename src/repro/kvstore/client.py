@@ -27,7 +27,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.obs import OBS_FAULT, OpSpan, RequestTrace, Tracer
 from repro.schedulers.base import ClientTagger
 from repro.selection import FEEDBACK_WIRE_BYTES, PROBE_WIRE_BYTES
-from repro.sim.core import Environment
+from repro.sim.core import NORMAL, Environment
 from repro.workload.requests import RequestFactory
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,7 +122,10 @@ class Client:
         self.generation_done = False
         #: request_id -> indexes of operations still awaiting a response.
         self._pending: Dict[int, set] = {}
-        self._inflight: Dict[int, Request] = {}
+        #: Per-op timers exist only under a timeout or hedge policy; the
+        #: four ``(request_id, index)``-keyed dicts below stay empty (and
+        #: untouched) without one, and a request's sends leave together.
+        self._per_op_timers = op_timeout is not None or hedge is not None
         #: (request_id, index) -> attempts made so far (1 = original send).
         self._attempts: Dict[tuple, int] = {}
         #: (request_id, index) -> the latest armed op-timeout timer; the
@@ -138,16 +141,14 @@ class Client:
         self._breakers: Dict[int, CircuitBreaker] = {}
         # Generation starts from an event of its own, not here: the
         # cluster sets ``max_requests`` / ``end_time`` after construction.
-        env.event().succeed().callbacks.append(
-            self._start_closed if closed_loop else self._arm_next_arrival
-        )
+        env._schedule(self._start_closed if closed_loop else self._arm_next_arrival, None)
 
     # ------------------------------------------------------------------
     # Request generation
     # ------------------------------------------------------------------
-    def _arm_next_arrival(self, _event=None) -> None:
+    def _arm_next_arrival(self, _=None) -> None:
         """Open loop: time the next arrival, or end generation."""
-        now = self.env.now
+        now = self.env._now
         done = self.max_requests is not None and self.requests_sent >= self.max_requests
         if not done:
             gap = self.factory.next_interarrival(now)  # inf: trace exhausted
@@ -157,13 +158,13 @@ class Client:
         if done:
             self._finish_generation()
         else:
-            self.env.pooled_timeout(gap).callbacks.append(self._arrive)
+            self.env._schedule(self._arrive, None, gap, NORMAL)
 
-    def _arrive(self, _event) -> None:
+    def _arrive(self, _) -> None:
         self._dispatch(self._build_request())
         self._arm_next_arrival()
 
-    def _start_closed(self, _event) -> None:
+    def _start_closed(self, _) -> None:
         """Closed-loop generation: a fixed window of in-flight requests.
 
         The initial window is dispatched here; every full-request
@@ -192,10 +193,11 @@ class Client:
 
     def _build_request(self) -> Request:
         descriptor = self.factory.make_request()
+        now = self.env._now
         request = Request(
             request_id=self._next_request_id,
             client_id=self.client_id,
-            arrival_time=self.env.now,
+            arrival_time=now,
         )
         self._next_request_id += 1
         for i, (key, size, is_put) in enumerate(
@@ -205,7 +207,7 @@ class Client:
                 server_id = self.placement.write_set(key)[0]
                 kind = OpKind.PUT
             else:
-                server_id = self.placement.select_read_replica(key)
+                server_id = self.placement.select_read_replica(key, now)
                 kind = OpKind.GET
             op = Operation(
                 request=request,
@@ -220,22 +222,40 @@ class Client:
         return request
 
     def _dispatch(self, request: Request) -> None:
-        now = self.env.now
+        now = self.env._now
         self.tagger.tag_request(request, now, self.estimates)
-        self._pending[request.request_id] = {op.index for op in request.operations}
-        self._inflight[request.request_id] = request
+        ops = request.operations
+        self._pending[request.request_id] = set(range(len(ops)))
         self.requests_sent += 1
-        for op in request.operations:
-            self._attempts[(request.request_id, op.index)] = 1
-            self._send_op(op)
+        if self._per_op_timers:
+            # A timer is armed after each send: keep that interleaving.
+            for op in ops:
+                self._attempts[(request.request_id, op.index)] = 1
+                self._send_op(op)
+        else:
+            servers = self.servers
+            messages = []
+            for op in ops:
+                op.dispatch_time = now
+                if self._track_inflight:
+                    self.placement.record_dispatch(op.server_id, now)
+                messages.append(
+                    (
+                        ("server", op.server_id),
+                        op,
+                        servers[op.server_id].handle_operation,
+                        len(op.key),
+                    )
+                )
+            self.network.send_batch(("client", self.client_id), messages)
         if self._want_probes:
             self._send_probes()
 
     def _send_op(self, op: Operation, is_hedge: bool = False) -> None:
-        now = self.env.now
+        now = self.env._now
         op.dispatch_time = now
         if self._track_inflight:
-            self.placement.record_dispatch(op.server_id)
+            self.placement.record_dispatch(op.server_id, now)
         server = self.servers[op.server_id]
         self.network.send(
             ("client", self.client_id),
@@ -351,7 +371,7 @@ class Client:
             self.placement.record_control_message(
                 "probe", payload_bytes=FEEDBACK_WIRE_BYTES
             )
-            self.placement.observe_feedback(feedback)
+            self.placement.observe_feedback(feedback, self.env._now)
 
     # ------------------------------------------------------------------
     # Hedging
@@ -435,75 +455,65 @@ class Client:
         selection route around it without a dedicated health channel.
         """
         fd = self.failure_detector
+        now = self.env.now
         feedback = Feedback(
             server_id=server_id,
             queued_work=fd.unhealthy_queued_work,
             queue_length=fd.unhealthy_queue_length,
             rate_sample=fd.unhealthy_rate,
-            timestamp=self.env.now,
+            timestamp=now,
         )
         if self.estimates is not None:
             self.estimates.observe(feedback)
         if self._track_selection_feedback:
-            self.placement.observe_feedback(feedback)
+            self.placement.observe_feedback(feedback, now)
 
     # ------------------------------------------------------------------
     # Response handling
     # ------------------------------------------------------------------
     def handle_response(self, response: Response) -> None:
         """Network delivery point for one operation's completion."""
-        now = self.env.now
+        now = self.env._now
         op = response.operation
         op.response_time = now
         if self._track_inflight:
-            self.placement.record_response(op.server_id, now - op.dispatch_time)
+            self.placement.record_response(op.server_id, now, now - op.dispatch_time)
         if self._latency is not None:
             self._latency.record(now - op.dispatch_time)
-        breaker = self._breakers.get(op.server_id)
-        if breaker is not None:
-            breaker.record_success()
-        if response.feedback is not None:
+        if self._breakers:
+            breaker = self._breakers.get(op.server_id)
+            if breaker is not None:
+                breaker.record_success()
+        feedback = response.feedback
+        if feedback is not None:
             if self.estimates is not None:
-                self.estimates.observe(response.feedback)
+                self.estimates.observe(feedback)
             if self._track_selection_feedback:
                 # Piggybacked snapshots ride an existing data reply: zero
                 # extra messages, but the payload bytes are real.
                 self.placement.record_control_message(
                     "feedback", messages=0, payload_bytes=FEEDBACK_WIRE_BYTES
                 )
-                self.placement.observe_feedback(response.feedback)
+                self.placement.observe_feedback(feedback, now)
         self.metrics.record_op_completion(response.ok)
 
-        outstanding = self._pending.get(op.request_id)
-        if outstanding is None or op.index not in outstanding:
+        request = op.request
+        index = op.index
+        outstanding = self._pending.get(request.request_id)
+        if outstanding is None or index not in outstanding:
             return  # duplicate (late original after a successful retry)
-        key = (op.request_id, op.index)
-        timer = self._op_timers.pop(key, None)
-        if timer is not None and timer.callbacks is not None:
-            # Poison the pending pooled timer: it fires as a no-op and is
-            # recycled without ever entering the timeout path.
-            timer.callbacks.clear()
-            self.timers_cancelled += 1
-        hedge_timer = self._hedge_timers.pop(key, None)
-        if hedge_timer is not None and hedge_timer.callbacks is not None:
-            hedge_timer.callbacks.clear()
-            self.timers_cancelled += 1
-        hedged_to = self._hedged.pop(key, None)
-        if hedged_to and op.server_id in hedged_to:
-            self.hedges_won += 1
-        outstanding.discard(op.index)
-        self._attempts.pop(key, None)
+        if self._per_op_timers:
+            self._settle_timers((request.request_id, index), op.server_id)
+        outstanding.discard(index)
         # Record the finish on the canonical operation so request-level
         # accounting (remaining, residual) sees retried ops as done.
-        request = self._inflight[op.request_id]
-        canonical = request.operations[op.index]
+        canonical = request.operations[index]
         if canonical.finish_time != canonical.finish_time:  # still NaN
             canonical.finish_time = op.finish_time
             canonical.response_time = now
         if outstanding:
             return
-        del self._pending[op.request_id]
-        del self._inflight[op.request_id]
+        del self._pending[request.request_id]
         request.completion_time = now
         self.requests_completed += 1
         self.metrics.record_request(request)
@@ -534,6 +544,23 @@ class Client:
         if self._on_finished is not None:
             self._on_finished(self)
 
+    def _settle_timers(self, key: tuple, server_id: int) -> None:
+        """An op was answered by ``server_id``: cancel what still waits on it."""
+        timer = self._op_timers.pop(key, None)
+        if timer is not None and timer.callbacks is not None:
+            # Poison the pending pooled timer: it fires as a no-op and is
+            # recycled without ever entering the timeout path.
+            timer.callbacks.clear()
+            self.timers_cancelled += 1
+        hedge_timer = self._hedge_timers.pop(key, None)
+        if hedge_timer is not None and hedge_timer.callbacks is not None:
+            hedge_timer.callbacks.clear()
+            self.timers_cancelled += 1
+        hedged_to = self._hedged.pop(key, None)
+        if hedged_to and server_id in hedged_to:
+            self.hedges_won += 1
+        self._attempts.pop(key, None)
+
     def receive_feedback(self, feedback: Feedback) -> None:
         """Delivery point for broadcast feedback (periodic-mode snapshots
         and Dodoor-style load reports alike)."""
@@ -543,7 +570,7 @@ class Client:
             self.placement.record_control_message(
                 "report", payload_bytes=FEEDBACK_WIRE_BYTES
             )
-            self.placement.observe_feedback(feedback)
+            self.placement.observe_feedback(feedback, self.env._now)
 
     # ------------------------------------------------------------------
     @property

@@ -287,7 +287,6 @@ class Cluster:
             rng=selection_rng,
             estimates=estimates,
             selection_params=cfg.replica_selection_params,
-            clock=lambda: self.env.now,
         )
         if placement.policy.name != "primary" and cfg.replication_factor > 1:
             self.registry.gauge(

@@ -102,6 +102,9 @@ class Request:
     operations: list[Operation] = field(default_factory=list)
     completion_time: float = float("nan")
     meta: Dict[str, Any] = field(default_factory=dict)
+    #: Largest per-server demand, remembered the first time it is worked
+    #: out (at tagging, once every operation is attached).
+    bottleneck: Optional[float] = None
 
     def __repr__(self) -> str:
         return (
@@ -146,8 +149,9 @@ class Request:
 
     def bottleneck_demand(self) -> float:
         """The largest per-server demand — Rein's 'bottleneck' of a multiget."""
-        per_server = self.demands_by_server()
-        return max(per_server.values()) if per_server else 0.0
+        if self.bottleneck is None:
+            self.bottleneck = max(self.demands_by_server().values(), default=0.0)
+        return self.bottleneck
 
 
 @dataclass(slots=True)

@@ -3,7 +3,9 @@
 Messages are delivered after a sampled one-way delay; delivery order
 between a fixed (src, dst) pair is preserved by construction when delays
 are constant and may reorder when jitter is enabled — as in a real
-datacenter network.
+datacenter network.  A delivery is the kernel entry ``(handler,
+payload)`` itself: nothing waits on it or cancels it, so it needs no
+event object.
 
 One implementation, :class:`UniformLatencyNetwork`: every pair has the
 same base delay plus optional exponential jitter, which matches the
@@ -12,15 +14,27 @@ paper's single-datacenter simulation setting.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Callable, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.sim.core import Environment
+from repro.sim.core import NORMAL, URGENT, Environment
 from repro.sim.rand import as_batched
 
 Handler = Callable[[Any], None]
+
+#: One message of a :meth:`NetworkModel.send_batch`:
+#: ``(dst, payload, handler, size_bytes)``.
+Message = Tuple[Hashable, Any, Handler, int]
+
+_DROPPED = float("inf")
+
+
+def _deliver_run(run: list) -> None:
+    """Hand each payload of one equal-delay run to its handler, in order."""
+    for handler, payload in run:
+        handler(payload)
 
 
 class NetworkModel:
@@ -39,6 +53,22 @@ class NetworkModel:
         """One-way delay for a message from ``src`` to ``dst``."""
         raise NotImplementedError
 
+    def _admit(self, src: Hashable, dst: Hashable, size_bytes: int) -> float:
+        """Count one message and sample its delay; ``inf`` when it is lost."""
+        self.messages_sent += 1
+        self.bytes_sent += size_bytes
+        d = self.delay(src, dst)
+        if d < 0:
+            raise ConfigError(f"sampled negative delay {d}")
+        faults = self.faults
+        if faults is not None and faults.active:
+            extra = faults.verdict(src, dst)
+            if extra == _DROPPED:
+                self.messages_dropped += 1
+                return extra
+            d += extra
+        return d
+
     def send(
         self,
         src: Hashable,
@@ -52,28 +82,43 @@ class NetworkModel:
         Returns the sampled delay (useful for tests and tracing);
         ``inf`` means the message was dropped by an active link fault.
         """
-        self.messages_sent += 1
-        self.bytes_sent += size_bytes
-        d = self.delay(src, dst)
-        if d < 0:
-            raise ConfigError(f"sampled negative delay {d}")
-        if self.faults is not None and self.faults.active:
-            extra = self.faults.verdict(src, dst)
-            if extra == float("inf"):
-                self.messages_dropped += 1
-                return extra
-            d += extra
-        if d == 0:
-            # Still go through the event queue for deterministic ordering.
-            ev = self.env.event()
-            ev.callbacks.append(lambda _e: handler(payload))
-            ev.succeed()
-        else:
-            # Pooled: delivery timeouts are the single hottest event type
-            # and nothing retains them past the callback.
-            timeout = self.env.pooled_timeout(d)
-            timeout.callbacks.append(lambda _e: handler(payload))
+        d = self._admit(src, dst, size_bytes)
+        if d != _DROPPED:
+            # A zero delay still goes through the queue, ahead of that
+            # instant's timers, for deterministic ordering.
+            self.env._schedule(handler, payload, d, NORMAL if d > 0 else URGENT)
         return d
+
+    def send_batch(self, src: Hashable, messages: Iterable[Message]) -> None:
+        """:meth:`send` each message from ``src``, sharing kernel entries.
+
+        Accounting, the delay draw and the fault verdict happen per
+        message in message order, exactly as if each were sent alone.
+        Consecutive messages that drew the same delay would have fired
+        back to back anyway (same instant, consecutive ``seq``), so each
+        such run is one kernel entry that delivers them in order; with
+        jitter every run has length one.  The one difference from
+        separate sends: an URGENT entry a handler schedules for the
+        delivery instant runs after its run, not between two of its
+        messages.
+        """
+        run: list = []
+        run_delay = 0.0
+        for dst, payload, handler, size_bytes in messages:
+            d = self._admit(src, dst, size_bytes)
+            if d == _DROPPED:
+                continue
+            if run and d != run_delay:
+                self._schedule_run(run, run_delay)
+                run = []
+            run.append((handler, payload))
+            run_delay = d
+        if run:
+            self._schedule_run(run, run_delay)
+
+    def _schedule_run(self, run: list, delay: float) -> None:
+        fn, arg = run[0] if len(run) == 1 else (_deliver_run, run)
+        self.env._schedule(fn, arg, delay, NORMAL if delay > 0 else URGENT)
 
 
 class UniformLatencyNetwork(NetworkModel):

@@ -9,8 +9,8 @@ decides which — the *selection* lever a front-end has besides scheduling
 
 :class:`ReplicaPlacement` binds a policy to a ring: it resolves each
 key's replica set, delegates the pick, and forwards the client's
-dispatch/response/feedback events to the policy under a caller-supplied
-clock (``env.now`` in the sim, ``time.monotonic()`` in the runtime).
+dispatch/response/feedback events to the policy; the caller says what
+time it is (``env.now``), as it does to the policy hooks themselves.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class ReplicaPlacement:
         Extra keyword knobs forwarded to the policy constructor.
     policy:
         A pre-built policy object (overrides ``selection``/knobs).
-    clock:
-        Zero-argument callable returning the current time for the policy;
-        defaults to a constant 0.0 (fine for time-free policies).
     """
 
     POLICIES = SELECTION_POLICY_NAMES
@@ -73,7 +70,6 @@ class ReplicaPlacement:
         estimates=None,
         selection_params: Optional[dict] = None,
         policy: Optional[SelectionPolicy] = None,
-        clock: Optional[Callable[[], float]] = None,
     ):
         if replication_factor < 1:
             raise ConfigError("replication_factor must be >= 1")
@@ -94,7 +90,6 @@ class ReplicaPlacement:
         self.replication_factor = replication_factor
         self.policy = policy
         self.selection = policy.name
-        self._clock = clock if clock is not None else (lambda: 0.0)
         # With one replica every policy degenerates to "first (only) entry".
         self._primary_reads = policy.name == "primary" or replication_factor == 1
         #: Hot-path gates: callers skip the forwarding hooks entirely when
@@ -106,8 +101,8 @@ class ReplicaPlacement:
         """The full replica set for ``key`` (primary first)."""
         return self.ring.preference_list(key, self.replication_factor)
 
-    def select_read_replica(self, key: str) -> int:
-        """Choose the server that will serve a GET for ``key``."""
+    def select_read_replica(self, key: str, now: float = 0.0) -> int:
+        """Choose the server that will serve a GET for ``key`` at ``now``."""
         if self._primary_reads:
             # Primary-only reads (the paper default) are the hot path:
             # skip the replica-set indirection entirely.
@@ -115,7 +110,7 @@ class ReplicaPlacement:
         candidates = self.replicas(key)
         if len(candidates) == 1:
             return candidates[0]
-        return self.policy.select(key, candidates, self._clock())
+        return self.policy.select(key, candidates, now)
 
     def write_set(self, key: str) -> List[int]:
         """Servers a PUT must reach (all replicas)."""
@@ -124,17 +119,17 @@ class ReplicaPlacement:
     # ------------------------------------------------------------------
     # Signal forwarding (gate on wants_inflight / wants_feedback)
     # ------------------------------------------------------------------
-    def record_dispatch(self, server_id: int) -> None:
-        """An operation was sent to ``server_id`` (in-flight +1)."""
-        self.policy.on_dispatch(server_id, self._clock())
+    def record_dispatch(self, server_id: int, now: float) -> None:
+        """An operation was sent to ``server_id`` at ``now`` (in-flight +1)."""
+        self.policy.on_dispatch(server_id, now)
 
-    def record_response(self, server_id: int, latency: float) -> None:
+    def record_response(self, server_id: int, now: float, latency: float) -> None:
         """A response arrived from ``server_id`` after ``latency`` seconds."""
-        self.policy.on_response(server_id, self._clock(), latency)
+        self.policy.on_response(server_id, now, latency)
 
-    def observe_feedback(self, feedback: Feedback) -> None:
+    def observe_feedback(self, feedback: Feedback, now: float) -> None:
         """Forward a feedback snapshot to the policy (probe funnel)."""
-        self.policy.observe_feedback(feedback, self._clock())
+        self.policy.observe_feedback(feedback, now)
 
     def record_control_message(
         self, kind: str, messages: int = 1, payload_bytes: int = 0

@@ -7,10 +7,11 @@ from the server's :class:`~repro.kvstore.service.ServiceModel` (which may
 degrade over time).  Completions are shipped back to the issuing client
 with optional piggybacked feedback.
 
-The loop is a re-arming timer callback, not a coroutine:
+The loop is a re-arming kernel entry, not a coroutine:
 :meth:`Server._start_next` runs whenever the server might be able to
 start work (a delivery, a completion, the end of an outage, a recovery)
-and arms at most one timer, whose callback calls it again.
+and schedules at most one call — the completion of what it started, or
+the end of the outage — which calls it again.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.core.estimator import EwmaEstimator
+from repro.core.estimator import check_alpha
 from repro.errors import KeyNotFoundError
 from repro.kvstore.items import Feedback, OpKind, Operation, Response
 from repro.kvstore.network import NetworkModel
 from repro.kvstore.service import ServiceModel
 from repro.kvstore.storage import StorageEngine
 from repro.schedulers.base import ServerQueue
-from repro.sim.core import Environment
+from repro.sim.core import NORMAL, Environment
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kvstore.client import Client
@@ -73,12 +74,14 @@ class Server:
         #: client_id -> Client, wired by the cluster after construction.
         self.clients: dict[int, "Client"] = {}
 
-        #: True while a timer of the service loop is pending — the
+        #: True while a call of the service loop is pending — the
         #: completion of the operation in service or the end of an outage
         #: — so at most one is ever armed.
         self._timer_armed = False
         self._current_finish: Optional[float] = None
-        self._rate_ewma = EwmaEstimator(rate_alpha, initial=service.base_speed)
+        self._rate_alpha = check_alpha(rate_alpha, "rate_alpha")
+        #: EWMA of observed service speed, seeded with the nominal speed.
+        self._rate = service.base_speed
 
         #: Size-lane support (duck-typed on the queue, like the obs
         #: bridge): the lane layer is pure dispatch order — the service
@@ -103,7 +106,7 @@ class Server:
         # The loop's first look at the clock (an outage may cover t=0) is
         # an event of its own, so it runs in construction order with the
         # other components' start-up events.
-        env.event().succeed().callbacks.append(self._start_next)
+        env._schedule(self._start_next, None)
 
     # ------------------------------------------------------------------
     # Ingress
@@ -115,8 +118,9 @@ class Server:
             # client's timeout (or hedge) has to notice.
             self.ops_dropped += 1
             return
-        self.queue.push(op, self.env.now)
-        self._start_next()
+        self.queue.push(op, self.env._now)
+        if not self._timer_armed:  # busy servers (most deliveries) skip the call
+            self._start_next()
 
     def handle_probe(self, client_id: int) -> None:
         """Network delivery point for a selection probe.
@@ -133,11 +137,10 @@ class Server:
                 f"server {self.server_id} has no route to client {client_id}"
             )
         self.probes_answered += 1
-        feedback = self.make_feedback()
         self.network.send(
             ("server", self.server_id),
             ("client", client_id),
-            feedback,
+            self.make_feedback(),
             client.receive_probe_reply,
         )
 
@@ -182,40 +185,45 @@ class Server:
             return self.outages[i][1]
         return None
 
-    def _start_next(self, _event=None) -> None:
+    def _start_next(self, _=None) -> None:
         """Start serving the scheduler's pick, or wait out an outage.
 
-        Safe to call at any time: does nothing while a timer is pending
+        Safe to call at any time: does nothing while a call is pending
         (busy, or already waiting for an outage to end), while crashed,
         or when up with an empty queue.
         """
         if self._timer_armed or self.crashed:
             return
         env = self.env
-        now = env.now
-        outage_end = self._outage_end(now)
-        if outage_end is not None:
-            self._timer_armed = True
-            env.pooled_timeout(outage_end - now).callbacks.append(self._outage_over)
+        now = env._now
+        if self.outages:
+            outage_end = self._outage_end(now)
+            if outage_end is not None:
+                self._timer_armed = True
+                env._schedule(self._outage_over, None, outage_end - now, NORMAL)
+                return
+        queue = self.queue
+        if len(queue) == 0:
             return
-        if len(self.queue) == 0:
-            return
-        op = self.queue.pop(now)
+        op = queue.pop(now)
         op.start_time = now
-        ok, size = self._execute(op)
+        ok, size = self._execute(op, now)
         service_time = self.service.sample_service_time(size, now)
         self._current_finish = now + service_time
         self._timer_armed = True
-        env.pooled_timeout(
-            service_time, (op, self.crashes, ok, size, service_time)
-        ).callbacks.append(self._service_done)
+        env._schedule(
+            self._service_done,
+            (op, self.crashes, ok, size, service_time),
+            service_time,
+            NORMAL,
+        )
 
-    def _outage_over(self, _timer) -> None:
+    def _outage_over(self, _) -> None:
         self._timer_armed = False
         self._start_next()
 
-    def _service_done(self, timer) -> None:
-        op, epoch, ok, size, service_time = timer.value
+    def _service_done(self, served: tuple) -> None:
+        op, epoch, ok, size, service_time = served
         self._timer_armed = False
         self._current_finish = None
         if self.crashes != epoch:
@@ -226,7 +234,8 @@ class Server:
         self._start_next()
 
     def _complete(self, op: Operation, ok: bool, size: int, service_time: float) -> None:
-        now = self.env.now
+        """Account for a served operation and ship its response."""
+        now = self.env._now
         op.finish_time = now
         self.busy_time += service_time
         if self.lanes is not None:
@@ -235,39 +244,12 @@ class Server:
                 self.lane_busy_time[lane] += service_time
         # Learn our own effective rate from the completed operation.
         observed = self.service.rate_sample(op.demand, service_time)
-        self._rate_ewma.update(observed)
+        self._rate += self._rate_alpha * (observed - self._rate)
         self.queue.on_service_complete(op, now)
         if ok:
             self.ops_served += 1
         else:
             self.ops_failed += 1
-        self._respond(op, ok, size)
-
-    def _execute(self, op: Operation) -> tuple[bool, int]:
-        """Run the operation against the storage engine.
-
-        Returns (ok, bytes_moved); a miss still consumes overhead time but
-        moves no value bytes.
-        """
-        now = self.env.now
-        if op.kind is OpKind.PUT:
-            self.storage.put(op.key, op.value_size, now=now)
-            return True, op.value_size
-        try:
-            record = self.storage.get(op.key, now=now)
-        except KeyNotFoundError:
-            return False, 0
-        return True, record.size
-
-    def _respond(self, op: Operation, ok: bool, size: int) -> None:
-        feedback = self.make_feedback() if self.piggyback_feedback else None
-        response = Response(
-            operation=op,
-            ok=ok,
-            value_size=size,
-            feedback=feedback,
-            error=None if ok else "key not found",
-        )
         client = self.clients.get(op.request.client_id)
         if client is None:  # pragma: no cover - wiring error
             raise RuntimeError(
@@ -277,10 +259,31 @@ class Server:
         self.network.send(
             ("server", self.server_id),
             ("client", client.client_id),
-            response,
+            Response(
+                op,
+                ok,
+                size,
+                self.make_feedback() if self.piggyback_feedback else None,
+                None if ok else "key not found",
+            ),
             client.handle_response,
-            size_bytes=size,
+            size,
         )
+
+    def _execute(self, op: Operation, now: float) -> tuple[bool, int]:
+        """Run the operation against the storage engine.
+
+        Returns (ok, bytes_moved); a miss still consumes overhead time but
+        moves no value bytes.
+        """
+        if op.kind is OpKind.PUT:
+            self.storage.put(op.key, op.value_size, now=now)
+            return True, op.value_size
+        try:
+            record = self.storage.get(op.key, now=now)
+        except KeyNotFoundError:
+            return False, 0
+        return True, record.size
 
     # ------------------------------------------------------------------
     # Feedback & introspection
@@ -288,7 +291,7 @@ class Server:
     @property
     def measured_rate(self) -> float:
         """EWMA of observed service speed (demand-seconds per second)."""
-        return self._rate_ewma.value_or(self.service.base_speed)
+        return self._rate
 
     def in_service_residual(self, now: float) -> float:
         """Remaining service time of the operation on the CPU, if any."""
@@ -303,16 +306,11 @@ class Server:
         a degraded server correctly reports a longer backlog than its
         queue's raw demand suggests.
         """
-        now = self.env.now
-        rate = max(self.measured_rate, 1e-9)
-        queued_seconds = self.queue.queued_demand / rate + self.in_service_residual(now)
-        return Feedback(
-            server_id=self.server_id,
-            queued_work=queued_seconds,
-            queue_length=len(self.queue),
-            rate_sample=self.measured_rate,
-            timestamp=now,
-        )
+        now = self.env._now
+        rate = self._rate
+        queue = self.queue
+        queued_seconds = queue.queued_demand / max(rate, 1e-9) + self.in_service_residual(now)
+        return Feedback(self.server_id, queued_seconds, len(queue), rate, now)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` spent serving operations."""
@@ -339,14 +337,14 @@ def start_periodic_broadcaster(
     to clients (the cluster wires this through the network model).
     """
 
-    def arm(_event) -> None:
-        env.pooled_timeout(interval).callbacks.append(broadcast)
+    def arm(_) -> None:
+        env._schedule(broadcast, None, interval, NORMAL)
 
-    def broadcast(event) -> None:
+    def broadcast(_) -> None:
         # A dead server gossips nothing; clients keep their last (stale)
         # view until the failure detector marks it.
         if not server.crashed:
             deliver(server.make_feedback())
-        arm(event)
+        arm(None)
 
-    env.event().succeed().callbacks.append(arm)
+    env._schedule(arm, None)

@@ -2,10 +2,13 @@
 
 An event + timer + callback kernel: the
 :class:`~repro.sim.core.Environment` keeps a virtual clock and a heap of
-pending :class:`~repro.sim.events.Event` objects, and processing an event
-runs the callbacks attached to it.  A recurring activity (a client's
+pending calls.  Most of them process an
+:class:`~repro.sim.events.Event`, which runs the callbacks attached to
+it; the cluster model's own activities that nothing waits on or cancels
+are bare ``(handler, payload)`` calls.  A recurring activity (a client's
 arrivals, a server's service loop) is a callback that arms the next
-:class:`~repro.sim.events.Timeout` itself.  There are no coroutines.
+:class:`~repro.sim.events.Timeout`, or the next call, itself.  There are
+no coroutines.
 
 The kernel is deliberately dependency-free so the rest of the library (the
 key-value cluster model, the schedulers, the experiment harness) can run in

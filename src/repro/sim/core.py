@@ -1,15 +1,18 @@
 """The simulation environment: virtual clock plus event loop.
 
-The pending-event set is one :mod:`heapq` list of ``(time, priority,
-seq, event)`` tuples; ``seq`` is a per-environment counter, so the order
-is total and runs are deterministic.
+The pending set is one :mod:`heapq` list of ``(time, priority, seq, fn,
+arg)`` tuples and the loop body is ``fn(arg)``: the heap holds calls.
+``seq`` is a per-environment counter, so the order is total and runs are
+deterministic.  An :class:`Event` is the entry ``(…, env._process,
+event)``; an activity nobody waits on or cancels — a message delivery, a
+service completion, the next arrival — is scheduled as its bare
+``(handler, payload)`` and never allocates one.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import count
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.sim.events import NORMAL, URGENT, Event, StopSimulation, Timeout
 
@@ -48,8 +51,9 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
-        self._eid = count()
+        self._queue: list[tuple[float, int, int, Callable[[Any], None], Any]] = []
+        #: Entries put on the heap so far; the last one's ``seq``.
+        self.events_scheduled = 0
         #: Free lists (see :meth:`pooled_timeout`): recycled Timeout
         #: objects and recycled callback lists.  ``_cb_pool`` must exist
         #: before any Event is constructed — Event.__init__ reads it.
@@ -91,16 +95,15 @@ class Environment:
 
         Identical semantics to :meth:`timeout` up to the firing, after
         which the object is returned to the pool and later reused —
-        callers must not retain a reference past the callbacks (internal
-        hot paths: network delivery, service waits, interarrival gaps, op
-        timers).  Event allocation is a measurable slice of kernel time
-        (``C.timeout_pool_hit_rate`` of a traced ``benchmarks/perf`` trial
-        is the hit rate), which is the whole point.
+        callers must not retain a reference past the callbacks.  For the
+        timers that are cancelled by clearing their callbacks (the
+        client's op timeout and hedge timers); everything that always
+        fires is a bare :meth:`_schedule` entry and needs no object at
+        all.  ``C.timeout_pool_hit_rate`` of a traced ``benchmarks/perf``
+        trial is the hit rate.
         """
         pool = self._timeout_pool
         if pool:
-            if not delay >= 0:
-                raise ValueError(f"delay must be non-negative and not NaN, got {delay}")
             self.timeout_pool_hits += 1
             t = pool.pop()
             t._delay = float(delay)
@@ -110,7 +113,7 @@ class Environment:
             t._recyclable = True
             cb_pool = self._cb_pool
             t.callbacks = cb_pool.pop() if cb_pool else []
-            self._schedule(t, delay=t._delay, priority=NORMAL)
+            self._schedule(self._process, t, t._delay, NORMAL)
             return t
         self.timeout_pool_misses += 1
         t = Timeout(self, delay, value)
@@ -130,39 +133,49 @@ class Environment:
     # ------------------------------------------------------------------
     # Scheduling and stepping
     # ------------------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = URGENT) -> None:
-        """Put a triggered event on the queue ``delay`` from now.
+    def _schedule(
+        self,
+        fn: Callable[[Any], None],
+        arg: Any,
+        delay: float = 0.0,
+        priority: int = URGENT,
+    ) -> None:
+        """Put the call ``fn(arg)`` on the queue ``delay`` from now.
 
-        Callers pass the right priority themselves (:class:`Timeout`
-        schedules itself at NORMAL) — this method is the hottest function
-        in the simulator and does no classification of its own.
+        The one way onto the heap, for events (``fn`` is
+        :meth:`_process`) and for the model's bare entries alike, and the
+        hottest function in the simulator.  Callers pass the priority
+        themselves: URGENT for what has already happened (a triggered
+        event, a zero-delay delivery), NORMAL for everything timed.
         """
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
+        if not delay >= 0:
+            raise ValueError(f"delay must be non-negative and not NaN, got {delay}")
+        self.events_scheduled = seq = self.events_scheduled + 1
+        heapq.heappush(self._queue, (self._now + delay, priority, seq, fn, arg))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Fire the single next event; advance the clock to it."""
+        """Fire the single next entry; advance the clock to it."""
         try:
-            when, _, _, event = heapq.heappop(self._queue)
+            when, _, _, fn, arg = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule(
                 f"event queue is empty: 0 pending events at now={self._now}"
             ) from None
         self._now = when
+        fn(arg)
+
+    def _process(self, event: Event) -> None:
+        """Run a triggered event's callbacks, then recycle its carcass."""
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
         if not event._ok and not event.defused:
             # Nobody consumed the failure: surface it rather than losing it.
-            exc = event._value
-            raise exc
-        self._recycle(event, callbacks)
-
-    def _recycle(self, event: Event, callbacks: list) -> None:
-        """Return a processed event's dead carcass to the free lists."""
+            raise event._value
         callbacks.clear()
         if len(self._cb_pool) < self._CB_POOL_MAX:
             self._cb_pool.append(callbacks)
@@ -211,41 +224,17 @@ class Environment:
             stop_event._ok = True
             stop_event._value = None
             stop_event.callbacks.append(_stop_callback)
-            heapq.heappush(self._queue, (at, URGENT, -1, stop_event))
+            # seq -1: before everything else scheduled for that instant.
+            heapq.heappush(self._queue, (at, URGENT, -1, self._process, stop_event))
 
-        # Inlined event loop (rather than `while True: self.step()`): the
-        # loop body runs once per simulated event, so the method-call and
-        # attribute-lookup overhead of delegating to step() is measurable
-        # (~15% of kernel throughput).
+        # step() without the method call: the body runs once per entry.
         queue = self._queue
         pop = heapq.heappop
-        cb_pool = self._cb_pool
-        timeout_pool = self._timeout_pool
-        cb_pool_max = self._CB_POOL_MAX
-        timeout_pool_max = self._TIMEOUT_POOL_MAX
         try:
             while queue:
-                when, _, _, event = pop(queue)
+                when, _, _, fn, arg = pop(queue)
                 self._now = when
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event.defused:
-                    # Nobody consumed the failure: surface it rather than
-                    # losing it.
-                    raise event._value
-                # Inlined _recycle (same reasoning as inlining the loop).
-                callbacks.clear()
-                if len(cb_pool) < cb_pool_max:
-                    cb_pool.append(callbacks)
-                if (
-                    type(event) is Timeout
-                    and event._recyclable
-                    and len(timeout_pool) < timeout_pool_max
-                ):
-                    event._value = None
-                    timeout_pool.append(event)
+                fn(arg)
         except StopSimulation as stop:
             return stop.value
         finally:

@@ -1,14 +1,14 @@
 """Event primitives for the simulation kernel.
 
 This module is the bottom of the simulator stack (`docs/architecture.md`
-§1): every simulated occurrence — a request arrival, a service completion,
-a network delivery — is an :class:`Event` scheduled on the
-:class:`~repro.sim.core.Environment` heap, so its cost bounds how many
-operations per second the experiment harness can simulate (the
-``sim-*`` workloads of ``benchmarks/perf`` track the number).  Event
-classes declare ``__slots__``: millions are created per run and the
-per-instance ``__dict__`` they would otherwise carry dominates allocation
-cost.
+§1): an :class:`Event` is what the :class:`~repro.sim.core.Environment`
+schedules when something may be waited on (``run(until=event)``), carry
+several callbacks, fail, or be cancelled by clearing its callbacks — the
+client's op-timeout and hedge timers, a cluster's drained signal.  The
+occurrences that always fire exactly one handler (an arrival, a network
+delivery, a service completion) are bare heap entries and never build
+one.  Event classes declare ``__slots__``, so an instance carries no
+``__dict__``.
 
 Events are one-shot: they start *pending*, become *triggered* exactly once
 (either succeeding with a value or failing with an exception), and are then
@@ -103,7 +103,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        self.env._schedule(self.env._process, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -118,7 +118,7 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env._schedule(self)
+        self.env._schedule(self.env._process, self)
         return self
 
 
@@ -137,14 +137,12 @@ class Timeout(Event):
     __slots__ = ("_delay", "_recyclable")
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if not delay >= 0:
-            raise ValueError(f"delay must be non-negative and not NaN, got {delay}")
         super().__init__(env)
         self._delay = float(delay)
         self._ok = True
         self._value = value
         self._recyclable = False
-        env._schedule(self, delay=self._delay, priority=NORMAL)
+        env._schedule(env._process, self, self._delay, NORMAL)
 
     @property
     def delay(self) -> float:

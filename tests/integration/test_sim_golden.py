@@ -5,9 +5,10 @@ self-re-arming loop of the model — client arrivals (open and closed
 loop, request-count and duration stop rules), the server's service
 loop (outage windows, crash/recover), the periodic feedback
 broadcaster and the fault-plan driver — including the paths the
-benchmark cells skip.  The digests were recorded once; a change that
-moves any of them changed a scheduling decision or an event's firing
-order, not just the code's shape.
+benchmark cells skip: per-message jitter, per-op timeout and hedge
+timers, link faults on messages in flight.  The digests were recorded
+once; a change that moves any of them changed a scheduling decision or
+an event's firing order, not just the code's shape.
 """
 
 import hashlib
@@ -17,7 +18,15 @@ import pytest
 
 from repro import ClusterConfig, ServiceConfig, SimulationConfig, run_cluster
 from repro.core.feedback import FeedbackConfig, FeedbackMode
-from repro.faults.plan import Crash, DelaySpike, FaultPlan, Recover
+from repro.faults.plan import (
+    Crash,
+    DelaySpike,
+    FaultPlan,
+    PacketLoss,
+    Partition,
+    Recover,
+)
+from repro.faults.resilience import HedgePolicy
 from repro.workload import GeometricFanout, PoissonArrivals
 from repro.workload.popularity import UniformPopularity
 from repro.workload.requests import arrival_rate_for_load
@@ -93,6 +102,38 @@ CELLS = {
         cell(scheduler="laned", scheduler_params={"inner": "das"}),
         SimulationConfig(max_requests=400),
     ),
+    # Every message draws its own delay, so no two of a request's ops
+    # share a delivery.
+    "jitter-das": (
+        cell(network_jitter_mean=20e-6),
+        SimulationConfig(max_requests=400),
+    ),
+    # Per-op timers interleaved with the sends: timeouts that fire and
+    # retry, hedges that fire and win, and timers poisoned by a response.
+    "hedged-timeouts": (
+        cell(
+            replication_factor=3,
+            op_timeout=1.5e-3,
+            max_retries=2,
+            hedge=HedgePolicy(percentile=90.0, min_samples=10),
+        ),
+        SimulationConfig(max_requests=400),
+    ),
+    # Link faults while requests are in flight and no client timer: a
+    # lost op never completes, so the stop rule is a duration.
+    "link-faults": (
+        cell(
+            fault_plan=FaultPlan(
+                (
+                    DelaySpike(at=0.004, until=0.012, extra=80e-6, servers=(0, 1)),
+                    PacketLoss(at=0.010, until=0.030, probability=0.2, seed=5),
+                    Partition(at=0.025, until=0.035, servers=(2,), clients=(1,)),
+                    DelaySpike(at=0.028, until=0.040, extra=30e-6),
+                )
+            ),
+        ),
+        SimulationConfig(duration=0.06),
+    ),
 }
 
 GOLDEN = {
@@ -102,6 +143,18 @@ GOLDEN = {
     "dodoor-reports": "e1b6da574b32caea45679e2b4d5f9936ade14a25d9a5802836817dbbd0cc4246",
     "crash-outages": "c2483872c0e527c70a22585647016ba40ea880c457d960d92626d894bd58574b",
     "laned": "9a842124200789e6f34e57618edef120106e2b9cc0b14ec856c5dc3feff58e40",
+    "jitter-das": "c3d780a0fd9c1f2575f95e647422385a6c29612e7df1272f2e3a85493fb59ce5",
+    "hedged-timeouts": "f6313dd67ccbd2ae1c2d67d7e278ca37893fa08d14a45da5c2c8437db36bfdf5",
+    "link-faults": "06b0c7c29fa3298e8343af94443205ea2d4f200fb55e5f64c90f96b411eae0bb",
+}
+
+#: ``link-faults`` also pins what the network did to the messages: one
+#: ``PacketLoss`` rng draw per message in sending order, so a message sent
+#: out of order (or a verdict asked twice) moves these before the RCTs.
+LINK_FAULT_COUNTERS = {
+    "dropped_partition": 25,
+    "dropped_loss": 145,
+    "delayed_messages": 692,
 }
 
 
@@ -113,3 +166,10 @@ def test_rct_digest_is_the_recorded_one(name):
         np.ascontiguousarray(rcts, dtype="<f8").tobytes()
     ).hexdigest()
     assert digest == GOLDEN[name], f"{name}: {len(rcts)} RCTs, digest moved"
+
+
+def test_link_fault_verdicts_are_the_recorded_ones():
+    config, sim = CELLS["link-faults"]
+    result = run_cluster(config, sim)
+    assert result.faults["network"] == LINK_FAULT_COUNTERS
+    assert (result.requests_sent, result.requests_completed) == (323, 239)

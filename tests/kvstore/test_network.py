@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.faults.plan import DelaySpike, PacketLoss, Partition
+from repro.faults.sim import LinkFaults
 from repro.kvstore.network import UniformLatencyNetwork
+from repro.sim.core import NORMAL, Environment
 
 
 class TestUniformNetwork:
@@ -57,3 +62,116 @@ class TestUniformNetwork:
     def test_negative_base_delay_rejected(self, env):
         with pytest.raises(ConfigError):
             UniformLatencyNetwork(env, base_delay=-1)
+
+
+# ----------------------------------------------------------------------
+# send_batch == the same messages sent one send() at a time
+# ----------------------------------------------------------------------
+SERVERS = 4
+
+link_faults = st.one_of(
+    st.none(),
+    st.builds(
+        DelaySpike,
+        at=st.just(0.0),
+        until=st.just(1.0),
+        extra=st.sampled_from([1e-4, 1e-3]),
+        servers=st.one_of(st.none(), st.just((1, 2))),
+    ),
+    st.builds(
+        PacketLoss,
+        at=st.just(0.0),
+        until=st.just(1.0),
+        probability=st.sampled_from([0.3, 1.0]),
+        servers=st.one_of(st.none(), st.just((0, 3))),
+        seed=st.integers(0, 3),
+    ),
+    st.builds(
+        Partition, at=st.just(0.0), until=st.just(1.0), servers=st.just((2,))
+    ),
+)
+
+
+def network_under(env, base_delay, jitter_mean, fault):
+    """A seeded network with ``fault`` (a plan entry, or None) switched on."""
+    net = UniformLatencyNetwork(
+        env,
+        base_delay=base_delay,
+        jitter_mean=jitter_mean,
+        rng=np.random.default_rng(42) if jitter_mean > 0 else None,
+    )
+    net.faults = LinkFaults()
+    if isinstance(fault, DelaySpike):
+        net.faults.start_delay(fault)
+    elif isinstance(fault, PacketLoss):
+        net.faults.start_loss(fault, np.random.default_rng(fault.seed))
+    elif isinstance(fault, Partition):
+        net.faults.start_partition(fault)
+    return net
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base_delay=st.sampled_from([0.0, 1e-3]),
+    jitter_mean=st.sampled_from([0.0, 5e-4]),
+    fault=link_faults,
+    batch=st.lists(
+        st.tuples(st.integers(0, SERVERS - 1), st.integers(0, 64)), max_size=12
+    ),
+)
+def test_send_batch_matches_one_send_per_message(base_delay, jitter_mean, fault, batch):
+    def deliveries(use_batch):
+        env = Environment()
+        net = network_under(env, base_delay, jitter_mean, fault)
+        log = []
+
+        def handler_for(sid):
+            return lambda payload: log.append((env.now, sid, payload))
+
+        def mark(name):
+            # Unrelated entries for the instant a no-jitter message lands:
+            # the batch must keep its place among them.
+            env._schedule(log.append, name, base_delay, NORMAL)
+
+        src = ("client", 0)
+        mark("before")
+        if use_batch:
+            net.send_batch(
+                src,
+                [
+                    (("server", sid), i, handler_for(sid), size)
+                    for i, (sid, size) in enumerate(batch)
+                ],
+            )
+        else:
+            for i, (sid, size) in enumerate(batch):
+                net.send(src, ("server", sid), i, handler_for(sid), size_bytes=size)
+        mark("after")
+        env.run()
+        return log, net.messages_sent, net.bytes_sent, net.messages_dropped
+
+    assert deliveries(use_batch=True) == deliveries(use_batch=False)
+
+
+def test_send_batch_shares_one_kernel_entry_per_equal_delay_run(env):
+    net = UniformLatencyNetwork(env, base_delay=1e-3)
+    net.faults = LinkFaults()
+    net.faults.start_delay(DelaySpike(at=0.0, until=1.0, extra=1e-4, servers=(1,)))
+    received = []
+    # Delays by destination: 0 -> base, 1 -> base + spike.
+    net.send_batch(
+        ("client", 0),
+        [(("server", sid), i, received.append, 0) for i, sid in enumerate([0, 0, 1, 0, 0, 0])],
+    )
+    assert env.events_scheduled == 3  # [0, 0], [1], [0, 0, 0]
+    env.run()
+    assert received == [0, 1, 3, 4, 5, 2]
+
+
+def test_send_batch_rejects_a_negative_delay(env):
+    class Backwards(UniformLatencyNetwork):
+        def delay(self, src, dst):
+            return -1.0
+
+    with pytest.raises(ConfigError, match="negative delay"):
+        Backwards(env).send_batch("a", [("b", None, id, 0)])

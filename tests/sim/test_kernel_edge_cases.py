@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.core import NORMAL, URGENT
 from tests.sim.helpers import tick_every
 
 
@@ -78,6 +79,80 @@ class TestCallbacks:
         event.fail(RuntimeError("event failed"))
         env.run()
         assert handled == ["event failed"]
+
+
+class TestBareEntries:
+    """``env._schedule(fn, arg, delay, priority)``: a call on the heap with
+    no event object, ordered with events by ``(time, priority, seq)``."""
+
+    def test_bare_entries_and_events_interleave_by_priority_then_seq(self, env):
+        order = []
+
+        def start(_):
+            env._schedule(order.append, "bare-normal-1", 1.0, NORMAL)
+            env.timeout(1.0).callbacks.append(lambda e: order.append("timer-2"))
+            env._schedule(order.append, "bare-normal-3", 1.0, NORMAL)
+            env._schedule(order.append, "bare-urgent-4", 1.0, URGENT)
+            env.timeout(1.0).callbacks.append(at_one)
+
+        def at_one(_event):
+            order.append("timer-5")
+            # Same instant, scheduled while it is being processed: URGENT
+            # ones first, an event and a bare entry by seq among them.
+            env._schedule(order.append, "bare-normal-6", 0.0, NORMAL)
+            gate = env.event()
+            gate.callbacks.append(lambda e: order.append("event-7"))
+            gate.succeed()
+            env._schedule(order.append, "bare-urgent-8")
+
+        env._schedule(start, None)
+        env.run()
+        assert order == [
+            "bare-urgent-4",
+            "bare-normal-1", "timer-2", "bare-normal-3", "timer-5",
+            "event-7", "bare-urgent-8", "bare-normal-6",
+        ]
+        assert env.now == 1.0
+
+    def test_argument_is_passed_and_clock_is_at_the_firing_time(self, env):
+        seen = []
+        env._schedule(lambda arg: seen.append((env.now, arg)), ("op", 3), 2.5, NORMAL)
+        env.run()
+        assert seen == [(2.5, ("op", 3))]
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan")])
+    def test_nan_and_negative_delays_raise(self, env, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            env._schedule(id, None, bad, NORMAL)
+        assert env.peek() == float("inf")  # nothing reached the heap
+        assert env.events_scheduled == 0
+
+    def test_exception_from_fn_leaves_run_at_firing_time(self, env):
+        def boom(_):
+            raise ValueError("inside")
+
+        fired = []
+        env._schedule(boom, None, 1.5, NORMAL)
+        env._schedule(fired.append, "later", 4.0, NORMAL)
+        with pytest.raises(ValueError, match="inside"):
+            env.run()
+        assert env.now == 1.5 and fired == []
+        env.run()  # the rest of the schedule is still runnable
+        assert env.now == 4.0 and fired == ["later"]
+
+    def test_step_fires_one_bare_entry(self, env):
+        fired = []
+        env._schedule(fired.append, "a", 1.0, NORMAL)
+        env._schedule(fired.append, "b", 2.0, NORMAL)
+        env.step()
+        assert (env.now, fired) == (1.0, ["a"])
+
+    def test_events_scheduled_counts_every_entry(self, env):
+        env._schedule(id, None, 1.0, NORMAL)     # a bare entry
+        env.timeout(1.0)                         # a timeout
+        env.event().succeed()                    # a triggered event
+        env.event()                              # pending: not on the heap
+        assert env.events_scheduled == 3
 
 
 class TestClockEdgeCases:
