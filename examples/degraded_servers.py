@@ -11,8 +11,8 @@ Run:  python examples/degraded_servers.py
 """
 
 from repro import ClusterConfig, ServiceConfig, SimulationConfig
+from repro.faults import FaultPlan, SlowNode
 from repro.kvstore.cluster import Cluster
-from repro.kvstore.service import DegradationEvent
 from repro.workload import PoissonArrivals
 from repro.workload.patterns import traffic_pattern
 from repro.workload.requests import arrival_rate_for_load
@@ -31,7 +31,10 @@ def main() -> None:
         LOAD, pattern.fanout.mean(), service.mean_demand(pattern.sizes.mean()),
         N_SERVERS,
     )
-    degradations = {sid: (DegradationEvent(ONSET, 0.5),) for sid in DEGRADED}
+    # Half speed from ONSET to the end of the run.
+    slowdown = FaultPlan(
+        tuple(SlowNode(sid, at=ONSET, until=DURATION, factor=0.5) for sid in DEGRADED)
+    )
     print(
         f"{N_SERVERS} servers at load {LOAD}; servers {DEGRADED} drop to 50% "
         f"speed at t={ONSET}s\n"
@@ -46,7 +49,7 @@ def main() -> None:
             sizes=pattern.sizes,
             popularity=pattern.popularity,
             service=service,
-            degradations=degradations,
+            fault_plan=slowdown,
         )
         cluster = Cluster(config)
         result = cluster.run(

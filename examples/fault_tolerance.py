@@ -16,6 +16,7 @@ Run:  python examples/fault_tolerance.py
 """
 
 from repro import ClusterConfig, ServiceConfig, SimulationConfig
+from repro.faults import FaultPlan, Pause
 from repro.kvstore.cluster import Cluster
 from repro.workload import PoissonArrivals
 from repro.workload.patterns import traffic_pattern
@@ -44,7 +45,7 @@ def run_variant(name: str, **overrides) -> None:
         sizes=pattern.sizes,
         popularity=UniformPopularity(),
         service=service,
-        outages={0: (OUTAGE,)},
+        fault_plan=FaultPlan((Pause(0, at=OUTAGE[0], until=OUTAGE[1]),)),
         **overrides,
     )
     cluster = Cluster(config)

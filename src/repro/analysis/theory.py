@@ -83,7 +83,7 @@ def predict_single_key_fcfs(
     """M/G/1 prediction of mean RCT for a fan-out-1 FCFS cluster.
 
     Requires: fan-out fixed at 1, uniform popularity, zero service noise,
-    homogeneous nominal-speed servers, no degradations, replication 1.
+    homogeneous nominal-speed servers, no fault plan, replication 1.
     Raises ConfigError when the configuration is outside that envelope.
 
     When ``ring`` (the cluster's :class:`ConsistentHashRing`) is supplied,
@@ -96,7 +96,7 @@ def predict_single_key_fcfs(
         raise ConfigError("prediction requires fan-out exactly 1")
     if config.service.noise_cv != 0:
         raise ConfigError("prediction requires zero service noise")
-    if config.server_speeds is not None or config.degradations:
+    if config.server_speeds is not None or config.fault_plan:
         raise ConfigError("prediction requires homogeneous healthy servers")
     if config.replication_factor != 1:
         raise ConfigError("prediction requires replication factor 1")

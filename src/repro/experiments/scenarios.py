@@ -31,11 +31,11 @@ from repro.faults import (
     HedgePolicy,
     PacketLoss,
     Partition,
+    Pause,
     Recover,
     SlowNode,
 )
 from repro.kvstore.config import ClusterConfig, ServiceConfig, SimulationConfig
-from repro.kvstore.service import DegradationEvent
 from repro.workload.arrivals import MMPPArrivals, PoissonArrivals
 from repro.workload.fanout import BimodalFanout, FixedFanout, GeometricFanout
 from repro.workload.patterns import TRAFFIC_PATTERNS, TrafficPattern
@@ -169,6 +169,19 @@ def _check_scale(scale: float) -> None:
         raise ConfigError("scale must be positive")
 
 
+def _slowed(servers, duration: float, factor: float = 0.5) -> FaultPlan:
+    """``servers`` at ``factor`` speed from 25% of a duration-stopped run on.
+
+    The window ends where the run does, so the slowdown is permanent.
+    """
+    return FaultPlan(
+        tuple(
+            SlowNode(sid, at=duration * 0.25, until=duration, factor=factor)
+            for sid in servers
+        )
+    )
+
+
 # ----------------------------------------------------------------------
 # E1 / E2 — mean and tail RCT vs offered load
 # ----------------------------------------------------------------------
@@ -300,17 +313,15 @@ def e5_scenario(scale: float = 1.0) -> Scenario:
     """Mean RCT with 0/1/2/4 of 16 servers degraded to 50% speed mid-run."""
     _check_scale(scale)
     duration = _duration(scale)
-    onset = duration * 0.25
     counts = (0, 1, 2, 4)
     points = []
     for n_degraded in counts:
-        degradations = {
-            sid: (DegradationEvent(onset, 0.5),) for sid in range(n_degraded)
-        }
         points.append(
             RunPoint(
                 x=n_degraded,
-                config=_base_config(0.55, degradations=degradations),
+                config=_base_config(
+                    0.55, fault_plan=_slowed(range(n_degraded), duration)
+                ),
                 sim=SimulationConfig(duration=duration, warmup_fraction=0.1),
             )
         )
@@ -380,11 +391,10 @@ def e7_scenario(scale: float = 1.0) -> Scenario:
     )
     # Degradation scenario.
     duration = _duration(scale)
-    degradations = {sid: (DegradationEvent(duration * 0.25, 0.5),) for sid in (0, 1)}
     points.append(
         RunPoint(
             x="degraded@0.55",
-            config=_base_config(0.55, degradations=degradations),
+            config=_base_config(0.55, fault_plan=_slowed((0, 1), duration)),
             sim=SimulationConfig(duration=duration, warmup_fraction=0.1),
         )
     )
@@ -409,10 +419,9 @@ def e8_scenario(scale: float = 1.0) -> Scenario:
     """
     _check_scale(scale)
     duration = _duration(scale)
-    degradations = {sid: (DegradationEvent(duration * 0.25, 0.5),) for sid in (0, 1)}
     point = RunPoint(
         x="degraded@0.55",
-        config=_base_config(0.55, degradations=degradations),
+        config=_base_config(0.55, fault_plan=_slowed((0, 1), duration)),
         sim=SimulationConfig(duration=duration, warmup_fraction=0.1),
     )
     schedulers = [SBF]
@@ -500,11 +509,10 @@ def a1_scenario(scale: float = 1.0) -> Scenario:
     """Ablate DAS's three mechanisms on the degradation scenario."""
     _check_scale(scale)
     duration = _duration(scale)
-    degradations = {sid: (DegradationEvent(duration * 0.25, 0.5),) for sid in (0, 1)}
     points = (
         RunPoint(
             x="degraded@0.55",
-            config=_base_config(0.55, degradations=degradations),
+            config=_base_config(0.55, fault_plan=_slowed((0, 1), duration)),
             sim=SimulationConfig(duration=duration, warmup_fraction=0.1),
         ),
         RunPoint(
@@ -538,8 +546,7 @@ def a2_scenario(scale: float = 1.0) -> Scenario:
     """DAS under piggyback / periodic / no feedback (degradation scenario)."""
     _check_scale(scale)
     duration = _duration(scale)
-    degradations = {sid: (DegradationEvent(duration * 0.25, 0.5),) for sid in (0, 1)}
-    base = _base_config(0.55, degradations=degradations)
+    base = _base_config(0.55, fault_plan=_slowed((0, 1), duration))
     sim = SimulationConfig(duration=duration, warmup_fraction=0.1)
     modes = (
         ("piggyback", FeedbackConfig(mode=FeedbackMode.PIGGYBACK)),
@@ -615,13 +622,13 @@ def x2_scenario(scale: float = 1.0) -> Scenario:
     """
     _check_scale(scale)
     duration = _duration(scale)
-    outage = {0: ((duration * 0.25, duration * 0.75),)}
+    outage = FaultPlan((Pause(0, at=duration * 0.25, until=duration * 0.75),))
     variants = (
-        ("no-retry", dict(outages=outage)),
+        ("no-retry", dict(fault_plan=outage)),
         (
             "retry-r2",
             dict(
-                outages=outage,
+                fault_plan=outage,
                 replication_factor=2,
                 op_timeout=0.02,
                 max_retries=2,
@@ -672,9 +679,6 @@ def x3_scenario(scale: float = 1.0) -> Scenario:
     duration = _duration(scale)
     speeds = tuple(0.7 if sid % 4 == 0 else 1.0 for sid in range(N_SERVERS))
     mean_speed = sum(speeds) / len(speeds)
-    degradations = {
-        sid: (DegradationEvent(duration * 0.25, 0.4),) for sid in (1, 2)
-    }
     selections = (
         "primary",
         "random",
@@ -695,7 +699,7 @@ def x3_scenario(scale: float = 1.0) -> Scenario:
                     pattern=BASELINE,  # Zipf skew: hot owners congest first
                     mean_speed=mean_speed,
                     server_speeds=speeds,
-                    degradations=degradations,
+                    fault_plan=_slowed((1, 2), duration, factor=0.4),
                     replication_factor=3,
                     replica_selection=selection,
                 ),

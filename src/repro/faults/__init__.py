@@ -9,7 +9,8 @@ modules and are imported explicitly to avoid import cycles with the
 subsystems they drive:
 
 * :mod:`repro.faults.sim` — wires a plan into the simulated cluster
-  (server crash/recover lifecycle, network link faults).
+  (server crash/recover and pause/resume lifecycle, network link
+  faults).
 * :mod:`repro.faults.runtime` — replays the same plan against a
   :class:`~repro.runtime.cluster.LocalCluster` via the existing
   :class:`~repro.runtime.faults.FaultInjector` policies and
@@ -25,6 +26,7 @@ from repro.faults.plan import (
     FaultPlan,
     PacketLoss,
     Partition,
+    Pause,
     Recover,
     SlowNode,
     event_record,
@@ -48,6 +50,7 @@ __all__ = [
     "LatencyTracker",
     "PacketLoss",
     "Partition",
+    "Pause",
     "Recover",
     "SlowNode",
     "chaos_report",

@@ -1,9 +1,9 @@
 """Declarative fault plans shared by the simulator and the runtime.
 
 A :class:`FaultPlan` is an ordered set of timed fault entries — crashes,
-recoveries, partitions, lossy or slow links, degraded nodes — with no
-clock of its own: times are plain floats relative to run start, and the
-adapters (:mod:`repro.faults.sim` for the simulated cluster,
+recoveries, pauses, partitions, lossy or slow links, degraded nodes —
+with no clock of its own: times are plain floats relative to run start,
+and the adapters (:mod:`repro.faults.sim` for the simulated cluster,
 :mod:`repro.faults.runtime` for the asyncio cluster) decide what a
 second means.  One plan therefore drives both halves of the system, and
 both report the *same* applied timeline, which the parity tests compare
@@ -12,9 +12,14 @@ entry for entry.
 Entry semantics:
 
 * :class:`Crash` / :class:`Recover` — hard process death and rebirth.
-  Unlike an outage window (which parks queued work), a crash *drops* the
+  Unlike a :class:`Pause` (which parks queued work), a crash *drops* the
   server's queued and in-flight operations; clients only learn through
   timeouts.
+* :class:`Pause` — the server's service loop stalls for the window:
+  queued and arriving operations wait, the one in service completes,
+  nothing is dropped.  One server's windows may neither overlap nor
+  touch.  The runtime approximates it with an
+  :class:`~repro.runtime.faults.Outage`, which swallows what arrives.
 * :class:`Partition` — a client-group <-> server-group reachability cut:
   messages in either direction between the named groups vanish for the
   window.
@@ -25,7 +30,8 @@ Entry semantics:
 * :class:`SlowNode` — the server's service speed is multiplied down to
   ``factor`` for the window (the simulator folds this into its
   time-varying :class:`~repro.kvstore.service.ServiceModel`; the runtime
-  approximates it with delayed replies).
+  approximates it with delayed replies).  A slowdown meant to last ends
+  its window where the (duration-stopped) run ends.
 
 Every entry type is a frozen dataclass, so a plan embeds in the frozen
 ``ClusterConfig`` and contributes a deterministic ``repr`` to the
@@ -61,6 +67,19 @@ class Recover:
 
     def __post_init__(self):
         _check_time(self.at, "Recover.at")
+        _check_server(self.server_id)
+
+
+@dataclass(frozen=True)
+class Pause:
+    """Stall ``server_id``'s service loop for ``[at, until)``; nothing is lost."""
+
+    server_id: int
+    at: float
+    until: float
+
+    def __post_init__(self):
+        _check_window(self.at, self.until, "Pause")
         _check_server(self.server_id)
 
 
@@ -154,12 +173,13 @@ class SlowNode:
             )
 
 
-FaultEntry = Union[Crash, Recover, Partition, PacketLoss, DelaySpike, SlowNode]
+FaultEntry = Union[Crash, Recover, Pause, Partition, PacketLoss, DelaySpike, SlowNode]
 
 #: Registry used by serialization; kind strings are the lowercase names.
 _ENTRY_TYPES: Dict[str, type] = {
     "crash": Crash,
     "recover": Recover,
+    "pause": Pause,
     "partition": Partition,
     "packet_loss": PacketLoss,
     "delay_spike": DelaySpike,
@@ -168,7 +188,10 @@ _ENTRY_TYPES: Dict[str, type] = {
 _KIND_BY_TYPE = {cls: kind for kind, cls in _ENTRY_TYPES.items()}
 
 #: Window entry types contribute a *_start and *_end scheduled event.
-_WINDOWED = (Partition, PacketLoss, DelaySpike, SlowNode)
+_WINDOWED = (Pause, Partition, PacketLoss, DelaySpike, SlowNode)
+
+#: Entry types aimed at one server through ``server_id``.
+_ONE_SERVER = (Crash, Recover, Pause, SlowNode)
 
 
 def _check_time(value: float, label: str) -> None:
@@ -202,8 +225,15 @@ class FaultPlan:
         self._validate_lifecycle()
 
     def _validate_lifecycle(self) -> None:
-        """Crash/Recover pairing: no double-crash, no orphan recover."""
+        """Crash/Recover pairing, and one server's Pause windows disjoint.
+
+        No double crash, no orphan recover.  A ``Pause`` must start after
+        the same server's previous one ended: overlapping or touching
+        windows are one window written twice, and are rejected rather
+        than merged.
+        """
         crashed: Dict[int, bool] = {}
+        pause_end: Dict[int, float] = {}
         for _, _, kind, entry in self.scheduled_events():
             if kind == "crash":
                 if crashed.get(entry.server_id):
@@ -217,6 +247,14 @@ class FaultPlan:
                         f"recover of server {entry.server_id} without a prior crash"
                     )
                 crashed[entry.server_id] = False
+            elif kind == "pause_start":
+                sid = entry.server_id
+                if entry.at <= pause_end.get(sid, -1.0):
+                    raise ConfigError(
+                        f"server {sid} has overlapping or touching Pause "
+                        "windows; write them as one"
+                    )
+                pause_end[sid] = entry.until
 
     # ------------------------------------------------------------------
     # Introspection
@@ -228,7 +266,7 @@ class FaultPlan:
         """Check every referenced server/client id exists in the cluster."""
         for entry in self.entries:
             sids: Tuple[int, ...] = ()
-            if isinstance(entry, (Crash, Recover, SlowNode)):
+            if isinstance(entry, _ONE_SERVER):
                 sids = (entry.server_id,)
             elif getattr(entry, "servers", None) is not None:
                 sids = entry.servers
@@ -287,8 +325,8 @@ class FaultPlan:
     def slow_windows(self, server_id: int) -> Tuple[Tuple[float, float], ...]:
         """``(time, factor)`` speed steps for one server's SlowNode entries.
 
-        Each entry yields ``(at, factor)`` and ``(until, 1.0)`` — directly
-        convertible to the simulator's ``DegradationEvent`` schedule.
+        Each entry yields ``(at, factor)`` and ``(until, 1.0)`` — the
+        ``speed_steps`` of the simulator's ``ServiceModel``.
         """
         steps: List[Tuple[float, float]] = []
         for entry in self.entries:
@@ -337,7 +375,7 @@ def event_record(when: float, kind: str, entry: FaultEntry) -> Dict[str, Any]:
     break timeline parity).
     """
     record: Dict[str, Any] = {"at": when, "event": kind}
-    if isinstance(entry, (Crash, Recover, SlowNode)):
+    if isinstance(entry, _ONE_SERVER):
         record["server"] = entry.server_id
     else:
         servers = getattr(entry, "servers", None)

@@ -1,11 +1,8 @@
 """Clock-free resilience primitives shared by the sim and the runtime.
 
-These classes originated in :mod:`repro.runtime.resilience` (PR 1) and
-moved here once the simulated client gained the same protections: none
-of them reads a wall clock on its own — callers inject ``now`` — so the
-identical objects serve the asyncio client (monotonic seconds) and the
-simulated client (virtual seconds).  :mod:`repro.runtime.resilience`
-re-exports them for backwards compatibility.
+None of these classes reads a wall clock on its own — callers inject
+``now`` — so the identical objects serve the asyncio client (monotonic
+seconds) and the simulated client (virtual seconds).
 
 * :class:`HedgePolicy` + :class:`LatencyTracker` — duplicate a slow read
   once it has been outstanding longer than the observed latency

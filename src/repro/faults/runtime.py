@@ -13,6 +13,11 @@ existing fault machinery:
   swallowed, which is what an unreachable server looks like from a
   client.  (The runtime has a single client group, so a client-scoped
   partition degrades to a full cut; the sim models the client axis.)
+* ``Pause`` -> the same :class:`~repro.runtime.faults.Outage` on that
+  server.  Not the simulator's semantics: a paused simulated server
+  parks what arrives and serves it on resume, while the runtime server
+  swallows it (never served, no reply) and keeps answering what it had
+  queued before the window.
 * ``PacketLoss`` -> :class:`~repro.runtime.faults.DropReplies` in
   probability mode (same seed), installed at ``at`` and removed at
   ``until``.
@@ -28,13 +33,14 @@ existing fault machinery:
 The driver appends the canonical
 :func:`~repro.faults.plan.event_record` dict — with *planned* times, so
 wall-clock jitter cannot perturb it — for every applied event, giving
-byte-identical timelines to the sim adapter for the parity test.
+byte-identical timelines to the sim adapter for the parity test.  An
+event kind without a handler here raises.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
 
 from repro.faults.plan import FaultPlan, SlowNode, event_record
 from repro.runtime.faults import DelayReplies, DropReplies, FaultPolicy, Outage
@@ -97,12 +103,6 @@ class RuntimeFaultDriver:
             await self._apply(when, kind, entry)
 
     # ------------------------------------------------------------------
-    def _server_policies(self, entry) -> List[int]:
-        servers = getattr(entry, "servers", None)
-        if servers is None:
-            servers = range(len(self.cluster.servers))
-        return list(servers)
-
     def _slow_delay(self, entry: SlowNode) -> Tuple[float, float]:
         """(fixed, per-byte) reply delay approximating the slowdown.
 
@@ -128,36 +128,40 @@ class RuntimeFaultDriver:
             await cluster.crash(entry.server_id)
         elif kind == "recover":
             await cluster.restart(entry.server_id)
-        elif kind == "partition_start":
+        elif kind in ("partition_start", "pause_start"):
             window = (entry.until - entry.at) * self.time_scale
-            for sid in self._server_policies(entry):
-                policy = Outage(0.0, window)
-                self._installed[(id(entry), sid)] = policy
-                cluster.servers[sid].faults.add(policy)
-        elif kind == "partition_end":
-            self._remove(entry)
+            self._install(entry, lambda: Outage(0.0, window))
         elif kind == "packet_loss_start":
-            for sid in self._server_policies(entry):
-                policy = DropReplies(probability=entry.probability, seed=entry.seed)
-                self._installed[(id(entry), sid)] = policy
-                cluster.servers[sid].faults.add(policy)
-        elif kind == "packet_loss_end":
-            self._remove(entry)
+            self._install(
+                entry,
+                lambda: DropReplies(probability=entry.probability, seed=entry.seed),
+            )
         elif kind == "delay_spike_start":
-            for sid in self._server_policies(entry):
-                policy = DelayReplies(delay=entry.extra)
-                self._installed[(id(entry), sid)] = policy
-                cluster.servers[sid].faults.add(policy)
-        elif kind == "delay_spike_end":
-            self._remove(entry)
+            self._install(entry, lambda: DelayReplies(delay=entry.extra))
         elif kind == "slow_node_start":
             per_op, per_byte = self._slow_delay(entry)
-            policy = DelayReplies(delay=per_op, delay_per_byte=per_byte)
-            self._installed[(id(entry), entry.server_id)] = policy
-            cluster.servers[entry.server_id].faults.add(policy)
-        elif kind == "slow_node_end":
+            self._install(
+                entry, lambda: DelayReplies(delay=per_op, delay_per_byte=per_byte)
+            )
+        elif kind.endswith("_end"):
             self._remove(entry)
+        else:
+            raise ValueError(f"no runtime handler for fault event {kind!r}")
         self.timeline.append(event_record(when, kind, entry))
+
+    def _install(self, entry, make_policy: Callable[[], FaultPolicy]) -> None:
+        """Install a fresh policy on every server a windowed entry covers."""
+        server_id = getattr(entry, "server_id", None)
+        if server_id is not None:
+            sids = [server_id]
+        elif entry.servers is not None:
+            sids = list(entry.servers)
+        else:
+            sids = list(range(len(self.cluster.servers)))
+        for sid in sids:
+            policy = make_policy()
+            self._installed[(id(entry), sid)] = policy
+            self.cluster.servers[sid].faults.add(policy)
 
     def _remove(self, entry) -> None:
         for (entry_id, sid), policy in list(self._installed.items()):

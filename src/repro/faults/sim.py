@@ -10,10 +10,13 @@ Two cooperating pieces:
 * :class:`SimFaultDriver` — a re-arming timer that walks the plan's
   scheduled events in time order and applies each one: ``Crash`` /
   ``Recover`` call the sim server's crash/recover lifecycle (queue
-  drained to failure), windowed link entries toggle :class:`LinkFaults`,
-  and ``SlowNode`` entries are recorded for observability (their speed
+  drained to failure), ``Pause`` windows its pause/resume (queue
+  parked), windowed link entries toggle :class:`LinkFaults`, and
+  ``SlowNode`` entries are recorded for observability (their speed
   steps are folded into the server's ``ServiceModel`` at cluster build
-  time, where the step-function lookup applies them exactly).
+  time, where the step-function lookup applies them exactly).  An event
+  kind without a handler here raises, so a plan entry type cannot exist
+  without simulator semantics.
 
 The driver appends the canonical
 :func:`~repro.faults.plan.event_record` dict for every applied event to
@@ -216,6 +219,10 @@ class SimFaultDriver:
         elif kind == "recover":
             self.servers[entry.server_id].recover()
             self._active["crash"] = self._active.get("crash", 0) - 1
+        elif kind == "pause_start":
+            self.servers[entry.server_id].pause()
+        elif kind == "pause_end":
+            self.servers[entry.server_id].resume()
         elif kind == "partition_start":
             self.link.start_partition(entry)
         elif kind == "partition_end":
@@ -228,8 +235,10 @@ class SimFaultDriver:
             self.link.start_delay(entry)
         elif kind == "delay_spike_end":
             self.link.end_delay(entry)
-        # slow_node_start/_end: speed steps were merged into the server's
-        # ServiceModel at build time; here we only track/record them.
+        elif kind in ("slow_node_start", "slow_node_end"):
+            pass  # speed steps are in the server's ServiceModel since build
+        else:
+            raise ValueError(f"no simulator handler for fault event {kind!r}")
         if kind.endswith("_start"):
             base = kind[: -len("_start")]
             self._active[base] = self._active.get(base, 0) + 1

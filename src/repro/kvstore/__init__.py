@@ -35,7 +35,6 @@ _EXPORTS = {
     "ConsistentHashRing": "repro.kvstore.partitioning",
     "ReplicaPlacement": "repro.kvstore.replication",
     "Server": "repro.kvstore.server",
-    "DegradationEvent": "repro.kvstore.service",
     "ServiceModel": "repro.kvstore.service",
     "StorageEngine": "repro.kvstore.storage",
 }
@@ -51,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     from repro.kvstore.partitioning import ConsistentHashRing
     from repro.kvstore.replication import ReplicaPlacement
     from repro.kvstore.server import Server
-    from repro.kvstore.service import DegradationEvent, ServiceModel
+    from repro.kvstore.service import ServiceModel
     from repro.kvstore.storage import StorageEngine
 
 

@@ -97,7 +97,7 @@ class Client:
         self.failure_detector = failure_detector
         self.fault_state = fault_state
         # Hot-path gates: only adaptive selection policies pay for the
-        # per-op dispatch/response forwarding (primary reads skip it all).
+        # per-op dispatch/response hooks (primary reads skip it all).
         self._track_inflight = placement.wants_inflight
         self._track_selection_feedback = placement.wants_feedback
         # Dedicated probe round-trips (prequal at its true cost): fired
@@ -238,7 +238,7 @@ class Client:
             for op in ops:
                 op.dispatch_time = now
                 if self._track_inflight:
-                    self.placement.record_dispatch(op.server_id, now)
+                    self.placement.policy.on_dispatch(op.server_id, now)
                 messages.append(
                     (
                         ("server", op.server_id),
@@ -255,7 +255,7 @@ class Client:
         now = self.env._now
         op.dispatch_time = now
         if self._track_inflight:
-            self.placement.record_dispatch(op.server_id, now)
+            self.placement.policy.on_dispatch(op.server_id, now)
         server = self.servers[op.server_id]
         self.network.send(
             ("client", self.client_id),
@@ -352,7 +352,7 @@ class Client:
             sid = ids[self._probe_cursor % len(ids)]
             self._probe_cursor += 1
             self.probes_sent += 1
-            self.placement.record_control_message(
+            self.placement.policy.record_control_message(
                 "probe", payload_bytes=PROBE_WIRE_BYTES
             )
             self.network.send(
@@ -368,10 +368,10 @@ class Client:
         if self.estimates is not None:
             self.estimates.observe(feedback)
         if self._track_selection_feedback:
-            self.placement.record_control_message(
+            self.placement.policy.record_control_message(
                 "probe", payload_bytes=FEEDBACK_WIRE_BYTES
             )
-            self.placement.observe_feedback(feedback, self.env._now)
+            self.placement.policy.observe_feedback(feedback, self.env._now)
 
     # ------------------------------------------------------------------
     # Hedging
@@ -466,7 +466,7 @@ class Client:
         if self.estimates is not None:
             self.estimates.observe(feedback)
         if self._track_selection_feedback:
-            self.placement.observe_feedback(feedback, now)
+            self.placement.policy.observe_feedback(feedback, now)
 
     # ------------------------------------------------------------------
     # Response handling
@@ -477,7 +477,7 @@ class Client:
         op = response.operation
         op.response_time = now
         if self._track_inflight:
-            self.placement.record_response(op.server_id, now, now - op.dispatch_time)
+            self.placement.policy.on_response(op.server_id, now, now - op.dispatch_time)
         if self._latency is not None:
             self._latency.record(now - op.dispatch_time)
         if self._breakers:
@@ -491,10 +491,10 @@ class Client:
             if self._track_selection_feedback:
                 # Piggybacked snapshots ride an existing data reply: zero
                 # extra messages, but the payload bytes are real.
-                self.placement.record_control_message(
+                self.placement.policy.record_control_message(
                     "feedback", messages=0, payload_bytes=FEEDBACK_WIRE_BYTES
                 )
-                self.placement.observe_feedback(feedback, now)
+                self.placement.policy.observe_feedback(feedback, now)
         self.metrics.record_op_completion(response.ok)
 
         request = op.request
@@ -567,10 +567,10 @@ class Client:
         if self.estimates is not None:
             self.estimates.observe(feedback)
         if self._track_selection_feedback:
-            self.placement.record_control_message(
+            self.placement.policy.record_control_message(
                 "report", payload_bytes=FEEDBACK_WIRE_BYTES
             )
-            self.placement.observe_feedback(feedback, self.env._now)
+            self.placement.policy.observe_feedback(feedback, self.env._now)
 
     # ------------------------------------------------------------------
     @property

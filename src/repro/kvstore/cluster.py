@@ -15,7 +15,7 @@ from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.partitioning import ConsistentHashRing
 from repro.kvstore.replication import ReplicaPlacement
 from repro.kvstore.server import Server, start_periodic_broadcaster
-from repro.kvstore.service import DegradationEvent, ServiceModel
+from repro.kvstore.service import ServiceModel
 from repro.kvstore.storage import StorageEngine
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import SummaryStats
@@ -189,19 +189,12 @@ class Cluster:
         noise_rng = (
             self.streams.stream(f"service/{sid}") if cfg.service.noise_cv > 0 else None
         )
-        degradations = cfg.degradations.get(sid, ())
-        slow_steps = cfg.fault_plan.slow_windows(sid) if cfg.fault_plan else ()
-        if slow_steps:
-            # SlowNode faults become exact service-speed steps (config
-            # validation forbids mixing them with explicit degradations).
-            degradations = tuple(
-                DegradationEvent(time=t, factor=f) for t, f in slow_steps
-            )
         service = ServiceModel(
             per_op_overhead=cfg.service.per_op_overhead,
             byte_rate=cfg.service.byte_rate,
             base_speed=base_speed,
-            degradations=degradations,
+            # SlowNode windows are exact service-speed steps.
+            speed_steps=cfg.fault_plan.slow_windows(sid),
             noise_cv=cfg.service.noise_cv,
             rng=noise_rng,
         )
@@ -217,7 +210,6 @@ class Cluster:
             storage=StorageEngine(server_id=sid),
             network=self.network,
             piggyback_feedback=cfg.feedback.piggyback,
-            outages=cfg.outages.get(sid, ()),
         )
 
     def _preload_storage(self) -> None:
@@ -422,7 +414,7 @@ class Cluster:
     def selection_stats(self) -> Dict[int, Dict[str, Any]]:
         """Per-client replica-selection summary (policy, picks, probes)."""
         return {
-            client.client_id: client.placement.selection_stats()
+            client.client_id: client.placement.policy.stats()
             for client in self.clients
         }
 

@@ -7,9 +7,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.core.feedback import FeedbackConfig
 from repro.errors import ConfigError
-from repro.faults.plan import FaultPlan, SlowNode
+from repro.faults.plan import FaultPlan
 from repro.faults.resilience import FailureDetectorConfig, HedgePolicy
-from repro.kvstore.service import DegradationEvent
 from repro.workload.arrivals import ArrivalSpec, PoissonArrivals
 from repro.workload.fanout import FanoutSpec, GeometricFanout
 from repro.workload.popularity import PopularitySpec, ZipfPopularity
@@ -63,8 +62,6 @@ class ClusterConfig:
     service: ServiceConfig = field(default_factory=ServiceConfig)
     #: Static heterogeneity: per-server nominal speed; None = all 1.0.
     server_speeds: Optional[Tuple[float, ...]] = None
-    #: Scheduled speed changes, keyed by server id.
-    degradations: Dict[int, Tuple[DegradationEvent, ...]] = field(default_factory=dict)
 
     network_base_delay: float = 50e-6
     network_jitter_mean: float = 0.0
@@ -111,16 +108,14 @@ class ClusterConfig:
     closed_loop: bool = False
     closed_concurrency: int = 4
 
-    #: Fault injection: per-server (start, end) outage windows during which
-    #: the server serves nothing.
-    outages: Dict[int, Tuple[Tuple[float, float], ...]] = field(default_factory=dict)
     #: Client-side operation timeout; a timed-out operation is retried on
     #: the next replica (requires replication_factor > 1 to change server).
     op_timeout: Optional[float] = None
     #: Retries per operation after the original send (0 = no retries).
     max_retries: int = 0
-    #: Declarative fault plan (crashes, partitions, loss, delay spikes,
-    #: slow nodes) the cluster wires into servers and the network model.
+    #: Declarative fault plan — the one way to script faults: crashes,
+    #: pauses, partitions, loss, delay spikes and slow nodes, which the
+    #: cluster wires into servers and the network model.
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     #: Tail hedging: duplicate slow GETs onto a second replica.
     hedge: Optional[HedgePolicy] = None
@@ -146,17 +141,6 @@ class ClusterConfig:
             )
         if self.server_speeds is not None and any(s <= 0 for s in self.server_speeds):
             raise ConfigError("all server speeds must be positive")
-        for sid in self.degradations:
-            if not 0 <= sid < self.n_servers:
-                raise ConfigError(f"degradation for unknown server {sid}")
-        for sid, windows in self.outages.items():
-            if not 0 <= sid < self.n_servers:
-                raise ConfigError(f"outage for unknown server {sid}")
-            for start, end in windows:
-                if start < 0 or end <= start:
-                    raise ConfigError(
-                        f"invalid outage window ({start}, {end}) on server {sid}"
-                    )
         if self.op_timeout is not None and self.op_timeout <= 0:
             raise ConfigError("op_timeout must be positive")
         if self.max_retries < 0:
@@ -167,15 +151,6 @@ class ClusterConfig:
             raise ConfigError("replication_factor exceeds n_servers")
         if self.fault_plan:
             self.fault_plan.validate_for(self.n_servers, self.n_clients)
-            for entry in self.fault_plan.entries:
-                if (
-                    isinstance(entry, SlowNode)
-                    and entry.server_id in self.degradations
-                ):
-                    raise ConfigError(
-                        f"server {entry.server_id} has both a SlowNode fault "
-                        "and explicit degradations; use one or the other"
-                    )
         if self.failure_detector is not None and self.op_timeout is None:
             raise ConfigError("failure_detector requires op_timeout")
         if self.closed_concurrency < 1:

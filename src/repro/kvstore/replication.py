@@ -7,20 +7,19 @@ decides which — the *selection* lever a front-end has besides scheduling
 (the paper's evaluation uses primary-only reads; the policy zoo in
 :mod:`repro.selection` powers the X1/X3 extension experiments).
 
-:class:`ReplicaPlacement` binds a policy to a ring: it resolves each
-key's replica set, delegates the pick, and forwards the client's
-dispatch/response/feedback events to the policy; the caller says what
-time it is (``env.now``), as it does to the policy hooks themselves.
+:class:`ReplicaPlacement` is a ring plus a policy: it resolves each
+key's replica set and delegates the pick.  The client feeds its
+dispatch/response/feedback events to ``placement.policy`` directly,
+saying what time it is (``env.now``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.kvstore.items import Feedback
 from repro.kvstore.partitioning import ConsistentHashRing
 from repro.selection import (
     SELECTION_POLICY_NAMES,
@@ -45,13 +44,10 @@ class ReplicaPlacement:
     rng:
         Random generator for policies that sample (``random``,
         ``power_of_d``).
-    work_estimate:
-        Legacy callable ``server_id -> estimated queued work`` used by
-        ``"least_estimated_work"``.
     estimates:
         The client's :class:`~repro.core.estimator.ServerEstimates`,
-        required by the estimate-scored policies (``least_estimated_work``
-        without a callback, ``c3``, ``tars``).
+        required by the estimate-scored policies
+        (``least_estimated_work``, ``c3``, ``tars``).
     selection_params:
         Extra keyword knobs forwarded to the policy constructor.
     policy:
@@ -66,7 +62,6 @@ class ReplicaPlacement:
         replication_factor: int = 1,
         selection: str = "primary",
         rng: Optional[np.random.Generator] = None,
-        work_estimate: Optional[Callable[[int], float]] = None,
         estimates=None,
         selection_params: Optional[dict] = None,
         policy: Optional[SelectionPolicy] = None,
@@ -83,7 +78,6 @@ class ReplicaPlacement:
                 selection,
                 rng=rng,
                 estimates=estimates,
-                work_estimate=work_estimate,
                 **(selection_params or {}),
             )
         self.ring = ring
@@ -92,7 +86,7 @@ class ReplicaPlacement:
         self.selection = policy.name
         # With one replica every policy degenerates to "first (only) entry".
         self._primary_reads = policy.name == "primary" or replication_factor == 1
-        #: Hot-path gates: callers skip the forwarding hooks entirely when
+        #: Hot-path gates: callers skip the policy's hooks entirely when
         #: the policy has no use for the signal (or never gets to choose).
         self.wants_inflight = policy.wants_inflight and not self._primary_reads
         self.wants_feedback = policy.wants_feedback and not self._primary_reads
@@ -115,31 +109,6 @@ class ReplicaPlacement:
     def write_set(self, key: str) -> List[int]:
         """Servers a PUT must reach (all replicas)."""
         return self.replicas(key)
-
-    # ------------------------------------------------------------------
-    # Signal forwarding (gate on wants_inflight / wants_feedback)
-    # ------------------------------------------------------------------
-    def record_dispatch(self, server_id: int, now: float) -> None:
-        """An operation was sent to ``server_id`` at ``now`` (in-flight +1)."""
-        self.policy.on_dispatch(server_id, now)
-
-    def record_response(self, server_id: int, now: float, latency: float) -> None:
-        """A response arrived from ``server_id`` after ``latency`` seconds."""
-        self.policy.on_response(server_id, now, latency)
-
-    def observe_feedback(self, feedback: Feedback, now: float) -> None:
-        """Forward a feedback snapshot to the policy (probe funnel)."""
-        self.policy.observe_feedback(feedback, now)
-
-    def record_control_message(
-        self, kind: str, messages: int = 1, payload_bytes: int = 0
-    ) -> None:
-        """Attribute control-plane traffic to the selection policy."""
-        self.policy.record_control_message(kind, messages, payload_bytes)
-
-    def selection_stats(self) -> dict:
-        """The policy's decision/pick summary."""
-        return self.policy.stats()
 
     def __repr__(self) -> str:
         return (

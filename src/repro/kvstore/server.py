@@ -9,14 +9,13 @@ with optional piggybacked feedback.
 
 The loop is a re-arming kernel entry, not a coroutine:
 :meth:`Server._start_next` runs whenever the server might be able to
-start work (a delivery, a completion, the end of an outage, a recovery)
-and schedules at most one call — the completion of what it started, or
-the end of the outage — which calls it again.
+start work (a delivery, a completion, a resume, a recovery) and
+schedules at most one call — the completion of what it started — which
+calls it again.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.estimator import check_alpha
@@ -45,7 +44,6 @@ class Server:
         network: NetworkModel,
         piggyback_feedback: bool = True,
         rate_alpha: float = 0.2,
-        outages: tuple = (),
     ):
         self.env = env
         self.server_id = server_id
@@ -54,29 +52,11 @@ class Server:
         self.storage = storage
         self.network = network
         self.piggyback_feedback = piggyback_feedback
-        #: Fault-injection windows: during an ``(start, end)`` outage the
-        #: server serves nothing; queued operations wait it out.  An
-        #: in-flight operation started before the outage still completes
-        #: (non-preemptive service).  Windows are validated, sorted, and
-        #: overlapping/contiguous ones merged so the lookup can bisect.
-        windows = sorted(tuple(w) for w in outages)
-        for start, end in windows:
-            if end <= start or start < 0:
-                raise ValueError(f"invalid outage window ({start}, {end})")
-        merged: list[tuple[float, float]] = []
-        for start, end in windows:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        self.outages = tuple(merged)
-        self._outage_starts = [w[0] for w in merged]
         #: client_id -> Client, wired by the cluster after construction.
         self.clients: dict[int, "Client"] = {}
 
-        #: True while a call of the service loop is pending — the
-        #: completion of the operation in service or the end of an outage
-        #: — so at most one is ever armed.
+        #: True while the completion of the operation in service is
+        #: pending, so at most one is ever armed.
         self._timer_armed = False
         self._current_finish: Optional[float] = None
         self._rate_alpha = check_alpha(rate_alpha, "rate_alpha")
@@ -92,10 +72,12 @@ class Server:
             lane: 0.0 for lane in (self.lanes or ())
         }
 
-        #: Hard-crash lifecycle (driven by a fault plan): unlike an
-        #: outage, a crash *loses* queued operations and refuses new ones
-        #: until :meth:`recover`.
+        #: Fault-plan lifecycle: a crash *loses* queued operations and
+        #: refuses new ones until :meth:`recover`; a pause only parks
+        #: them until :meth:`resume` (the op in service completes,
+        #: nothing is dropped).
         self.crashed = False
+        self.paused = False
         self.crashes = 0
 
         self.ops_served = 0
@@ -103,10 +85,6 @@ class Server:
         self.ops_dropped = 0
         self.probes_answered = 0
         self.busy_time = 0.0
-        # The loop's first look at the clock (an outage may cover t=0) is
-        # an event of its own, so it runs in construction order with the
-        # other components' start-up events.
-        env._schedule(self._start_next, None)
 
     # ------------------------------------------------------------------
     # Ingress
@@ -145,13 +123,13 @@ class Server:
         )
 
     # ------------------------------------------------------------------
-    # Crash / recover lifecycle
+    # Fault-plan lifecycle: crash / recover, pause / resume
     # ------------------------------------------------------------------
     def crash(self) -> None:
         """Hard-kill the server: queued operations are dropped.
 
-        This is the fault-plan ``Crash`` semantic — stronger than an
-        outage window, which merely parks the queue.  An operation in
+        This is the fault-plan ``Crash`` semantic — stronger than a
+        ``Pause``, which merely parks the queue.  An operation in
         service when the crash lands also dies (detected by the service
         loop via the ``crashes`` epoch).
         """
@@ -171,40 +149,34 @@ class Server:
         self.crashed = False
         self._start_next()
 
+    def pause(self) -> None:
+        """Start nothing until :meth:`resume` (the fault-plan ``Pause``).
+
+        Queued and arriving operations wait; the one in service completes.
+        """
+        self.paused = True
+
+    def resume(self) -> None:
+        """End a pause and serve what queued up meanwhile."""
+        self.paused = False
+        self._start_next()
+
     # ------------------------------------------------------------------
     # Service loop
     # ------------------------------------------------------------------
-    def _outage_end(self, now: float) -> Optional[float]:
-        """End of the outage covering ``now``, or None when up.
+    def _start_next(self) -> None:
+        """Start serving the scheduler's pick.
 
-        Windows are merged and sorted at construction, so the covering
-        window (if any) is the one with the greatest start <= now.
+        Safe to call at any time: does nothing while an operation is in
+        service, while crashed or paused, or with an empty queue.
         """
-        i = bisect_right(self._outage_starts, now) - 1
-        if i >= 0 and now < self.outages[i][1]:
-            return self.outages[i][1]
-        return None
-
-    def _start_next(self, _=None) -> None:
-        """Start serving the scheduler's pick, or wait out an outage.
-
-        Safe to call at any time: does nothing while a call is pending
-        (busy, or already waiting for an outage to end), while crashed,
-        or when up with an empty queue.
-        """
-        if self._timer_armed or self.crashed:
+        if self._timer_armed or self.crashed or self.paused:
             return
-        env = self.env
-        now = env._now
-        if self.outages:
-            outage_end = self._outage_end(now)
-            if outage_end is not None:
-                self._timer_armed = True
-                env._schedule(self._outage_over, None, outage_end - now, NORMAL)
-                return
         queue = self.queue
         if len(queue) == 0:
             return
+        env = self.env
+        now = env._now
         op = queue.pop(now)
         op.start_time = now
         ok, size = self._execute(op, now)
@@ -217,10 +189,6 @@ class Server:
             service_time,
             NORMAL,
         )
-
-    def _outage_over(self, _) -> None:
-        self._timer_armed = False
-        self._start_next()
 
     def _service_done(self, served: tuple) -> None:
         op, epoch, ok, size, service_time = served

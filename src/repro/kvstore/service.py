@@ -5,40 +5,22 @@ Operation service time on server ``s`` at time ``t``:
     service = (per_op_overhead + value_bytes / byte_rate) / speed_factor_s(t)
 
 The parenthesised term is the *demand*: the time on a nominal-speed
-reference server.  ``speed_factor_s(t)`` is a step function driven by
-:class:`DegradationEvent` schedules — this is the "time-varying server
-performance" axis the paper's adaptivity targets.  Optional service-time
-noise models OS jitter.
+reference server.  ``speed_factor_s(t)`` is a step function of
+``(time, factor)`` speed steps — the fault plan's ``SlowNode`` windows,
+as :meth:`~repro.faults.plan.FaultPlan.slow_windows` returns them — and
+this is the "time-varying server performance" axis the paper's
+adaptivity targets.  Optional service-time noise models OS jitter.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.sim.rand import as_batched
-
-
-@dataclass(frozen=True)
-class DegradationEvent:
-    """At ``time``, the server's speed factor becomes ``factor``.
-
-    ``factor`` is relative to nominal: 1.0 = full speed, 0.4 = degraded to
-    40%.  A recovery is simply another event with factor 1.0.
-    """
-
-    time: float
-    factor: float
-
-    def __post_init__(self):
-        if self.factor <= 0:
-            raise ConfigError(f"speed factor must be positive, got {self.factor}")
-        if self.time < 0:
-            raise ConfigError(f"degradation time must be >= 0, got {self.time}")
 
 
 class ServiceModel:
@@ -53,8 +35,9 @@ class ServiceModel:
     base_speed:
         Static heterogeneity: this server's nominal speed relative to the
         reference server (1.0 = reference).
-    degradations:
-        Time-ordered speed-factor changes (need not be pre-sorted).
+    speed_steps:
+        ``(time, factor)`` pairs: from ``time`` on, the speed is
+        ``base_speed * factor`` (need not be pre-sorted).
     noise_cv:
         Coefficient of variation of multiplicative lognormal service noise;
         0 disables noise.
@@ -67,7 +50,7 @@ class ServiceModel:
         per_op_overhead: float = 20e-6,
         byte_rate: float = 200e6,
         base_speed: float = 1.0,
-        degradations: Optional[Sequence[DegradationEvent]] = None,
+        speed_steps: Sequence[Tuple[float, float]] = (),
         noise_cv: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ):
@@ -81,14 +64,19 @@ class ServiceModel:
             raise ConfigError("noise_cv must be >= 0")
         if noise_cv > 0 and rng is None:
             raise ConfigError("noise_cv > 0 requires an rng")
+        steps = sorted(speed_steps, key=lambda step: step[0])
+        for time, factor in steps:
+            if time < 0:
+                raise ConfigError(f"speed step time must be >= 0, got {time}")
+            if factor <= 0:
+                raise ConfigError(f"speed factor must be positive, got {factor}")
         self.per_op_overhead = per_op_overhead
         self.byte_rate = byte_rate
         self.base_speed = base_speed
         self.noise_cv = noise_cv
         self._rng = as_batched(rng) if rng is not None else None
-        events = sorted(degradations or [], key=lambda e: e.time)
-        self._deg_times = [e.time for e in events]
-        self._deg_factors = [e.factor for e in events]
+        self._step_times = [time for time, _ in steps]
+        self._step_factors = [factor for _, factor in steps]
         if noise_cv > 0:
             # Lognormal with mean 1 and the requested CV.
             self._sigma2 = float(np.log(1.0 + noise_cv**2))
@@ -103,14 +91,14 @@ class ServiceModel:
         return self.per_op_overhead + value_size / self.byte_rate
 
     def speed_factor(self, now: float) -> float:
-        """Current speed multiplier (base heterogeneity × degradation)."""
+        """Current speed multiplier (base heterogeneity × speed step)."""
         factor = self.base_speed
-        if not self._deg_times:
+        if not self._step_times:
             return factor
-        # Find the last degradation event at or before `now`.
-        idx = bisect.bisect_right(self._deg_times, now) - 1
+        # Find the last speed step at or before `now`.
+        idx = bisect.bisect_right(self._step_times, now) - 1
         if idx >= 0:
-            factor *= self._deg_factors[idx]
+            factor *= self._step_factors[idx]
         return factor
 
     def sample_service_time(self, value_size: int, now: float) -> float:
@@ -126,16 +114,9 @@ class ServiceModel:
             return self.base_speed
         return demand / actual
 
-    def next_change_after(self, now: float) -> float:
-        """Time of the next scheduled speed change, or inf."""
-        idx = bisect.bisect_right(self._deg_times, now)
-        if idx < len(self._deg_times):
-            return self._deg_times[idx]
-        return float("inf")
-
     def __repr__(self) -> str:
         return (
             f"ServiceModel(overhead={self.per_op_overhead}, "
             f"byte_rate={self.byte_rate:.3g}, base_speed={self.base_speed}, "
-            f"degradations={len(self._deg_times)})"
+            f"speed_steps={len(self._step_times)})"
         )

@@ -13,8 +13,9 @@ point being that simulation results carry over to a runnable system.
   retries/backoff, hedging, and per-server circuit breakers;
 * :mod:`repro.runtime.faults` — scripted fault injection (outages,
   dropped/delayed replies, refused connections) for chaos testing;
-* :mod:`repro.runtime.resilience` — retry/hedge/breaker policies and
-  the partial-multiget report;
+* :mod:`repro.runtime.resilience` — the retry policy, its errors and
+  the partial-multiget report (hedging and breakers are the shared
+  :mod:`repro.faults.resilience` objects);
 * :mod:`repro.runtime.cluster` — in-process cluster harness for demos
   and integration tests, with chaos controls (inject/crash/restart).
 """
@@ -33,9 +34,7 @@ from repro.runtime.faults import (
 from repro.runtime.loadgen import LoadGenerator, LoadgenResult
 from repro.runtime.protocol import Message
 from repro.runtime.resilience import (
-    CircuitBreaker,
     CircuitOpenError,
-    HedgePolicy,
     MultigetReport,
     OperationTimeoutError,
     RetryPolicy,
@@ -45,7 +44,6 @@ from repro.runtime.scheduling import ExecutorStoppedError, QueuedOp, ScheduledEx
 from repro.runtime.server import KVServer
 
 __all__ = [
-    "CircuitBreaker",
     "CircuitOpenError",
     "DelayReplies",
     "Disconnect",
@@ -53,7 +51,6 @@ __all__ = [
     "ExecutorStoppedError",
     "FaultInjector",
     "FaultPolicy",
-    "HedgePolicy",
     "KVServer",
     "LoadGenerator",
     "LoadgenResult",

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.estimator import ServerEstimates
 from repro.errors import ProtocolError
+from repro.faults.resilience import CircuitBreaker, HedgePolicy, LatencyTracker
 from repro.kvstore.items import Feedback
 from repro.kvstore.partitioning import ConsistentHashRing
 from repro.obs import (
@@ -39,10 +40,7 @@ from repro.obs import (
 )
 from repro.runtime.protocol import FrameProtocol, Message, write_message
 from repro.runtime.resilience import (
-    CircuitBreaker,
     CircuitOpenError,
-    HedgePolicy,
-    LatencyTracker,
     MultigetReport,
     OperationTimeoutError,
     RetryPolicy,

@@ -18,10 +18,11 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional
 
+from repro.faults.resilience import HedgePolicy
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime.client import RuntimeClient
 from repro.runtime.faults import FaultPolicy
-from repro.runtime.resilience import HedgePolicy, RetryPolicy
+from repro.runtime.resilience import RetryPolicy
 from repro.runtime.server import KVServer
 from repro.selection import selection_policy_needs
 

@@ -1,14 +1,15 @@
 """Fault injection for the asyncio runtime.
 
-The simulator models outages with ``ClusterConfig.outages`` — windows in
-which a server's service loop stalls.  This module gives the runtime the
-same capability on real sockets: a :class:`FaultInjector` attached to a
+A :class:`FaultInjector` attached to a
 :class:`~repro.runtime.server.KVServer` is consulted at connection-accept
 time and once per incoming message, and decides whether the server should
-behave (``pass``), stay silent (``drop`` — the runtime analogue of a
-stalled service loop), answer late (``delay``), or sever the connection
+behave (``pass``), stay silent (``drop`` — the message is swallowed and
+never served), answer late (``delay``), or sever the connection
 (``disconnect``).  Policies are deterministic given their seed, so chaos
-tests can script failures reproducibly.
+tests can script failures reproducibly.  A fault plan's windowed entries
+reach the runtime as these policies (:mod:`repro.faults.runtime`); the
+simulator's ``Pause``, which parks work instead of dropping it, has no
+exact twin here — :class:`Outage` is the nearest.
 
 Typical use through the cluster harness::
 
@@ -62,8 +63,8 @@ class FaultPolicy:
     """Base class: one scripted misbehaviour.
 
     ``arm`` is called when the policy is installed; window-based policies
-    interpret their times relative to that instant, mirroring how the
-    simulator's outage windows are relative to simulation start.
+    interpret their times relative to that instant, as a fault plan's
+    windows are relative to run start.
     """
 
     def arm(self, now: float) -> None:
@@ -83,13 +84,15 @@ class FaultPolicy:
 
 
 class Outage(FaultPolicy):
-    """Crash/recover window: ``(start, end)`` seconds after installation.
+    """Unreachable window: ``(start, end)`` seconds after installation.
 
     During the window the server refuses new connections and silently
-    swallows every message on existing ones — from the client's point of
-    view the server hangs, exactly like a simulated outage
-    (``ClusterConfig.outages``).  Messages consumed during the window are
-    *not* replayed on recovery; the client's retry layer owns redelivery.
+    swallows every message on existing ones; from the client's point of
+    view the server hangs.  This is *not* the simulator's ``Pause``: a
+    paused simulated server parks what arrives and serves it when the
+    window ends, while the messages an ``Outage`` swallows are never
+    served or replayed (the client's retry layer owns redelivery), and
+    operations queued before the window keep being served and answered.
     """
 
     def __init__(self, start: float, end: float):

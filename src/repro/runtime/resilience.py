@@ -7,10 +7,12 @@ literature (Prequal, Tars):
 * :class:`RetryPolicy` — per-attempt timeout, bounded attempts with
   exponential backoff + jitter, and an optional total deadline budget for
   the whole operation.
-* :class:`HedgePolicy` — after the observed latency percentile (or a
-  fixed threshold), issue a duplicate sub-request on a secondary
-  connection; first reply wins, the loser is cancelled.
-* :class:`CircuitBreaker` — consecutive failures open the breaker; while
+* :class:`~repro.faults.resilience.HedgePolicy` — after the observed
+  latency percentile (or a fixed threshold), issue a duplicate
+  sub-request on a secondary connection; first reply wins, the loser is
+  cancelled.
+* :class:`~repro.faults.resilience.CircuitBreaker` — consecutive
+  failures open the breaker; while
   open, calls fail fast instead of burning their retry budget, and the
   client marks the server unhealthy in its :class:`ServerEstimates` so
   DAS tags route traffic around it.  After ``reset_timeout`` one probe is
@@ -19,10 +21,10 @@ literature (Prequal, Tars):
 All randomness (jitter) flows through a generator seeded by the client,
 so failure-handling behaviour is reproducible in tests.
 
-The clock-free pieces (:class:`HedgePolicy`, :class:`LatencyTracker`,
-:class:`CircuitBreaker`) live in :mod:`repro.faults.resilience` — the
-simulated client consumes the same objects with virtual time — and are
-re-exported here for backwards compatibility.
+Only :class:`RetryPolicy`, the error types and :class:`MultigetReport`
+live here.  The clock-free pieces (``HedgePolicy``, ``LatencyTracker``,
+``CircuitBreaker``) live in :mod:`repro.faults.resilience`, where the
+simulated client consumes the same objects with virtual time.
 """
 
 from __future__ import annotations
@@ -33,11 +35,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ReproError
-from repro.faults.resilience import (  # noqa: F401  (re-exported)
-    CircuitBreaker,
-    HedgePolicy,
-    LatencyTracker,
-)
 
 
 class ServerUnavailableError(ReproError):

@@ -71,16 +71,14 @@ def create_selection_policy(
     name: str,
     rng=None,
     estimates=None,
-    work_estimate=None,
     **params: Any,
 ) -> SelectionPolicy:
     """Build the policy registered under ``name``.
 
     ``rng`` / ``estimates`` are provisioned by the caller when
-    :func:`selection_policy_needs` says so; ``work_estimate`` is the
-    legacy single-argument callback accepted by ``least_estimated_work``
-    for backward compatibility.  Remaining ``params`` are forwarded to
-    the policy constructor (each policy documents its knobs).
+    :func:`selection_policy_needs` says so.  Remaining ``params`` are
+    forwarded to the policy constructor (each policy documents its
+    knobs).
     """
     needs = selection_policy_needs(name)
     if needs.rng and rng is None:
@@ -92,13 +90,7 @@ def create_selection_policy(
     if name == "round_robin":
         return RoundRobinPolicy(**params)
     if name == "least_estimated_work":
-        work_fn = None
-        if work_estimate is not None:
-            # Legacy callback took only the server id.
-            def work_fn(sid: int, now: float, _f=work_estimate) -> float:
-                return _f(sid)
-
-        return LeastWorkPolicy(work_fn=work_fn, estimates=estimates, **params)
+        return LeastWorkPolicy(estimates, **params)
     if name == "power_of_d":
         return PowerOfDPolicy(rng, estimates=estimates, **params)
     if name == "c3":

@@ -57,25 +57,21 @@ class RoundRobinPolicy(SelectionPolicy):
 class LeastWorkPolicy(SelectionPolicy):
     """Least estimated queued work (the original feedback-driven policy).
 
-    ``work_fn(server_id, now)`` returns the client's current queued-work
-    estimate in seconds; ties break toward the lower server id.  Rate and
-    staleness are deliberately ignored — :class:`~repro.selection.scored
-    .TarsPolicy` is the refinement that accounts for both.
+    Scores each replica by the client's queued-work estimate in seconds,
+    ``estimates.queued_work(server_id, now)``; ties break toward the
+    lower server id.  Rate and staleness are deliberately ignored —
+    :class:`~repro.selection.scored.TarsPolicy` is the refinement that
+    accounts for both.
     """
 
     name = "least_estimated_work"
     wants_feedback = True
 
-    def __init__(self, work_fn=None, estimates=None):
+    def __init__(self, estimates):
         super().__init__()
-        if work_fn is None:
-            if estimates is None:
-                raise ConfigError(
-                    "selection='least_estimated_work' requires a work_estimate "
-                    "callback or estimates"
-                )
-            work_fn = estimates.queued_work
-        self._work_fn = work_fn
+        if estimates is None:
+            raise ConfigError("selection='least_estimated_work' requires estimates")
+        self._work_fn = estimates.queued_work
 
     def _choose(self, key: str, candidates: Sequence[int], now: float) -> int:
         return min(candidates, key=lambda sid: (self._work_fn(sid, now), sid))

@@ -44,7 +44,7 @@ class TestScenarioFactories:
 
     def test_e5_points_differ_in_degradations(self):
         scenario = get_scenario("E5", scale=0.1)
-        degraded_counts = [len(p.config.degradations) for p in scenario.points]
+        degraded_counts = [len(p.config.fault_plan.entries) for p in scenario.points]
         assert degraded_counts == [0, 1, 2, 4]
 
     def test_e7_has_das_fcfs_sbf(self):

@@ -5,7 +5,9 @@ applied to the simulated :class:`Cluster` (via ``ClusterConfig``) and to
 the asyncio :class:`LocalCluster` (via ``apply_fault_plan``) must produce
 the *same* fault timeline in their stats snapshots — same events, same
 order, same (planned) times — and both must expose it through their
-reporting surfaces.
+reporting surfaces.  Every entry kind also runs through both adapters on
+its own; each adapter raises on an event it has no handler for, so a
+kind only one half implements fails here.
 """
 
 import asyncio
@@ -18,9 +20,11 @@ from repro.faults import (
     FaultPlan,
     PacketLoss,
     Partition,
+    Pause,
     Recover,
     SlowNode,
 )
+from repro.faults.plan import _ENTRY_TYPES
 from repro.faults.runtime import RuntimeFaultDriver
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.config import SimulationConfig
@@ -28,15 +32,25 @@ from repro.runtime import DelayReplies, DropReplies, LocalCluster, Outage
 
 from tests.conftest import small_config
 
-#: One entry of every kind, interleaved, on a 4-server cluster.
-PLAN = FaultPlan(
-    (
-        Crash(0, at=0.05),
-        Recover(0, at=0.20),
-        Partition(at=0.08, until=0.16, servers=(1,)),
+#: Per entry kind, the entries of :data:`PLAN` that exercise it (a
+#: ``Recover`` needs its ``Crash``).
+KIND_ENTRIES = {
+    "crash": (Crash(0, at=0.05), Recover(0, at=0.20)),
+    "recover": (Crash(0, at=0.05), Recover(0, at=0.20)),
+    "pause": (Pause(3, at=0.03, until=0.09),),
+    "partition": (Partition(at=0.08, until=0.16, servers=(1,)),),
+    "packet_loss": (
         PacketLoss(at=0.10, until=0.18, probability=0.5, servers=(2,), seed=5),
-        DelaySpike(at=0.12, until=0.22, extra=0.002, servers=(3,)),
-        SlowNode(2, at=0.02, until=0.24, factor=0.5),
+    ),
+    "delay_spike": (DelaySpike(at=0.12, until=0.22, extra=0.002, servers=(3,)),),
+    "slow_node": (SlowNode(2, at=0.02, until=0.24, factor=0.5),),
+}
+
+#: One entry of every kind, interleaved, on a 4-server cluster (the
+#: shared Crash/Recover pair once).
+PLAN = FaultPlan(
+    tuple(
+        dict.fromkeys(entry for entries in KIND_ENTRIES.values() for entry in entries)
     )
 )
 
@@ -65,6 +79,13 @@ class TestTimelineParity:
         assert sim == runtime
         assert sim == PLAN.timeline()
 
+    @pytest.mark.parametrize("kind", sorted(_ENTRY_TYPES))
+    def test_each_kind_same_timeline(self, kind):
+        plan = FaultPlan(KIND_ENTRIES[kind])
+        sim = sim_timeline(plan)
+        assert sim == runtime_timeline(plan)
+        assert sim == plan.timeline()
+
     def test_timelines_carry_planned_times(self):
         # Both adapters record the plan's own times, immune to wall-clock
         # jitter; scaling the replay speed must not change the record.
@@ -78,6 +99,7 @@ class TestRuntimeTranslation:
     def test_policies_installed_and_removed(self):
         plan = FaultPlan(
             (
+                Pause(0, at=0.0, until=0.05),
                 Partition(at=0.0, until=0.05, servers=(1,)),
                 PacketLoss(at=0.0, until=0.05, probability=0.5, servers=(2,)),
                 DelaySpike(at=0.0, until=0.05, extra=0.001, servers=(3,)),
@@ -91,16 +113,17 @@ class TestRuntimeTranslation:
                 await asyncio.sleep(0.02)
                 mid = {
                     sid: [type(p) for p in cluster.servers[sid].faults.policies]
-                    for sid in (1, 2, 3)
+                    for sid in (0, 1, 2, 3)
                 }
                 await task
                 end = {
                     sid: list(cluster.servers[sid].faults.policies)
-                    for sid in (1, 2, 3)
+                    for sid in (0, 1, 2, 3)
                 }
                 return mid, end
 
         mid, end = asyncio.run(scenario())
+        assert mid[0] == [Outage]
         assert Outage in mid[1]
         assert DropReplies in mid[2]
         assert DelayReplies in mid[3]

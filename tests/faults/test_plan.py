@@ -9,9 +9,40 @@ from repro.faults import (
     FaultPlan,
     PacketLoss,
     Partition,
+    Pause,
     Recover,
     SlowNode,
 )
+
+
+class TestPauseValidation:
+    def test_invalid_window_rejected(self):
+        with pytest.raises(ConfigError):
+            Pause(0, at=1.0, until=1.0)
+        with pytest.raises(ConfigError):
+            Pause(0, at=-1.0, until=1.0)
+
+    def test_validate_for_unknown_server(self):
+        plan = FaultPlan((Pause(7, at=0.1, until=0.2),))
+        with pytest.raises(ConfigError, match="unknown server 7"):
+            plan.validate_for(n_servers=4, n_clients=2)
+
+    def test_overlapping_windows_rejected(self):
+        with pytest.raises(ConfigError, match="server 1"):
+            FaultPlan((Pause(1, at=1.5, until=3.0), Pause(1, at=0.0, until=2.0)))
+
+    def test_touching_windows_rejected(self):
+        # Either entry order: the seam is caught however the tie sorts.
+        with pytest.raises(ConfigError, match="server 0"):
+            FaultPlan((Pause(0, at=0.0, until=1.0), Pause(0, at=1.0, until=2.0)))
+        with pytest.raises(ConfigError, match="server 0"):
+            FaultPlan((Pause(0, at=1.0, until=2.0), Pause(0, at=0.0, until=1.0)))
+
+    def test_disjoint_windows_on_one_server_accepted(self):
+        FaultPlan((Pause(0, at=2.0, until=3.0), Pause(0, at=0.0, until=1.0)))
+
+    def test_windows_on_different_servers_may_overlap(self):
+        FaultPlan((Pause(0, at=0.0, until=2.0), Pause(1, at=1.0, until=3.0)))
 
 
 class TestEntryValidation:
@@ -126,6 +157,7 @@ class TestSerialization:
                 PacketLoss(at=0.5, until=1.5, probability=0.3, servers=(1,), seed=9),
                 DelaySpike(at=0.1, until=0.2, extra=0.005),
                 SlowNode(3, at=0.3, until=0.6, factor=0.5),
+                Pause(2, at=0.7, until=0.9),
             )
         )
         assert FaultPlan.from_dicts(plan.to_dicts()) == plan

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.faults import (
     Crash,
     DelaySpike,
@@ -14,7 +13,6 @@ from repro.faults import (
 )
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.config import SimulationConfig
-from repro.kvstore.service import DegradationEvent
 
 from tests.conftest import small_config
 
@@ -127,14 +125,6 @@ class TestSlowNode:
         service = cluster.servers[0].service
         assert service.speed_factor(0.3) == pytest.approx(0.5)
         assert service.speed_factor(0.7) == pytest.approx(1.0)
-
-    def test_slow_node_conflicts_with_explicit_degradations(self):
-        plan = FaultPlan((SlowNode(0, at=0.2, until=0.6, factor=0.5),))
-        with pytest.raises(ConfigError):
-            small_config(
-                fault_plan=plan,
-                degradations={0: (DegradationEvent(0.1, 0.4),)},
-            )
 
 
 class TestObservability:

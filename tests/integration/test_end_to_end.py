@@ -10,7 +10,7 @@ result itself.
 import pytest
 
 from repro import ClusterConfig, ServiceConfig, SimulationConfig, run_cluster
-from repro.kvstore.service import DegradationEvent
+from repro.faults import FaultPlan, SlowNode
 from repro.workload import BimodalFanout, GeometricFanout, PoissonArrivals
 from repro.workload.requests import arrival_rate_for_load
 from repro.workload.sizes import LognormalSize
@@ -87,15 +87,17 @@ class TestAdaptivityClaims:
         # Degrade to a *stable* slow point (local load 0.55/0.6 < 1): an
         # overloaded queue's unbounded drift would swamp the comparison.
         duration = 3.0
-        degradations = {
-            0: (DegradationEvent(duration * 0.2, 0.6),),
-            1: (DegradationEvent(duration * 0.2, 0.6),),
-        }
+        fault_plan = FaultPlan(
+            tuple(
+                SlowNode(sid, at=duration * 0.2, until=duration, factor=0.6)
+                for sid in (0, 1)
+            )
+        )
         sim = SimulationConfig(duration=duration, warmup_fraction=0.25)
         results = {}
         for scheduler in ("sbf", "das"):
             config = paper_config(
-                scheduler, load=0.55, n_servers=16, degradations=degradations
+                scheduler, load=0.55, n_servers=16, fault_plan=fault_plan
             )
             results[scheduler] = run_cluster(config, sim).mean_rct
         assert results["das"] < results["sbf"] * 0.95  # >=5% better
@@ -117,7 +119,7 @@ class TestAdaptivityClaims:
         config = paper_config(
             "das",
             load=0.5,
-            degradations={0: (DegradationEvent(0.3, 0.5),)},
+            fault_plan=FaultPlan((SlowNode(0, at=0.3, until=duration, factor=0.5),)),
         )
         cluster = Cluster(config)
         cluster.run(SimulationConfig(duration=duration, warmup_fraction=0.1))

@@ -3,12 +3,12 @@
 Each cell is small (<= 400 requests) and between them they walk every
 self-re-arming loop of the model — client arrivals (open and closed
 loop, request-count and duration stop rules), the server's service
-loop (outage windows, crash/recover), the periodic feedback
-broadcaster and the fault-plan driver — including the paths the
-benchmark cells skip: per-message jitter, per-op timeout and hedge
-timers, link faults on messages in flight.  The digests were recorded
-once; a change that moves any of them changed a scheduling decision or
-an event's firing order, not just the code's shape.
+loop (pause windows, crash/recover, slow-node speed steps), the
+periodic feedback broadcaster and the fault-plan driver — including
+the paths the benchmark cells skip: per-message jitter, per-op timeout
+and hedge timers, link faults on messages in flight.  The digests were
+recorded once; a change that moves any of them changed a scheduling
+decision or an event's firing order, not just the code's shape.
 """
 
 import hashlib
@@ -24,7 +24,9 @@ from repro.faults.plan import (
     FaultPlan,
     PacketLoss,
     Partition,
+    Pause,
     Recover,
+    SlowNode,
 )
 from repro.faults.resilience import HedgePolicy
 from repro.workload import GeometricFanout, PoissonArrivals
@@ -58,8 +60,8 @@ def cell(**overrides) -> ClusterConfig:
 
 
 #: In ``crash-outages`` the times are chosen against this seed's
-#: trajectory: server 1 is idle when its outage starts at 14 ms, server 2
-#: is serving with five ops queued when its outage starts at 20 ms, and
+#: trajectory: server 1 is idle when its pause starts at 14 ms, server 2
+#: is serving with five ops queued when its pause starts at 20 ms, and
 #: server 0 is mid-service when the crash lands at 15 ms.  The fault plan
 #: also has an entry at t=0 and two entries at the same instant.
 CELLS = {
@@ -86,17 +88,30 @@ CELLS = {
             replication_factor=2,
             op_timeout=4e-3,
             max_retries=2,
-            outages={1: ((0.014, 0.017),), 2: ((0.02, 0.023),)},
             fault_plan=FaultPlan(
                 (
                     DelaySpike(at=0.0, until=0.004, extra=100e-6),
+                    Pause(1, at=0.014, until=0.017),
                     Crash(0, at=0.015),
+                    Pause(2, at=0.02, until=0.023),
                     Recover(0, at=0.022),
                     DelaySpike(at=0.022, until=0.025, extra=50e-6),
                 )
             ),
         ),
         SimulationConfig(max_requests=400),
+    ),
+    # Half speed from 10 ms on two of four servers; the windows end where
+    # the duration-stopped run does.
+    "slow-node": (
+        cell(
+            fault_plan=FaultPlan(
+                tuple(
+                    SlowNode(sid, at=0.01, until=0.06, factor=0.5) for sid in (0, 1)
+                )
+            )
+        ),
+        SimulationConfig(duration=0.06),
     ),
     "laned": (
         cell(scheduler="laned", scheduler_params={"inner": "das"}),
@@ -142,6 +157,7 @@ GOLDEN = {
     "periodic-duration": "93e17e80da8a34881f7fbfb2ce21446ca9620729a2aed24936100d205e1e2b98",
     "dodoor-reports": "e1b6da574b32caea45679e2b4d5f9936ade14a25d9a5802836817dbbd0cc4246",
     "crash-outages": "c2483872c0e527c70a22585647016ba40ea880c457d960d92626d894bd58574b",
+    "slow-node": "92bcdc1e158c40bf7a740b989339000948b1658de543481d9141a9b27938c331",
     "laned": "9a842124200789e6f34e57618edef120106e2b9cc0b14ec856c5dc3feff58e40",
     "jitter-das": "c3d780a0fd9c1f2575f95e647422385a6c29612e7df1272f2e3a85493fb59ce5",
     "hedged-timeouts": "f6313dd67ccbd2ae1c2d67d7e278ca37893fa08d14a45da5c2c8437db36bfdf5",

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.feedback import FeedbackConfig, FeedbackMode
 from repro.errors import ConfigError
+from repro.faults import FaultPlan, SlowNode
 from repro.kvstore.config import ClusterConfig, ServiceConfig, SimulationConfig
-from repro.kvstore.service import DegradationEvent
 
 
 class TestServiceConfig:
@@ -66,7 +66,7 @@ class TestClusterConfig:
         with pytest.raises(ConfigError):
             ClusterConfig(
                 n_servers=2,
-                degradations={5: (DegradationEvent(1.0, 0.5),)},
+                fault_plan=FaultPlan((SlowNode(5, at=1.0, until=2.0, factor=0.5),)),
             )
 
     def test_feedback_config_embedded(self):

@@ -13,6 +13,16 @@ def ring():
     return ConsistentHashRing(range(6))
 
 
+class WorkTable:
+    """The one ``ServerEstimates`` read ``least_estimated_work`` makes."""
+
+    def __init__(self, work):
+        self.work = work
+
+    def queued_work(self, server_id, now):
+        return self.work[server_id]
+
+
 class TestConstruction:
     def test_replication_factor_bounds(self, ring):
         with pytest.raises(ConfigError):
@@ -70,7 +80,7 @@ class TestSelection:
             ring,
             replication_factor=3,
             selection="least_estimated_work",
-            work_estimate=lambda sid: work[sid],
+            estimates=WorkTable(work),
         )
         for i in range(20):
             key = f"k{i}"

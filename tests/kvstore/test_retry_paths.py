@@ -3,23 +3,15 @@
 Complements ``test_faults.py`` (which covers the happy retry path) with
 the corner cases the fault subsystem leans on: duplicate suppression
 when a slow original answers after its retry, what happens when the
-retry budget runs out against a *crashed* (not merely out) server, and
-multi-hop routing down the preference list when several replicas are
-dark at once.
+retry budget runs out against a *crashed* (not merely paused) server,
+and multi-hop routing down the preference list when several replicas
+are dark at once.  (The server's own pause semantics are unit-tested in
+``test_server.py``.)
 """
 
-import numpy as np
-import pytest
-
-from repro.faults import Crash, DelaySpike, FaultPlan
+from repro.faults import Crash, DelaySpike, FaultPlan, Pause
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.config import SimulationConfig
-from repro.kvstore.network import UniformLatencyNetwork
-from repro.kvstore.server import Server
-from repro.kvstore.service import ServiceModel
-from repro.kvstore.storage import StorageEngine
-from repro.schedulers.base import QueueContext
-from repro.schedulers.registry import create_policy
 
 from tests.conftest import small_config
 
@@ -102,7 +94,9 @@ class TestPreferenceListRouting:
         request waits for the outage to lift."""
         config = retry_config(
             replication_factor=3,
-            outages={0: ((0.05, 0.9),), 1: ((0.05, 0.9),)},
+            fault_plan=FaultPlan(
+                (Pause(0, at=0.05, until=0.9), Pause(1, at=0.05, until=0.9))
+            ),
         )
         cluster = Cluster(config)
         result = cluster.run(SimulationConfig(duration=1.0, warmup_fraction=0.0))
@@ -114,64 +108,3 @@ class TestPreferenceListRouting:
         assert served_lit > served_dark
         # Every request that completed did so well before the windows end.
         assert result.summary().maximum < 0.85
-
-
-def bare_server(env, outages):
-    policy = create_policy("fcfs")
-    queue = policy.make_queue(
-        QueueContext(server_id=0, rng=np.random.default_rng(0))
-    )
-    service = ServiceModel(per_op_overhead=1e-3, byte_rate=1e6)
-    network = UniformLatencyNetwork(env, base_delay=0.0)
-    return Server(env, 0, queue, service, StorageEngine(server_id=0), network, outages=outages)
-
-
-class TestOutageWindowMerging:
-    """Regression: the bisect lookup must match the old linear scan,
-    including back-to-back and overlapping windows."""
-
-    def test_back_to_back_windows_merge(self, env):
-        server = bare_server(env, outages=((0.0, 1.0), (1.0, 2.0)))
-        assert server.outages == ((0.0, 2.0),)
-        # The seam instant 1.0 is covered, exactly as the linear scan
-        # covered it via the second window's half-open [1.0, 2.0).
-        assert server._outage_end(0.5) == 2.0
-        assert server._outage_end(1.0) == 2.0
-        assert server._outage_end(2.0) is None
-
-    def test_overlapping_and_unsorted_windows_merge(self, env):
-        server = bare_server(env, outages=((1.5, 3.0), (0.0, 2.0), (5.0, 6.0)))
-        assert server.outages == ((0.0, 3.0), (5.0, 6.0))
-        assert server._outage_end(2.5) == 3.0
-        assert server._outage_end(4.0) is None
-        assert server._outage_end(5.0) == 6.0
-
-    def test_disjoint_windows_stay_separate(self, env):
-        server = bare_server(env, outages=((0.0, 1.0), (2.0, 3.0)))
-        assert server.outages == ((0.0, 1.0), (2.0, 3.0))
-        assert server._outage_end(0.0) == 1.0
-        assert server._outage_end(1.0) is None
-        assert server._outage_end(2.9) == 3.0
-
-    def test_invalid_window_still_rejected(self, env):
-        with pytest.raises(ValueError):
-            bare_server(env, outages=((1.0, 1.0),))
-
-    def test_back_to_back_serves_nothing_until_union_ends(self, env):
-        server = bare_server(env, outages=((0.0, 0.1), (0.1, 0.2)))
-        from tests.kvstore.test_server import make_op
-
-        server.storage.put("k", 1000)
-
-        class Sink:
-            client_id = 0
-
-            def handle_response(self, response):
-                self.at = server.env.now
-
-        sink = Sink()
-        server.clients[0] = sink
-        server.handle_operation(make_op())
-        env.run(until=0.5)
-        assert server.ops_served == 1
-        assert sink.at >= 0.2  # waited out both windows as one

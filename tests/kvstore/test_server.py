@@ -5,7 +5,7 @@ import pytest
 from repro.kvstore.items import OpKind, Operation, Request
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.server import Server, start_periodic_broadcaster
-from repro.kvstore.service import DegradationEvent, ServiceModel
+from repro.kvstore.service import ServiceModel
 from repro.kvstore.storage import StorageEngine
 from repro.schedulers.base import QueueContext
 from repro.schedulers.registry import create_policy
@@ -141,6 +141,63 @@ class TestSameInstantDeliveries:
         assert [r.operation.key for r in client.responses] == ["big", "small", "mid"]
 
 
+class TestPause:
+    """The fault plan's ``Pause``: work parks, nothing is dropped."""
+
+    def test_queued_work_waits_for_resume(self, env):
+        server, client = make_server(env)
+        server.storage.put("k", 1000)
+        server.pause()
+        server.handle_operation(make_op("k"))
+        env.timeout(0.2).callbacks.append(lambda _e: server.resume())
+        env.run(until=1.0)
+        assert server.ops_served == 1
+        assert client.responses[0].operation.start_time == pytest.approx(0.2)
+
+    def test_in_service_op_completes_during_pause(self, env):
+        server, client = make_server(env)
+        server.storage.put("k", 1000)
+        server.handle_operation(make_op("k"))  # starts at once: 2 ms
+        server.handle_operation(make_op("k"))  # queued behind it
+        server.pause()
+        env.run(until=0.5)
+        assert len(client.responses) == 1
+        assert client.responses[0].operation.finish_time == pytest.approx(2e-3)
+        assert len(server.queue) == 1
+        assert server.ops_dropped == 0
+        server.resume()
+        env.run(until=1.0)
+        assert server.ops_served == 2
+
+    def test_crash_during_pause_drops_parked_work(self, env):
+        server, client = make_server(env)
+        server.storage.put("k", 1000)
+        server.pause()
+        for _ in range(3):
+            server.handle_operation(make_op("k"))
+        server.crash()
+        assert server.ops_dropped == 3
+        assert len(server.queue) == 0
+        server.recover()
+        server.resume()
+        env.run(until=1.0)
+        assert client.responses == []
+
+    def test_recover_during_pause_stays_paused(self, env):
+        server, client = make_server(env)
+        server.storage.put("k", 1000)
+        server.crash()
+        server.pause()
+        server.recover()
+        server.handle_operation(make_op("k"))
+        env.run(until=0.5)
+        assert client.responses == []
+        assert len(server.queue) == 1
+        server.resume()
+        env.run(until=1.0)
+        assert len(client.responses) == 1
+
+
 class TestFeedback:
     def test_response_carries_feedback(self, env):
         server, client = make_server(env)
@@ -178,9 +235,7 @@ class TestFeedback:
         assert feedback.queue_length >= 2
 
     def test_degraded_server_learns_its_rate(self, env):
-        server, client = make_server(
-            env, degradations=[DegradationEvent(0.0, 0.5)]
-        )
+        server, client = make_server(env, speed_steps=[(0.0, 0.5)])
         server.storage.put("k", 1000)
         for _ in range(20):
             server.handle_operation(make_op("k"))

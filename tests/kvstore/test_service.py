@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.kvstore.service import DegradationEvent, ServiceModel
+from repro.kvstore.service import ServiceModel
 
 
 class TestDemand:
@@ -40,11 +40,11 @@ class TestValidation:
 
     def test_bad_degradation_factor(self):
         with pytest.raises(ConfigError):
-            DegradationEvent(time=1.0, factor=0.0)
+            ServiceModel(speed_steps=[(1.0, 0.0)])
 
     def test_bad_degradation_time(self):
         with pytest.raises(ConfigError):
-            DegradationEvent(time=-1.0, factor=0.5)
+            ServiceModel(speed_steps=[(-1.0, 0.5)])
 
 
 class TestSpeedFactor:
@@ -54,40 +54,25 @@ class TestSpeedFactor:
         assert model.speed_factor(1e9) == 1.5
 
     def test_step_function(self):
-        model = ServiceModel(
-            degradations=[
-                DegradationEvent(10.0, 0.5),
-                DegradationEvent(20.0, 1.0),
-            ]
-        )
+        model = ServiceModel(speed_steps=[(10.0, 0.5), (20.0, 1.0)])
         assert model.speed_factor(9.99) == 1.0
         assert model.speed_factor(10.0) == 0.5
         assert model.speed_factor(19.99) == 0.5
         assert model.speed_factor(20.0) == 1.0
 
     def test_unsorted_events_are_sorted(self):
-        model = ServiceModel(
-            degradations=[DegradationEvent(20.0, 2.0), DegradationEvent(10.0, 0.5)]
-        )
+        model = ServiceModel(speed_steps=[(20.0, 2.0), (10.0, 0.5)])
         assert model.speed_factor(15.0) == 0.5
         assert model.speed_factor(25.0) == 2.0
 
     def test_base_speed_multiplies_degradation(self):
-        model = ServiceModel(base_speed=2.0, degradations=[DegradationEvent(5.0, 0.5)])
+        model = ServiceModel(base_speed=2.0, speed_steps=[(5.0, 0.5)])
         assert model.speed_factor(6.0) == pytest.approx(1.0)
-
-    def test_next_change_after(self):
-        model = ServiceModel(
-            degradations=[DegradationEvent(10.0, 0.5), DegradationEvent(20.0, 1.0)]
-        )
-        assert model.next_change_after(0.0) == 10.0
-        assert model.next_change_after(10.0) == 20.0
-        assert model.next_change_after(20.0) == float("inf")
 
 
 class TestServiceTimes:
     def test_degraded_server_is_slower(self):
-        model = ServiceModel(degradations=[DegradationEvent(10.0, 0.5)])
+        model = ServiceModel(speed_steps=[(10.0, 0.5)])
         fast = model.sample_service_time(1000, now=0.0)
         slow = model.sample_service_time(1000, now=15.0)
         assert slow == pytest.approx(2.0 * fast)
@@ -120,4 +105,4 @@ class TestServiceTimes:
         assert model.rate_sample(1e-3, 0.0) == 1.25
 
     def test_repr(self):
-        assert "degradations=0" in repr(ServiceModel())
+        assert "speed_steps=0" in repr(ServiceModel())

@@ -9,10 +9,10 @@ import asyncio
 
 import pytest
 
+from repro.faults.resilience import HedgePolicy
 from repro.runtime import (
     DelayReplies,
     DropReplies,
-    HedgePolicy,
     LocalCluster,
     Outage,
     RetryPolicy,

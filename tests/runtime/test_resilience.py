@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.runtime.resilience import (
-    CircuitBreaker,
-    HedgePolicy,
-    LatencyTracker,
-    MultigetReport,
-    RetryPolicy,
-)
+from repro.faults.resilience import CircuitBreaker, HedgePolicy, LatencyTracker
+from repro.runtime.resilience import MultigetReport, RetryPolicy
 
 
 class TestRetryPolicy:

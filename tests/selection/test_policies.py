@@ -73,11 +73,9 @@ class TestRegistry:
             with pytest.raises(ConfigError):
                 create_selection_policy(name, rng=np.random.default_rng(0))
 
-    def test_legacy_work_estimate_callback(self):
-        loads = {3: 0.5, 7: 0.0, 11: 0.9}
-        policy = create_selection_policy(
-            "least_estimated_work", work_estimate=lambda sid: loads[sid]
-        )
+    def test_least_estimated_work_reads_estimates(self):
+        est = estimates_with({3: 0.5, 7: 0.0, 11: 0.9})
+        policy = create_selection_policy("least_estimated_work", estimates=est)
         assert policy.select("k", CANDIDATES, now=0.0) == 7
 
     def test_params_forwarded(self):
