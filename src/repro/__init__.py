@@ -24,7 +24,7 @@ from repro.core.feedback import FeedbackConfig, FeedbackMode
 from repro.kvstore.cluster import Cluster, RunResult, run_cluster
 from repro.kvstore.config import ClusterConfig, ServiceConfig, SimulationConfig
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.summary import SummaryStats, compare_means
+from repro.metrics.summary import SummaryStats
 from repro.schedulers import available_schedulers, create_policy
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "SummaryStats",
     "__version__",
     "available_schedulers",
-    "compare_means",
     "create_policy",
     "run_cluster",
 ]

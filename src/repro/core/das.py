@@ -46,12 +46,7 @@ from repro.core.priority import rpt_and_horizon
 from repro.errors import ConfigError, SchedulerError
 from repro.kvstore.items import Operation, Request
 from repro.obs.trace import OBS_BAND, OBS_PROMOTED, OBS_THRESHOLD
-from repro.schedulers.base import (
-    ClientTagger,
-    QueueContext,
-    SchedulingPolicy,
-    ServerQueue,
-)
+from repro.schedulers.base import ClientTagger, SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import register_policy
 
 TAG_RPT = "rpt"
@@ -76,14 +71,13 @@ class DasQueue(ServerQueue):
 
     def __init__(
         self,
-        context: QueueContext,
         controller: AdaptiveThreshold,
         scale_alpha: float = 0.05,
         starvation_factor: float = 30.0,
         srpt_front: bool = True,
         last_band: bool = True,
     ):
-        super().__init__(context)
+        super().__init__()
         if not 0 < scale_alpha <= 1:
             raise ConfigError("scale_alpha must be in (0, 1]")
         if starvation_factor <= 0:
@@ -274,7 +268,7 @@ class DasPolicy(SchedulingPolicy):
         self.ctrl_alpha = ctrl_alpha
         self.adapt_interval = adapt_interval
 
-    def make_queue(self, context: QueueContext) -> ServerQueue:
+    def make_queue(self) -> ServerQueue:
         """Build one server's :class:`DasQueue` with its own controller."""
         controller = AdaptiveThreshold(
             k_init=self.k_init,
@@ -288,7 +282,6 @@ class DasPolicy(SchedulingPolicy):
             enabled=self.adaptive,
         )
         return DasQueue(
-            context,
             controller,
             scale_alpha=self.scale_alpha,
             starvation_factor=self.starvation_factor,

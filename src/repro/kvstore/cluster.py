@@ -20,7 +20,6 @@ from repro.kvstore.storage import StorageEngine
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import SummaryStats
 from repro.obs import MetricsRegistry, Tracer, register_queue_gauges
-from repro.schedulers.base import QueueContext
 from repro.schedulers.registry import create_policy
 from repro.selection import CONTROL_MESSAGE_KINDS, selection_policy_needs
 from repro.sim.core import Environment
@@ -198,9 +197,7 @@ class Cluster:
             noise_cv=cfg.service.noise_cv,
             rng=noise_rng,
         )
-        queue = self.policy.make_queue(
-            QueueContext(server_id=sid, rng=self.streams.stream(f"sched/{sid}"))
-        )
+        queue = self.policy.make_queue()
         register_queue_gauges(self.registry, queue, sid)
         return Server(
             env=self.env,

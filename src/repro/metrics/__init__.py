@@ -1,18 +1,12 @@
 """Measurement: request-completion-time collection and summaries."""
 
 from repro.metrics.collector import MetricsCollector, RequestRecord
-from repro.metrics.percentiles import P2Quantile, exact_percentile, percentile_profile
-from repro.metrics.summary import SummaryStats, compare_means, mean_confidence_interval
+from repro.metrics.summary import SummaryStats
 from repro.metrics.timeseries import WindowedSeries
 
 __all__ = [
     "MetricsCollector",
-    "P2Quantile",
     "RequestRecord",
     "SummaryStats",
     "WindowedSeries",
-    "compare_means",
-    "exact_percentile",
-    "mean_confidence_interval",
-    "percentile_profile",
 ]

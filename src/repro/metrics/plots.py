@@ -76,27 +76,6 @@ def line_chart(
     return "\n".join(lines + ["-" * max(len(axis), 1), axis, legend, y_range])
 
 
-def bar_chart(
-    values: Dict[str, float],
-    width: int = 40,
-    value_format: str = "{:.3g}",
-) -> str:
-    """Horizontal bar chart, one row per labeled value."""
-    if not values:
-        raise ConfigError("no values to plot")
-    label_width = max(len(str(k)) for k in values)
-    peak = max(float(v) for v in values.values())
-    scale = (width / peak) if peak > 0 else 0.0
-    rows = []
-    for label, value in values.items():
-        bar = "█" * max(1 if value > 0 else 0, int(round(float(value) * scale)))
-        rows.append(
-            f"{str(label).rjust(label_width)} |{bar.ljust(width)}| "
-            f"{value_format.format(float(value))}"
-        )
-    return "\n".join(rows)
-
-
 def scenario_chart(result, metric: str | None = None, height: int = 10) -> str:
     """Line chart of a :class:`~repro.experiments.runner.ScenarioResult`."""
     scenario = result.scenario

@@ -1,9 +1,9 @@
-"""Summary statistics with confidence intervals."""
+"""Summary statistics of a latency sample."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -65,47 +65,3 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
         maximum=float(arr.max()),
     )
 
-
-def mean_confidence_interval(
-    samples: Sequence[float], confidence: float = 0.95
-) -> Tuple[float, float, float]:
-    """(mean, lower, upper) Student-t confidence interval for the mean."""
-    if not 0 < confidence < 1:
-        raise ConfigError("confidence must be in (0, 1)")
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < 2:
-        raise ConfigError("need at least two samples for a confidence interval")
-    # scipy.stats is 0.7 s of import; only these two helpers need it.
-    from scipy import stats
-
-    mean = float(arr.mean())
-    sem = float(stats.sem(arr))
-    half = sem * float(stats.t.ppf((1 + confidence) / 2.0, arr.size - 1))
-    return mean, mean - half, mean + half
-
-
-def compare_means(
-    baseline: Sequence[float], treatment: Sequence[float]
-) -> dict[str, float]:
-    """Reduction of the treatment mean vs the baseline mean, with a t-test.
-
-    Returns ``reduction`` as a fraction (0.25 = 25% lower mean than the
-    baseline — the headline metric the paper reports), plus Welch-t ``p``.
-    """
-    base = np.asarray(baseline, dtype=np.float64)
-    treat = np.asarray(treatment, dtype=np.float64)
-    if base.size == 0 or treat.size == 0:
-        raise ConfigError("both samples must be non-empty")
-    reduction = 1.0 - treat.mean() / base.mean()
-    if base.size > 1 and treat.size > 1:
-        from scipy import stats
-
-        _, p_value = stats.ttest_ind(base, treat, equal_var=False)
-    else:
-        p_value = float("nan")
-    return {
-        "baseline_mean": float(base.mean()),
-        "treatment_mean": float(treat.mean()),
-        "reduction": float(reduction),
-        "p_value": float(p_value),
-    }

@@ -4,7 +4,7 @@ See ``docs/architecture.md`` ("Observability") for the span lifecycle,
 the metric naming scheme, and the export formats.
 """
 
-from repro.obs.bridge import register_engine_gauges, register_queue_gauges
+from repro.obs.bridge import register_queue_gauges
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
     OBS_BAND,
@@ -30,6 +30,5 @@ __all__ = [
     "RequestTrace",
     "TRACE_REQUESTED",
     "Tracer",
-    "register_engine_gauges",
     "register_queue_gauges",
 ]

@@ -13,22 +13,6 @@ from __future__ import annotations
 from repro.obs.registry import MetricsRegistry
 
 
-def register_engine_gauges(registry: MetricsRegistry, env) -> None:
-    """Register live gauges over the environment's clock and event queue.
-
-    Opt-in (benchmarks, examples, ad-hoc debugging): cell runs do not
-    register these.
-    """
-    registry.gauge(
-        "sim_now", "Current simulation time", fn=lambda: env.now
-    )
-    registry.gauge(
-        "sim_pending_events",
-        "Events currently scheduled",
-        fn=lambda: float(env.core_stats()["pending"]),
-    )
-
-
 def register_queue_gauges(registry: MetricsRegistry, queue, server_id) -> None:
     """Register live gauges for one server's queue under ``server=<id>``."""
     sid = str(server_id)

@@ -12,7 +12,7 @@ point being that simulation results carry over to a runnable system.
 * :mod:`repro.runtime.client` — the multiget client with DAS tagging,
   retries/backoff, hedging, and per-server circuit breakers;
 * :mod:`repro.runtime.faults` — scripted fault injection (outages,
-  dropped/delayed replies, refused connections) for chaos testing;
+  dropped and delayed replies) for chaos testing;
 * :mod:`repro.runtime.resilience` — the retry policy, its errors and
   the partial-multiget report (hedging and breakers are the shared
   :mod:`repro.faults.resilience` objects);
@@ -24,12 +24,10 @@ from repro.runtime.client import RuntimeClient
 from repro.runtime.cluster import LocalCluster
 from repro.runtime.faults import (
     DelayReplies,
-    Disconnect,
     DropReplies,
     FaultInjector,
     FaultPolicy,
     Outage,
-    RefuseConnections,
 )
 from repro.runtime.loadgen import LoadGenerator, LoadgenResult
 from repro.runtime.protocol import Message
@@ -46,7 +44,6 @@ from repro.runtime.server import KVServer
 __all__ = [
     "CircuitOpenError",
     "DelayReplies",
-    "Disconnect",
     "DropReplies",
     "ExecutorStoppedError",
     "FaultInjector",
@@ -60,7 +57,6 @@ __all__ = [
     "OperationTimeoutError",
     "Outage",
     "QueuedOp",
-    "RefuseConnections",
     "RetryPolicy",
     "RuntimeClient",
     "ScheduledExecutor",

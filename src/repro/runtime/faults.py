@@ -4,8 +4,8 @@ A :class:`FaultInjector` attached to a
 :class:`~repro.runtime.server.KVServer` is consulted at connection-accept
 time and once per incoming message, and decides whether the server should
 behave (``pass``), stay silent (``drop`` — the message is swallowed and
-never served), answer late (``delay``), or sever the connection
-(``disconnect``).  Policies are deterministic given their seed, so chaos
+never served), or answer late (``delay``); :class:`Outage` also refuses
+new connections.  Policies are deterministic given their seed, so chaos
 tests can script failures reproducibly.  A fault plan's windowed entries
 reach the runtime as these policies (:mod:`repro.faults.runtime`); the
 simulator's ``Pause``, which parks work instead of dropping it, has no
@@ -32,7 +32,6 @@ from repro.errors import ConfigError
 PASS = "pass"
 DROP = "drop"
 DELAY = "delay"
-DISCONNECT = "disconnect"
 
 
 @dataclass(frozen=True)
@@ -179,75 +178,39 @@ class DelayReplies(FaultPolicy):
         )
 
 
-class RefuseConnections(FaultPolicy):
-    """Reject new connections during ``(start, end)``; existing ones live."""
-
-    def __init__(self, start: float = 0.0, end: float = float("inf")):
-        if not 0 <= start < end:
-            raise ConfigError(f"invalid refusal window ({start}, {end})")
-        self.start = start
-        self.end = end
-
-    def connection_allowed(self, now: float) -> bool:
-        elapsed = now - self.armed_at
-        return not (self.start <= elapsed < self.end)
-
-
-class Disconnect(FaultPolicy):
-    """Sever the connection on the next ``count`` messages, no reply."""
-
-    def __init__(self, count: int = 1):
-        if count < 1:
-            raise ConfigError("count must be >= 1")
-        self.remaining = count
-
-    def decide(self, message, now: float) -> FaultDecision:
-        if self.remaining > 0:
-            self.remaining -= 1
-            return FaultDecision(DISCONNECT)
-        return FaultDecision(PASS)
-
-
 @dataclass
 class FaultCounters:
     """Observability: what the injector actually did."""
 
     dropped: int = 0
     delayed: int = 0
-    disconnected: int = 0
     refused_connections: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
             "dropped": self.dropped,
             "delayed": self.delayed,
-            "disconnected": self.disconnected,
             "refused_connections": self.refused_connections,
         }
 
     @property
     def total(self) -> int:
-        return (
-            self.dropped
-            + self.delayed
-            + self.disconnected
-            + self.refused_connections
-        )
+        return self.dropped + self.delayed + self.refused_connections
 
 
 @dataclass
 class FaultInjector:
     """Per-server fault switchboard the server consults on every message.
 
-    Policies compose: the *worst* decision wins (disconnect > drop >
-    delay > pass), and delays add up, so e.g. an ``Outage`` layered over a
+    Policies compose: the *worst* decision wins (drop > delay > pass),
+    and delays add up, so e.g. an ``Outage`` layered over a
     ``DelayReplies`` behaves as expected.
     """
 
     policies: List[FaultPolicy] = field(default_factory=list)
     counters: FaultCounters = field(default_factory=FaultCounters)
 
-    _SEVERITY = {PASS: 0, DELAY: 1, DROP: 2, DISCONNECT: 3}
+    _SEVERITY = {PASS: 0, DELAY: 1, DROP: 2}
 
     def add(self, policy: FaultPolicy, now: Optional[float] = None) -> None:
         policy.arm(time.monotonic() if now is None else now)
@@ -294,6 +257,4 @@ class FaultInjector:
             self.counters.dropped += 1
         elif worst.action == DELAY:
             self.counters.delayed += 1
-        elif worst.action == DISCONNECT:
-            self.counters.disconnected += 1
         return worst

@@ -12,12 +12,14 @@ spec via :meth:`LoadGenerator.from_spec`):
 * **open** (default) — requests launch on the arrival process's schedule
   whether or not earlier ones finished (each multiget is an independent
   task), so the generator exerts real queueing pressure instead of
-  self-throttling;
+  self-throttling.  Each request is timed from the instant it was due,
+  so a generator that falls behind reports its own lateness instead of
+  hiding it (coordinated omission);
 * **closed** — ``closed_concurrency`` workers each keep exactly one
   multiget in flight, issuing the next only when the previous completes;
-  the offered rate self-throttles to the store's service rate and the
-  arrival clock is ignored.  See docs/workloads.md for when each mode is
-  the right measurement.
+  the offered rate self-throttles to the store's service rate, the
+  arrival clock is ignored, and requests are timed from issue.  See
+  docs/workloads.md for when each mode is the right measurement.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ class LoadGenerator:
         t0 = time.monotonic()
         virtual_now = 0.0
 
-        async def one(keys: List[str]) -> None:
-            start = time.monotonic()
+        async def one(keys: List[str], due: Optional[float] = None) -> None:
+            start = time.monotonic() if due is None else due
             try:
                 await self.client.multiget(keys)
             except Exception:  # noqa: BLE001 - counted, not raised
@@ -175,7 +177,7 @@ class LoadGenerator:
             n = self._fanout.sample()
             indices = self._popularity.sample_distinct(n)
             keys = [self.keys[int(i)] for i in indices]
-            tasks.append(asyncio.create_task(one(keys)))
+            tasks.append(asyncio.create_task(one(keys, t0 + virtual_now)))
             result.launched += 1
 
         if tasks:

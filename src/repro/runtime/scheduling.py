@@ -21,11 +21,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.core.estimator import EwmaEstimator
 from repro.obs import MetricsRegistry, register_queue_gauges
-from repro.schedulers.base import QueueContext, SchedulingPolicy, ServerQueue
+from repro.schedulers.base import SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import create_policy
 
 logger = logging.getLogger(__name__)
@@ -108,8 +106,6 @@ class ScheduledExecutor:
     byte_rate:
         When set, each operation additionally sleeps ``bytes / byte_rate``
         seconds to emulate a bounded-throughput backend.
-    seed:
-        Seed for policies that randomize (e.g. ``random``).
     """
 
     def __init__(
@@ -124,9 +120,7 @@ class ScheduledExecutor:
         self.policy: SchedulingPolicy = create_policy(
             policy_name, **(policy_params or {})
         )
-        self.queue: ServerQueue = self.policy.make_queue(
-            QueueContext(server_id=server_id, rng=np.random.default_rng(server_id))
-        )
+        self.queue: ServerQueue = self.policy.make_queue()
         self.byte_rate = byte_rate
         self._rate_ewma = EwmaEstimator(rate_alpha, initial=1.0)
         self._wakeup = asyncio.Event()

@@ -7,7 +7,7 @@ feedback snapshot — the runtime realization of piggybacked feedback.
 
 For chaos testing, a :class:`~repro.runtime.faults.FaultInjector` can be
 attached: it is consulted when a connection is accepted and once per
-message, and can make the server refuse, stall, delay, or disconnect —
+message, and can make the server refuse, stall, or delay —
 the runtime twin of the simulator's outage windows.  :meth:`crash` /
 :meth:`restart` additionally model a hard process death: the listener
 closes, every live connection is severed, and the executor halts without
@@ -24,7 +24,7 @@ from typing import Any, Dict, List, Optional, Set
 from repro.errors import KeyNotFoundError, ProtocolError
 from repro.kvstore.storage import StorageEngine
 from repro.obs import MetricsRegistry, OpSpan, TRACE_REQUESTED
-from repro.runtime.faults import DELAY, DISCONNECT, DROP, FaultDecision, FaultInjector
+from repro.runtime.faults import DELAY, DROP, FaultDecision, FaultInjector
 from repro.runtime.protocol import FrameProtocol, Message, write_message
 from repro.runtime.scheduling import ExecutorStoppedError, QueuedOp, ScheduledExecutor
 
@@ -264,9 +264,6 @@ class KVServer:
     def _dispatch(self, connection: _ServerConnection, message: Message) -> None:
         """Serve one incoming frame; the reply is written when it is ready."""
         decision = self.faults.decide(message)
-        if decision.action == DISCONNECT:
-            connection.transport.close()
-            return
         if decision.action == DROP:
             return
         extra: Dict[str, Any] = {}

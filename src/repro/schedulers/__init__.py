@@ -7,16 +7,16 @@ A policy has two halves mirroring the system's information split:
 * a **server queue** that orders queued operations using those tags plus
   server-local state.
 
-Baselines: FCFS (the default the paper improves on), random, per-op SJF,
-per-request SJF, LRPT-last, EDF, Rein's SBF, and Rein SBF with multilevel
+Baselines: FCFS (the default the paper improves on), per-request SJF,
+start-time fair queueing, Rein's SBF, and Rein SBF with multilevel
 feedback.  The paper's contribution, DAS, lives in :mod:`repro.core` and
-registers itself here under ``"das"``.
+registers itself here under ``"das"``; ``"laned"`` wraps any of them in
+size lanes.
 """
 
 from repro.schedulers.base import (
     ClientTagger,
     NullTagger,
-    QueueContext,
     SchedulingPolicy,
     ServerQueue,
 )
@@ -27,10 +27,7 @@ from repro.schedulers.registry import (
 )
 
 # Import modules for their registration side effects.
-from repro.schedulers import edf as _edf  # noqa: F401
 from repro.schedulers import fcfs as _fcfs  # noqa: F401
-from repro.schedulers import lrpt as _lrpt  # noqa: F401
-from repro.schedulers import random_order as _random_order  # noqa: F401
 from repro.schedulers import rein as _rein  # noqa: F401
 from repro.schedulers import sfq as _sfq  # noqa: F401
 from repro.schedulers import sjf as _sjf  # noqa: F401
@@ -40,7 +37,6 @@ from repro.sharding import policy as _laned  # noqa: F401
 __all__ = [
     "ClientTagger",
     "NullTagger",
-    "QueueContext",
     "SchedulingPolicy",
     "ServerQueue",
     "available_schedulers",

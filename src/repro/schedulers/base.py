@@ -12,24 +12,13 @@ split explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
-
-import numpy as np
 
 from repro.errors import SchedulerError
 from repro.kvstore.items import Operation, Request
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.estimator import ServerEstimates
-
-
-@dataclass
-class QueueContext:
-    """Server-local facilities handed to a queue at construction time."""
-
-    server_id: int
-    rng: np.random.Generator
 
 
 class ServerQueue:
@@ -40,8 +29,7 @@ class ServerQueue:
     feedback.  ``pop`` must only be called when the queue is non-empty.
     """
 
-    def __init__(self, context: QueueContext):
-        self.context = context
+    def __init__(self) -> None:
         self._length = 0
         self._queued_demand = 0.0
 
@@ -120,7 +108,7 @@ class SchedulingPolicy:
     def __init__(self, **params: Any):
         self.params: Dict[str, Any] = params
 
-    def make_queue(self, context: QueueContext) -> ServerQueue:
+    def make_queue(self) -> ServerQueue:
         raise NotImplementedError
 
     def make_tagger(self) -> ClientTagger:
@@ -134,8 +122,3 @@ class SchedulingPolicy:
 
     def __repr__(self) -> str:
         return f"<SchedulingPolicy {self.describe()}>"
-
-
-def total_demand_tag(request: Request) -> float:
-    """Helper: the request's total service demand (used by several taggers)."""
-    return request.total_demand

@@ -5,15 +5,15 @@ from __future__ import annotations
 from collections import deque
 
 from repro.kvstore.items import Operation
-from repro.schedulers.base import QueueContext, SchedulingPolicy, ServerQueue
+from repro.schedulers.base import SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import register_policy
 
 
 class FcfsQueue(ServerQueue):
     """Plain FIFO over operation arrival order at this server."""
 
-    def __init__(self, context: QueueContext):
-        super().__init__(context)
+    def __init__(self) -> None:
+        super().__init__()
         self._fifo: deque[Operation] = deque()
 
     def _push(self, op: Operation, now: float) -> None:
@@ -29,5 +29,5 @@ class FcfsPolicy(SchedulingPolicy):
 
     name = "fcfs"
 
-    def make_queue(self, context: QueueContext) -> ServerQueue:
-        return FcfsQueue(context)
+    def make_queue(self) -> ServerQueue:
+        return FcfsQueue()

@@ -23,12 +23,7 @@ from typing import Optional
 
 from repro.errors import ConfigError
 from repro.kvstore.items import Operation, Request
-from repro.schedulers.base import (
-    ClientTagger,
-    QueueContext,
-    SchedulingPolicy,
-    ServerQueue,
-)
+from repro.schedulers.base import ClientTagger, SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import register_policy
 
 TAG_BOTTLENECK = "bottleneck"
@@ -46,8 +41,8 @@ class BottleneckTagger(ClientTagger):
 class SbfQueue(ServerQueue):
     """Smallest tagged bottleneck first; FIFO among equals."""
 
-    def __init__(self, context: QueueContext):
-        super().__init__(context)
+    def __init__(self) -> None:
+        super().__init__()
         self._heap: list[tuple[float, int, Operation]] = []
         self._seq = count()
 
@@ -65,8 +60,8 @@ class SbfPolicy(SchedulingPolicy):
 
     name = "sbf"
 
-    def make_queue(self, context: QueueContext) -> ServerQueue:
-        return SbfQueue(context)
+    def make_queue(self) -> ServerQueue:
+        return SbfQueue()
 
     def make_tagger(self) -> ClientTagger:
         return BottleneckTagger()
@@ -84,12 +79,11 @@ class ReinMlQueue(ServerQueue):
 
     def __init__(
         self,
-        context: QueueContext,
         split_k: float,
         aging_limit: float,
         ewma_alpha: float,
     ):
-        super().__init__(context)
+        super().__init__()
         if split_k <= 0:
             raise ConfigError("split_k must be positive")
         if aging_limit <= 0:
@@ -166,8 +160,8 @@ class ReinMlPolicy(SchedulingPolicy):
         self.aging_limit = aging_limit
         self.ewma_alpha = ewma_alpha
 
-    def make_queue(self, context: QueueContext) -> ServerQueue:
-        return ReinMlQueue(context, self.split_k, self.aging_limit, self.ewma_alpha)
+    def make_queue(self) -> ServerQueue:
+        return ReinMlQueue(self.split_k, self.aging_limit, self.ewma_alpha)
 
     def make_tagger(self) -> ClientTagger:
         return BottleneckTagger()

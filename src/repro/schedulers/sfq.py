@@ -18,15 +18,15 @@ from typing import Dict
 
 from repro.errors import ConfigError
 from repro.kvstore.items import Operation
-from repro.schedulers.base import QueueContext, SchedulingPolicy, ServerQueue
+from repro.schedulers.base import SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import register_policy
 
 
 class SfqQueue(ServerQueue):
     """Per-client start-time fair queueing at one server."""
 
-    def __init__(self, context: QueueContext, default_weight: float = 1.0):
-        super().__init__(context)
+    def __init__(self, default_weight: float = 1.0):
+        super().__init__()
         if default_weight <= 0:
             raise ConfigError("default_weight must be positive")
         self._heap: list[tuple[float, int, Operation]] = []
@@ -70,5 +70,5 @@ class SfqPolicy(SchedulingPolicy):
         super().__init__(default_weight=default_weight)
         self.default_weight = default_weight
 
-    def make_queue(self, context: QueueContext) -> ServerQueue:
-        return SfqQueue(context, default_weight=self.default_weight)
+    def make_queue(self) -> ServerQueue:
+        return SfqQueue(default_weight=self.default_weight)

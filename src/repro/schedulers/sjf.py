@@ -1,12 +1,10 @@
-"""Shortest-job-first variants.
-
-``sjf-op`` orders by the *operation's own* demand — classic size-based
-scheduling that ignores the multiget structure entirely.
+"""Per-request shortest-job-first.
 
 ``sjf-req`` orders by the *request's total* demand, stamped by the client
 at dispatch — the non-adaptive "SRPT-first" half of DAS in isolation
 (demands are static after dispatch, so this is shortest-job, not
-shortest-remaining).
+shortest-remaining).  An untagged operation is keyed on its own demand,
+so at fan-out 1 this is classic per-operation SJF.
 """
 
 from __future__ import annotations
@@ -16,40 +14,10 @@ from itertools import count
 from typing import Optional
 
 from repro.kvstore.items import Operation, Request
-from repro.schedulers.base import (
-    ClientTagger,
-    QueueContext,
-    SchedulingPolicy,
-    ServerQueue,
-)
+from repro.schedulers.base import ClientTagger, SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import register_policy
 
 TAG_TOTAL_DEMAND = "total_demand"
-
-
-class SjfOpQueue(ServerQueue):
-    """Smallest operation demand first; FIFO among equals."""
-
-    def __init__(self, context: QueueContext):
-        super().__init__(context)
-        self._heap: list[tuple[float, int, Operation]] = []
-        self._seq = count()
-
-    def _push(self, op: Operation, now: float) -> None:
-        heapq.heappush(self._heap, (op.demand, next(self._seq), op))
-
-    def _pop(self, now: float) -> Operation:
-        return heapq.heappop(self._heap)[2]
-
-
-@register_policy
-class SjfOpPolicy(SchedulingPolicy):
-    """Per-operation shortest-job-first (multiget-oblivious)."""
-
-    name = "sjf-op"
-
-    def make_queue(self, context: QueueContext) -> ServerQueue:
-        return SjfOpQueue(context)
 
 
 class TotalDemandTagger(ClientTagger):
@@ -64,8 +32,8 @@ class TotalDemandTagger(ClientTagger):
 class SjfReqQueue(ServerQueue):
     """Smallest request total-demand first; FIFO among equals."""
 
-    def __init__(self, context: QueueContext):
-        super().__init__(context)
+    def __init__(self) -> None:
+        super().__init__()
         self._heap: list[tuple[float, int, Operation]] = []
         self._seq = count()
 
@@ -83,8 +51,8 @@ class SjfReqPolicy(SchedulingPolicy):
 
     name = "sjf-req"
 
-    def make_queue(self, context: QueueContext) -> ServerQueue:
-        return SjfReqQueue(context)
+    def make_queue(self) -> ServerQueue:
+        return SjfReqQueue()
 
     def make_tagger(self) -> ClientTagger:
         return TotalDemandTagger()

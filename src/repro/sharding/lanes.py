@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.errors import ConfigError, SchedulerError
-from repro.schedulers.base import QueueContext, SchedulingPolicy, ServerQueue
+from repro.schedulers.base import SchedulingPolicy, ServerQueue
 from repro.sharding.cutoff import WindowedQuantileCutoff
 
 SMALL = "small"
@@ -66,12 +66,11 @@ class SizeLaneQueue(ServerQueue):
 
     def __init__(
         self,
-        context: QueueContext,
         inner_policy: SchedulingPolicy,
         cutoff: WindowedQuantileCutoff,
         small_share: float = 0.7,
     ):
-        super().__init__(context)
+        super().__init__()
         if not 0.0 < small_share < 1.0:
             raise ConfigError(
                 f"small_share must be in (0, 1), got {small_share}"
@@ -79,7 +78,7 @@ class SizeLaneQueue(ServerQueue):
         self.cutoff_estimator = cutoff
         self.small_share = small_share
         self._inner: Dict[str, ServerQueue] = {
-            lane: inner_policy.make_queue(context) for lane in self.lanes
+            lane: inner_policy.make_queue() for lane in self.lanes
         }
         #: Operations routed into each lane at push time.
         self.routed = {lane: 0 for lane in self.lanes}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.schedulers.base import ClientTagger, QueueContext, SchedulingPolicy
+from repro.schedulers.base import ClientTagger, SchedulingPolicy
 from repro.schedulers.registry import create_policy, register_policy
 from repro.sharding.cutoff import WindowedQuantileCutoff
 from repro.sharding.lanes import SizeLaneQueue
@@ -78,11 +78,10 @@ class LanedPolicy(SchedulingPolicy):
             enabled=adaptive_cutoff,
         )
 
-    def make_queue(self, context: QueueContext) -> SizeLaneQueue:
+    def make_queue(self) -> SizeLaneQueue:
         # Each server adapts its own cutoff from the sizes it actually
         # sees — fully distributed, like every other estimate in DAS.
         return SizeLaneQueue(
-            context,
             inner_policy=self.inner_policy,
             cutoff=WindowedQuantileCutoff(**self._cutoff_kwargs),
             small_share=self.small_share,

@@ -249,10 +249,6 @@ class Environment:
             )
         return None
 
-    def run_until_idle(self) -> None:
-        """Drain every remaining event (alias of ``run()`` with no bound)."""
-        self.run(until=None)
-
 
 def _stop_callback(event: Event) -> None:
     if event._ok:

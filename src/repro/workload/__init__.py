@@ -13,7 +13,6 @@ from repro.workload.arrivals import (
     PhasedArrivals,
     PoissonArrivals,
     SinusoidalArrivals,
-    TraceArrivals,
 )
 from repro.workload.fanout import (
     BimodalFanout,
@@ -82,7 +81,6 @@ __all__ = [
     "SAMPLE_TRACE",
     "SizeSpec",
     "TRAFFIC_PATTERNS",
-    "TraceArrivals",
     "TraceInfo",
     "TraceRecord",
     "UniformFanout",

@@ -7,7 +7,7 @@ load the paper's adaptivity experiments need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -266,53 +266,6 @@ class _PhasedSampler(ArrivalSampler):
                 return gap + candidate
             gap += until - t
             t = until
-
-
-# ----------------------------------------------------------------------
-# Trace-driven
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TraceArrivals(ArrivalSpec):
-    """Replay absolute arrival times from a recorded trace."""
-
-    times: Tuple[float, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not self.times:
-            raise WorkloadError("trace has no arrivals")
-        previous = -float("inf")
-        for t in self.times:
-            if t < previous:
-                raise WorkloadError("trace arrival times must be non-decreasing")
-            previous = t
-        if self.times[0] < 0:
-            raise WorkloadError("trace arrival times must be non-negative")
-
-    def build(self, rng: np.random.Generator) -> ArrivalSampler:
-        return _TraceSampler(self.times)
-
-    def mean_rate(self) -> float:
-        span = self.times[-1] - self.times[0]
-        if span <= 0:
-            return float("inf")
-        return (len(self.times) - 1) / span
-
-    def scaled(self, factor: float) -> "TraceArrivals":
-        # Scaling a trace rate by f compresses time by f.
-        return TraceArrivals(times=tuple(t / factor for t in self.times))
-
-
-class _TraceSampler(ArrivalSampler):
-    def __init__(self, times: Sequence[float]):
-        self._times = list(times)
-        self._idx = 0
-
-    def next_interarrival(self, now: float) -> float:
-        if self._idx >= len(self._times):
-            return float("inf")  # trace exhausted: no more arrivals
-        gap = max(0.0, self._times[self._idx] - now)
-        self._idx += 1
-        return gap
 
 
 # ----------------------------------------------------------------------

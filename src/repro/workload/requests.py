@@ -167,23 +167,6 @@ class RequestFactory:
         return self.spec.fanout.mean()
 
 
-def offered_load(
-    spec: RequestSpec,
-    keyspace_mean_size: float,
-    n_servers: int,
-    per_op_overhead: float,
-    byte_rate: float,
-    mean_speed: float = 1.0,
-) -> float:
-    """Long-run offered load (utilization) of a request stream.
-
-    ``rho = rate * mean_fanout * mean_demand / (n_servers * mean_speed)``.
-    """
-    mean_demand = per_op_overhead + keyspace_mean_size / byte_rate
-    rate = spec.arrivals.mean_rate()
-    return rate * spec.fanout.mean() * mean_demand / (n_servers * mean_speed)
-
-
 def arrival_rate_for_load(
     target_load: float,
     fanout_mean: float,

@@ -8,6 +8,7 @@ exact parameters differ per deployment, so all are configurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,17 +124,18 @@ class LognormalSize(SizeSpec):
 
     def mean(self) -> float:
         # E[min(X, cap)] for X ~ LogNormal(mu, sigma).
-        # ndtr is what scipy.stats.norm.cdf evaluates, without the 0.7 s
-        # scipy.stats import.
-        from scipy.special import ndtr
-
         mu = np.log(self.median)
         sigma = self.sigma
         cap = float(self.cap)
         z = (np.log(cap) - mu) / sigma
-        below = np.exp(mu + sigma**2 / 2) * ndtr(z - sigma)
-        above = cap * (1.0 - ndtr(z))
+        below = np.exp(mu + sigma**2 / 2) * _normal_cdf(z - sigma)
+        above = cap * (1.0 - _normal_cdf(z))
         return float(below + above)
+
+
+def _normal_cdf(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 class _LognormalSampler(SizeSampler):

@@ -139,7 +139,7 @@ class TestSimulationMatchesTheory:
         mean beats the FCFS M/G/1 mean; with deterministic service it
         cannot (everything is the same size)."""
         config = single_key_config(0.7, ExponentialSize(mean_size=4096))
-        sjf_config = type(config)(**{**config.__dict__, "scheduler": "sjf-op"})
+        sjf_config = type(config)(**{**config.__dict__, "scheduler": "sjf-req"})
         fcfs_cluster = Cluster(config)
         prediction = predict_single_key_fcfs(config, fcfs_cluster.keyspace)
         sim = SimulationConfig(max_requests=30_000, warmup_fraction=0.2)

@@ -8,7 +8,7 @@ from repro.core.estimator import ServerEstimates
 from repro.errors import ConfigError
 from repro.kvstore.items import Feedback
 
-from tests.schedulers.helpers import drain, make_context, make_multiget, make_op
+from tests.schedulers.helpers import drain, make_multiget, make_op
 
 
 def das_queue(**kwargs) -> DasQueue:
@@ -19,7 +19,6 @@ def das_queue(**kwargs) -> DasQueue:
         enabled=kwargs.pop("adaptive", False),
     )
     return DasQueue(
-        make_context(),
         controller,
         scale_alpha=kwargs.pop("scale_alpha", 1.0),
         starvation_factor=kwargs.pop("starvation_factor", 1e9),
@@ -209,7 +208,7 @@ class TestPromotionTombstones:
 
 class TestPolicy:
     def test_policy_builds_working_queue(self):
-        queue = DasPolicy().make_queue(make_context())
+        queue = DasPolicy().make_queue()
         assert isinstance(queue, DasQueue)
 
     def test_needs_feedback_flag(self):
@@ -217,23 +216,23 @@ class TestPolicy:
 
     def test_ablation_flags_propagate(self):
         policy = DasPolicy(adaptive=False, last_band=False, srpt_front=False)
-        queue = policy.make_queue(make_context())
+        queue = policy.make_queue()
         assert queue.controller.enabled is False
         assert queue._last_band_enabled is False
         assert queue._srpt_front is False
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
-            DasQueue(make_context(), AdaptiveThreshold(), scale_alpha=0.0)
+            DasQueue(AdaptiveThreshold(), scale_alpha=0.0)
         with pytest.raises(ConfigError):
-            DasQueue(make_context(), AdaptiveThreshold(), starvation_factor=0.0)
+            DasQueue(AdaptiveThreshold(), starvation_factor=0.0)
 
     def test_adaptive_demotes_more_under_pressure(self):
         policy = DasPolicy(
             k_init=8.0, k_min=1.5, k_max=8.0, q_low=1.0, q_high=4.0,
             gain=0.2, ctrl_alpha=1.0, adapt_interval=0.0, scale_alpha=0.1,
         )
-        queue = policy.make_queue(make_context())
+        queue = policy.make_queue()
         # Build sustained pressure with a long queue of small ops.
         now = 0.0
         for i in range(50):

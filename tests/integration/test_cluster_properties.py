@@ -21,7 +21,7 @@ from repro.workload.sizes import UniformSize
 def cluster_configs(draw):
     n_servers = draw(st.integers(1, 6))
     scheduler = draw(
-        st.sampled_from(["fcfs", "sbf", "das", "sjf-req", "rein-ml", "edf"])
+        st.sampled_from(["fcfs", "sbf", "das", "sjf-req", "rein-ml", "sfq"])
     )
     max_fanout = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 10_000))

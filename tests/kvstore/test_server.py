@@ -7,10 +7,7 @@ from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.server import Server, start_periodic_broadcaster
 from repro.kvstore.service import ServiceModel
 from repro.kvstore.storage import StorageEngine
-from repro.schedulers.base import QueueContext
 from repro.schedulers.registry import create_policy
-
-import numpy as np
 
 
 class FakeClient:
@@ -26,9 +23,7 @@ class FakeClient:
 
 def make_server(env, scheduler="fcfs", base_delay=0.0, **service_kwargs):
     policy = create_policy(scheduler)
-    queue = policy.make_queue(
-        QueueContext(server_id=0, rng=np.random.default_rng(0))
-    )
+    queue = policy.make_queue()
     service = ServiceModel(
         per_op_overhead=1e-3, byte_rate=1e6, **service_kwargs
     )
@@ -130,7 +125,7 @@ class TestSameInstantDeliveries:
         where the scheduler would prefer a later one, and the scheduler
         orders what queues up behind it — at zero network delay (URGENT
         deliveries) exactly as at a positive one (NORMAL deliveries)."""
-        server, client = make_server(env, scheduler="sjf-op", base_delay=base_delay)
+        server, client = make_server(env, scheduler="sjf-req", base_delay=base_delay)
         for key, size in (("big", 4000), ("mid", 2000), ("small", 100)):
             server.storage.put(key, size)
             server.network.send(
@@ -211,7 +206,7 @@ class TestFeedback:
 
     def test_feedback_disabled(self, env):
         policy = create_policy("fcfs")
-        queue = policy.make_queue(QueueContext(0, np.random.default_rng(0)))
+        queue = policy.make_queue()
         network = UniformLatencyNetwork(env, base_delay=0.0)
         server = Server(
             env, 0, queue, ServiceModel(per_op_overhead=1e-3, byte_rate=1e6),

@@ -1,14 +1,11 @@
-"""Tests for collectors, summaries, percentiles, and time series."""
+"""Tests for collectors, summaries, and time series."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.percentiles import P2Quantile, exact_percentile, percentile_profile
-from repro.metrics.summary import compare_means, mean_confidence_interval, summarize
+from repro.metrics.summary import summarize
 from repro.metrics.timeseries import WindowedSeries
 
 from tests.schedulers.helpers import make_multiget
@@ -104,114 +101,6 @@ class TestSummary:
         stats = summarize([1.0, 2.0, 3.0])
         assert stats.as_dict()["count"] == 3
         assert "mean=" in str(stats)
-
-    def test_confidence_interval_contains_mean(self):
-        rng = np.random.default_rng(0)
-        samples = rng.normal(10.0, 2.0, size=500)
-        mean, lower, upper = mean_confidence_interval(samples)
-        assert lower < mean < upper
-        assert lower < 10.0 < upper  # CI covers the true mean here
-
-    def test_confidence_interval_needs_two_samples(self):
-        with pytest.raises(ConfigError):
-            mean_confidence_interval([1.0])
-
-    def test_compare_means_reduction(self):
-        baseline = [10.0 + 0.01 * i for i in range(50)]
-        treatment = [5.0 + 0.005 * i for i in range(50)]
-        result = compare_means(baseline=baseline, treatment=treatment)
-        expected = 1.0 - np.mean(treatment) / np.mean(baseline)
-        assert result["reduction"] == pytest.approx(expected)
-
-    def test_compare_means_detects_significance(self):
-        rng = np.random.default_rng(0)
-        base = rng.normal(10, 1, 200)
-        treat = rng.normal(8, 1, 200)
-        result = compare_means(base, treat)
-        assert result["p_value"] < 0.001
-
-    def test_compare_means_empty_raises(self):
-        with pytest.raises(ConfigError):
-            compare_means([], [1.0])
-
-
-class TestPercentiles:
-    def test_exact_matches_numpy(self):
-        samples = np.random.default_rng(0).random(1000)
-        assert exact_percentile(samples, 99) == pytest.approx(
-            np.percentile(samples, 99)
-        )
-
-    def test_exact_validation(self):
-        with pytest.raises(ConfigError):
-            exact_percentile([1.0], 0)
-        with pytest.raises(ConfigError):
-            exact_percentile([], 50)
-
-    def test_profile(self):
-        samples = np.arange(1000, dtype=float)
-        profile = percentile_profile(samples, qs=(50, 99))
-        assert profile[50] == pytest.approx(499.5)
-
-    def test_both_apis_accept_q_100(self):
-        samples = [1.0, 2.0, 3.0]
-        assert exact_percentile(samples, 100) == 3.0
-        assert percentile_profile(samples, qs=(100,))[100] == 3.0
-
-    def test_both_apis_reject_out_of_range(self):
-        samples = [1.0, 2.0, 3.0]
-        for bad_q in (0, -5, 150):
-            with pytest.raises(ConfigError):
-                exact_percentile(samples, bad_q)
-            with pytest.raises(ConfigError):
-                percentile_profile(samples, qs=(bad_q,))
-
-    def test_profile_validates_before_touching_samples(self):
-        # A bad q must raise ConfigError even with empty samples — the
-        # two functions agree on validation order and error type.
-        with pytest.raises(ConfigError):
-            percentile_profile([], qs=(0,))
-        with pytest.raises(ConfigError):
-            exact_percentile([], 0)
-
-    def test_p2_accuracy_on_uniform(self):
-        rng = np.random.default_rng(1)
-        estimator = P2Quantile(0.5)
-        samples = rng.random(20000)
-        for x in samples:
-            estimator.update(float(x))
-        assert estimator.value == pytest.approx(0.5, abs=0.02)
-
-    def test_p2_accuracy_on_exponential_p99(self):
-        rng = np.random.default_rng(2)
-        estimator = P2Quantile(0.99)
-        samples = rng.exponential(1.0, 50000)
-        for x in samples:
-            estimator.update(float(x))
-        assert estimator.value == pytest.approx(np.percentile(samples, 99), rel=0.1)
-
-    def test_p2_few_samples(self):
-        estimator = P2Quantile(0.5)
-        for x in (3.0, 1.0, 2.0):
-            estimator.update(x)
-        assert estimator.value == 2.0
-
-    def test_p2_no_samples_raises(self):
-        with pytest.raises(ConfigError):
-            P2Quantile(0.5).value
-
-    def test_p2_validation(self):
-        with pytest.raises(ConfigError):
-            P2Quantile(0.0)
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=100, max_size=500))
-    @settings(max_examples=20, deadline=None)
-    def test_p2_stays_within_sample_range(self, samples):
-        estimator = P2Quantile(0.9)
-        for x in samples:
-            estimator.update(x)
-        assert min(samples) <= estimator.value <= max(samples)
-
 
 class TestWindowedSeries:
     def test_window_means(self):

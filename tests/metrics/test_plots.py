@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.metrics.plots import bar_chart, line_chart, sparkline
+from repro.metrics.plots import line_chart, sparkline
 
 
 class TestSparkline:
@@ -52,20 +52,3 @@ class TestLineChart:
         assert "a" in lines[0]  # the max lands on the top row
         assert "a" in lines[4]  # the min lands on the bottom row
 
-
-class TestBarChart:
-    def test_rows_and_values(self):
-        chart = bar_chart({"FCFS": 10.0, "DAS": 5.0})
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert "FCFS" in lines[0] and "10" in lines[0]
-        bars = [line.count("█") for line in lines]
-        assert bars[0] > bars[1]  # larger value, longer bar
-
-    def test_zero_value_row(self):
-        chart = bar_chart({"x": 0.0, "y": 1.0})
-        assert "x" in chart
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            bar_chart({})

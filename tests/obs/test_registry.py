@@ -154,17 +154,3 @@ class TestPrometheusExport:
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().to_prometheus() == ""
-
-
-class TestEngineGauges:
-    def test_register_engine_gauges_reads_clock_and_queue(self):
-        from repro.obs import register_engine_gauges
-        from repro.sim import Environment
-
-        env = Environment()
-        env.timeout(1.0)
-        reg = MetricsRegistry()
-        register_engine_gauges(reg, env)
-        assert reg.snapshot()["gauges"] == {"sim_now": 0.0, "sim_pending_events": 1.0}
-        env.run()
-        assert reg.snapshot()["gauges"] == {"sim_now": 1.0, "sim_pending_events": 0.0}

@@ -18,15 +18,7 @@ from repro.runtime import (
     RetryPolicy,
     ServerUnavailableError,
 )
-from repro.runtime.faults import (
-    DELAY,
-    DISCONNECT,
-    DROP,
-    PASS,
-    Disconnect,
-    FaultInjector,
-    RefuseConnections,
-)
+from repro.runtime.faults import DELAY, DROP, PASS, FaultInjector
 
 
 def run(coro):
@@ -77,16 +69,8 @@ class TestFaultInjector:
         decision = injector.decide(None, now=0.0)
         assert decision.action == DELAY
         assert decision.delay == pytest.approx(0.3)
-        injector.add(Disconnect(count=1), now=0.0)
-        assert injector.decide(None, now=0.0).action == DISCONNECT
-
-    def test_refuse_connections_window(self):
-        injector = FaultInjector()
-        injector.add(RefuseConnections(0.0, 1.0), now=50.0)
-        assert not injector.connection_allowed(now=50.5)
-        assert injector.connection_allowed(now=51.5)
-        # Message handling unaffected — only accepts are refused.
-        assert injector.decide(None, now=50.5).action == PASS
+        injector.add(DropReplies(count=1), now=0.0)
+        assert injector.decide(None, now=0.0).action == DROP
 
 
 class TestTimeoutsAndRetries:
@@ -382,7 +366,6 @@ class TestObservability:
                 assert set(stats["faults"]) == {
                     "dropped",
                     "delayed",
-                    "disconnected",
                     "refused_connections",
                 }
 

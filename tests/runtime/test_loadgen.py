@@ -1,6 +1,7 @@
 """Tests for the runtime load generator."""
 
 import asyncio
+import time
 
 import pytest
 
@@ -177,6 +178,48 @@ class TestLoadGenerator:
                 await cluster.stop()
 
         run(scenario())
+
+    def test_open_loop_latency_includes_lateness(self):
+        """A request launched late is timed from when it was due: the
+        generator's own lateness is latency, not hidden."""
+        gap = 1e-3
+
+        class BlockingClient:
+            """Answers at once, except the first call blocks the loop."""
+
+            def __init__(self):
+                self.called_at = []
+
+            async def multiget(self, keys):
+                self.called_at.append(time.monotonic())
+                if len(self.called_at) == 1:
+                    time.sleep(0.05)
+                return {}
+
+        async def scenario():
+            client = BlockingClient()
+            gen = LoadGenerator(
+                client, [f"k{i}" for i in range(10)],
+                arrivals=DeterministicArrivals(rate=1.0 / gap),
+                fanout=FixedFanout(k=1),
+                popularity=UniformPopularity(),
+            )
+            before = time.monotonic()
+            result = await gen.run(n_requests=100)
+            return client, before, result
+
+        client, before, result = run(scenario())
+        # Calls finish without awaiting, so latencies are in call order.
+        assert len(result.latencies) == len(client.called_at) == 100
+        # Request i fell due no earlier than before + (i + 1) * gap.
+        lateness = [
+            called - (before + (i + 1) * gap)
+            for i, called in enumerate(client.called_at)
+        ]
+        late = [i for i, x in enumerate(lateness) if x > 0.01]
+        assert len(late) >= 20
+        for i in late:
+            assert result.latencies[i] >= lateness[i] - 2e-3
 
 
 class TestFromSpec:

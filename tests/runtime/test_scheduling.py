@@ -54,7 +54,7 @@ class TestExecutor:
         async def scenario():
             # Submit before starting so the whole batch is queued, then the
             # scheduler picks smallest demand first.
-            executor = ScheduledExecutor(policy_name="sjf-op", byte_rate=None)
+            executor = ScheduledExecutor(policy_name="sjf-req", byte_rate=None)
             order = []
             futures = []
             for demand in (3.0, 1.0, 2.0):
@@ -62,7 +62,7 @@ class TestExecutor:
                 op.demand = 0.0  # no sleep
                 op.tag["demand_label"] = demand
                 op.work = lambda d=demand: order.append(d)
-                # sjf-op keys on op.demand; emulate demand without sleeping
+                # Untagged, sjf-req keys on op.demand; emulate demand without sleeping
                 # by setting demand then disabling the throttle.
                 op.demand = demand
                 futures.append(executor.submit(op))

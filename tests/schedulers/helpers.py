@@ -2,14 +2,7 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.kvstore.items import OpKind, Operation, Request
-from repro.schedulers.base import QueueContext
-
-
-def make_context(server_id: int = 0, seed: int = 0) -> QueueContext:
-    return QueueContext(server_id=server_id, rng=np.random.default_rng(seed))
 
 
 def make_op(

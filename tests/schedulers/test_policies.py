@@ -3,53 +3,33 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.schedulers.edf import TAG_DEADLINE, DeadlineTagger, EdfPolicy
-from repro.schedulers.lrpt import LrptLastPolicy
 from repro.schedulers.rein import TAG_BOTTLENECK, BottleneckTagger, ReinMlPolicy
 from repro.schedulers.registry import create_policy
 from repro.schedulers.sjf import TAG_TOTAL_DEMAND, TotalDemandTagger
 
-from tests.schedulers.helpers import drain, make_context, make_multiget, make_op
+from tests.schedulers.helpers import drain, make_multiget, make_op
 
 
 class TestFcfs:
     def test_serves_in_arrival_order(self):
-        queue = create_policy("fcfs").make_queue(make_context())
+        queue = create_policy("fcfs").make_queue()
         ops = [make_op(demand=d, request_id=i) for i, d in enumerate([5, 1, 3])]
         for i, op in enumerate(ops):
             queue.push(op, float(i))
         assert drain(queue) == ops
 
 
-class TestRandom:
-    def test_deterministic_given_seed(self):
-        def run(seed):
-            queue = create_policy("random").make_queue(make_context(seed=seed))
-            ops = [make_op(request_id=i) for i in range(10)]
-            for op in ops:
-                queue.push(op, 0.0)
-            return [o.request_id for o in drain(queue)]
-
-        assert run(1) == run(1)
-        assert run(1) != run(2)  # overwhelmingly likely
-
-    def test_not_always_fifo(self):
-        queue = create_policy("random").make_queue(make_context(seed=3))
-        ops = [make_op(request_id=i) for i in range(20)]
-        for op in ops:
-            queue.push(op, 0.0)
-        assert [o.request_id for o in drain(queue)] != list(range(20))
-
-
 class TestSjfOp:
+    """``sjf-req`` on untagged operations is per-operation SJF."""
+
     def test_smallest_operation_first(self):
-        queue = create_policy("sjf-op").make_queue(make_context())
+        queue = create_policy("sjf-req").make_queue()
         for demand in (3.0, 1.0, 2.0):
             queue.push(make_op(demand=demand), 0.0)
         assert [o.demand for o in drain(queue)] == [1.0, 2.0, 3.0]
 
     def test_fifo_among_equal_demands(self):
-        queue = create_policy("sjf-op").make_queue(make_context())
+        queue = create_policy("sjf-req").make_queue()
         ops = [make_op(demand=1.0, request_id=i) for i in range(3)]
         for op in ops:
             queue.push(op, 0.0)
@@ -58,7 +38,7 @@ class TestSjfOp:
 
 class TestSjfReq:
     def test_orders_by_request_total_demand(self):
-        queue = create_policy("sjf-req").make_queue(make_context())
+        queue = create_policy("sjf-req").make_queue()
         tagger = TotalDemandTagger()
         big = make_multiget([(0, 1.0), (1, 9.0)], request_id=1)  # total 10
         small = make_multiget([(0, 2.0)], request_id=2)  # total 2
@@ -80,7 +60,7 @@ class TestSjfReq:
 
 class TestSbf:
     def test_orders_by_bottleneck(self):
-        queue = create_policy("sbf").make_queue(make_context())
+        queue = create_policy("sbf").make_queue()
         tagger = BottleneckTagger()
         # Request A: large total (4.0) but small bottleneck (2.0 per server).
         a = make_multiget([(0, 2.0), (1, 2.0)], request_id=1)
@@ -98,53 +78,10 @@ class TestSbf:
         assert request.operations[0].tag[TAG_BOTTLENECK] == pytest.approx(3.0)
 
 
-class TestLrptLast:
-    def test_oversized_requests_served_last(self):
-        policy = LrptLastPolicy(threshold_k=2.0, ewma_alpha=1.0)
-        queue = policy.make_queue(make_context())
-        tagger = policy.make_tagger()
-        normal = [make_multiget([(0, 1.0)], request_id=i) for i in range(3)]
-        giant = make_multiget([(0, 50.0)], request_id=99)
-        for request in normal[:2] + [giant] + normal[2:]:
-            tagger.tag_request(request, 0.0, None)
-            queue.push(request.operations[0], 0.0)
-        order = [o.request_id for o in drain(queue)]
-        assert order[-1] == 99
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            LrptLastPolicy(threshold_k=0).make_queue(make_context())
-        with pytest.raises(ConfigError):
-            LrptLastPolicy(ewma_alpha=0).make_queue(make_context())
-
-
-class TestEdf:
-    def test_earliest_deadline_first(self):
-        queue = create_policy("edf").make_queue(make_context())
-        tagger = DeadlineTagger(slack_factor=10.0, base_slack=0.0)
-        late = make_multiget([(0, 5.0)], request_id=1, arrival=0.0)  # ddl 50
-        soon = make_multiget([(0, 1.0)], request_id=2, arrival=0.0)  # ddl 10
-        for request in (late, soon):
-            tagger.tag_request(request, 0.0, None)
-        queue.push(late.operations[0], 0.0)
-        queue.push(soon.operations[0], 0.0)
-        assert [o.request_id for o in drain(queue)] == [2, 1]
-
-    def test_deadline_includes_arrival(self):
-        tagger = DeadlineTagger(slack_factor=1.0, base_slack=0.5)
-        request = make_multiget([(0, 2.0)], arrival=10.0)
-        tagger.tag_request(request, 10.0, None)
-        assert request.operations[0].tag[TAG_DEADLINE] == pytest.approx(12.5)
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            EdfPolicy(slack_factor=-1)
-
-
 class TestReinMl:
     def test_small_bottlenecks_before_large(self):
         policy = ReinMlPolicy(split_k=2.0, aging_limit=1e9, ewma_alpha=1.0)
-        queue = policy.make_queue(make_context())
+        queue = policy.make_queue()
         tagger = policy.make_tagger()
         small = [make_multiget([(0, 1.0)], request_id=i) for i in range(2)]
         large = make_multiget([(0, 40.0)], request_id=77)
@@ -156,7 +93,7 @@ class TestReinMl:
 
     def test_aging_promotes_starving_op(self):
         policy = ReinMlPolicy(split_k=2.0, aging_limit=3.0, ewma_alpha=0.5)
-        queue = policy.make_queue(make_context())
+        queue = policy.make_queue()
         tagger = policy.make_tagger()
         # Seed the mean with a small request so the giant classifies low.
         seed = make_multiget([(0, 1.0)], request_id=1)
@@ -176,6 +113,6 @@ class TestReinMl:
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
-            ReinMlPolicy(split_k=0).make_queue(make_context())
+            ReinMlPolicy(split_k=0).make_queue()
         with pytest.raises(ConfigError):
-            ReinMlPolicy(aging_limit=0).make_queue(make_context())
+            ReinMlPolicy(aging_limit=0).make_queue()

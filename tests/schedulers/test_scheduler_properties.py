@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.schedulers.registry import available_schedulers, create_policy
 
-from tests.schedulers.helpers import make_context, make_op
+from tests.schedulers.helpers import make_op
 
 ALL_POLICIES = sorted(set(available_schedulers()))
 
@@ -39,7 +39,7 @@ def op_script(draw):
 @settings(max_examples=40, deadline=None)
 def test_no_loss_no_invention(policy_name, script):
     """Ops popped are exactly ops pushed (no loss, no duplication)."""
-    queue = create_policy(policy_name).make_queue(make_context())
+    queue = create_policy(policy_name).make_queue()
     pushed = []
     popped = []
     now = 0.0
@@ -48,8 +48,7 @@ def test_no_loss_no_invention(policy_name, script):
         if kind == "push":
             op = make_op(demand=demand, request_id=i, tag={"rpt": demand,
                                                            "bottleneck": demand,
-                                                           "total_demand": demand,
-                                                           "deadline": now + demand})
+                                                           "total_demand": demand})
             pushed.append(op)
             queue.push(op, now)
         else:
@@ -64,7 +63,7 @@ def test_no_loss_no_invention(policy_name, script):
 @given(demands=st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=30))
 @settings(max_examples=40, deadline=None)
 def test_queued_demand_is_sum_of_contents(policy_name, demands):
-    queue = create_policy(policy_name).make_queue(make_context())
+    queue = create_policy(policy_name).make_queue()
     total = 0.0
     for i, demand in enumerate(demands):
         queue.push(make_op(demand=demand, request_id=i, tag={"rpt": demand}), 0.0)
@@ -79,7 +78,8 @@ def test_queued_demand_is_sum_of_contents(policy_name, demands):
 @given(demands=st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=2, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_sjf_op_pops_in_nondecreasing_demand(demands):
-    queue = create_policy("sjf-op").make_queue(make_context())
+    """Untagged, ``sjf-req`` keys on each operation's own demand."""
+    queue = create_policy("sjf-req").make_queue()
     for i, demand in enumerate(demands):
         queue.push(make_op(demand=demand, request_id=i), 0.0)
     served = []
@@ -92,8 +92,8 @@ def test_sjf_op_pops_in_nondecreasing_demand(demands):
 @settings(max_examples=60, deadline=None)
 def test_das_without_estimates_matches_sbf_order(demands):
     """With identical tags and no feedback, DAS front band == SBF order."""
-    das = create_policy("das", last_band=False).make_queue(make_context())
-    sbf = create_policy("sbf").make_queue(make_context())
+    das = create_policy("das", last_band=False).make_queue()
+    sbf = create_policy("sbf").make_queue()
     for i, demand in enumerate(demands):
         tag = {"rpt": demand, "bottleneck": demand}
         das.push(make_op(demand=demand, request_id=i, tag=dict(tag)), 0.0)

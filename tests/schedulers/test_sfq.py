@@ -7,7 +7,7 @@ from repro.kvstore.items import OpKind, Operation, Request
 from repro.schedulers.registry import create_policy
 from repro.schedulers.sfq import SfqPolicy
 
-from tests.schedulers.helpers import drain, make_context
+from tests.schedulers.helpers import drain
 
 
 def client_op(client_id: int, demand: float, request_id: int = 0) -> Operation:
@@ -31,7 +31,7 @@ class TestSfq:
     def test_interleaves_clients_fairly(self):
         """Client 0 floods the queue; client 1's single op is served after
         at most one of client 0's ops, not after the whole flood."""
-        queue = create_policy("sfq").make_queue(make_context())
+        queue = create_policy("sfq").make_queue()
         for i in range(5):
             queue.push(client_op(0, demand=1.0, request_id=i), 0.0)
         queue.push(client_op(1, demand=1.0, request_id=99), 0.0)
@@ -40,7 +40,7 @@ class TestSfq:
         assert position <= 1  # near the front despite arriving last
 
     def test_round_robin_between_equal_flows(self):
-        queue = create_policy("sfq").make_queue(make_context())
+        queue = create_policy("sfq").make_queue()
         for i in range(3):
             queue.push(client_op(0, demand=1.0, request_id=i), 0.0)
             queue.push(client_op(1, demand=1.0, request_id=i), 0.0)
@@ -51,7 +51,7 @@ class TestSfq:
     def test_small_demand_flow_gets_more_ops(self):
         """A flow of small ops progresses through more operations per unit
         of virtual time than a flow of big ops (fair in *work*, not ops)."""
-        queue = create_policy("sfq").make_queue(make_context())
+        queue = create_policy("sfq").make_queue()
         for i in range(4):
             queue.push(client_op(0, demand=1.0, request_id=i), 0.0)
             queue.push(client_op(1, demand=4.0, request_id=i), 0.0)
@@ -61,7 +61,7 @@ class TestSfq:
         assert head.count(0) > head.count(1)
 
     def test_virtual_time_monotone(self):
-        queue = create_policy("sfq").make_queue(make_context())
+        queue = create_policy("sfq").make_queue()
         seen = []
         for i in range(4):
             queue.push(client_op(i % 2, demand=2.0, request_id=i), 0.0)
@@ -72,7 +72,7 @@ class TestSfq:
 
     def test_invalid_weight(self):
         with pytest.raises(ConfigError):
-            SfqPolicy(default_weight=0).make_queue(make_context())
+            SfqPolicy(default_weight=0).make_queue()
 
     def test_runs_in_cluster(self):
         from repro.kvstore.cluster import run_cluster

@@ -7,7 +7,6 @@ from repro.errors import ConfigError
 from repro.kvstore.cluster import run_cluster
 from repro.kvstore.config import SimulationConfig
 from repro.runtime.scheduling import QueuedOp
-from repro.schedulers.base import QueueContext
 from repro.schedulers.registry import create_policy
 from repro.sharding import LARGE, SMALL, SizeLaneQueue
 
@@ -16,7 +15,7 @@ from tests.conftest import small_config
 
 def make_queue(**params) -> SizeLaneQueue:
     policy = create_policy("laned", inner="fcfs", **params)
-    return policy.make_queue(QueueContext(server_id=0, rng=np.random.default_rng(0)))
+    return policy.make_queue()
 
 
 def op(size: int, demand: float = 1.0) -> QueuedOp:

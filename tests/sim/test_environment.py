@@ -151,12 +151,6 @@ class TestStepAndPeek:
         env.run()
         assert order == ["urgent", "timeout-zero", "timeout-done"]
 
-    def test_run_until_idle_alias(self, env):
-        fired = []
-        env.timeout(1).callbacks.append(lambda e: fired.append(1))
-        env.run_until_idle()
-        assert fired == [1]
-
     def test_repr_contains_time(self, env):
         env.timeout(1)
         assert "now=0" in repr(env)

@@ -8,7 +8,6 @@ from repro.workload.arrivals import (
     DeterministicArrivals,
     MMPPArrivals,
     PoissonArrivals,
-    TraceArrivals,
 )
 
 
@@ -84,31 +83,3 @@ class TestMMPP:
             t += sampler.next_interarrival(t)
         assert n / t == pytest.approx(spec.mean_rate(), rel=0.1)
 
-
-class TestTrace:
-    def test_replays_absolute_times(self, rng):
-        sampler = TraceArrivals(times=(1.0, 1.5, 4.0)).build(rng)
-        t = 0.0
-        gaps = []
-        for _ in range(3):
-            gap = sampler.next_interarrival(t)
-            gaps.append(gap)
-            t += gap
-        assert gaps == [1.0, 0.5, 2.5]
-        assert sampler.next_interarrival(t) == float("inf")
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            TraceArrivals(times=())
-        with pytest.raises(WorkloadError):
-            TraceArrivals(times=(2.0, 1.0))
-        with pytest.raises(WorkloadError):
-            TraceArrivals(times=(-1.0, 1.0))
-
-    def test_mean_rate(self):
-        spec = TraceArrivals(times=(0.0, 1.0, 2.0))
-        assert spec.mean_rate() == pytest.approx(1.0)
-
-    def test_scaled_compresses_time(self):
-        spec = TraceArrivals(times=(0.0, 2.0)).scaled(2.0)
-        assert spec.times == (0.0, 1.0)

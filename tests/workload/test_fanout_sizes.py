@@ -102,6 +102,12 @@ class TestSizeSpecs:
             capped.mean(), rel=0.05
         )
 
+    def test_lognormal_mean_is_pinned(self):
+        # The mean calibrates every bundled cell's arrival rate, so a change
+        # in its last bit moves their RCTs.
+        spec = LognormalSize(median=1024.0, sigma=1.0, cap=1 << 18)
+        assert spec.mean() == 1688.2897967790773
+
     def test_lognormal_invalid(self):
         with pytest.raises(WorkloadError):
             LognormalSize(median=0)

@@ -13,7 +13,6 @@ from repro.workload.requests import (
     RequestSpec,
     TraceReplayFactory,
     arrival_rate_for_load,
-    offered_load,
 )
 from repro.workload.sizes import FixedSize, UniformSize
 from repro.workload.traces import TraceRecord
@@ -134,16 +133,8 @@ class TestLoadCalibration:
     def test_rate_and_load_are_inverses(self):
         mean_demand = 2e-3
         rate = arrival_rate_for_load(0.7, 4.0, mean_demand, 10)
-        spec = RequestSpec(
-            arrivals=PoissonArrivals(rate=rate),
-            fanout=FixedFanout(k=4),
-            popularity=UniformPopularity(),
-        )
-        load = offered_load(
-            spec, keyspace_mean_size=1900, n_servers=10,
-            per_op_overhead=100e-6, byte_rate=1e6,
-        )
-        assert load == pytest.approx(0.7)
+        # rho = rate * fan-out * mean demand / servers
+        assert rate * 4.0 * mean_demand / 10 == pytest.approx(0.7)
 
     def test_mean_speed_scales_capacity(self):
         slow = arrival_rate_for_load(0.5, 2.0, 1e-3, 4, mean_speed=0.5)
