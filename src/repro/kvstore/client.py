@@ -128,10 +128,10 @@ class Client:
         self._per_op_timers = op_timeout is not None or hedge is not None
         #: (request_id, index) -> attempts made so far (1 = original send).
         self._attempts: Dict[tuple, int] = {}
-        #: (request_id, index) -> the latest armed op-timeout timer; the
-        #: response path poisons it so stale timers never even fire.
+        #: (request_id, index) -> token of the pending op-timeout timer;
+        #: the response path pops it, which cancels the timer.
         self._op_timers: Dict[tuple, object] = {}
-        #: (request_id, index) -> pending hedge timer.
+        #: (request_id, index) -> token of the pending hedge timer.
         self._hedge_timers: Dict[tuple, object] = {}
         #: (request_id, index) -> server ids already sent a hedge.
         self._hedged: Dict[tuple, Set[int]] = {}
@@ -277,19 +277,20 @@ class Client:
 
     def _arm_timeout(self, op: Operation) -> None:
         key = (op.request_id, op.index)
-        attempt = self._attempts[key]
-        timer = self.env.pooled_timeout(self.op_timeout)
-        self._op_timers[key] = timer
-        timer.callbacks.append(
-            lambda _event, timer=timer: self._fire_op_timeout(op, attempt, timer)
+        self._op_timers[key] = token = object()
+        self.env._schedule(
+            self._fire_op_timeout,
+            (op, self._attempts[key], token),
+            self.op_timeout,
+            NORMAL,
         )
 
-    def _fire_op_timeout(self, op: Operation, attempt: int, timer) -> None:
-        # Drop our own registration first: a fired (soon recycled) timer
-        # must never be poisoned by a late response.
+    def _fire_op_timeout(self, arg: tuple) -> None:
+        op, attempt, token = arg
         key = (op.request_id, op.index)
-        if self._op_timers.get(key) is timer:
-            del self._op_timers[key]
+        if self._op_timers.get(key) is not token:
+            return  # cancelled by the response
+        del self._op_timers[key]
         self._on_op_timeout(op, attempt)
 
     def _on_op_timeout(self, op: Operation, attempt: int) -> None:
@@ -383,16 +384,14 @@ class Client:
         if self.op_timeout is not None and threshold >= self.op_timeout:
             return  # the timeout/retry path would fire first anyway
         key = (op.request_id, op.index)
-        timer = self.env.pooled_timeout(threshold)
-        self._hedge_timers[key] = timer
-        timer.callbacks.append(
-            lambda _event, timer=timer: self._fire_hedge(op, timer)
-        )
+        self._hedge_timers[key] = token = object()
+        self.env._schedule(self._fire_hedge, (op, token), threshold, NORMAL)
 
-    def _fire_hedge(self, op: Operation, timer) -> None:
+    def _fire_hedge(self, arg: tuple) -> None:
+        op, token = arg
         key = (op.request_id, op.index)
-        if self._hedge_timers.get(key) is not timer:
-            return  # superseded
+        if self._hedge_timers.get(key) is not token:
+            return  # cancelled by the response
         del self._hedge_timers[key]
         outstanding = self._pending.get(op.request_id)
         if outstanding is None or op.index not in outstanding:
@@ -546,15 +545,11 @@ class Client:
 
     def _settle_timers(self, key: tuple, server_id: int) -> None:
         """An op was answered by ``server_id``: cancel what still waits on it."""
-        timer = self._op_timers.pop(key, None)
-        if timer is not None and timer.callbacks is not None:
-            # Poison the pending pooled timer: it fires as a no-op and is
-            # recycled without ever entering the timeout path.
-            timer.callbacks.clear()
+        # A pending timer's entry stays on the heap and fires as a no-op:
+        # its handler no longer finds its token.
+        if self._op_timers.pop(key, None) is not None:
             self.timers_cancelled += 1
-        hedge_timer = self._hedge_timers.pop(key, None)
-        if hedge_timer is not None and hedge_timer.callbacks is not None:
-            hedge_timer.callbacks.clear()
+        if self._hedge_timers.pop(key, None) is not None:
             self.timers_cancelled += 1
         hedged_to = self._hedged.pop(key, None)
         if hedged_to and server_id in hedged_to:

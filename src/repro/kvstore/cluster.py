@@ -14,7 +14,7 @@ from repro.kvstore.config import ClusterConfig, SimulationConfig
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.partitioning import ConsistentHashRing
 from repro.kvstore.replication import ReplicaPlacement
-from repro.kvstore.server import Server, start_periodic_broadcaster
+from repro.kvstore.server import Server
 from repro.kvstore.service import ServiceModel
 from repro.kvstore.storage import StorageEngine
 from repro.metrics.collector import MetricsCollector
@@ -22,7 +22,7 @@ from repro.metrics.summary import SummaryStats
 from repro.obs import MetricsRegistry, Tracer, register_queue_gauges
 from repro.schedulers.registry import create_policy
 from repro.selection import CONTROL_MESSAGE_KINDS, selection_policy_needs
-from repro.sim.core import Environment
+from repro.sim.core import NORMAL, Environment, stop
 from repro.sim.rand import RandomStreams
 from repro.workload.popularity import PartitionedPopularity
 from repro.workload.requests import (
@@ -151,7 +151,9 @@ class Cluster:
         self._register_fault_gauges()
 
         self.clients: List[Client] = []
-        self._done_event = self.env.event()
+        #: True while a ``max_requests`` run waits for every client to
+        #: drain; the last completion then schedules the run's stop.
+        self._awaiting_drain = False
         for cid in range(config.n_clients):
             self.clients.append(self._build_client(cid))
         for server in self.servers.values():
@@ -336,22 +338,56 @@ class Cluster:
         )
 
     def _start_periodic_feedback(self, interval: float) -> None:
-        def deliver_factory(server: Server):
-            def deliver(feedback):
-                for client in self.clients:
-                    self.network.send(
-                        ("server", server.server_id),
-                        ("client", client.client_id),
-                        feedback,
-                        client.receive_feedback,
-                    )
-
-            return deliver
-
+        self._report_interval = interval
+        #: Reporter entries on the heap: one timer per live broadcaster,
+        #: plus the report deliveries in flight.
+        self._reporters = len(self.servers)
+        self._reports_in_flight = 0
         for server in self.servers.values():
-            start_periodic_broadcaster(
-                self.env, server, interval, deliver_factory(server)
-            )
+            self.env._schedule(self._arm_report, server)
+
+    def _arm_report(self, server: Server) -> None:
+        self.env._schedule(self._broadcast, server, self._report_interval, NORMAL)
+
+    def _broadcast(self, server: Server) -> None:
+        """Send ``server``'s feedback snapshot to every client, then re-arm."""
+        if self._reporters_idle():
+            return
+        # A dead server gossips nothing; clients keep their last (stale)
+        # view until the failure detector marks it.
+        if not server.crashed:
+            feedback = server.make_feedback()
+            for client in self.clients:
+                delay = self.network.send(
+                    ("server", server.server_id),
+                    ("client", client.client_id),
+                    (client, feedback),
+                    self._receive_report,
+                )
+                if delay != float("inf"):  # not dropped by a link fault
+                    self._reports_in_flight += 1
+        self._arm_report(server)
+
+    def _receive_report(self, arg: tuple) -> None:
+        self._reports_in_flight -= 1
+        client, feedback = arg
+        client.receive_feedback(feedback)
+
+    def _reporters_idle(self) -> bool:
+        """At a broadcaster's firing: should it stop for good?
+
+        Yes when nothing but reporter entries is pending.  Then no arrival
+        is due and no operation, timer or fault is in flight, so no request
+        can complete any more, and a report changes nothing that could.
+        Without this the reporters would keep an undrainable
+        ``max_requests`` run alive forever; once they have all retired the
+        heap runs dry and :meth:`run` says how many requests were lost.
+        """
+        others = self._reporters - 1 + self._reports_in_flight
+        if len(self.env._queue) > others:
+            return False
+        self._reporters -= 1
+        return True
 
     # ------------------------------------------------------------------
     # Observability
@@ -444,10 +480,9 @@ class Cluster:
     # Execution
     # ------------------------------------------------------------------
     def _check_drained(self, _client: Client) -> None:
-        if self._done_event.triggered:
-            return
-        if all(c.drained for c in self.clients):
-            self._done_event.succeed()
+        if self._awaiting_drain and all(c.drained for c in self.clients):
+            self._awaiting_drain = False
+            self.env._schedule(stop, None)
 
     def run(self, sim: SimulationConfig) -> RunResult:
         """Execute the configured stopping rule and summarize."""
@@ -456,7 +491,15 @@ class Cluster:
             extra = sim.max_requests % len(self.clients)
             for i, client in enumerate(self.clients):
                 client.max_requests = per_client + (1 if i < extra else 0)
-            self.env.run(until=self._done_event)
+            self._awaiting_drain = True
+            self.env.run()
+            if self._awaiting_drain:
+                sent = sum(c.requests_sent for c in self.clients)
+                lost = sent - sum(c.requests_completed for c in self.clients)
+                raise RuntimeError(
+                    f"the simulation ran out of events with {lost} of {sent} "
+                    "requests never completed"
+                )
             warmup_time = self.metrics.warmup_time_for_fraction(sim.warmup_fraction)
         else:
             for client in self.clients:

@@ -16,7 +16,7 @@ calls it again.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.estimator import check_alpha
 from repro.errors import KeyNotFoundError
@@ -292,27 +292,3 @@ class Server:
             f"served={self.ops_served})"
         )
 
-
-def start_periodic_broadcaster(
-    env: Environment,
-    server: Server,
-    interval: float,
-    deliver: Callable[[Feedback], None],
-) -> None:
-    """Broadcast ``server``'s feedback snapshot every ``interval`` from now on.
-
-    ``deliver`` receives the snapshot and is responsible for fanning it out
-    to clients (the cluster wires this through the network model).
-    """
-
-    def arm(_) -> None:
-        env._schedule(broadcast, None, interval, NORMAL)
-
-    def broadcast(_) -> None:
-        # A dead server gossips nothing; clients keep their last (stale)
-        # view until the failure detector marks it.
-        if not server.crashed:
-            deliver(server.make_feedback())
-        arm(None)
-
-    env._schedule(arm, None)

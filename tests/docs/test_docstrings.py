@@ -20,7 +20,6 @@ SCOPED_MODULES = [
     SRC / "experiments" / "runner.py",
     SRC / "experiments" / "parallel.py",
     SRC / "experiments" / "fullrun.py",
-    SRC / "sim" / "events.py",
     SRC / "sim" / "core.py",
     SRC / "core" / "das.py",
     SRC / "workload" / "spec.py",

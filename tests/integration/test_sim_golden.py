@@ -29,6 +29,7 @@ from repro.faults.plan import (
     SlowNode,
 )
 from repro.faults.resilience import HedgePolicy
+from repro.kvstore.cluster import Cluster
 from repro.workload import GeometricFanout, PoissonArrivals
 from repro.workload.popularity import UniformPopularity
 from repro.workload.requests import arrival_rate_for_load
@@ -172,6 +173,49 @@ LINK_FAULT_COUNTERS = {
     "dropped_loss": 145,
     "delayed_messages": 692,
 }
+
+
+#: The kernel schedule behind the digests: every cell's heap entries
+#: (``env.events_scheduled``, the last entry's ``seq``) and, for the two
+#: cells with per-op timers, the clients' summed timer counters.  A timer
+#: that lost or gained an entry moves these even where the RCTs hold.
+EVENTS_SCHEDULED = {
+    "open-das": 3895,
+    "closed-sbf": 2593,
+    "periodic-duration": 3470,
+    "dodoor-reports": 3585,
+    "crash-outages": 6945,
+    "slow-node": 2788,
+    "laned": 3895,
+    "jitter-das": 5041,
+    "hedged-timeouts": 8435,
+    "link-faults": 2908,
+}
+TIMER_FIELDS = (
+    "timeouts_observed",
+    "retries_sent",
+    "hedges_sent",
+    "hedges_won",
+    "timers_cancelled",
+)
+TIMER_COUNTERS = {
+    "crash-outages": (100, 100, 0, 0, 1546),
+    "hedged-timeouts": (371, 312, 84, 25, 1751),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_kernel_schedule_is_the_recorded_one(name):
+    config, sim = CELLS[name]
+    cluster = Cluster(config)
+    cluster.run(sim)
+    assert cluster.env.events_scheduled == EVENTS_SCHEDULED[name]
+    if name in TIMER_COUNTERS:
+        counters = tuple(
+            sum(getattr(client, field) for client in cluster.clients)
+            for field in TIMER_FIELDS
+        )
+        assert counters == TIMER_COUNTERS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))

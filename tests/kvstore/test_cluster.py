@@ -4,6 +4,7 @@
 import pytest
 
 from repro.core.feedback import FeedbackConfig, FeedbackMode
+from repro.faults.plan import Crash, FaultPlan
 from repro.kvstore.cluster import Cluster, run_cluster
 from repro.kvstore.config import SimulationConfig
 
@@ -64,6 +65,15 @@ class TestRuns:
         assert result.sim_time == pytest.approx(0.5)
         assert result.requests_completed > 0
 
+    def test_duration_run_outlasts_an_early_drain(self):
+        """Every request completes well before the duration ends; the
+        clock still runs to the duration (utilization divides by it)."""
+        result = run_cluster(
+            small_config(load=0.05, seed=1), SimulationConfig(duration=0.2)
+        )
+        assert result.requests_completed == result.requests_sent == 100
+        assert result.sim_time == 0.2
+
     def test_same_seed_reproduces_exactly(self):
         a = run_cluster(small_config(seed=5), quick_sim(200))
         b = run_cluster(small_config(seed=5), quick_sim(200))
@@ -87,6 +97,23 @@ class TestRuns:
         result = run_cluster(small_config(), quick_sim(500))
         assert 0 < len(result.rcts()) < 500
 
+    @pytest.mark.parametrize("report_interval", [None, 0.01])
+    def test_undrainable_run_says_how_many_requests_were_lost(self, report_interval):
+        """One copy per key, the server crashes at once and the retry
+        budget runs out: 172 requests can never complete.  A periodic
+        reporter must not keep such a run alive forever."""
+        config = small_config(
+            load=0.3,
+            seed=9,
+            replication_factor=1,
+            op_timeout=0.02,
+            max_retries=1,
+            fault_plan=FaultPlan((Crash(0, at=0.001),)),
+            load_report_interval=report_interval,
+        )
+        with pytest.raises(RuntimeError, match="172 of 300 requests never completed"):
+            Cluster(config).run(SimulationConfig(max_requests=300))
+
     def test_run_result_fields(self):
         config = small_config(n_servers=4)
         result = run_cluster(config, quick_sim(200))
@@ -107,6 +134,25 @@ class TestFeedbackModes:
         client = cluster.clients[0]
         assert client.estimates.feedback_count > 0
         assert len(client.estimates.known_servers()) == config.n_servers
+
+    def test_periodic_broadcaster_emits(self):
+        config = small_config(
+            feedback=FeedbackConfig(mode=FeedbackMode.PERIODIC, interval=0.5)
+        )
+        cluster = Cluster(config)
+        received = []
+        for client in cluster.clients:
+            client.receive_feedback = lambda feedback, cid=client.client_id: (
+                received.append((round(cluster.env.now, 6), feedback.server_id, cid))
+            )
+        cluster.run(SimulationConfig(duration=2.1))
+        delay = config.network_base_delay
+        assert received == [
+            (round(at + delay, 6), sid, cid)
+            for at in (0.5, 1.0, 1.5, 2.0)
+            for sid in range(config.n_servers)
+            for cid in range(config.n_clients)
+        ]
 
     def test_piggyback_only_covers_contacted_servers(self):
         config = small_config(scheduler="das")

@@ -4,10 +4,11 @@ import pytest
 
 from repro.kvstore.items import OpKind, Operation, Request
 from repro.kvstore.network import UniformLatencyNetwork
-from repro.kvstore.server import Server, start_periodic_broadcaster
+from repro.kvstore.server import Server
 from repro.kvstore.service import ServiceModel
 from repro.kvstore.storage import StorageEngine
 from repro.schedulers.registry import create_policy
+from repro.sim.core import NORMAL
 
 
 class FakeClient:
@@ -98,9 +99,7 @@ class TestServing:
     def test_server_sleeps_when_idle_and_wakes_on_push(self, env):
         server, client = make_server(env)
         server.storage.put("k", 1000)
-        env.timeout(5.0).callbacks.append(
-            lambda _e: server.handle_operation(make_op("k"))
-        )
+        env._schedule(server.handle_operation, make_op("k"), 5.0, NORMAL)
         env.run(until=10.0)
         assert len(client.responses) == 1
         op = client.responses[0].operation
@@ -144,7 +143,7 @@ class TestPause:
         server.storage.put("k", 1000)
         server.pause()
         server.handle_operation(make_op("k"))
-        env.timeout(0.2).callbacks.append(lambda _e: server.resume())
+        env._schedule(lambda _: server.resume(), None, 0.2, NORMAL)
         env.run(until=1.0)
         assert server.ops_served == 1
         assert client.responses[0].operation.start_time == pytest.approx(0.2)
@@ -246,10 +245,3 @@ class TestFeedback:
         assert server.in_service_residual(env.now) == pytest.approx(1e-3)
         env.run()
         assert server.in_service_residual(env.now) == 0.0
-
-    def test_periodic_broadcaster_emits(self, env):
-        server, client = make_server(env)
-        snapshots = []
-        start_periodic_broadcaster(env, server, 0.5, snapshots.append)
-        env.run(until=2.1)
-        assert len(snapshots) == 4  # at 0.5, 1.0, 1.5, 2.0

@@ -1,26 +1,22 @@
 """Shared helper for the kernel tests: a self-re-arming timer."""
 
-from repro.sim.core import Environment
+from repro.sim.core import NORMAL, Environment
 
 
-def tick_every(
-    env: Environment, delay: float, times: int, on_tick, factory: str = "timeout"
-) -> None:
+def tick_every(env: Environment, delay: float, times: int, on_tick) -> None:
     """Call ``on_tick()`` ``times`` times, ``delay`` apart, starting at now + delay.
 
-    Each firing arms the next timer itself — the shape every recurring
-    activity of the model has.  ``factory`` names the environment method
-    that makes the timer (``timeout`` or ``pooled_timeout``).
+    Each firing schedules the next call itself — the shape every recurring
+    activity of the model has.
     """
-    make_timer = getattr(env, factory)
     left = times
 
-    def fire(_event):
+    def fire(_):
         nonlocal left
         left -= 1
         on_tick()
         if left:
-            make_timer(delay).callbacks.append(fire)
+            env._schedule(fire, None, delay, NORMAL)
 
     if times:
-        make_timer(delay).callbacks.append(fire)
+        env._schedule(fire, None, delay, NORMAL)

@@ -1,8 +1,8 @@
-"""Unit tests for the environment's run/step/peek machinery."""
+"""Unit tests for the environment's run loop, its bounds and its stops."""
 
 import pytest
 
-from repro.sim.core import EmptySchedule, Environment
+from repro.sim.core import NORMAL, URGENT, Environment, stop
 from tests.sim.helpers import tick_every
 
 
@@ -10,26 +10,24 @@ class TestRun:
     def test_run_without_bound_drains_everything(self, env):
         fired = []
         for delay in (3, 1, 2):
-            t = env.timeout(delay)
-            t.callbacks.append(lambda e, d=delay: fired.append(d))
+            env._schedule(fired.append, delay, delay, NORMAL)
         env.run()
         assert fired == [1, 2, 3]
         assert env.now == 3.0
 
     def test_run_until_time_stops_clock_there(self, env):
-        env.timeout(10)
+        env._schedule(id, None, 10, NORMAL)
         env.run(until=4)
         assert env.now == 4.0
 
     def test_run_until_time_excludes_later_events(self, env):
         fired = []
-        t = env.timeout(5)
-        t.callbacks.append(lambda e: fired.append(env.now))
-        env.run(until=5)  # stop event sorts before the timeout at t=5
+        env._schedule(lambda _: fired.append(env.now), None, 5, NORMAL)
+        env.run(until=5)  # the bound sorts before the entry at t=5
         assert fired == []
 
     def test_run_until_past_raises(self, env):
-        env.timeout(1)
+        env._schedule(id, None, 1, NORMAL)
         env.run(until=2)
         with pytest.raises(ValueError):
             env.run(until=1)
@@ -51,58 +49,41 @@ class TestRun:
 
     def test_inf_time_event_is_served_last(self, env):
         fired = []
-        env.timeout(float("inf")).callbacks.append(lambda e: fired.append("end"))
-        env.timeout(2.0).callbacks.append(lambda e: fired.append("mid"))
+        env._schedule(fired.append, "end", float("inf"), NORMAL)
+        env._schedule(fired.append, "mid", 2.0, NORMAL)
         env.run()
         assert fired == ["mid", "end"]
 
-    def test_run_until_event_returns_its_value(self, env):
-        done = env.event()
-        env.timeout(2).callbacks.append(lambda e: done.succeed("answer"))
-        env.timeout(9)
-        assert env.run(until=done) == "answer"
-        assert env.now == 2.0
-
-    def test_run_until_already_processed_event(self, env):
-        event = env.event()
-        event.succeed("early")
-        env.run()
-        assert env.run(until=event) == "early"
-
-    def test_run_until_event_that_never_fires(self, env):
-        stuck = env.event()
-        env.timeout(1)
-        with pytest.raises(RuntimeError, match="ran out of events"):
-            env.run(until=stuck)
-
-    def test_run_until_failed_event_raises(self, env):
-        done = env.event()
-        env.timeout(1).callbacks.append(lambda e: done.fail(KeyError("whoops")))
-        with pytest.raises(KeyError):
-            env.run(until=done)
-        assert env.now == 1.0
-        env.run()  # the failure was consumed by run(until=...)
-
-    def test_failed_run_until_event_does_not_end_a_later_run(self, env):
-        """The stop callback is detached when the queue drains first."""
-        late = env.event()
-        with pytest.raises(RuntimeError, match="ran out of events"):
-            env.run(until=late)
-        env.timeout(1.0).callbacks.append(lambda e: late.succeed("x"))
+    def test_stop_entry_ends_the_run_at_its_instant(self, env):
         fired = []
-        env.timeout(5.0).callbacks.append(lambda e: fired.append(env.now))
+        env._schedule(fired.append, "before", 1.0, NORMAL)
+        env._schedule(stop, None, 2.0, NORMAL)
+        env._schedule(fired.append, "after", 9.0, NORMAL)
         assert env.run() is None
+        assert (env.now, fired) == (2.0, ["before"])
+        env.run()  # what the stop left behind is still runnable
+        assert (env.now, fired) == (9.0, ["before", "after"])
+
+    def test_run_stopped_early_leaves_no_bound_behind(self, env):
+        """A run(until=t) that a stop entry ends before t removes its
+        bound: it must not end a later run at t."""
+        env._schedule(stop, None, 1.0, NORMAL)
+        env.run(until=3.0)
+        assert env.now == 1.0
+        fired = []
+        env._schedule(lambda _: fired.append(env.now), None, 4.0, NORMAL)
+        env.run()
         assert fired == [5.0]
 
     def test_exception_during_run_until_time_leaves_no_stop_behind(self, env):
-        def boom(_event):
+        def boom(_):
             raise ValueError("boom")
 
-        env.timeout(1.0).callbacks.append(boom)
+        env._schedule(boom, None, 1.0, NORMAL)
         with pytest.raises(ValueError, match="boom"):
             env.run(until=3.0)
         fired = []
-        env.timeout(5.0).callbacks.append(lambda e: fired.append(env.now))
+        env._schedule(lambda _: fired.append(env.now), None, 5.0, NORMAL)
         env.run()
         assert fired == [6.0]
 
@@ -113,44 +94,21 @@ class TestRun:
     def test_initial_time(self):
         env = Environment(initial_time=100.0)
         assert env.now == 100.0
-        env.timeout(5)
+        env._schedule(id, None, 5, NORMAL)
         env.run()
         assert env.now == 105.0
 
 
-class TestStepAndPeek:
-    def test_peek_empty_is_inf(self, env):
-        assert env.peek() == float("inf")
-
-    def test_peek_returns_next_event_time(self, env):
-        env.timeout(7)
-        env.timeout(3)
-        assert env.peek() == 3.0
-
-    def test_step_advances_one_event(self, env):
-        env.timeout(1)
-        env.timeout(2)
-        env.step()
-        assert env.now == 1.0
-        env.step()
-        assert env.now == 2.0
-
-    def test_step_on_empty_raises(self, env):
-        with pytest.raises(EmptySchedule, match="0 pending events"):
-            env.step()
-
+class TestOrderAndRepr:
     def test_urgent_events_precede_timeouts_at_same_instant(self, env):
         order = []
-        env.timeout(1).callbacks.append(lambda e: order.append("timeout-done"))
-        # An event succeeded at t=0 runs before the t=0 timeout below.
-        t0 = env.timeout(0)
-        t0.callbacks.append(lambda e: order.append("timeout-zero"))
-        ev = env.event()
-        ev.callbacks.append(lambda e: order.append("urgent"))
-        ev.succeed()
+        env._schedule(order.append, "timeout-done", 1, NORMAL)
+        # An URGENT entry at t=0 runs before the NORMAL t=0 entry before it.
+        env._schedule(order.append, "timeout-zero", 0, NORMAL)
+        env._schedule(order.append, "urgent", 0, URGENT)
         env.run()
         assert order == ["urgent", "timeout-zero", "timeout-done"]
 
     def test_repr_contains_time(self, env):
-        env.timeout(1)
+        env._schedule(id, None, 1, NORMAL)
         assert "now=0" in repr(env)

@@ -3,19 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.core import Environment
+from repro.sim.core import NORMAL, Environment
 from tests.sim.helpers import tick_every
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=50))
 @settings(max_examples=100, deadline=None)
 def test_timeouts_fire_in_sorted_order(delays):
-    """Whatever the scheduling order, events fire in time order."""
+    """Whatever the scheduling order, entries fire in time order."""
     env = Environment()
     fired = []
     for delay in delays:
-        t = env.timeout(delay)
-        t.callbacks.append(lambda e, d=delay: fired.append(d))
+        env._schedule(fired.append, delay, delay, NORMAL)
     env.run()
     assert fired == sorted(delays)
     assert env.now == max(delays)
@@ -32,8 +31,7 @@ def test_equal_delays_preserve_creation_order(delays):
     env = Environment()
     fired = []
     for index, delay in enumerate(delays):
-        t = env.timeout(delay)
-        t.callbacks.append(lambda e, i=index: fired.append(i))
+        env._schedule(fired.append, index, delay, NORMAL)
     env.run()
     expected = [i for _, i in sorted(zip(delays, range(len(delays))))]
     assert fired == expected
