@@ -9,22 +9,25 @@ two classic disciplines:
   far above the norm are demoted to a background band served only when
   nothing else is queued.
 
-and it is *adaptive*: remaining-time estimates fold in per-server queue
-state and measured service rate (learned from feedback piggybacked on
-responses), and the demotion threshold tracks the observed load level.
+and it is *adaptive*: remaining-time estimates fold in each server's
+measured service rate (learned from feedback piggybacked on responses),
+and each queue's demotion threshold tracks its own queue length.
 
 See DESIGN.md §2 for the reconstruction notes (the algorithm is rebuilt
 from the paper's abstract; the full text was unavailable).
 """
 
-from repro.core.adaptive import AdaptiveThreshold
-from repro.core.das import DasPolicy, DasQueue, DasTagger, TAG_RPT
+from repro.core.das import (
+    TAG_RPT,
+    DasPolicy,
+    DasQueue,
+    DasTagger,
+    remaining_processing_time,
+)
 from repro.core.estimator import EwmaEstimator, ServerEstimates
 from repro.core.feedback import FeedbackMode
-from repro.core.priority import completion_horizon, remaining_processing_time
 
 __all__ = [
-    "AdaptiveThreshold",
     "DasPolicy",
     "DasQueue",
     "DasTagger",
@@ -32,6 +35,5 @@ __all__ = [
     "FeedbackMode",
     "ServerEstimates",
     "TAG_RPT",
-    "completion_horizon",
     "remaining_processing_time",
 ]

@@ -2,11 +2,11 @@
 
 Client side (:class:`DasTagger`): stamp each operation with the request's
 estimated *remaining processing time* (RPT) — the speed-adjusted
-bottleneck ``max_s(slice(s) / estimated rate(s))`` — plus the
-wait-inclusive *completion horizon* (kept for diagnostics and replica
-selection).  Rate estimates come from feedback piggybacked on responses,
-so a degraded or slow server automatically inflates the RPT of every
-request touching it.
+bottleneck ``max_s(slice(s) / estimated rate(s))``.  Rate estimates come
+from feedback piggybacked on responses, so a degraded or slow server
+automatically inflates the RPT of every request touching it.  With no
+estimates (cold start, feedback disabled) the RPT is the static
+bottleneck demand, i.e. DAS falls back to Rein-SBF ordering.
 
 Server side (:class:`DasQueue`): two bands.
 
@@ -16,21 +16,22 @@ Server side (:class:`DasQueue`): two bands.
   RPT-ordered among themselves, served only when the front band is empty
   (*LRPT-last*).
 
-The threshold is ``k × (EWMA of tagged RPTs)`` with ``k`` driven by the
-:class:`~repro.core.adaptive.AdaptiveThreshold` controller: heavy load
-shrinks ``k`` toward ``k_min`` (demote outliers more eagerly — trimming
-giants most improves the mean when queues are long), light load grows it
-toward ``k_max`` (pure SRPT-first; demotion would only delay large
-requests for no benefit).  ``k_min`` stays well above 1 so only genuine
-outliers are ever demoted — demoting the distribution's body degenerates
-into FCFS-of-the-masses and destroys the mean.  A last-band operation
-that has waited more than ``starvation_factor × scale`` is promoted to
-the very front, bounding starvation (which pure SBF does not).
+The threshold is ``k × (EWMA of tagged RPTs)``.  Each queue drives its
+own ``k`` by multiplicative increase/decrease on an EWMA of its queue
+length: a queue persistently longer than ``Q_HIGH`` shrinks ``k`` toward
+``k_min`` (demote outliers more eagerly — trimming giants most improves
+the mean when queues are long), one persistently shorter than ``Q_LOW``
+grows it toward ``K_MAX`` (pure SRPT-first; demotion would only delay
+large requests for no benefit).  ``k_min`` stays well above 1 so only
+genuine outliers are ever demoted — demoting the distribution's body
+degenerates into FCFS-of-the-masses and destroys the mean.  A last-band
+operation that has waited more than ``STARVATION_FACTOR × scale`` is
+promoted to the very front, bounding starvation (which pure SBF does
+not).
 
-Ablation switches (experiment A1): ``adaptive=False`` freezes the
-threshold multiplier; ``last_band=False`` disables demotion (pure
-SRPT-first); ``srpt_front=False`` makes the front band FIFO (pure
-LRPT-last).
+Ablation switches (experiment A1): ``adaptive=False`` freezes ``k`` at
+``K_INIT``; ``last_band=False`` disables demotion (pure SRPT-first);
+``srpt_front=False`` makes the front band FIFO (pure LRPT-last).
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ from collections import deque
 from itertools import count
 from typing import Optional
 
-from repro.core.adaptive import AdaptiveThreshold
 from repro.core.estimator import ServerEstimates
-from repro.core.priority import rpt_and_horizon
 from repro.errors import ConfigError, SchedulerError
 from repro.kvstore.items import Operation, Request
 from repro.obs.trace import OBS_BAND, OBS_PROMOTED, OBS_THRESHOLD
@@ -50,45 +49,91 @@ from repro.schedulers.base import ClientTagger, SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import register_policy
 
 TAG_RPT = "rpt"
-TAG_HORIZON = "horizon"
+
+#: EWMA weight of the per-server mean-RPT scale.
+SCALE_ALPHA = 0.05
+#: Last-band wait budget, in units of ``max(threshold, scale)``.
+STARVATION_FACTOR = 30.0
+#: Starting, default-floor and ceiling values of the multiplier ``k``.
+K_INIT = 8.0
+K_MIN = 4.0
+K_MAX = 64.0
+#: Smoothed queue length below which ``k`` grows, above which it shrinks.
+Q_LOW = 2.0
+Q_HIGH = 10.0
+#: Multiplicative step of one adjustment of ``k``.
+GAIN = 0.05
+#: EWMA weight of queue-length samples.
+CTRL_ALPHA = 0.1
+#: Minimum time between adjustments, so the controller's speed is
+#: load-independent.
+ADAPT_INTERVAL = 1e-3
+#: Floor on a rate estimate, so a zero estimate cannot divide by zero.
+_MIN_RATE = 1e-9
+
+
+def remaining_processing_time(
+    request: Request, now: float, estimates: Optional[ServerEstimates]
+) -> float:
+    """Speed-adjusted bottleneck of ``request`` (the SRPT ranking key).
+
+    Deliberately load-independent: ranking by queue-wait-inflated values
+    would freeze transient congestion into permanent priorities and
+    starve requests dispatched during spikes.  The pass also sees the
+    request's raw bottleneck, so it leaves it on the request for whoever
+    asks :meth:`Request.bottleneck_demand` later.
+    """
+    rpt = bottleneck = 0.0
+    for server_id, demand in request.demands_by_server().items():
+        if demand > bottleneck:
+            bottleneck = demand
+        if estimates is None:
+            adjusted = demand
+        else:
+            adjusted = demand / max(estimates.rate(server_id), _MIN_RATE)
+        if adjusted > rpt:
+            rpt = adjusted
+    request.bottleneck = bottleneck
+    return rpt
 
 
 class DasTagger(ClientTagger):
-    """Stamps operations with the request's RPT and completion horizon."""
+    """Stamps operations with the request's RPT."""
 
     def tag_request(
         self, request: Request, now: float, estimates: Optional[ServerEstimates]
     ) -> None:
-        """Write the RPT and horizon tags onto every operation."""
-        rpt, horizon = rpt_and_horizon(request, now, estimates)
+        """Write the RPT tag onto every operation."""
+        rpt = remaining_processing_time(request, now, estimates)
         for op in request.operations:
             op.tag[TAG_RPT] = rpt
-            op.tag[TAG_HORIZON] = horizon
 
 
 class DasQueue(ServerQueue):
-    """The two-band DAS queue at one server."""
+    """The two-band DAS queue at one server, with its own ``k`` controller."""
 
     def __init__(
         self,
-        controller: AdaptiveThreshold,
-        scale_alpha: float = 0.05,
-        starvation_factor: float = 30.0,
+        adaptive: bool = True,
         srpt_front: bool = True,
         last_band: bool = True,
+        k_min: float = K_MIN,
     ):
         super().__init__()
-        if not 0 < scale_alpha <= 1:
-            raise ConfigError("scale_alpha must be in (0, 1]")
-        if starvation_factor <= 0:
-            raise ConfigError("starvation_factor must be positive")
-        self.controller = controller
-        self._scale_alpha = scale_alpha
-        #: EWMA of tagged RPTs; None until the first push.
-        self._scale: Optional[float] = None
-        self._starvation_factor = starvation_factor
+        if not 0 < k_min <= K_INIT:
+            raise ConfigError(f"k_min must be in (0, {K_INIT}], got {k_min}")
+        self._adaptive = adaptive
         self._srpt_front = srpt_front
         self._last_band_enabled = last_band
+        self._k_min = k_min
+        #: Demotion multiplier, moved by :meth:`_adapt`.
+        self.k = K_INIT
+        #: EWMA of observed queue lengths; None before the first sample.
+        self._pressure: Optional[float] = None
+        self._last_adapt = float("-inf")
+        self.adjustments = 0
+        #: EWMA of tagged RPTs; None until the first push.
+        self._scale: Optional[float] = None
         self._front: list[tuple[float, int, Operation]] = []
         #: Last band: RPT-ordered heap of mutable ``[rpt, seq, op]``
         #: entries (demoted ops keep size order among themselves) plus an
@@ -112,7 +157,12 @@ class DasQueue(ServerQueue):
     @property
     def threshold(self) -> float:
         """Current demotion threshold in RPT units."""
-        return self.controller.threshold(self.rpt_scale)
+        return self.k * self.rpt_scale
+
+    @property
+    def queue_pressure(self) -> float:
+        """Smoothed queue length the controller is reacting to."""
+        return self._pressure if self._pressure is not None else 0.0
 
     @property
     def front_length(self) -> int:
@@ -124,7 +174,31 @@ class DasQueue(ServerQueue):
         """Live operations in the last band (tombstones excluded)."""
         return len(self._last_index)
 
+    def __repr__(self) -> str:
+        return (
+            f"DasQueue(k={self.k:.3f}, pressure={self.queue_pressure:.2f}, "
+            f"adjustments={self.adjustments})"
+        )
+
     # ------------------------------------------------------------------
+    def _adapt(self, queue_length: int, now: float) -> None:
+        """Fold a queue-length sample into the pressure; maybe move ``k``."""
+        pressure = self._pressure
+        if pressure is None:
+            pressure = float(queue_length)
+        else:
+            pressure += CTRL_ALPHA * (queue_length - pressure)
+        self._pressure = pressure
+        if not self._adaptive or now - self._last_adapt < ADAPT_INTERVAL:
+            return
+        self._last_adapt = now
+        if pressure > Q_HIGH and self.k > self._k_min:
+            self.k = max(self._k_min, self.k * (1.0 - GAIN))
+            self.adjustments += 1
+        elif pressure < Q_LOW and self.k < K_MAX:
+            self.k = min(K_MAX, self.k * (1.0 + GAIN))
+            self.adjustments += 1
+
     def _push(self, op: Operation, now: float) -> None:
         tag = op.tag
         rpt = float(tag.get(TAG_RPT, op.demand))
@@ -134,11 +208,11 @@ class DasQueue(ServerQueue):
         if prev_scale is None:
             self._scale = rpt
         else:
-            self._scale = prev_scale + self._scale_alpha * (rpt - prev_scale)
-        self.controller.observe(self._length + 1, now)
+            self._scale = prev_scale + SCALE_ALPHA * (rpt - prev_scale)
+        self._adapt(self._length + 1, now)
         threshold = None
         if prev_scale is not None:
-            threshold = tag[OBS_THRESHOLD] = self.controller.threshold(prev_scale)
+            threshold = tag[OBS_THRESHOLD] = self.k * prev_scale
         if self._last_band_enabled and threshold is not None and rpt > threshold:
             entry = [rpt, next(self._seq), op]
             heapq.heappush(self._last, entry)
@@ -164,7 +238,7 @@ class DasQueue(ServerQueue):
         raise SchedulerError("last band has no live operations")
 
     def _pop(self, now: float) -> Operation:
-        self.controller.observe(self._length, now)
+        self._adapt(self._length, now)
         # Fast path: no demoted operations means no aging to check and no
         # threshold/budget to evaluate — the common case at light load,
         # where pop is just a front-band heappop.
@@ -174,7 +248,7 @@ class DasQueue(ServerQueue):
             return self._pop_last()
         # Starvation bound: promote the oldest last-band operation once it
         # has waited beyond the budget; it jumps to the very front.
-        budget = self._starvation_factor * max(self.threshold, self.rpt_scale)
+        budget = STARVATION_FACTOR * max(self.threshold, self.rpt_scale)
         while self._last_by_age and budget > 0:
             head = self._last_by_age[0]
             entry = self._last_index.get(id(head))
@@ -206,18 +280,15 @@ class DasPolicy(SchedulingPolicy):
 
     Parameters
     ----------
-    scale_alpha:
-        EWMA weight for the per-server mean-RPT scale (default 0.05).
-    starvation_factor:
-        Last-band wait budget in scale units (default 30).
     adaptive:
-        Enable the threshold controller (default True).
+        Let each queue move its demotion multiplier ``k`` (default True).
     srpt_front:
         Order the front band smallest-RPT-first (default True).
     last_band:
         Enable LRPT-last demotion (default True).
-    k_init, k_min, k_max, q_low, q_high, gain, ctrl_alpha, adapt_interval:
-        Controller knobs, see :class:`~repro.core.adaptive.AdaptiveThreshold`.
+    k_min:
+        Floor of ``k`` under sustained pressure, in ``(0, K_INIT]``
+        (default ``K_MIN``).
     """
 
     name = "das"
@@ -225,69 +296,18 @@ class DasPolicy(SchedulingPolicy):
 
     def __init__(
         self,
-        scale_alpha: float = 0.05,
-        starvation_factor: float = 30.0,
         adaptive: bool = True,
         srpt_front: bool = True,
         last_band: bool = True,
-        k_init: float = 8.0,
-        k_min: float = 4.0,
-        k_max: float = 64.0,
-        q_low: float = 2.0,
-        q_high: float = 10.0,
-        gain: float = 0.05,
-        ctrl_alpha: float = 0.1,
-        adapt_interval: float = 1e-3,
+        k_min: float = K_MIN,
     ):
-        super().__init__(
-            scale_alpha=scale_alpha,
-            starvation_factor=starvation_factor,
-            adaptive=adaptive,
-            srpt_front=srpt_front,
-            last_band=last_band,
-            k_init=k_init,
-            k_min=k_min,
-            k_max=k_max,
-            q_low=q_low,
-            q_high=q_high,
-            gain=gain,
-            ctrl_alpha=ctrl_alpha,
-            adapt_interval=adapt_interval,
+        self.params = dict(
+            adaptive=adaptive, srpt_front=srpt_front, last_band=last_band, k_min=k_min
         )
-        self.scale_alpha = scale_alpha
-        self.starvation_factor = starvation_factor
-        self.adaptive = adaptive
-        self.srpt_front = srpt_front
-        self.last_band = last_band
-        self.k_init = k_init
-        self.k_min = k_min
-        self.k_max = k_max
-        self.q_low = q_low
-        self.q_high = q_high
-        self.gain = gain
-        self.ctrl_alpha = ctrl_alpha
-        self.adapt_interval = adapt_interval
 
     def make_queue(self) -> ServerQueue:
-        """Build one server's :class:`DasQueue` with its own controller."""
-        controller = AdaptiveThreshold(
-            k_init=self.k_init,
-            k_min=self.k_min,
-            k_max=self.k_max,
-            q_low=self.q_low,
-            q_high=self.q_high,
-            gain=self.gain,
-            alpha=self.ctrl_alpha,
-            adapt_interval=self.adapt_interval,
-            enabled=self.adaptive,
-        )
-        return DasQueue(
-            controller,
-            scale_alpha=self.scale_alpha,
-            starvation_factor=self.starvation_factor,
-            srpt_front=self.srpt_front,
-            last_band=self.last_band,
-        )
+        """Build one server's :class:`DasQueue`."""
+        return DasQueue(**self.params)
 
     def make_tagger(self) -> ClientTagger:
         """Build the client-side tagger paired with this policy."""

@@ -51,10 +51,13 @@ EXPECTATIONS = {
     "E8": "DAS's win is robust to its constants (demotion floor, rate-EWMA "
           "alpha) — no sensitivity cliff.",
     "E9": "Fully distributed: the advantage persists as the cluster scales.",
-    "E10": "DAS bounds large-multiget starvation (p99 slowdown within a "
-           "moderate factor of FCFS) while keeping the mean win.",
-    "A1": "(ours) SRPT-front ordering carries most of the mean win; last "
-          "band and adaptation are protective.",
+    "E10": "DAS bounds large-multiget starvation by ranking alone: the "
+           "last band demotes no op on this mix, so its p99 slowdown "
+           "tracks Rein-SBF's, far below FCFS's, while keeping the mean win.",
+    "A1": "(ours) SRPT-front ordering carries the mean win. The last band "
+          "and adaptation act on few ops here (a handful of demotions per "
+          "degraded cell, none on bimodal), so dropping either moves the "
+          "mean by a few percent either way; the band pays on X4's p999.",
     "A2": "(ours) piggyback feedback matches periodic broadcast at zero "
           "message cost; without feedback DAS collapses to Rein-SBF.",
     "X1": "(ours, extension) spreading reads over replicas beats "

@@ -427,7 +427,7 @@ def e8_scenario(scale: float = 1.0) -> Scenario:
     schedulers = [SBF]
     for k_min in (2.0, 4.0, 8.0):
         schedulers.append(
-            SchedulerSpec(f"DAS k_min={k_min}", "das", {"k_min": k_min, "k_init": max(8.0, k_min)})
+            SchedulerSpec(f"DAS k_min={k_min}", "das", {"k_min": k_min})
         )
     estimator_sweeps = (0.05, 0.2, 0.5)
     points = [point]

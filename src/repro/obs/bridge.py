@@ -4,13 +4,29 @@ The bridge registers *callback-backed* gauges that read the queue's own
 attributes at export time, so the exported numbers are the queue's truth
 by construction (no copy to go stale).  Duck-typed on purpose: any
 :class:`~repro.schedulers.base.ServerQueue` gets the generic gauges, and
-DAS-shaped queues (``controller``/band counters present) additionally get
-the adaptive-scheduler set — without this module importing any policy.
+DAS-shaped queues (a ``demotions`` counter present) additionally get the
+adaptive-scheduler set — without this module importing any policy.
 """
 
 from __future__ import annotations
 
 from repro.obs.registry import MetricsRegistry
+
+#: The adaptive-scheduler gauges: ``(name, help, DasQueue attribute)``.
+_DAS_GAUGES = (
+    ("das_k", "Adaptive demotion multiplier k", "k"),
+    ("das_queue_pressure", "EWMA queue length driving the controller", "queue_pressure"),
+    ("das_threshold", "Current demotion threshold (RPT seconds)", "threshold"),
+    ("das_rpt_scale", "EWMA of tagged RPTs (the threshold scale)", "rpt_scale"),
+    ("das_front_length", "Live operations in the front band", "front_length"),
+    ("das_last_length", "Live operations in the last band", "last_length"),
+    ("das_demotions_total", "Operations demoted to the last band (monotone)", "demotions"),
+    (
+        "das_promotions_total",
+        "Starvation promotions out of the last band (monotone)",
+        "promotions",
+    ),
+)
 
 
 def register_queue_gauges(registry: MetricsRegistry, queue, server_id) -> None:
@@ -62,51 +78,9 @@ def register_queue_gauges(registry: MetricsRegistry, queue, server_id) -> None:
                 server=sid,
                 lane=lane,
             )
-    controller = getattr(queue, "controller", None)
-    if controller is None:
+    if not hasattr(queue, "demotions"):
         return
-    registry.gauge(
-        "das_k", "Adaptive demotion multiplier k", fn=lambda: controller.k, server=sid
-    )
-    registry.gauge(
-        "das_queue_pressure",
-        "EWMA queue length driving the controller",
-        fn=lambda: controller.queue_pressure,
-        server=sid,
-    )
-    registry.gauge(
-        "das_threshold",
-        "Current demotion threshold (RPT seconds)",
-        fn=lambda: queue.threshold,
-        server=sid,
-    )
-    registry.gauge(
-        "das_rpt_scale",
-        "EWMA of tagged RPTs (the threshold scale)",
-        fn=lambda: queue.rpt_scale,
-        server=sid,
-    )
-    registry.gauge(
-        "das_front_length",
-        "Live operations in the front band",
-        fn=lambda: queue.front_length,
-        server=sid,
-    )
-    registry.gauge(
-        "das_last_length",
-        "Live operations in the last band",
-        fn=lambda: queue.last_length,
-        server=sid,
-    )
-    registry.gauge(
-        "das_demotions_total",
-        "Operations demoted to the last band (monotone)",
-        fn=lambda: queue.demotions,
-        server=sid,
-    )
-    registry.gauge(
-        "das_promotions_total",
-        "Starvation promotions out of the last band (monotone)",
-        fn=lambda: queue.promotions,
-        server=sid,
-    )
+    for name, help_text, attr in _DAS_GAUGES:
+        registry.gauge(
+            name, help_text, fn=lambda attr=attr: getattr(queue, attr), server=sid
+        )

@@ -583,7 +583,6 @@ class RuntimeClient:
 
     def _tags_for(self, by_server: Dict[int, List[str]]) -> Dict[str, float]:
         """Compute DAS/SBF/SJF tags for a request spanning ``by_server``."""
-        now = time.monotonic()
         bottleneck = 0.0
         rpt = 0.0
         total = 0.0
@@ -593,12 +592,7 @@ class RuntimeClient:
             bottleneck = max(bottleneck, slice_demand)
             rate = max(self.estimates.rate(server_id), 1e-9)
             rpt = max(rpt, slice_demand / rate)
-        return {
-            "rpt": rpt,
-            "bottleneck": bottleneck,
-            "total_demand": total,
-            "deadline": now + 10.0 * total + 1e-3,
-        }
+        return {"rpt": rpt, "bottleneck": bottleneck, "total_demand": total}
 
     # ------------------------------------------------------------------
     # Operations

@@ -111,7 +111,7 @@ VALID_TYPES = ("get", "put", "mget", "stats", "probe", "reply", "load_report")
 _TYPE_CODES = {name: code for code, name in enumerate(VALID_TYPES)}
 
 #: Tag names sent as a one-byte index instead of spelled out.
-TAG_NAMES = ("rpt", "bottleneck", "total_demand", "deadline", "trace")
+TAG_NAMES = ("rpt", "bottleneck", "total_demand", "trace")
 _TAG_CODES = {name: code for code, name in enumerate(TAG_NAMES)}
 _TAG_SPELLED = 0xFF
 

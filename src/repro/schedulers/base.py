@@ -100,13 +100,14 @@ class SchedulingPolicy:
     needs_feedback:
         True when the policy's tagger uses server-state estimates, so the
         cluster knows to enable the feedback path.
+    params:
+        The constructor's keyword arguments; a policy without knobs takes
+        none, so a stray parameter fails loudly.
     """
 
     name: str = "abstract"
     needs_feedback: bool = False
-
-    def __init__(self, **params: Any):
-        self.params: Dict[str, Any] = params
+    params: Dict[str, Any] = {}
 
     def make_queue(self) -> ServerQueue:
         raise NotImplementedError

@@ -21,12 +21,19 @@ from collections import deque
 from itertools import count
 from typing import Optional
 
-from repro.errors import ConfigError
 from repro.kvstore.items import Operation, Request
 from repro.schedulers.base import ClientTagger, SchedulingPolicy, ServerQueue
+from repro.schedulers.keyed import KeyedHeapQueue
 from repro.schedulers.registry import register_policy
 
 TAG_BOTTLENECK = "bottleneck"
+
+#: ``rein-ml`` demotes a bottleneck above ``SPLIT_K ×`` the running mean.
+SPLIT_K = 4.0
+#: Low-level wait budget, in units of the mean bottleneck.
+AGING_LIMIT = 50.0
+#: EWMA weight of the running mean bottleneck.
+EWMA_ALPHA = 0.05
 
 
 class BottleneckTagger(ClientTagger):
@@ -38,22 +45,6 @@ class BottleneckTagger(ClientTagger):
             op.tag[TAG_BOTTLENECK] = bottleneck
 
 
-class SbfQueue(ServerQueue):
-    """Smallest tagged bottleneck first; FIFO among equals."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list[tuple[float, int, Operation]] = []
-        self._seq = count()
-
-    def _push(self, op: Operation, now: float) -> None:
-        key = op.tag.get(TAG_BOTTLENECK, op.demand)
-        heapq.heappush(self._heap, (key, next(self._seq), op))
-
-    def _pop(self, now: float) -> Operation:
-        return heapq.heappop(self._heap)[2]
-
-
 @register_policy
 class SbfPolicy(SchedulingPolicy):
     """Rein's Shortest Bottleneck First (pure priority form)."""
@@ -61,7 +52,7 @@ class SbfPolicy(SchedulingPolicy):
     name = "sbf"
 
     def make_queue(self) -> ServerQueue:
-        return SbfQueue()
+        return KeyedHeapQueue(TAG_BOTTLENECK)
 
     def make_tagger(self) -> ClientTagger:
         return BottleneckTagger()
@@ -70,32 +61,18 @@ class SbfPolicy(SchedulingPolicy):
 class ReinMlQueue(ServerQueue):
     """SBF split into priority levels with aging promotion.
 
-    Operations with bottleneck below the running-mean-scaled split go to
-    the high level, others to the low level.  High is served SBF-ordered;
+    Operations with bottleneck above ``SPLIT_K ×`` the running mean go to
+    the low level, others to the high level.  High is served SBF-ordered;
     low is served FIFO only when high is empty.  A low-level operation
-    waiting longer than ``aging_limit × mean bottleneck`` is promoted so
-    large multigets cannot starve.
+    waiting longer than ``AGING_LIMIT ×`` the mean bottleneck is promoted
+    so large multigets cannot starve.
     """
 
-    def __init__(
-        self,
-        split_k: float,
-        aging_limit: float,
-        ewma_alpha: float,
-    ):
+    def __init__(self) -> None:
         super().__init__()
-        if split_k <= 0:
-            raise ConfigError("split_k must be positive")
-        if aging_limit <= 0:
-            raise ConfigError("aging_limit must be positive")
-        if not 0 < ewma_alpha <= 1:
-            raise ConfigError("ewma_alpha must be in (0, 1]")
         self._high: list[tuple[float, int, Operation]] = []
         self._low: deque[Operation] = deque()
         self._seq = count()
-        self._split_k = split_k
-        self._aging_limit = aging_limit
-        self._alpha = ewma_alpha
         self._mean_bottleneck: Optional[float] = None
         self.promotions = 0
 
@@ -105,12 +82,12 @@ class ReinMlQueue(ServerQueue):
         # outlier cannot raise the split past itself.
         demote = (
             self._mean_bottleneck is not None
-            and bottleneck > self._split_k * self._mean_bottleneck
+            and bottleneck > SPLIT_K * self._mean_bottleneck
         )
         if self._mean_bottleneck is None:
             self._mean_bottleneck = bottleneck
         else:
-            self._mean_bottleneck += self._alpha * (bottleneck - self._mean_bottleneck)
+            self._mean_bottleneck += EWMA_ALPHA * (bottleneck - self._mean_bottleneck)
         if demote:
             self._low.append(op)
         else:
@@ -122,7 +99,7 @@ class ReinMlQueue(ServerQueue):
         scale = self._mean_bottleneck or 0.0
         while self._low and scale > 0:
             head = self._low[0]
-            if now - head.enqueue_time > self._aging_limit * scale:
+            if now - head.enqueue_time > AGING_LIMIT * scale:
                 self._low.popleft()
                 heapq.heappush(self._high, (0.0, next(self._seq), head))
                 self.promotions += 1
@@ -135,33 +112,12 @@ class ReinMlQueue(ServerQueue):
 
 @register_policy
 class ReinMlPolicy(SchedulingPolicy):
-    """Rein SBF with multilevel feedback (starvation-bounded).
-
-    Parameters
-    ----------
-    split_k:
-        High/low split at ``split_k × running mean bottleneck`` (default 4).
-    aging_limit:
-        Low-level wait budget in units of the mean bottleneck (default 50).
-    ewma_alpha:
-        Smoothing of the running mean bottleneck (default 0.05).
-    """
+    """Rein SBF with multilevel feedback (starvation-bounded)."""
 
     name = "rein-ml"
 
-    def __init__(
-        self,
-        split_k: float = 4.0,
-        aging_limit: float = 50.0,
-        ewma_alpha: float = 0.05,
-    ):
-        super().__init__(split_k=split_k, aging_limit=aging_limit, ewma_alpha=ewma_alpha)
-        self.split_k = split_k
-        self.aging_limit = aging_limit
-        self.ewma_alpha = ewma_alpha
-
     def make_queue(self) -> ServerQueue:
-        return ReinMlQueue(self.split_k, self.aging_limit, self.ewma_alpha)
+        return ReinMlQueue()
 
     def make_tagger(self) -> ClientTagger:
         return BottleneckTagger()

@@ -3,10 +3,10 @@
 The classic fairness baseline (Goyal et al., SIGCOMM 1996), adapted to
 non-preemptive operation scheduling: each *client* is a flow; an arriving
 operation gets a start tag ``max(virtual_time, flow's last finish tag)``
-and a finish tag ``start + demand / weight``; the server serves the
-smallest start tag first and advances virtual time to the tag of the
-operation in service.  Guarantees each client a weighted share of server
-capacity regardless of its request sizes — the opposite trade to
+and a finish tag ``start + demand`` (every flow has weight 1); the server
+serves the smallest start tag first and advances virtual time to the tag
+of the operation in service.  Guarantees each client an equal share of
+server capacity regardless of its request sizes — the opposite trade to
 size-based policies like SBF/DAS.
 """
 
@@ -16,24 +16,20 @@ import heapq
 from itertools import count
 from typing import Dict
 
-from repro.errors import ConfigError
 from repro.kvstore.items import Operation
 from repro.schedulers.base import SchedulingPolicy, ServerQueue
 from repro.schedulers.registry import register_policy
 
 
 class SfqQueue(ServerQueue):
-    """Per-client start-time fair queueing at one server."""
+    """Per-client start-time fair queueing at one server, equal weights."""
 
-    def __init__(self, default_weight: float = 1.0):
+    def __init__(self) -> None:
         super().__init__()
-        if default_weight <= 0:
-            raise ConfigError("default_weight must be positive")
         self._heap: list[tuple[float, int, Operation]] = []
         self._seq = count()
         self._virtual_time = 0.0
         self._flow_finish: Dict[int, float] = {}
-        self._weight = default_weight
 
     @property
     def virtual_time(self) -> float:
@@ -42,7 +38,7 @@ class SfqQueue(ServerQueue):
     def _push(self, op: Operation, now: float) -> None:
         flow = op.request.client_id
         start = max(self._virtual_time, self._flow_finish.get(flow, 0.0))
-        finish = start + op.demand / self._weight
+        finish = start + op.demand
         self._flow_finish[flow] = finish
         heapq.heappush(self._heap, (start, next(self._seq), op))
 
@@ -55,20 +51,9 @@ class SfqQueue(ServerQueue):
 
 @register_policy
 class SfqPolicy(SchedulingPolicy):
-    """Start-time fair queueing across clients (fairness baseline).
-
-    Parameters
-    ----------
-    default_weight:
-        Service share weight applied to every client (default 1.0 —
-        equal shares).
-    """
+    """Start-time fair queueing across clients (fairness baseline)."""
 
     name = "sfq"
 
-    def __init__(self, default_weight: float = 1.0):
-        super().__init__(default_weight=default_weight)
-        self.default_weight = default_weight
-
     def make_queue(self) -> ServerQueue:
-        return SfqQueue(default_weight=self.default_weight)
+        return SfqQueue()

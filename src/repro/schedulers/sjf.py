@@ -9,12 +9,11 @@ so at fan-out 1 this is classic per-operation SJF.
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
 from typing import Optional
 
-from repro.kvstore.items import Operation, Request
+from repro.kvstore.items import Request
 from repro.schedulers.base import ClientTagger, SchedulingPolicy, ServerQueue
+from repro.schedulers.keyed import KeyedHeapQueue
 from repro.schedulers.registry import register_policy
 
 TAG_TOTAL_DEMAND = "total_demand"
@@ -29,22 +28,6 @@ class TotalDemandTagger(ClientTagger):
             op.tag[TAG_TOTAL_DEMAND] = total
 
 
-class SjfReqQueue(ServerQueue):
-    """Smallest request total-demand first; FIFO among equals."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list[tuple[float, int, Operation]] = []
-        self._seq = count()
-
-    def _push(self, op: Operation, now: float) -> None:
-        key = op.tag.get(TAG_TOTAL_DEMAND, op.demand)
-        heapq.heappush(self._heap, (key, next(self._seq), op))
-
-    def _pop(self, now: float) -> Operation:
-        return heapq.heappop(self._heap)[2]
-
-
 @register_policy
 class SjfReqPolicy(SchedulingPolicy):
     """Per-request shortest-job-first on total demand."""
@@ -52,7 +35,7 @@ class SjfReqPolicy(SchedulingPolicy):
     name = "sjf-req"
 
     def make_queue(self) -> ServerQueue:
-        return SjfReqQueue()
+        return KeyedHeapQueue(TAG_TOTAL_DEMAND)
 
     def make_tagger(self) -> ClientTagger:
         return TotalDemandTagger()

@@ -6,14 +6,11 @@ picks it up with zero special-casing::
 
     SchedulerSpec("Lanes+DAS", "laned", {"inner": "das"})
 
-The client-side tagger is the *inner* policy's tagger — DAS's RPT and
-horizon tags still flow to the server and order operations within each
-lane.
+The client-side tagger is the *inner* policy's tagger — DAS's RPT tag
+still flows to the server and orders operations within each lane.
 """
 
 from __future__ import annotations
-
-from typing import Any, Dict, Optional
 
 from repro.schedulers.base import ClientTagger, SchedulingPolicy
 from repro.schedulers.registry import create_policy, register_policy
@@ -27,17 +24,17 @@ class LanedPolicy(SchedulingPolicy):
 
     Parameters
     ----------
-    inner / inner_params:
-        The policy ordering operations *within* each lane.
+    inner:
+        The policy, with its defaults, ordering operations *within* each
+        lane.
     small_share:
         The small lane's weighted-fair share of server capacity.
-    cutoff_quantile / cutoff_window / cutoff_min_samples / cutoff_refresh:
-        Knobs of :class:`~repro.sharding.cutoff.WindowedQuantileCutoff`.
-    cutoff_initial:
-        Starting cutoff in bytes (the permanent cutoff when adaptation
-        is off).
+    cutoff_quantile:
+        Share of recent sizes routed small, see
+        :class:`~repro.sharding.cutoff.WindowedQuantileCutoff` (whose
+        other defaults the cutoff keeps).
     adaptive_cutoff:
-        When False the cutoff is frozen at ``cutoff_initial`` — the
+        When False the cutoff is frozen at its initial 8 KiB — the
         static-cutoff ablation arm.
     """
 
@@ -46,45 +43,29 @@ class LanedPolicy(SchedulingPolicy):
     def __init__(
         self,
         inner: str = "das",
-        inner_params: Optional[Dict[str, Any]] = None,
         small_share: float = 0.7,
         cutoff_quantile: float = 0.97,
-        cutoff_window: int = 512,
-        cutoff_min_samples: int = 64,
-        cutoff_refresh: int = 64,
-        cutoff_initial: float = 8192.0,
         adaptive_cutoff: bool = True,
     ):
-        super().__init__(
+        self.params = dict(
             inner=inner,
-            inner_params=dict(inner_params or {}),
             small_share=small_share,
             cutoff_quantile=cutoff_quantile,
-            cutoff_window=cutoff_window,
-            cutoff_min_samples=cutoff_min_samples,
-            cutoff_refresh=cutoff_refresh,
-            cutoff_initial=cutoff_initial,
             adaptive_cutoff=adaptive_cutoff,
         )
-        self.inner_policy = create_policy(inner, **(inner_params or {}))
+        self.inner_policy = create_policy(inner)
         self.needs_feedback = self.inner_policy.needs_feedback
-        self.small_share = small_share
-        self._cutoff_kwargs = dict(
-            quantile=cutoff_quantile,
-            window=cutoff_window,
-            min_samples=cutoff_min_samples,
-            refresh=cutoff_refresh,
-            initial=cutoff_initial,
-            enabled=adaptive_cutoff,
-        )
 
     def make_queue(self) -> SizeLaneQueue:
         # Each server adapts its own cutoff from the sizes it actually
         # sees — fully distributed, like every other estimate in DAS.
+        params = self.params
         return SizeLaneQueue(
             inner_policy=self.inner_policy,
-            cutoff=WindowedQuantileCutoff(**self._cutoff_kwargs),
-            small_share=self.small_share,
+            cutoff=WindowedQuantileCutoff(
+                quantile=params["cutoff_quantile"], enabled=params["adaptive_cutoff"]
+            ),
+            small_share=params["small_share"],
         )
 
     def make_tagger(self) -> ClientTagger:

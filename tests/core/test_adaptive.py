@@ -1,82 +1,88 @@
-"""Unit tests for the adaptive demotion-threshold controller."""
+"""Unit tests for DAS's adaptive demotion multiplier ``k``.
+
+The controller lives on :class:`~repro.core.das.DasQueue`; these tests
+feed it queue-length samples directly through ``_adapt``.
+"""
 
 import pytest
 
-from repro.core.adaptive import AdaptiveThreshold
+from repro.core.das import (
+    ADAPT_INTERVAL,
+    CTRL_ALPHA,
+    K_INIT,
+    K_MAX,
+    Q_HIGH,
+    Q_LOW,
+    DasQueue,
+)
 from repro.errors import ConfigError
 
+from tests.schedulers.helpers import make_op
 
-def controller(**kwargs):
-    defaults = dict(
-        k_init=4.0, k_min=1.0, k_max=16.0, q_low=2.0, q_high=8.0,
-        gain=0.1, alpha=1.0, adapt_interval=0.0,
-    )
-    defaults.update(kwargs)
-    return AdaptiveThreshold(**defaults)
+
+def feed(queue: DasQueue, queue_length: int, samples: int) -> None:
+    """One sample per adaptation interval, so every sample may adjust."""
+    for t in range(samples):
+        queue._adapt(queue_length, now=t * ADAPT_INTERVAL)
 
 
 class TestAdjustment:
     def test_high_pressure_shrinks_k(self):
-        ctrl = controller()
-        for t in range(10):
-            ctrl.observe(20, now=float(t))
-        assert ctrl.k < 4.0
-        assert ctrl.adjustments > 0
+        queue = DasQueue()
+        feed(queue, int(Q_HIGH) * 2, 10)
+        assert queue.k < K_INIT
+        assert queue.adjustments > 0
 
     def test_low_pressure_grows_k(self):
-        ctrl = controller()
-        for t in range(10):
-            ctrl.observe(0, now=float(t))
-        assert ctrl.k > 4.0
+        queue = DasQueue()
+        feed(queue, 0, 10)
+        assert queue.k > K_INIT
 
     def test_comfort_band_is_stable(self):
-        ctrl = controller()
-        for t in range(10):
-            ctrl.observe(5, now=float(t))  # inside [2, 8]
-        assert ctrl.k == 4.0
-        assert ctrl.adjustments == 0
+        queue = DasQueue()
+        feed(queue, int((Q_LOW + Q_HIGH) / 2), 10)
+        assert queue.k == K_INIT
+        assert queue.adjustments == 0
 
     def test_k_clamped_at_min(self):
-        ctrl = controller(k_min=2.0)
-        for t in range(1000):
-            ctrl.observe(100, now=float(t))
-        assert ctrl.k == pytest.approx(2.0)
+        queue = DasQueue(k_min=2.0)
+        feed(queue, 100, 1000)
+        assert queue.k == pytest.approx(2.0)
 
     def test_k_clamped_at_max(self):
-        ctrl = controller(k_max=8.0)
-        for t in range(1000):
-            ctrl.observe(0, now=float(t))
-        assert ctrl.k == pytest.approx(8.0)
+        queue = DasQueue()
+        feed(queue, 0, 1000)
+        assert queue.k == pytest.approx(K_MAX)
 
     def test_disabled_controller_never_moves(self):
-        ctrl = controller(enabled=False)
-        for t in range(100):
-            ctrl.observe(100, now=float(t))
-        assert ctrl.k == 4.0
-        assert ctrl.adjustments == 0
+        queue = DasQueue(adaptive=False)
+        feed(queue, 100, 100)
+        assert queue.k == K_INIT
+        assert queue.adjustments == 0
 
     def test_adapt_interval_gates_adjustments(self):
-        ctrl = controller(adapt_interval=10.0)
-        ctrl.observe(100, now=0.0)
-        ctrl.observe(100, now=1.0)  # within the interval: no adjustment
-        assert ctrl.adjustments == 1
-        ctrl.observe(100, now=10.0)
-        assert ctrl.adjustments == 2
+        queue = DasQueue()
+        queue._adapt(100, now=0.0)
+        queue._adapt(100, now=ADAPT_INTERVAL / 2)  # within the interval
+        assert queue.adjustments == 1
+        queue._adapt(100, now=ADAPT_INTERVAL)
+        assert queue.adjustments == 2
 
     def test_pressure_is_smoothed(self):
-        ctrl = controller(alpha=0.5, adapt_interval=1e9)  # no adjustments
-        ctrl.observe(0, now=0.0)
-        ctrl.observe(10, now=1.0)
-        assert ctrl.queue_pressure == pytest.approx(5.0)
+        queue = DasQueue(adaptive=False)
+        queue._adapt(0, now=0.0)
+        queue._adapt(10, now=1.0)
+        assert queue.queue_pressure == pytest.approx(CTRL_ALPHA * 10)
 
 
 class TestThreshold:
     def test_threshold_scales(self):
-        ctrl = controller()
-        assert ctrl.threshold(2.0) == pytest.approx(8.0)
+        queue = DasQueue()
+        queue.push(make_op(demand=2.0), 0.0)
+        assert queue.threshold == pytest.approx(queue.k * 2.0)
 
     def test_repr(self):
-        assert "k=" in repr(controller())
+        assert "k=" in repr(DasQueue())
 
 
 class TestValidation:
@@ -84,14 +90,14 @@ class TestValidation:
         "kwargs",
         [
             {"k_min": 0.0},
-            {"k_init": 0.5, "k_min": 1.0},
-            {"k_init": 99.0},  # above k_max
-            {"q_low": 9.0},  # above q_high
-            {"gain": 0.0},
-            {"gain": 1.0},
-            {"adapt_interval": -1.0},
+            {"k_min": -1.0},
+            {"k_min": K_INIT * 1.01},  # above the starting k
+            {"k_min": K_MAX},
+            {"k_min": float("inf")},
+            {"k_min": float("-inf")},
+            {"k_min": float("nan")},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
-            controller(**kwargs)
+            DasQueue(**kwargs)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.adaptive import AdaptiveThreshold
-from repro.core.das import TAG_HORIZON, TAG_RPT, DasPolicy, DasQueue, DasTagger
+from repro.core.das import K_INIT, TAG_RPT, DasPolicy, DasQueue, DasTagger
 from repro.core.estimator import ServerEstimates
 from repro.errors import ConfigError
 from repro.kvstore.items import Feedback
@@ -11,19 +10,11 @@ from repro.kvstore.items import Feedback
 from tests.schedulers.helpers import drain, make_multiget, make_op
 
 
-def das_queue(**kwargs) -> DasQueue:
-    controller = AdaptiveThreshold(
-        k_init=kwargs.pop("k_init", 2.0),
-        k_min=kwargs.pop("k_min", 2.0),
-        k_max=kwargs.pop("k_max", 2.0),
-        enabled=kwargs.pop("adaptive", False),
-    )
-    return DasQueue(
-        controller,
-        scale_alpha=kwargs.pop("scale_alpha", 1.0),
-        starvation_factor=kwargs.pop("starvation_factor", 1e9),
-        **kwargs,
-    )
+def das_queue(k: float = 2.0, **kwargs) -> DasQueue:
+    """A queue with ``k`` pinned: no adaptation, so bands are predictable."""
+    queue = DasQueue(adaptive=False, **kwargs)
+    queue.k = k
+    return queue
 
 
 def push_tagged(queue, rpt, request_id=0, now=0.0):
@@ -33,12 +24,11 @@ def push_tagged(queue, rpt, request_id=0, now=0.0):
 
 
 class TestTagger:
-    def test_stamps_rpt_and_horizon(self):
+    def test_stamps_rpt(self):
         request = make_multiget([(0, 1.0), (1, 2.0)])
         DasTagger().tag_request(request, 0.0, None)
         for op in request.operations:
-            assert op.tag[TAG_RPT] == pytest.approx(2.0)
-            assert op.tag[TAG_HORIZON] == pytest.approx(2.0)
+            assert op.tag == {TAG_RPT: pytest.approx(2.0)}
 
     def test_rpt_uses_rate_estimates(self):
         request = make_multiget([(0, 1.0), (1, 2.0)])
@@ -72,7 +62,7 @@ class TestFrontOrdering:
 
 class TestDemotion:
     def test_outlier_goes_to_last_band(self):
-        queue = das_queue()  # fixed k=2, alpha=1
+        queue = das_queue()  # fixed k=2
         push_tagged(queue, 1.0, request_id=0)  # seeds the scale
         giant = push_tagged(queue, 10.0, request_id=1)  # 10 > 2*1
         tiny = push_tagged(queue, 1.0, request_id=2)
@@ -95,9 +85,9 @@ class TestDemotion:
         assert queue.last_length == 0
 
     def test_last_band_keeps_rpt_order(self):
-        # Small scale_alpha keeps the threshold anchored near the seed op
-        # even as outliers fold into the EWMA.
-        queue = das_queue(scale_alpha=0.01)
+        # The slow scale EWMA keeps the threshold near the seed op even as
+        # the first outlier folds in: 50 lifts it only to 2 * 3.45.
+        queue = das_queue()
         push_tagged(queue, 1.0, request_id=0)
         a = push_tagged(queue, 50.0, request_id=1)
         b = push_tagged(queue, 10.0, request_id=2)
@@ -115,19 +105,20 @@ class TestDemotion:
 
 class TestStarvationBound:
     def test_aged_op_promoted_to_front(self):
-        queue = das_queue(starvation_factor=5.0)
+        queue = das_queue()
         push_tagged(queue, 1.0, request_id=0, now=0.0)
         giant = push_tagged(queue, 10.0, request_id=1, now=0.0)
         assert queue.demotions == 1
         # Keep feeding small ops; far enough in the future the giant's wait
-        # exceeds 5 * threshold and it jumps the queue.
+        # exceeds STARVATION_FACTOR * threshold (30 * 2.86) and it jumps
+        # the queue.
         push_tagged(queue, 1.0, request_id=2, now=100.0)
         served = queue.pop(now=100.0)
         assert served is giant
         assert queue.promotions == 1
 
     def test_no_promotion_before_budget(self):
-        queue = das_queue(starvation_factor=1e9)
+        queue = das_queue()
         push_tagged(queue, 1.0, request_id=0)
         push_tagged(queue, 10.0, request_id=1)
         assert queue.pop(now=50.0).request_id == 0
@@ -143,7 +134,7 @@ class TestPromotionTombstones:
     """
 
     def _promote_all(self, n_giants=4):
-        queue = das_queue(starvation_factor=1.0, scale_alpha=0.01)
+        queue = das_queue()
         push_tagged(queue, 1.0, request_id=0, now=0.0)  # seeds the scale
         giants = [
             push_tagged(queue, 10.0 + i, request_id=i + 1, now=0.0)
@@ -183,7 +174,7 @@ class TestPromotionTombstones:
         assert served.tag[OBS_PROMOTED] is True
 
     def test_mixed_serve_and_promote_keeps_counts_consistent(self):
-        queue = das_queue(starvation_factor=1.0, scale_alpha=0.01)
+        queue = das_queue()
         push_tagged(queue, 1.0, request_id=0, now=0.0)
         push_tagged(queue, 10.0, request_id=1, now=0.0)
         push_tagged(queue, 20.0, request_id=2, now=0.0)
@@ -198,7 +189,7 @@ class TestPromotionTombstones:
     def test_band_annotations_written_at_enqueue(self):
         from repro.obs import OBS_BAND, OBS_THRESHOLD
 
-        queue = das_queue(scale_alpha=0.01)
+        queue = das_queue()
         seed = push_tagged(queue, 1.0, request_id=0)
         giant = push_tagged(queue, 50.0, request_id=1)
         assert seed.tag[OBS_BAND] == "front"
@@ -217,25 +208,23 @@ class TestPolicy:
     def test_ablation_flags_propagate(self):
         policy = DasPolicy(adaptive=False, last_band=False, srpt_front=False)
         queue = policy.make_queue()
-        assert queue.controller.enabled is False
+        assert queue._adaptive is False
         assert queue._last_band_enabled is False
         assert queue._srpt_front is False
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
-            DasQueue(AdaptiveThreshold(), scale_alpha=0.0)
+            DasPolicy(k_min=0.0).make_queue()
         with pytest.raises(ConfigError):
-            DasQueue(AdaptiveThreshold(), starvation_factor=0.0)
+            DasPolicy(k_min=K_INIT * 2).make_queue()
+        with pytest.raises(TypeError):
+            DasPolicy(gain=0.2)  # a constant, not a knob
 
     def test_adaptive_demotes_more_under_pressure(self):
-        policy = DasPolicy(
-            k_init=8.0, k_min=1.5, k_max=8.0, q_low=1.0, q_high=4.0,
-            gain=0.2, ctrl_alpha=1.0, adapt_interval=0.0, scale_alpha=0.1,
-        )
-        queue = policy.make_queue()
+        queue = DasPolicy(k_min=1.5).make_queue()
         # Build sustained pressure with a long queue of small ops.
         now = 0.0
         for i in range(50):
             push_tagged(queue, 1.0, request_id=i, now=now)
             now += 0.01
-        assert queue.controller.k < 8.0  # shrank under pressure
+        assert queue.k < K_INIT  # shrank under pressure

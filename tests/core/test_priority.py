@@ -1,13 +1,9 @@
-"""Unit tests for DAS priority computations."""
+"""Unit tests for DAS's ranking key, the remaining processing time."""
 
 import pytest
 
 from repro.core.estimator import ServerEstimates
-from repro.core.priority import (
-    completion_horizon,
-    remaining_processing_time,
-    residual_processing_time,
-)
+from repro.core.das import remaining_processing_time
 from repro.kvstore.items import Feedback
 
 from tests.schedulers.helpers import make_multiget
@@ -48,38 +44,15 @@ class TestRemainingProcessingTime:
         request = make_multiget([])
         assert remaining_processing_time(request, 0.0, None) == 0.0
 
-
-class TestCompletionHorizon:
-    def test_includes_queued_work(self):
+    def test_ignores_queued_work(self):
+        # The ranking key is load-independent: a backlog at the server
+        # does not inflate it.
         request = make_multiget([(0, 1.0)])
         view = estimates_with(rates={0: 1.0}, work={0: 5.0})
-        assert completion_horizon(request, 0.0, view) == pytest.approx(6.0)
+        assert remaining_processing_time(request, 0.0, view) == pytest.approx(1.0)
 
-    def test_max_over_servers(self):
-        request = make_multiget([(0, 1.0), (1, 1.0)])
-        view = estimates_with(rates={0: 1.0, 1: 1.0}, work={0: 0.0, 1: 9.0})
-        assert completion_horizon(request, 0.0, view) == pytest.approx(10.0)
-
-    def test_without_estimates_equals_rpt(self):
-        request = make_multiget([(0, 2.0), (1, 3.0)])
-        assert completion_horizon(request, 0.0, None) == pytest.approx(
-            remaining_processing_time(request, 0.0, None)
-        )
-
-
-class TestResidual:
-    def test_equals_rpt_before_any_completion(self):
-        request = make_multiget([(0, 1.0), (1, 2.0)])
-        assert residual_processing_time(request, 0.0, None) == pytest.approx(
-            remaining_processing_time(request, 0.0, None)
-        )
-
-    def test_drops_finished_operations(self):
-        request = make_multiget([(0, 1.0), (1, 2.0)])
-        request.operations[1].finish_time = 5.0  # the bottleneck finished
-        assert residual_processing_time(request, 5.0, None) == pytest.approx(1.0)
-
-    def test_zero_when_all_done(self):
-        request = make_multiget([(0, 1.0)])
-        request.operations[0].finish_time = 1.0
-        assert residual_processing_time(request, 1.0, None) == 0.0
+    def test_leaves_raw_bottleneck_on_request(self):
+        request = make_multiget([(0, 2.0), (1, 1.0)])
+        view = estimates_with(rates={0: 0.5, 1: 0.1})
+        assert remaining_processing_time(request, 0.0, view) == pytest.approx(10.0)
+        assert request.bottleneck == pytest.approx(2.0)

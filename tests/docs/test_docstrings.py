@@ -22,6 +22,7 @@ SCOPED_MODULES = [
     SRC / "experiments" / "fullrun.py",
     SRC / "sim" / "core.py",
     SRC / "core" / "das.py",
+    SRC / "schedulers" / "keyed.py",
     SRC / "workload" / "spec.py",
     SRC / "workload" / "registry.py",
 ]

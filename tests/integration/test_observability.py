@@ -37,7 +37,8 @@ class TestSimulatorObservability:
         snap = result.metrics_snapshot()
         for sid, server in cluster.servers.items():
             queue = server.queue
-            assert _das_gauge(snap, "das_k", sid) == queue.controller.k
+            assert _das_gauge(snap, "das_k", sid) == queue.k
+            assert _das_gauge(snap, "das_queue_pressure", sid) == queue.queue_pressure
             assert _das_gauge(snap, "das_front_length", sid) == queue.front_length
             assert _das_gauge(snap, "das_last_length", sid) == queue.last_length
             assert _das_gauge(snap, "das_demotions_total", sid) == queue.demotions
@@ -105,7 +106,7 @@ class TestRuntimeObservability:
                 for server in cluster.servers:
                     queue = server.executor.queue
                     sid = server.server_id
-                    assert _das_gauge(snap, "das_k", sid) == queue.controller.k
+                    assert _das_gauge(snap, "das_k", sid) == queue.k
                     assert (
                         _das_gauge(snap, "das_front_length", sid)
                         == queue.front_length

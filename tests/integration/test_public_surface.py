@@ -7,14 +7,23 @@ use.  The guard walks ``src/repro`` and fails on any top-level public
 ``__init__.py`` do not count), ``examples/`` or ``benchmarks/``
 references.  Classes registered through a ``register_*`` decorator are
 reached by name from configs and are exempt.
+
+The same rule holds one level down: every constructor parameter of a
+registered scheduling policy is set — as a keyword argument or a string
+dict key — somewhere outside ``tests/`` and the policy's own module.  A
+knob nothing sets is a constant.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, List
+from typing import Dict, FrozenSet, Iterator, List
+
+from repro.schedulers import available_schedulers, create_policy
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
@@ -26,9 +35,6 @@ ALLOWED = {
     "write_trace": "writer for the JSONL trace format read_trace parses",
     "LoadGenerator": "the documented runtime driver for a WorkloadSpec",
     "available_schedulers": "the scheduler registry's enumerator",
-    "remaining_processing_time": "DAS reference quantity; ROADMAP.md's DAS item decides it",
-    "completion_horizon": "DAS reference quantity; ROADMAP.md's DAS item decides it",
-    "residual_processing_time": "DAS reference quantity; ROADMAP.md's DAS item decides it",
 }
 
 
@@ -105,3 +111,44 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_is_current():
     """An allowlisted name that is gone or has gained a caller is dropped."""
     assert sorted(set(ALLOWED) - set(uncalled())) == []
+
+
+@lru_cache(maxsize=None)
+def settings_by_file() -> Dict[Path, FrozenSet[str]]:
+    """Keyword-argument names and string dict keys, per caller file."""
+    found = {}
+    for directory in CALLER_DIRS:
+        for path in directory.rglob("*.py"):
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(
+                        key.value
+                        for key in node.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    )
+            found[path.resolve()] = frozenset(names)
+    return found
+
+
+def unset_policy_parameters() -> List[str]:
+    """``policy.parameter`` for every constructor knob nothing sets."""
+    out = []
+    for name in available_schedulers():
+        cls = type(create_policy(name))
+        home = Path(inspect.getsourcefile(cls)).resolve()
+        elsewhere = set().union(
+            *(names for path, names in settings_by_file().items() if path != home)
+        )
+        for param in inspect.signature(cls).parameters.values():
+            if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+                continue
+            if param.name not in elsewhere:
+                out.append(f"{name}.{param.name}")
+    return out
+
+
+def test_every_policy_parameter_is_set_outside_tests():
+    assert unset_policy_parameters() == []

@@ -6,7 +6,8 @@ loop, request-count and duration stop rules), the server's service
 loop (pause windows, crash/recover, slow-node speed steps), the
 periodic feedback broadcaster and the fault-plan driver — including
 the paths the benchmark cells skip: per-message jitter, per-op timeout
-and hedge timers, link faults on messages in flight.  The digests were
+and hedge timers, link faults on messages in flight, and DAS demotions
+and starvation promotions through the last band.  The digests were
 recorded once; a change that moves any of them changed a scheduling
 decision or an event's firing order, not just the code's shape.
 """
@@ -30,19 +31,19 @@ from repro.faults.plan import (
 )
 from repro.faults.resilience import HedgePolicy
 from repro.kvstore.cluster import Cluster
-from repro.workload import GeometricFanout, PoissonArrivals
+from repro.workload import FixedFanout, GeometricFanout, PoissonArrivals
 from repro.workload.popularity import UniformPopularity
 from repro.workload.requests import arrival_rate_for_load
-from repro.workload.sizes import LognormalSize
+from repro.workload.sizes import BimodalSize, LognormalSize
 
 
-def cell(**overrides) -> ClusterConfig:
-    """Four servers, two clients, load 0.7, DAS unless overridden."""
+def cell(load: float = 0.7, **overrides) -> ClusterConfig:
+    """Four servers, two clients, Poisson at ``load``, DAS unless overridden."""
     service = ServiceConfig()
-    fanout = GeometricFanout(mean_target=4.0, cap=16)
-    sizes = LognormalSize(median=1024.0, sigma=1.0, cap=1 << 16)
+    fanout = overrides.pop("fanout", GeometricFanout(mean_target=4.0, cap=16))
+    sizes = overrides.pop("sizes", LognormalSize(median=1024.0, sigma=1.0, cap=1 << 16))
     rate = arrival_rate_for_load(
-        0.7, fanout.mean(), service.mean_demand(sizes.mean()), 4
+        load, fanout.mean(), service.mean_demand(sizes.mean()), 4
     )
     base = dict(
         n_servers=4,
@@ -150,6 +151,16 @@ CELLS = {
         ),
         SimulationConfig(duration=0.06),
     ),
+    # One large value in a hundred at load 0.9: the only cell whose DAS
+    # queues demote (and promote) operations, so it walks the last band.
+    "das-band": (
+        cell(
+            load=0.9,
+            sizes=BimodalSize(512, 262144, p_large=0.01),
+            fanout=FixedFanout(k=4),
+        ),
+        SimulationConfig(max_requests=400),
+    ),
 }
 
 GOLDEN = {
@@ -163,6 +174,7 @@ GOLDEN = {
     "jitter-das": "c3d780a0fd9c1f2575f95e647422385a6c29612e7df1272f2e3a85493fb59ce5",
     "hedged-timeouts": "f6313dd67ccbd2ae1c2d67d7e278ca37893fa08d14a45da5c2c8437db36bfdf5",
     "link-faults": "06b0c7c29fa3298e8343af94443205ea2d4f200fb55e5f64c90f96b411eae0bb",
+    "das-band": "37f3f6441a1bf70666e895392feac616c1c4a1f393e584ade4443b6fe757c469",
 }
 
 #: ``link-faults`` also pins what the network did to the messages: one
@@ -190,6 +202,7 @@ EVENTS_SCHEDULED = {
     "jitter-das": 5041,
     "hedged-timeouts": 8435,
     "link-faults": 2908,
+    "das-band": 4003,
 }
 TIMER_FIELDS = (
     "timeouts_observed",
@@ -201,6 +214,23 @@ TIMER_FIELDS = (
 TIMER_COUNTERS = {
     "crash-outages": (100, 100, 0, 0, 1546),
     "hedged-timeouts": (371, 312, 84, 25, 1751),
+}
+
+
+#: Every DAS cell's summed ``(demotions, promotions, adjustments)`` over
+#: its DAS queues (both lanes of each server in ``laned``): how often
+#: the last band and the ``k`` controller acted.
+BAND_COUNTERS = {
+    "open-das": (0, 0, 104),
+    "periodic-duration": (0, 0, 80),
+    "dodoor-reports": (0, 0, 55),
+    "crash-outages": (0, 0, 124),
+    "slow-node": (0, 0, 92),
+    "laned": (0, 0, 155),
+    "jitter-das": (0, 0, 104),
+    "hedged-timeouts": (0, 0, 130),
+    "link-faults": (0, 0, 82),
+    "das-band": (22, 2, 135),
 }
 
 
@@ -226,6 +256,22 @@ def test_rct_digest_is_the_recorded_one(name):
         np.ascontiguousarray(rcts, dtype="<f8").tobytes()
     ).hexdigest()
     assert digest == GOLDEN[name], f"{name}: {len(rcts)} RCTs, digest moved"
+
+
+@pytest.mark.parametrize("name", sorted(BAND_COUNTERS))
+def test_das_band_counters_are_the_recorded_ones(name):
+    config, sim = CELLS[name]
+    cluster = Cluster(config)
+    cluster.run(sim)
+    queues = []
+    for server in cluster.servers.values():
+        inner = getattr(server.queue, "_inner", None)
+        queues.extend(inner.values() if inner is not None else [server.queue])
+    counters = tuple(
+        sum(getattr(queue, field) for queue in queues)
+        for field in ("demotions", "promotions", "adjustments")
+    )
+    assert counters == BAND_COUNTERS[name]
 
 
 def test_link_fault_verdicts_are_the_recorded_ones():

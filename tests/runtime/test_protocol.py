@@ -17,7 +17,7 @@ from repro.runtime.protocol import (
 )
 
 FEEDBACK = {"queued_work": 0.00125, "queue_length": 3, "rate_sample": 1.02}
-TAGS = {"rpt": 1.5e-4, "bottleneck": 1.1e-4, "total_demand": 3e-4, "deadline": 12.5}
+TAGS = {"rpt": 1.5e-4, "bottleneck": 1.1e-4, "total_demand": 3e-4}
 
 #: One message of every type, with the irregular shapes the codec must carry.
 SAMPLES = [

@@ -58,7 +58,12 @@ class TestRegistry:
 
     def test_create_with_params(self):
         policy = create_policy("das", k_min=2.0)
-        assert policy.k_min == 2.0
+        assert policy.params["k_min"] == 2.0
+
+    @pytest.mark.parametrize("name", ["fcfs", "sbf", "rein-ml", "sfq", "sjf-req"])
+    def test_knobless_policy_rejects_params(self, name):
+        with pytest.raises(TypeError):
+            create_policy(name, weight=2.0)
 
     def test_duplicate_registration_rejected(self):
         class Fake(SchedulingPolicy):

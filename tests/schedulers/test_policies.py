@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.schedulers.rein import TAG_BOTTLENECK, BottleneckTagger, ReinMlPolicy
 from repro.schedulers.registry import create_policy
 from repro.schedulers.sjf import TAG_TOTAL_DEMAND, TotalDemandTagger
@@ -80,7 +79,7 @@ class TestSbf:
 
 class TestReinMl:
     def test_small_bottlenecks_before_large(self):
-        policy = ReinMlPolicy(split_k=2.0, aging_limit=1e9, ewma_alpha=1.0)
+        policy = ReinMlPolicy()
         queue = policy.make_queue()
         tagger = policy.make_tagger()
         small = [make_multiget([(0, 1.0)], request_id=i) for i in range(2)]
@@ -92,7 +91,7 @@ class TestReinMl:
         assert order[-1] == 77
 
     def test_aging_promotes_starving_op(self):
-        policy = ReinMlPolicy(split_k=2.0, aging_limit=3.0, ewma_alpha=0.5)
+        policy = ReinMlPolicy()
         queue = policy.make_queue()
         tagger = policy.make_tagger()
         # Seed the mean with a small request so the giant classifies low.
@@ -110,9 +109,3 @@ class TestReinMl:
         served = queue.pop(now=1e6)
         assert served.request_id == 77
         assert queue.promotions == 1
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            ReinMlPolicy(split_k=0).make_queue()
-        with pytest.raises(ConfigError):
-            ReinMlPolicy(aging_limit=0).make_queue()

@@ -1,11 +1,7 @@
 """Tests for the start-time fair queueing baseline."""
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.kvstore.items import OpKind, Operation, Request
 from repro.schedulers.registry import create_policy
-from repro.schedulers.sfq import SfqPolicy
 
 from tests.schedulers.helpers import drain
 
@@ -69,10 +65,6 @@ class TestSfq:
             queue.pop(0.0)
             seen.append(queue.virtual_time)
         assert seen == sorted(seen)
-
-    def test_invalid_weight(self):
-        with pytest.raises(ConfigError):
-            SfqPolicy(default_weight=0).make_queue()
 
     def test_runs_in_cluster(self):
         from repro.kvstore.cluster import run_cluster

@@ -28,7 +28,7 @@ LARGE_OP = 1 << 20      # above every cutoff used here
 
 class TestRouting:
     def test_routes_by_size_and_stamps_lane(self):
-        queue = make_queue(cutoff_initial=8192.0, adaptive_cutoff=False)
+        queue = make_queue(adaptive_cutoff=False)
         small, large = op(SMALL_OP), op(LARGE_OP)
         queue.push(small, 0.0)
         queue.push(large, 0.0)
@@ -44,7 +44,7 @@ class TestRouting:
         # The structural form of the routing invariant: a small op can
         # never be queued behind a large one because no large op is ever
         # in the small lane's queue.
-        queue = make_queue(cutoff_initial=8192.0, adaptive_cutoff=False)
+        queue = make_queue(adaptive_cutoff=False)
         rng = np.random.default_rng(3)
         for _ in range(500):
             queue.push(op(LARGE_OP if rng.random() < 0.3 else SMALL_OP), 0.0)
@@ -57,12 +57,8 @@ class TestRouting:
         )
 
     def test_cutoff_adapts_from_pushed_sizes(self):
-        queue = make_queue(
-            cutoff_quantile=0.97,
-            cutoff_min_samples=64,
-            cutoff_refresh=64,
-            cutoff_initial=1 << 30,
-        )
+        queue = make_queue(cutoff_quantile=0.97)
+        assert queue.cutoff == 8192.0  # the initial cutoff
         rng = np.random.default_rng(5)
         for _ in range(512):
             pushed = op(LARGE_OP if rng.random() < 0.02 else SMALL_OP)
@@ -83,7 +79,7 @@ class TestWeightedFairDispatch:
     def test_work_conserving_single_lane(self):
         # Only larges queued: they are served back to back — a lane
         # share is a weight, not a throttle.
-        queue = make_queue(cutoff_initial=8192.0, adaptive_cutoff=False)
+        queue = make_queue(adaptive_cutoff=False)
         for _ in range(10):
             queue.push(op(LARGE_OP, demand=10.0), 0.0)
         lanes = [queue.pop(0.0).tag["lane"] for _ in range(10)]
@@ -94,9 +90,7 @@ class TestWeightedFairDispatch:
         # most ~10% of dispatched demand, so the first large comes out
         # almost immediately (work conservation / no starvation) and the
         # second must wait out ~9x its demand in smalls.
-        queue = make_queue(
-            small_share=0.9, cutoff_initial=8192.0, adaptive_cutoff=False
-        )
+        queue = make_queue(small_share=0.9, adaptive_cutoff=False)
         for _ in range(200):
             queue.push(op(SMALL_OP, demand=1.0), 0.0)
         for _ in range(5):
@@ -123,9 +117,7 @@ class TestWeightedFairDispatch:
         # A long small-only stretch must not let a later large burst
         # monopolize the server: the waking lane's credit is clamped
         # forward to the busy lane's progress.
-        queue = make_queue(
-            small_share=0.5, cutoff_initial=8192.0, adaptive_cutoff=False
-        )
+        queue = make_queue(small_share=0.5, adaptive_cutoff=False)
         for _ in range(100):
             queue.push(op(SMALL_OP, demand=1.0), 0.0)
             queue.pop(0.0)
@@ -140,9 +132,7 @@ class TestWeightedFairDispatch:
         assert first_four == [SMALL, LARGE, SMALL, LARGE]
 
     def test_ledger_tracks_dispatch(self):
-        queue = make_queue(
-            small_share=0.5, cutoff_initial=8192.0, adaptive_cutoff=False
-        )
+        queue = make_queue(small_share=0.5, adaptive_cutoff=False)
         queue.push(op(SMALL_OP, demand=2.0), 0.0)
         queue.push(op(LARGE_OP, demand=3.0), 0.0)
         while len(queue):
@@ -161,7 +151,6 @@ class TestClusterIntegration:
             scheduler_params={
                 "inner": "das",
                 "small_share": 0.8,
-                "cutoff_initial": 4096.0,
                 "adaptive_cutoff": False,
             },
         )
@@ -169,7 +158,7 @@ class TestClusterIntegration:
         assert result.requests_completed == 400
         assert result.lanes, "laned run must export per-server lane stats"
         for stats in result.lanes.values():
-            assert stats["cutoff"] == 4096.0
+            assert stats["cutoff"] == 8192.0
             shares = {
                 lane: block["share"] for lane, block in stats["lanes"].items()
             }
