@@ -540,6 +540,10 @@ class Client:
                     meta=meta,
                 )
             )
+        # Recorded: drop the request -> operations link so the request and
+        # its operations (which point back at it) die by reference count.
+        # A late duplicate still reaches ``op.request`` and returns early.
+        request.operations = []
         if self._on_finished is not None:
             self._on_finished(self)
 

@@ -479,8 +479,14 @@ class Cluster:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _check_drained(self, _client: Client) -> None:
-        if self._awaiting_drain and all(c.drained for c in self.clients):
+    def _check_drained(self, client: Client) -> None:
+        # Only the client that just finished can have newly drained: test
+        # it before sweeping the rest.
+        if (
+            self._awaiting_drain
+            and client.drained
+            and all(c.drained for c in self.clients)
+        ):
             self._awaiting_drain = False
             self.env._schedule(stop, None)
 

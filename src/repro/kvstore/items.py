@@ -94,6 +94,13 @@ class Request:
 
     ``remaining`` counts unfinished operations; the request's completion
     time is the finish time of its last operation.
+
+    Each operation points back at its request, so the client empties
+    ``operations`` once it has recorded the completed request (its
+    ``RequestRecord`` and sampled trace keep what later readers need).
+    That breaks the request <-> operation cycle, so both die by reference
+    count.  A late duplicate (hedge, retry) still reaches ``op.request``
+    and is dropped because the request is no longer pending.
     """
 
     request_id: int

@@ -104,12 +104,12 @@ class ConsistentHashRing:
     # Lookup
     # ------------------------------------------------------------------
     def owner(self, key: str) -> int:
-        """The primary owner of ``key``."""
-        point = stable_hash(key)
-        idx = bisect.bisect_right(self._points, point)
-        if idx == len(self._points):
-            idx = 0
-        return self._owners[self._points[idx]]
+        """The primary owner of ``key`` (the head of its preference list).
+
+        Served from the preference-list cache, so a key is hashed once per
+        membership rather than on every lookup.
+        """
+        return self.preference_list(key, 1)[0]
 
     def preference_list(self, key: str, n: int) -> List[int]:
         """The first ``n`` *distinct* servers clockwise from the key.

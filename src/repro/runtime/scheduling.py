@@ -48,23 +48,30 @@ class OpSink:
     the last operation has been served (results and errors are then on
     the operations), or with True when :meth:`ScheduledExecutor.abort`
     discarded one of them.
+
+    The sink releases ``on_done`` once it has fired.  Every operation
+    points at its sink, and ``on_done`` usually closes over those very
+    operations; letting go of it breaks that cycle, so a served message
+    is freed by reference counting instead of by the cyclic collector.
     """
 
     __slots__ = ("remaining", "on_done")
 
     def __init__(self, count: int, on_done: Callable[[bool], None]):
         self.remaining = count
-        self.on_done = on_done
+        self.on_done: Optional[Callable[[bool], None]] = on_done
 
     def op_done(self) -> None:
         self.remaining -= 1
         if self.remaining == 0:
-            self.on_done(False)
+            on_done, self.on_done = self.on_done, None
+            on_done(False)
 
     def cancel(self) -> None:
         if self.remaining > 0:
             self.remaining = 0
-            self.on_done(True)
+            on_done, self.on_done = self.on_done, None
+            on_done(True)
 
 
 @dataclass(slots=True)

@@ -278,6 +278,8 @@ class KVServer:
                 ops = self._get_ops([fields["key"]], fields.get("tags", {}))
             if ops is not None:
                 # Answered from inside the executor, after the last op.
+                # The closure holds ``ops`` and each op's sink holds the
+                # closure; the sink drops it once fired, ending that cycle.
                 self.executor.submit_message(
                     ops,
                     lambda cancelled: self._finish(

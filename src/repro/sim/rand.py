@@ -90,6 +90,10 @@ class RandomStreams:
 #: Lane key: distribution tag plus the parameters that select the block.
 _LaneKey = Union[str, Tuple]
 
+#: First block of a growing lane; each refill doubles it up to
+#: ``BatchedStream.block_size``.
+FIRST_BLOCK = 64
+
 
 class BatchedStream:
     """Block-prefetching façade over one ``numpy.random.Generator``.
@@ -126,6 +130,16 @@ class BatchedStream:
     repository norm; see ``RandomStreams``) get batching for free with
     experiment outputs unchanged.
 
+    **Block schedule.**  Every lane but ``integers`` starts at
+    :data:`FIRST_BLOCK` draws and doubles per refill up to ``block_size``:
+    its array fill is element by element, so where a block ends cannot
+    move the sequence, and a lightly used stream (one server's service
+    noise in a large fleet) does not hold ``block_size`` values it never
+    reads.  ``integers`` lanes always fill ``block_size``: numpy draws
+    bounded integers through a 32-bit buffer (two draws per 64-bit word),
+    and the equivalence tests pin their sequences for that fixed schedule
+    only, so these lanes keep the block boundaries they always had.
+
     A generator must be wrapped at most once: two live wrappers over the
     same generator would each prefetch from the shared bit stream and
     interleave unpredictably.  Use :func:`as_batched` at the single
@@ -143,14 +157,30 @@ class BatchedStream:
         self._lanes: Dict[_LaneKey, list] = {}
         self.blocks_filled = 0
 
+    def _refill(self, key: _LaneKey, lane, fill, grow: bool = True) -> list:
+        """Start lane ``key`` (``lane`` is None) or replace its spent block.
+
+        A growing lane starts at :data:`FIRST_BLOCK` draws and doubles on
+        each refill up to ``block_size``, so a stream that is drawn from a
+        hundred times holds a few hundred values, not ``block_size``.
+        """
+        if not grow:
+            size = self.block_size
+        elif lane is None:
+            size = min(FIRST_BLOCK, self.block_size)
+        else:
+            size = min(2 * lane[0].shape[0], self.block_size)
+        lane = [fill(size), 0]
+        self._lanes[key] = lane
+        self.blocks_filled += 1
+        return lane
+
     # -- scalar draws ---------------------------------------------------
     def random(self) -> float:
         """Next uniform double in [0, 1)."""
         lane = self._lanes.get("u")
         if lane is None or lane[1] >= lane[0].shape[0]:
-            lane = [self.gen.random(self.block_size), 0]
-            self._lanes["u"] = lane
-            self.blocks_filled += 1
+            lane = self._refill("u", lane, self.gen.random)
         i = lane[1]
         lane[1] = i + 1
         return lane[0].item(i)
@@ -159,9 +189,7 @@ class BatchedStream:
         """Next Exp(scale) draw; all scales share one std-exp lane."""
         lane = self._lanes.get("e")
         if lane is None or lane[1] >= lane[0].shape[0]:
-            lane = [self.gen.standard_exponential(self.block_size), 0]
-            self._lanes["e"] = lane
-            self.blocks_filled += 1
+            lane = self._refill("e", lane, self.gen.standard_exponential)
         i = lane[1]
         lane[1] = i + 1
         return scale * lane[0].item(i)
@@ -171,9 +199,9 @@ class BatchedStream:
         key = ("i", low, high)
         lane = self._lanes.get(key)
         if lane is None or lane[1] >= lane[0].shape[0]:
-            lane = [self.gen.integers(low, high, size=self.block_size), 0]
-            self._lanes[key] = lane
-            self.blocks_filled += 1
+            lane = self._refill(
+                key, lane, lambda b: self.gen.integers(low, high, size=b), grow=False
+            )
         i = lane[1]
         lane[1] = i + 1
         return lane[0].item(i)
@@ -183,9 +211,7 @@ class BatchedStream:
         key = ("g", p)
         lane = self._lanes.get(key)
         if lane is None or lane[1] >= lane[0].shape[0]:
-            lane = [self.gen.geometric(p, size=self.block_size), 0]
-            self._lanes[key] = lane
-            self.blocks_filled += 1
+            lane = self._refill(key, lane, lambda b: self.gen.geometric(p, size=b))
         i = lane[1]
         lane[1] = i + 1
         return lane[0].item(i)
@@ -202,29 +228,27 @@ class BatchedStream:
         key = ("ln", mean, sigma)
         lane = self._lanes.get(key)
         if lane is None or lane[1] >= lane[0].shape[0]:
-            lane = [self.gen.lognormal(mean, sigma, size=self.block_size), 0]
-            self._lanes[key] = lane
-            self.blocks_filled += 1
+            lane = self._refill(
+                key, lane, lambda b: self.gen.lognormal(mean, sigma, size=b)
+            )
         i = lane[1]
         lane[1] = i + 1
         return lane[0].item(i)
 
     # -- block draws (same lanes, same sequence) ------------------------
-    def _take_block(self, key: _LaneKey, n: int, fill) -> np.ndarray:
+    def _take_block(
+        self, key: _LaneKey, n: int, fill, grow: bool = True
+    ) -> np.ndarray:
         """``n`` draws from a lane, exactly as ``n`` scalar calls would."""
         lane = self._lanes.get(key)
         if lane is None:
-            lane = [fill(self.block_size), 0]
-            self._lanes[key] = lane
-            self.blocks_filled += 1
+            lane = self._refill(key, None, fill, grow)
         out = np.empty(n, dtype=lane[0].dtype)
         filled = 0
         while filled < n:
+            if lane[1] >= lane[0].shape[0]:
+                lane = self._refill(key, lane, fill, grow)
             buf, cur = lane
-            if cur >= buf.shape[0]:
-                lane[0] = buf = fill(self.block_size)
-                lane[1] = cur = 0
-                self.blocks_filled += 1
             take = min(n - filled, buf.shape[0] - cur)
             out[filled : filled + take] = buf[cur : cur + take]
             lane[1] = cur + take
@@ -233,18 +257,19 @@ class BatchedStream:
 
     def random_block(self, n: int) -> np.ndarray:
         """``n`` uniforms, identical to ``n`` successive :meth:`random`."""
-        return self._take_block("u", n, lambda b: self.gen.random(b))
+        return self._take_block("u", n, self.gen.random)
 
     def exponential_block(self, scale: float, n: int) -> np.ndarray:
         """``n`` Exp(scale) draws from the shared std-exp lane."""
-        return scale * self._take_block(
-            "e", n, lambda b: self.gen.standard_exponential(b)
-        )
+        return scale * self._take_block("e", n, self.gen.standard_exponential)
 
     def integers_block(self, low: int, high: int, n: int) -> np.ndarray:
         """``n`` integers in [low, high)."""
         return self._take_block(
-            ("i", low, high), n, lambda b: self.gen.integers(low, high, size=b)
+            ("i", low, high),
+            n,
+            lambda b: self.gen.integers(low, high, size=b),
+            grow=False,
         )
 
     def geometric_block(self, p: float, n: int) -> np.ndarray:

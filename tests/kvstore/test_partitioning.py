@@ -12,6 +12,18 @@ def sample_keys(n: int = 500):
     return [f"key:{i:06d}" for i in range(n)]
 
 
+def clockwise_owner(server_ids, vnodes, key):
+    """The ring's definition rebuilt from scratch: the server of the first
+    vnode point clockwise of the key's hash, wrapping past the last point."""
+    points = sorted(
+        (stable_hash(f"server:{sid}/vnode:{v}"), sid)
+        for sid in server_ids
+        for v in range(vnodes)
+    )
+    h = stable_hash(key)
+    return next((sid for point, sid in points if point > h), points[0][1])
+
+
 class TestStableHash:
     def test_deterministic(self):
         assert stable_hash("abc") == stable_hash("abc")
@@ -127,6 +139,39 @@ class TestPreferenceList:
         ring = ConsistentHashRing(range(6))
         for key in sample_keys(50):
             assert ring.preference_list(key, 3)[:2] == ring.preference_list(key, 2)
+
+    def test_owner_wraps_past_the_last_point(self):
+        servers, vnodes = range(3), 2
+        last = max(
+            stable_hash(f"server:{sid}/vnode:{v}")
+            for sid in servers
+            for v in range(vnodes)
+        )
+        wrapping = [k for k in sample_keys(2000) if stable_hash(k) >= last]
+        assert wrapping
+        owner_first = ConsistentHashRing(servers, vnodes=vnodes)
+        list_first = ConsistentHashRing(servers, vnodes=vnodes)
+        for key in wrapping:
+            expected = clockwise_owner(servers, vnodes, key)
+            assert owner_first.owner(key) == expected
+            assert owner_first.preference_list(key, 1)[0] == expected
+            assert list_first.preference_list(key, 1)[0] == expected
+            assert list_first.owner(key) == expected
+
+    def test_owner_follows_membership_changes(self):
+        ring = ConsistentHashRing(range(4), vnodes=8)
+        keys = sample_keys(300)
+        for members, change in (
+            ([0, 1, 2, 3, 4], lambda: ring.add_server(4)),
+            ([0, 2, 3, 4], lambda: ring.remove_server(1)),
+        ):
+            for key in keys:
+                ring.owner(key)  # warm the cache the change must invalidate
+            change()
+            for key in keys:
+                expected = clockwise_owner(members, 8, key)
+                assert ring.owner(key) == expected
+                assert ring.preference_list(key, 1)[0] == expected
 
     def test_too_many_replicas_rejected(self):
         ring = ConsistentHashRing(range(3))

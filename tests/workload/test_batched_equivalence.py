@@ -17,6 +17,7 @@ import pytest
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.service import ServiceModel
 from repro.sim.core import Environment
+from repro.sim.rand import FIRST_BLOCK, BatchedStream
 from repro.workload.arrivals import MMPPArrivals, PoissonArrivals
 from repro.workload.fanout import BimodalFanout, GeometricFanout, UniformFanout
 from repro.workload.popularity import PopularitySampler, ZipfPopularity
@@ -184,3 +185,55 @@ class TestKvstoreEquivalence:
         for _ in range(N):
             expected = model.demand(4096) * reference.lognormal(mu, sigma)
             assert model.sample_service_time(4096, now=0.0) == expected
+
+
+# ----------------------------------------------------------------------
+# Block schedule: growing lanes, fixed integer lanes
+# ----------------------------------------------------------------------
+#: Per growing lane: one scalar draw, ``n`` block draws, and the raw
+#: generator's scalar call they must reproduce.
+GROWING_LANES = {
+    "random": (
+        lambda s: s.random(),
+        lambda s, n: s.random_block(n),
+        lambda g: g.random(),
+    ),
+    "exponential": (
+        lambda s: s.exponential(2.5),
+        lambda s, n: s.exponential_block(2.5, n),
+        lambda g: g.exponential(2.5),
+    ),
+    "geometric": (
+        lambda s: s.geometric(0.3),
+        lambda s, n: s.geometric_block(0.3, n),
+        lambda g: g.geometric(0.3),
+    ),
+    "lognormal": (
+        lambda s: s.lognormal(0.1, 0.7),
+        lambda s, n: s.lognormal_block(0.1, 0.7, n),
+        lambda g: g.lognormal(0.1, 0.7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWING_LANES))
+def test_growing_lane_matches_scalar_across_every_boundary(name):
+    scalar, block, reference = GROWING_LANES[name]
+    stream = BatchedStream(_rng(), block_size=16 * FIRST_BLOCK)
+    got = [scalar(stream) for _ in range(100)]
+    for n in (37, 300, 1, 999, 2500):  # reads straddle every refill
+        got.extend(block(stream, n).tolist())
+    raw = _rng()
+    assert got == [reference(raw) for _ in range(len(got))]
+    # 3937 draws: blocks of 1, 2, 4, 8 and 16 x FIRST_BLOCK, then two more
+    # of the full 16.
+    assert stream.blocks_filled == 7
+
+
+def test_integer_lanes_keep_the_full_block():
+    stream = BatchedStream(_rng(), block_size=16 * FIRST_BLOCK)
+    got = [stream.integers(0, 17) for _ in range(1000)]
+    got.extend(stream.integers_block(0, 17, 1500).tolist())
+    raw = _rng()
+    assert got == [int(raw.integers(0, 17)) for _ in range(2500)]
+    assert stream.blocks_filled == 3  # 2500 draws in blocks of 1024
