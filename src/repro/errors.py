@@ -24,18 +24,6 @@ class UnknownSchedulerError(SchedulerError):
         self.known = known
 
 
-class StorageError(ReproError):
-    """Storage-engine level failure (missing key, bad namespace, ...)."""
-
-
-class KeyNotFoundError(StorageError):
-    """A GET referenced a key that is not present."""
-
-    def __init__(self, key: str):
-        super().__init__(f"key not found: {key!r}")
-        self.key = key
-
-
 class PartitioningError(ReproError):
     """Consistent-hash ring misconfiguration or lookup failure."""
 

@@ -36,7 +36,6 @@ _EXPORTS = {
     "ReplicaPlacement": "repro.kvstore.replication",
     "Server": "repro.kvstore.server",
     "ServiceModel": "repro.kvstore.service",
-    "StorageEngine": "repro.kvstore.storage",
 }
 
 __all__ = sorted(_EXPORTS)
@@ -51,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
     from repro.kvstore.replication import ReplicaPlacement
     from repro.kvstore.server import Server
     from repro.kvstore.service import ServiceModel
-    from repro.kvstore.storage import StorageEngine
 
 
 def __getattr__(name: str):

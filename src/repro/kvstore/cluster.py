@@ -7,7 +7,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.estimator import ServerEstimates
 from repro.core.feedback import FeedbackMode
-from repro.errors import ConfigError
+from repro.errors import ConfigError, TraceFormatError
 from repro.faults.sim import SimFaultDriver
 from repro.kvstore.client import Client
 from repro.kvstore.config import ClusterConfig, SimulationConfig
@@ -16,7 +16,6 @@ from repro.kvstore.partitioning import ConsistentHashRing
 from repro.kvstore.replication import ReplicaPlacement
 from repro.kvstore.server import Server
 from repro.kvstore.service import ServiceModel
-from repro.kvstore.storage import StorageEngine
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.summary import SummaryStats
 from repro.obs import MetricsRegistry, Tracer, register_queue_gauges
@@ -49,9 +48,10 @@ class RunResult:
     #: with ``registry.snapshot()`` / ``tracer.as_dicts()``).
     registry: Optional[MetricsRegistry] = None
     tracer: Optional[Tracer] = None
-    #: Per-server failure/loss accounting (indexed by server id): ops that
-    #: executed but failed (e.g. missing key), and ops dropped by crashes.
+    #: Always zeros, one per server: a simulated op cannot fail.  Kept
+    #: because ``benchmarks/perf/trials.py`` reads it.
     server_ops_failed: List[int] = field(default_factory=list)
+    #: Per-server ops lost to crashes (indexed by server id).
     server_ops_dropped: List[int] = field(default_factory=list)
     #: Fault-plan timeline + fault-state snapshot ({} on healthy runs).
     faults: Dict[str, Any] = field(default_factory=dict)
@@ -135,7 +135,7 @@ class Cluster:
         self.servers: Dict[int, Server] = {}
         for sid in range(config.n_servers):
             self.servers[sid] = self._build_server(sid)
-        self._preload_storage()
+        self._warm_key_tables()
 
         #: Fault-plan driver (None on healthy runs): crashes/recovers
         #: servers and toggles link faults at the plan's times.
@@ -206,27 +206,30 @@ class Cluster:
             server_id=sid,
             queue=queue,
             service=service,
-            storage=StorageEngine(server_id=sid),
             network=self.network,
             piggyback_feedback=cfg.feedback.piggyback,
         )
 
-    def _preload_storage(self) -> None:
-        """Populate every server with the keys it owns (all replicas).
-
-        Also warms the keyspace name table and the ring's preference-list
-        cache with exactly the ``(key, n)`` pairs clients will look up.
+    def _warm_key_tables(self) -> None:
+        """Warm the keyspace name table and the ring's preference-list
+        cache with exactly the ``(key, n)`` pairs clients will look up, and
+        check that every key a trace names is in the keyspace.
         """
         n = self.config.replication_factor
         keys = self.keyspace.key_names(range(self.keyspace.size))
-        sizes = self.keyspace.value_sizes.tolist()
         pref = self.ring.preference_list
-        per_server: Dict[int, list] = {sid: [] for sid in self.servers}
-        for key, size in zip(keys, sizes):
-            for sid in pref(key, n):
-                per_server[sid].append((key, size))
-        for sid, items in per_server.items():
-            self.servers[sid].storage.bulk_put(items, now=0.0)
+        for key in keys:
+            pref(key, n)
+        trace = self.config.trace
+        if trace is not None:
+            known = set(keys)
+            for index, record in enumerate(trace):
+                for key in record.keys:
+                    if key not in known:
+                        raise TraceFormatError(
+                            f"trace record {index}: key {key!r} is not in the "
+                            f"{len(keys)}-key keyspace (see remap_keys)"
+                        )
 
     def _build_client(self, cid: int) -> Client:
         cfg = self.config
@@ -393,14 +396,8 @@ class Cluster:
     # Observability
     # ------------------------------------------------------------------
     def _register_fault_gauges(self) -> None:
-        """Expose per-server failure/loss counters and network drops."""
+        """Expose per-server loss counters and network drops."""
         for sid, server in self.servers.items():
-            self.registry.gauge(
-                "server_ops_failed",
-                "Operations that executed but failed (e.g. missing key)",
-                fn=lambda s=server: float(s.ops_failed),
-                server=str(sid),
-            )
             self.registry.gauge(
                 "server_ops_dropped",
                 "Operations lost to crashes (queued, in-service, or refused)",
@@ -427,7 +424,6 @@ class Cluster:
                 "crashed": server.crashed,
                 "crashes": server.crashes,
                 "ops_dropped": server.ops_dropped,
-                "ops_failed": server.ops_failed,
             }
             for sid, server in self.servers.items()
         }
@@ -526,7 +522,7 @@ class Cluster:
             requests_completed=sum(c.requests_completed for c in self.clients),
             registry=self.registry,
             tracer=self.tracer,
-            server_ops_failed=[s.ops_failed for s in self.servers.values()],
+            server_ops_failed=[0] * len(self.servers),
             server_ops_dropped=[s.ops_dropped for s in self.servers.values()],
             faults=self.fault_stats(),
             lanes=self.lane_stats(),

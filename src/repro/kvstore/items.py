@@ -181,10 +181,11 @@ class Feedback:
 
 @dataclass(slots=True)
 class Response:
-    """Completion message for one operation, sent server -> client."""
+    """Completion message for one operation, sent server -> client.
+
+    The value moved is ``operation.value_size``: a simulated server holds
+    no data and serves the size the operation names.
+    """
 
     operation: Operation
-    ok: bool
-    value_size: int
     feedback: Optional[Feedback] = None
-    error: Optional[str] = None

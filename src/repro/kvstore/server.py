@@ -1,11 +1,14 @@
 """The simulated key-value server.
 
-One server = one storage engine + one scheduler queue + one service loop.
-The loop is non-preemptive and work-conserving: whenever operations are
-queued it serves the one the scheduler picks, for a service time drawn
-from the server's :class:`~repro.kvstore.service.ServiceModel` (which may
-degrade over time).  Completions are shipped back to the issuing client
-with optional piggybacked feedback.
+One server = one scheduler queue + one service loop.  The loop is
+non-preemptive and work-conserving: whenever operations are queued it
+serves the one the scheduler picks, for a service time drawn from the
+server's :class:`~repro.kvstore.service.ServiceModel` (which may degrade
+over time) at the operation's own ``value_size``.  The server holds no
+data: the size an operation names is the size it serves, so the rate the
+server learns is measured on the same demand the client tagged.
+Completions are shipped back to the issuing client with optional
+piggybacked feedback.
 
 The loop is a re-arming kernel entry, not a coroutine:
 :meth:`Server._start_next` runs whenever the server might be able to
@@ -19,11 +22,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.estimator import check_alpha
-from repro.errors import KeyNotFoundError
-from repro.kvstore.items import Feedback, OpKind, Operation, Response
+from repro.kvstore.items import Feedback, Operation, Response
 from repro.kvstore.network import NetworkModel
 from repro.kvstore.service import ServiceModel
-from repro.kvstore.storage import StorageEngine
 from repro.schedulers.base import ServerQueue
 from repro.sim.core import NORMAL, Environment
 
@@ -40,7 +41,6 @@ class Server:
         server_id: int,
         queue: ServerQueue,
         service: ServiceModel,
-        storage: StorageEngine,
         network: NetworkModel,
         piggyback_feedback: bool = True,
         rate_alpha: float = 0.2,
@@ -49,7 +49,6 @@ class Server:
         self.server_id = server_id
         self.queue = queue
         self.service = service
-        self.storage = storage
         self.network = network
         self.piggyback_feedback = piggyback_feedback
         #: client_id -> Client, wired by the cluster after construction.
@@ -81,7 +80,6 @@ class Server:
         self.crashes = 0
 
         self.ops_served = 0
-        self.ops_failed = 0
         self.ops_dropped = 0
         self.probes_answered = 0
         self.busy_time = 0.0
@@ -179,29 +177,28 @@ class Server:
         now = env._now
         op = queue.pop(now)
         op.start_time = now
-        ok, size = self._execute(op, now)
-        service_time = self.service.sample_service_time(size, now)
+        service_time = self.service.sample_service_time(op.value_size, now)
         self._current_finish = now + service_time
         self._timer_armed = True
         env._schedule(
             self._service_done,
-            (op, self.crashes, ok, size, service_time),
+            (op, self.crashes, service_time),
             service_time,
             NORMAL,
         )
 
     def _service_done(self, served: tuple) -> None:
-        op, epoch, ok, size, service_time = served
+        op, epoch, service_time = served
         self._timer_armed = False
         self._current_finish = None
         if self.crashes != epoch:
             # The server died mid-service; the op dies with it.
             self.ops_dropped += 1
         else:
-            self._complete(op, ok, size, service_time)
+            self._complete(op, service_time)
         self._start_next()
 
-    def _complete(self, op: Operation, ok: bool, size: int, service_time: float) -> None:
+    def _complete(self, op: Operation, service_time: float) -> None:
         """Account for a served operation and ship its response."""
         now = self.env._now
         op.finish_time = now
@@ -214,10 +211,7 @@ class Server:
         observed = self.service.rate_sample(op.demand, service_time)
         self._rate += self._rate_alpha * (observed - self._rate)
         self.queue.on_service_complete(op, now)
-        if ok:
-            self.ops_served += 1
-        else:
-            self.ops_failed += 1
+        self.ops_served += 1
         client = self.clients.get(op.request.client_id)
         if client is None:  # pragma: no cover - wiring error
             raise RuntimeError(
@@ -227,31 +221,10 @@ class Server:
         self.network.send(
             ("server", self.server_id),
             ("client", client.client_id),
-            Response(
-                op,
-                ok,
-                size,
-                self.make_feedback() if self.piggyback_feedback else None,
-                None if ok else "key not found",
-            ),
+            Response(op, self.make_feedback() if self.piggyback_feedback else None),
             client.handle_response,
-            size,
+            op.value_size,
         )
-
-    def _execute(self, op: Operation, now: float) -> tuple[bool, int]:
-        """Run the operation against the storage engine.
-
-        Returns (ok, bytes_moved); a miss still consumes overhead time but
-        moves no value bytes.
-        """
-        if op.kind is OpKind.PUT:
-            self.storage.put(op.key, op.value_size, now=now)
-            return True, op.value_size
-        try:
-            record = self.storage.get(op.key, now=now)
-        except KeyNotFoundError:
-            return False, 0
-        return True, record.size
 
     # ------------------------------------------------------------------
     # Feedback & introspection

@@ -45,7 +45,6 @@ class MetricsCollector:
     def __init__(self):
         self._records: List[RequestRecord] = []
         self.ops_completed = 0
-        self.ops_failed = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -66,12 +65,6 @@ class MetricsCollector:
                 total_bytes=request.total_bytes,
             )
         )
-
-    def record_op_completion(self, ok: bool) -> None:
-        if ok:
-            self.ops_completed += 1
-        else:
-            self.ops_failed += 1
 
     # ------------------------------------------------------------------
     # Queries

@@ -1,9 +1,10 @@
 """The asyncio TCP key-value server.
 
-Each server owns a :class:`~repro.kvstore.storage.StorageEngine` and a
+Each server keeps its values in one ``dict[str, bytes]`` and owns a
 :class:`~repro.runtime.scheduling.ScheduledExecutor`; connections submit
 operations into the executor and the response carries the executor's
 feedback snapshot — the runtime realization of piggybacked feedback.
+A get of an absent key answers ``None``.
 
 For chaos testing, a :class:`~repro.runtime.faults.FaultInjector` can be
 attached: it is consulted when a connection is accepted and once per
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import time
+from functools import partial
 from typing import Any, Dict, List, Optional, Set
 
-from repro.errors import KeyNotFoundError, ProtocolError
-from repro.kvstore.storage import StorageEngine
+from repro.errors import ProtocolError
 from repro.obs import MetricsRegistry, OpSpan, TRACE_REQUESTED
 from repro.runtime.faults import DELAY, DROP, FaultDecision, FaultInjector
 from repro.runtime.protocol import FrameProtocol, Message, write_message
@@ -115,7 +115,7 @@ class KVServer:
         self.host = host
         self._requested_port = port
         self.server_id = server_id
-        self.storage = StorageEngine(server_id=server_id, track_payloads=True)
+        self.storage: Dict[str, bytes] = {}
         self._scheduler = scheduler
         self._scheduler_params = scheduler_params
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -382,27 +382,17 @@ class KVServer:
             write_message(transport, Message("reply", reply.id, fields))
 
     def _get_ops(self, keys: List[str], tags: Dict[str, Any]) -> List[QueuedOp]:
-        now = time.monotonic()
         ops = []
         for key in keys:
-            # Sized without counting: the read that serves the op is the hit.
-            size = self.storage.peek_size(key, now)
+            size = self._size_of(key)
             op = QueuedOp(key=key, demand=self._demand(size), size=size, tag=dict(tags))
-            op.work = self._make_get_work(key)
+            op.work = partial(self.storage.get, key)
             ops.append(op)
         return ops
 
-    def _make_get_work(self, key: str):
-        def work():
-            try:
-                record = self.storage.get(key, now=time.monotonic())
-            except KeyNotFoundError:
-                return None
-            if record.payload is None:
-                return b"\x00" * record.size
-            return record.payload
-
-        return work
+    def _size_of(self, key: str) -> int:
+        value = self.storage.get(key)
+        return 0 if value is None else len(value)
 
     def _put_op(self, fields: Dict[str, Any]) -> QueuedOp:
         key = fields["key"]
@@ -415,9 +405,7 @@ class KVServer:
         )
 
         def work():
-            self.storage.put(
-                key, len(payload), now=time.monotonic(), payload=payload
-            )
+            self.storage[key] = payload
             return True
 
         op.work = work
@@ -431,11 +419,10 @@ class KVServer:
         whose scrapes bypass the service queue.
         """
         fields = message.fields
-        now = time.monotonic()
         if message.type == "get":
-            return self.storage.peek_size(fields.get("key", ""), now)
+            return self._size_of(fields.get("key", ""))
         if message.type == "mget":
-            return sum(self.storage.peek_size(k, now) for k in fields.get("keys", ()))
+            return sum(self._size_of(k) for k in fields.get("keys", ()))
         if message.type == "put":
             return len(fields.get("value", b""))
         return 0

@@ -29,6 +29,7 @@ from typing import Any, Dict, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.selection.base import SelectionPolicy
+from repro.selection.static import D_CHOICES, sample_choices
 from repro.sim.rand import BatchedStream, as_batched
 
 #: Default staleness bound, sized as a small multiple of the default
@@ -40,12 +41,10 @@ DEFAULT_MAX_STALENESS = 25e-3
 class DodoorPolicy(SelectionPolicy):
     """Randomized d-choices over a load cache fed by periodic reports.
 
-    Knobs:
-
-    * ``d`` — candidates sampled per decision (default 2);
-    * ``max_staleness`` — seconds after which a cached load report is
-      ignored (default 25 ms ~= a few missed reports at the default
-      5 ms interval).
+    Each decision samples :data:`~repro.selection.static.D_CHOICES`
+    candidates.  The one knob, ``max_staleness``, is the age in seconds
+    after which a cached load report is ignored (default 25 ms ~= a few
+    missed reports at the default 5 ms interval).
 
     The cache is fed exclusively through :meth:`observe_feedback` — the
     same funnel piggyback replies and probe answers use — so the policy
@@ -60,23 +59,15 @@ class DodoorPolicy(SelectionPolicy):
     wants_feedback = True
     wants_load_reports = True
 
-    def __init__(
-        self,
-        rng,
-        d: int = 2,
-        max_staleness: float = DEFAULT_MAX_STALENESS,
-    ):
+    def __init__(self, rng, max_staleness: float = DEFAULT_MAX_STALENESS):
         super().__init__()
         if rng is None:
             raise ConfigError("selection='dodoor' requires an rng")
-        if d < 2:
-            raise ConfigError(f"dodoor needs d >= 2, got {d}")
         if max_staleness <= 0:
             raise ConfigError(
                 f"dodoor needs max_staleness > 0, got {max_staleness}"
             )
         self._rng: BatchedStream = as_batched(rng)
-        self.d = d
         self.max_staleness = max_staleness
         #: server_id -> (reported queued work seconds, report timestamp).
         self._cache: Dict[int, Tuple[float, float]] = {}
@@ -102,20 +93,8 @@ class DodoorPolicy(SelectionPolicy):
         return load
 
     # ------------------------------------------------------------------
-    def _sample(self, candidates: Sequence[int]) -> Sequence[int]:
-        n = len(candidates)
-        if self.d >= n:
-            return candidates
-        # Partial Fisher-Yates over an index list: d distinct draws
-        # (same idiom as PowerOfDPolicy, same rng stream discipline).
-        idx = list(range(n))
-        for i in range(self.d):
-            j = i + self._rng.integers(0, n - i)
-            idx[i], idx[j] = idx[j], idx[i]
-        return [candidates[i] for i in idx[: self.d]]
-
     def _choose(self, key: str, candidates: Sequence[int], now: float) -> int:
-        sampled = self._sample(candidates)
+        sampled = sample_choices(self._rng, candidates)
         best = None
         best_rank = None
         for sid in sampled:
@@ -144,7 +123,7 @@ class DodoorPolicy(SelectionPolicy):
         base = super().stats()
         base.update(
             {
-                "d": self.d,
+                "d": D_CHOICES,
                 "max_staleness": self.max_staleness,
                 "cache_size": len(self._cache),
                 "reports_cached": self.reports_cached,

@@ -2,7 +2,7 @@
 
 Prequal (Wydrowski et al., NSDI'24) selects replicas from a small pool of
 recent *probes*, each reporting a server's requests-in-flight (RIF) and a
-latency signal.  Servers whose RIF sits above a configurable quantile of
+latency signal.  Servers whose RIF sits above :data:`HOT_QUANTILE` of
 the pool are *hot*; the pick is lexicographic:
 
 * some candidate is cold  -> the cold candidate with the lowest latency;
@@ -17,8 +17,9 @@ the simulator every piggybacked/periodic feedback snapshot doubles as a
 probe; in the runtime the client additionally issues control-plane
 ``probe`` messages (see ``repro.runtime.client``) whose replies arrive
 through the same funnel, keeping the pool fresh for servers the client is
-not currently reading from.  Probes expire after ``max_age`` seconds and
-the pool is bounded to ``pool_size`` entries (oldest evicted first).
+not currently reading from.  Probes expire after :data:`MAX_AGE` seconds
+and the pool is bounded to :data:`POOL_SIZE` entries (oldest evicted
+first).
 """
 
 from __future__ import annotations
@@ -29,8 +30,18 @@ from typing import Deque, Dict, Optional, Sequence
 
 from collections import deque
 
-from repro.errors import ConfigError
 from repro.selection.base import SelectionPolicy
+
+#: Maximum probes kept, as in the paper's client pool.
+POOL_SIZE = 16
+#: Probes older than this many seconds are expired before every decision.
+MAX_AGE = 1.0
+#: Pool-RIF quantile above which a server counts as hot.
+HOT_QUANTILE = 0.75
+#: Latency charged per local in-flight op for candidates with no probe
+#: yet, so concurrent cold-start picks spread instead of piling onto the
+#: lowest server id.
+COLD_START_LATENCY = 1e-3
 
 
 @dataclass(frozen=True)
@@ -44,47 +55,15 @@ class Probe:
 
 
 class PrequalPolicy(SelectionPolicy):
-    """Probe-pool selection with hot/cold lexicographic picking.
-
-    Parameters
-    ----------
-    pool_size:
-        Maximum probes kept (default 16, as in the paper's client pool).
-    max_age:
-        Probes older than this many seconds are expired before every
-        decision (default 1.0 s).
-    hot_quantile:
-        Pool-RIF quantile above which a server counts as hot
-        (default 0.75).
-    cold_start_latency:
-        Latency charged per local in-flight op for candidates with no
-        probe yet, so concurrent cold-start picks spread instead of
-        piling onto the lowest server id (default 1 ms).
-    """
+    """Probe-pool selection with hot/cold lexicographic picking."""
 
     name = "prequal"
     wants_inflight = True
     wants_feedback = True
     wants_probes = True
 
-    def __init__(
-        self,
-        pool_size: int = 16,
-        max_age: float = 1.0,
-        hot_quantile: float = 0.75,
-        cold_start_latency: float = 1e-3,
-    ):
+    def __init__(self):
         super().__init__()
-        if pool_size < 1:
-            raise ConfigError("pool_size must be >= 1")
-        if max_age <= 0:
-            raise ConfigError("max_age must be positive")
-        if not 0.0 < hot_quantile <= 1.0:
-            raise ConfigError("hot_quantile must be in (0, 1]")
-        self.pool_size = pool_size
-        self.max_age = max_age
-        self.hot_quantile = hot_quantile
-        self.cold_start_latency = cold_start_latency
         self._pool: Deque[Probe] = deque()
         self.probes_added = 0
         self.probes_expired = 0
@@ -98,7 +77,7 @@ class PrequalPolicy(SelectionPolicy):
         """Fold one probe result into the pool (oldest evicted at capacity)."""
         self._pool.append(Probe(server_id, float(rif), float(latency), now))
         self.probes_added += 1
-        while len(self._pool) > self.pool_size:
+        while len(self._pool) > POOL_SIZE:
             self._pool.popleft()
 
     def observe_feedback(self, feedback, now: float = 0.0) -> None:
@@ -114,7 +93,7 @@ class PrequalPolicy(SelectionPolicy):
         )
 
     def _expire(self, now: float) -> None:
-        horizon = now - self.max_age
+        horizon = now - MAX_AGE
         while self._pool and self._pool[0].t < horizon:
             self._pool.popleft()
             self.probes_expired += 1
@@ -138,7 +117,7 @@ class PrequalPolicy(SelectionPolicy):
         if not rifs:
             return None
         # Nearest-rank quantile over the pool's RIF distribution.
-        rank = max(0, math.ceil(self.hot_quantile * len(rifs)) - 1)
+        rank = max(0, math.ceil(HOT_QUANTILE * len(rifs)) - 1)
         return rifs[rank]
 
     def _choose(self, key: str, candidates: Sequence[int], now: float) -> int:
@@ -151,7 +130,7 @@ class PrequalPolicy(SelectionPolicy):
             probe = latest.get(sid)
             if probe is None:
                 rif = float(self.inflight_of(sid))
-                latency = self.cold_start_latency * self.inflight_of(sid)
+                latency = COLD_START_LATENCY * self.inflight_of(sid)
                 entries.append((sid, rif, latency, True))
             else:
                 entries.append((sid, probe.rif, probe.latency, False))

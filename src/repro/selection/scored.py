@@ -19,6 +19,17 @@ from repro.selection.base import SelectionPolicy
 #: Floor for rate estimates so a near-dead server cannot divide by zero.
 MIN_RATE = 1e-6
 
+#: C3: EWMA weight for observed response latencies.
+C3_ALPHA_LATENCY = 0.3
+#: C3: queue slots one of *this client's* in-flight operations counts for.
+C3_CONCURRENCY_WEIGHT = 1.0
+#: Tars: staleness horizon in seconds; information older than a few of
+#: these is discounted to the population mean.
+TARS_TAU = 0.05
+#: Tars: the new operation's own reference demand guess in seconds; keeps
+#: the rate division meaningful when every queue is empty.
+TARS_SERVICE_FLOOR = 200e-6
+
 
 class C3Policy(SelectionPolicy):
     """C3-style replica ranking with a cubic queue penalty.
@@ -30,43 +41,25 @@ class C3Policy(SelectionPolicy):
     wait.  Cubing the queue term makes a long queue prohibitively
     expensive long before it would dominate a linear score, which is what
     prevents client herds from piling onto one briefly-idle server.
-
-    Parameters
-    ----------
-    estimates:
-        The client's per-server feedback view.
-    alpha_latency:
-        EWMA weight for observed response latencies (default 0.3).
-    concurrency_weight:
-        How many queue slots one of *this client's* in-flight operations
-        counts for (default 1.0).
+    ``estimates`` is the client's per-server feedback view.
     """
 
     name = "c3"
     wants_inflight = True
     wants_feedback = True
 
-    def __init__(
-        self,
-        estimates: ServerEstimates,
-        alpha_latency: float = 0.3,
-        concurrency_weight: float = 1.0,
-    ):
+    def __init__(self, estimates: ServerEstimates):
         super().__init__()
         if estimates is None:
             raise ConfigError("selection='c3' requires estimates (feedback)")
-        if concurrency_weight < 0:
-            raise ConfigError("concurrency_weight must be >= 0")
         self._estimates = estimates
-        self._alpha_latency = alpha_latency
-        self._concurrency_weight = concurrency_weight
         self._latency: Dict[int, EwmaEstimator] = {}
 
     def on_response(self, server_id: int, now: float = 0.0, latency: float = 0.0) -> None:
         super().on_response(server_id, now, latency)
         ewma = self._latency.get(server_id)
         if ewma is None:
-            ewma = self._latency[server_id] = EwmaEstimator(self._alpha_latency)
+            ewma = self._latency[server_id] = EwmaEstimator(C3_ALPHA_LATENCY)
         if latency >= 0:
             ewma.update(latency)
 
@@ -83,7 +76,7 @@ class C3Policy(SelectionPolicy):
         step /= max(est.rate(server_id), MIN_RATE)
         ewma = self._latency.get(server_id)
         latency = ewma.value_or(0.0) if ewma is not None else 0.0
-        depth = 1.0 + self._concurrency_weight * self.inflight_of(server_id) + queue
+        depth = 1.0 + C3_CONCURRENCY_WEIGHT * self.inflight_of(server_id) + queue
         return latency + depth**3 * step
 
     def _choose(self, key: str, candidates: Sequence[int], now: float) -> int:
@@ -97,51 +90,31 @@ class TarsPolicy(SelectionPolicy):
     a stale observation of a busy server should neither keep repelling
     traffic forever nor be trusted like a live reading.  Each candidate's
     expected wait is blended toward the candidate-set mean with weight
-    ``1 - exp(-staleness / tau)``, then divided by the server's estimated
-    service rate so a degraded server stays expensive even when its queue
-    estimate has drained:
+    ``1 - exp(-staleness / TARS_TAU)``, then divided by the server's
+    estimated service rate so a degraded server stays expensive even when
+    its queue estimate has drained:
 
-    ``score = (w * wait + (1 - w) * mean_wait + service_floor) / rate``
+    ``score = (w * wait + (1 - w) * mean_wait + TARS_SERVICE_FLOOR) / rate``
 
-    Parameters
-    ----------
-    estimates:
-        The client's per-server feedback view (shared with the DAS tagger).
-    tau:
-        Staleness horizon in seconds: information older than a few tau is
-        effectively discounted to the population mean (default 50 ms).
-    service_floor:
-        The new operation's own reference demand guess in seconds; keeps
-        the rate division meaningful when every queue is empty
-        (default 200 microseconds).
+    ``estimates`` is the client's per-server feedback view (shared with
+    the DAS tagger).
     """
 
     name = "tars"
     wants_inflight = True
     wants_feedback = True
 
-    def __init__(
-        self,
-        estimates: ServerEstimates,
-        tau: float = 0.05,
-        service_floor: float = 200e-6,
-    ):
+    def __init__(self, estimates: ServerEstimates):
         super().__init__()
         if estimates is None:
             raise ConfigError("selection='tars' requires estimates (feedback)")
-        if tau <= 0:
-            raise ConfigError("tau must be positive")
-        if service_floor <= 0:
-            raise ConfigError("service_floor must be positive")
         self._estimates = estimates
-        self.tau = tau
-        self.service_floor = service_floor
 
     def _freshness(self, server_id: int, now: float) -> float:
         staleness = self._estimates.staleness(server_id, now)
         if staleness == float("inf"):
             return 0.0  # never heard from: trust the population mean
-        return math.exp(-max(staleness, 0.0) / self.tau)
+        return math.exp(-max(staleness, 0.0) / TARS_TAU)
 
     def _choose(self, key: str, candidates: Sequence[int], now: float) -> int:
         est = self._estimates
@@ -151,6 +124,6 @@ class TarsPolicy(SelectionPolicy):
         def score(sid: int) -> float:
             w = self._freshness(sid, now)
             blended = w * waits[sid] + (1.0 - w) * mean_wait
-            return (blended + self.service_floor) / max(est.rate(sid), MIN_RATE)
+            return (blended + TARS_SERVICE_FLOOR) / max(est.rate(sid), MIN_RATE)
 
         return min(candidates, key=lambda sid: (score(sid), sid))

@@ -14,6 +14,25 @@ from repro.errors import ConfigError
 from repro.selection.base import SelectionPolicy
 from repro.sim.rand import BatchedStream, as_batched
 
+#: Replicas sampled per power-of-d (and Dodoor) decision.
+D_CHOICES = 2
+
+
+def sample_choices(rng: BatchedStream, candidates: Sequence[int]) -> Sequence[int]:
+    """:data:`D_CHOICES` distinct candidates, or all when there are no more.
+
+    Partial Fisher-Yates over an index list, so the first element is
+    uniform over the candidates.
+    """
+    n = len(candidates)
+    if D_CHOICES >= n:
+        return candidates
+    idx = list(range(n))
+    for i in range(D_CHOICES):
+        j = i + rng.integers(0, n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return [candidates[i] for i in idx[:D_CHOICES]]
+
 
 class PrimaryPolicy(SelectionPolicy):
     """Always read the first replica — the paper's evaluation setting."""
@@ -78,7 +97,7 @@ class LeastWorkPolicy(SelectionPolicy):
 
 
 class PowerOfDPolicy(SelectionPolicy):
-    """Power-of-d-choices: sample ``d`` replicas, take the least loaded.
+    """Power-of-d-choices: sample :data:`D_CHOICES` replicas, take the least loaded.
 
     The classic herd-avoidance compromise: sampling decorrelates clients
     (they do not all chase the same momentarily-idle server) while d >= 2
@@ -91,15 +110,12 @@ class PowerOfDPolicy(SelectionPolicy):
     wants_inflight = True
     wants_feedback = True
 
-    def __init__(self, rng, estimates=None, d: int = 2):
+    def __init__(self, rng, estimates=None):
         super().__init__()
         if rng is None:
             raise ConfigError("selection='power_of_d' requires an rng")
-        if d < 2:
-            raise ConfigError(f"power_of_d needs d >= 2, got {d}")
         self._rng: BatchedStream = as_batched(rng)
         self._estimates = estimates
-        self.d = d
 
     def _load(self, server_id: int, now: float) -> float:
         if self._estimates is not None:
@@ -107,14 +123,5 @@ class PowerOfDPolicy(SelectionPolicy):
         return float(self.inflight_of(server_id))
 
     def _choose(self, key: str, candidates: Sequence[int], now: float) -> int:
-        n = len(candidates)
-        if self.d >= n:
-            sampled = candidates
-        else:
-            # Partial Fisher-Yates over an index list: d distinct draws.
-            idx = list(range(n))
-            for i in range(self.d):
-                j = i + self._rng.integers(0, n - i)
-                idx[i], idx[j] = idx[j], idx[i]
-            sampled = [candidates[i] for i in idx[: self.d]]
+        sampled = sample_choices(self._rng, candidates)
         return min(sampled, key=lambda sid: (self._load(sid, now), sid))

@@ -5,13 +5,25 @@ Minos (Didona & Zwaenepoel, *Size-aware Sharding*) splits requests into
 vast majority of *operations* while the large lane absorbs the vast
 majority of *bytes*.  We adapt the cutoff online as a windowed quantile
 of the observed size stream: deterministic (no clock, no rng), cheap
-(one sort per ``refresh`` observations over a bounded ring buffer), and
-robust to workload drift (old samples age out of the window).
+(one sort per :data:`REFRESH` observations over a bounded ring buffer),
+and robust to workload drift (old samples age out of the window).
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigError
+
+#: Ring-buffer capacity: the quantile is computed over at most this many
+#: most-recent sizes.
+WINDOW = 512
+#: Observations required before the first adaptation.
+MIN_SAMPLES = 64
+#: Recompute the quantile every this many observations (amortizes the
+#: sort; adaptation cadence, not correctness, depends on it).
+REFRESH = 64
+#: Starting cutoff in bytes; the permanent cutoff of a disabled estimator
+#: (the static-cutoff ablation arm of X4).
+INITIAL_CUTOFF = 8192.0
 
 
 class WindowedQuantileCutoff:
@@ -22,49 +34,17 @@ class WindowedQuantileCutoff:
     quantile:
         The fraction of observed sizes routed small, e.g. 0.95 sends the
         largest ~5% of operations to the large lane.
-    window:
-        Ring-buffer capacity; the quantile is computed over at most this
-        many most-recent sizes.
-    min_samples:
-        Observations required before the first adaptation; until then the
-        cutoff stays at ``initial``.
-    refresh:
-        Recompute the quantile every ``refresh`` observations (amortizes
-        the sort; adaptation cadence, not correctness, depends on it).
-    initial:
-        Starting cutoff in bytes; the permanent cutoff when ``enabled``
-        is False (the static-cutoff ablation arm of X4).
     enabled:
         When False, :meth:`observe` only records window state and the
-        cutoff never moves.
+        cutoff stays at :data:`INITIAL_CUTOFF`.
     """
 
-    def __init__(
-        self,
-        quantile: float = 0.97,
-        window: int = 512,
-        min_samples: int = 64,
-        refresh: int = 64,
-        initial: float = 8192.0,
-        enabled: bool = True,
-    ):
+    def __init__(self, quantile: float = 0.97, enabled: bool = True):
         if not 0.0 < quantile < 1.0:
             raise ConfigError(f"quantile must be in (0, 1), got {quantile}")
-        if window < 2:
-            raise ConfigError("window must be >= 2")
-        if min_samples < 1 or min_samples > window:
-            raise ConfigError("need 1 <= min_samples <= window")
-        if refresh < 1:
-            raise ConfigError("refresh must be >= 1")
-        if initial <= 0:
-            raise ConfigError("initial cutoff must be positive")
         self.quantile = quantile
-        self.window = window
-        self.min_samples = min_samples
-        self.refresh = refresh
         self.enabled = enabled
-        self.cutoff = float(initial)
-        self.initial = float(initial)
+        self.cutoff = INITIAL_CUTOFF
         self.updates = 0
         self.observed = 0
         self._ring: list[float] = []
@@ -72,16 +52,16 @@ class WindowedQuantileCutoff:
 
     def observe(self, size: float) -> None:
         """Record one size; periodically re-derive the cutoff."""
-        if len(self._ring) < self.window:
+        if len(self._ring) < WINDOW:
             self._ring.append(float(size))
         else:
             self._ring[self._next] = float(size)
-            self._next = (self._next + 1) % self.window
+            self._next = (self._next + 1) % WINDOW
         self.observed += 1
         if (
             self.enabled
-            and self.observed >= self.min_samples
-            and self.observed % self.refresh == 0
+            and self.observed >= MIN_SAMPLES
+            and self.observed % REFRESH == 0
         ):
             self._recompute()
 

@@ -135,10 +135,12 @@ class BatchedStream:
     its array fill is element by element, so where a block ends cannot
     move the sequence, and a lightly used stream (one server's service
     noise in a large fleet) does not hold ``block_size`` values it never
-    reads.  ``integers`` lanes always fill ``block_size``: numpy draws
-    bounded integers through a 32-bit buffer (two draws per 64-bit word),
-    and the equivalence tests pin their sequences for that fixed schedule
-    only, so these lanes keep the block boundaries they always had.
+    reads.  ``integers`` lanes always fill ``block_size``.  Not for their
+    own sequence: a bounded-integer fill split anywhere equals one fill
+    (pinned by the equivalence tests).  For the interleaving: power-of-d
+    and Dodoor draw two integer bounds from one stream, so the order in
+    which their two lanes take bits is set by where each lane's blocks
+    end, and growing these lanes would change their decisions.
 
     A generator must be wrapped at most once: two live wrappers over the
     same generator would each prefetch from the shared bit stream and

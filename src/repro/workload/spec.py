@@ -209,7 +209,7 @@ class TraceSource:
     fingerprint — the *records* do, via the cluster config).  Exactly
     one of ``duration`` / ``rate`` may rescale the trace clock; with
     neither, timestamps replay verbatim.  ``remap=True`` (default) maps
-    trace keys onto the simulator's preloaded keyspace.
+    trace keys onto the simulator's keyspace.
     """
 
     path: str

@@ -278,7 +278,9 @@ def remap_keys(
     Distinct keys are numbered in first-appearance order and wrapped
     modulo ``keyspace_size`` onto the simulator's canonical key names
     (``f"{prefix}{index:010d}"`` — the names :class:`Keyspace`
-    preloads), so every replayed GET hits a stored key.  The mapping is
+    holds), which the simulated cluster requires of every trace key.
+    Each record keeps its own sizes: a replayed op serves the size its
+    trace line names, whatever key it lands on.  The mapping is
     a pure function of the record sequence: two ingests of the same
     file produce the same mapping.  Aliasing (more distinct trace keys
     than ``keyspace_size``) folds the coldest tail onto existing

@@ -55,10 +55,9 @@ def test_run_conserves_requests_and_operations(config):
     assert len(records) == 60
     assert len({r.request_id for r in records}) == 60
 
-    # Operation conservation: completions+failures == total fan-out.
+    # Operation conservation: completions == total fan-out.
     total_ops = sum(r.fanout for r in records)
-    assert result.collector.ops_completed + result.collector.ops_failed == total_ops
-    assert result.collector.ops_failed == 0  # preloaded keyspace: no misses
+    assert result.collector.ops_completed == total_ops
 
     # Causality: completion after arrival, positive RCT.
     for record in records:

@@ -9,9 +9,10 @@ references.  Classes registered through a ``register_*`` decorator are
 reached by name from configs and are exempt.
 
 The same rule holds one level down: every constructor parameter of a
-registered scheduling policy is set — as a keyword argument or a string
-dict key — somewhere outside ``tests/`` and the policy's own module.  A
-knob nothing sets is a constant.
+registered scheduling policy, of a registered selection policy and of the
+size-lane cutoff is set — as a keyword argument or a string dict key —
+somewhere outside ``tests/`` and the class's own module.  A knob nothing
+sets is a constant.
 """
 
 from __future__ import annotations
@@ -21,9 +22,14 @@ import inspect
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
+import numpy as np
+
+from repro.core.estimator import ServerEstimates
 from repro.schedulers import available_schedulers, create_policy
+from repro.selection import SELECTION_POLICY_NAMES, create_selection_policy
+from repro.sharding import WindowedQuantileCutoff
 
 ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = ROOT / "src" / "repro"
@@ -133,11 +139,22 @@ def settings_by_file() -> Dict[Path, FrozenSet[str]]:
     return found
 
 
+def policy_classes() -> Iterator[Tuple[str, type]]:
+    """Every class whose constructor knobs the guard checks, by name."""
+    for name in available_schedulers():
+        yield name, type(create_policy(name))
+    for name in SELECTION_POLICY_NAMES:
+        policy = create_selection_policy(
+            name, rng=np.random.default_rng(0), estimates=ServerEstimates()
+        )
+        yield f"selection:{name}", type(policy)
+    yield "cutoff", WindowedQuantileCutoff
+
+
 def unset_policy_parameters() -> List[str]:
     """``policy.parameter`` for every constructor knob nothing sets."""
     out = []
-    for name in available_schedulers():
-        cls = type(create_policy(name))
+    for name, cls in policy_classes():
         home = Path(inspect.getsourcefile(cls)).resolve()
         elsewhere = set().union(
             *(names for path, names in settings_by_file().items() if path != home)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import TraceFormatError
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.config import SimulationConfig
 from repro.workload.traces import TraceRecord
@@ -62,7 +63,7 @@ class TestTraceClient:
         cluster = Cluster(config)
         result = cluster.run(SimulationConfig(max_requests=50))
         assert result.requests_completed == 50
-        assert result.collector.ops_failed == 0  # keys exist in the keyspace
+        assert result.collector.ops_completed == 50
 
     def test_trace_split_across_clients(self):
         records = tuple(
@@ -77,12 +78,15 @@ class TestTraceClient:
         assert result.requests_completed == 40
 
     def test_trace_key_missing_from_keyspace_fails_op(self):
-        records = (TraceRecord(t=0.0, keys=["not-a-real-key"], sizes=[10]),)
+        """A key outside the keyspace fails the cluster's construction,
+        naming the record, instead of being served as a miss."""
+        records = (
+            TraceRecord(t=0.0, keys=["key:0000000001"], sizes=[10]),
+            TraceRecord(t=0.1, keys=["key:0000000002", "not-a-real-key"], sizes=[10, 10]),
+        )
         config = small_config(n_clients=1, trace=records)
-        cluster = Cluster(config)
-        result = cluster.run(SimulationConfig(max_requests=1))
-        assert result.requests_completed == 1  # completes, with a miss
-        assert result.collector.ops_failed == 1
+        with pytest.raises(TraceFormatError, match=r"record 1: key 'not-a-real-key'"):
+            Cluster(config)
 
 
 class TestEstimatesFlow:

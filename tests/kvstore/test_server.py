@@ -6,7 +6,6 @@ from repro.kvstore.items import OpKind, Operation, Request
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.server import Server
 from repro.kvstore.service import ServiceModel
-from repro.kvstore.storage import StorageEngine
 from repro.schedulers.registry import create_policy
 from repro.sim.core import NORMAL
 
@@ -28,9 +27,8 @@ def make_server(env, scheduler="fcfs", base_delay=0.0, **service_kwargs):
     service = ServiceModel(
         per_op_overhead=1e-3, byte_rate=1e6, **service_kwargs
     )
-    storage = StorageEngine(server_id=0)
     network = UniformLatencyNetwork(env, base_delay=base_delay)
-    server = Server(env, 0, queue, service, storage, network)
+    server = Server(env, 0, queue, service, network)
     client = FakeClient()
     server.clients[0] = client
     return server, client
@@ -52,34 +50,21 @@ def make_op(key="k", size=1000, client_id=0, arrival=0.0, kind=OpKind.GET):
 
 class TestServing:
     def test_serves_stored_key(self, env):
+        """There is no store: any key is served at the size the operation
+        names, a put exactly like a get."""
         server, client = make_server(env)
-        server.storage.put("k", 1000)
-        server.handle_operation(make_op("k"))
+        get = make_op("never-written", size=1000)
+        put = make_op("k", size=4000, kind=OpKind.PUT)
+        server.handle_operation(get)
+        server.handle_operation(put)
         env.run(until=1.0)
-        assert len(client.responses) == 1
-        response = client.responses[0]
-        assert response.ok
-        assert response.value_size == 1000
-
-    def test_missing_key_fails_cleanly(self, env):
-        server, client = make_server(env)
-        server.handle_operation(make_op("ghost"))
-        env.run(until=1.0)
-        response = client.responses[0]
-        assert not response.ok
-        assert response.error == "key not found"
-        assert server.ops_failed == 1
-
-    def test_put_operation_writes_storage(self, env):
-        server, client = make_server(env)
-        server.handle_operation(make_op("new", size=512, kind=OpKind.PUT))
-        env.run(until=1.0)
-        assert client.responses[0].ok
-        assert server.storage.get("new").size == 512
+        assert [r.operation for r in client.responses] == [get, put]
+        assert get.service_time == pytest.approx(1e-3 + 1000 / 1e6)
+        assert put.service_time == pytest.approx(1e-3 + 4000 / 1e6)
+        assert server.ops_served == 2
 
     def test_service_time_matches_model(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         op = make_op("k")
         server.handle_operation(op)
         env.run(until=1.0)
@@ -88,7 +73,6 @@ class TestServing:
 
     def test_ops_served_counter_and_busy_time(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         for _ in range(3):
             server.handle_operation(make_op("k"))
         env.run(until=1.0)
@@ -98,7 +82,6 @@ class TestServing:
 
     def test_server_sleeps_when_idle_and_wakes_on_push(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         env._schedule(server.handle_operation, make_op("k"), 5.0, NORMAL)
         env.run(until=10.0)
         assert len(client.responses) == 1
@@ -107,8 +90,6 @@ class TestServing:
 
     def test_fifo_order_under_fcfs(self, env):
         server, client = make_server(env)
-        server.storage.put("a", 100)
-        server.storage.put("b", 100)
         server.handle_operation(make_op("a"))
         server.handle_operation(make_op("b"))
         env.run(until=1.0)
@@ -126,7 +107,6 @@ class TestSameInstantDeliveries:
         deliveries) exactly as at a positive one (NORMAL deliveries)."""
         server, client = make_server(env, scheduler="sjf-req", base_delay=base_delay)
         for key, size in (("big", 4000), ("mid", 2000), ("small", 100)):
-            server.storage.put(key, size)
             server.network.send(
                 ("client", 0), ("server", 0), make_op(key, size),
                 server.handle_operation,
@@ -140,7 +120,6 @@ class TestPause:
 
     def test_queued_work_waits_for_resume(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         server.pause()
         server.handle_operation(make_op("k"))
         env._schedule(lambda _: server.resume(), None, 0.2, NORMAL)
@@ -150,7 +129,6 @@ class TestPause:
 
     def test_in_service_op_completes_during_pause(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         server.handle_operation(make_op("k"))  # starts at once: 2 ms
         server.handle_operation(make_op("k"))  # queued behind it
         server.pause()
@@ -165,7 +143,6 @@ class TestPause:
 
     def test_crash_during_pause_drops_parked_work(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         server.pause()
         for _ in range(3):
             server.handle_operation(make_op("k"))
@@ -179,7 +156,6 @@ class TestPause:
 
     def test_recover_during_pause_stays_paused(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         server.crash()
         server.pause()
         server.recover()
@@ -195,7 +171,6 @@ class TestPause:
 class TestFeedback:
     def test_response_carries_feedback(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         server.handle_operation(make_op("k"))
         env.run(until=1.0)
         feedback = client.responses[0].feedback
@@ -209,11 +184,10 @@ class TestFeedback:
         network = UniformLatencyNetwork(env, base_delay=0.0)
         server = Server(
             env, 0, queue, ServiceModel(per_op_overhead=1e-3, byte_rate=1e6),
-            StorageEngine(), network, piggyback_feedback=False,
+            network, piggyback_feedback=False,
         )
         client = FakeClient()
         server.clients[0] = client
-        server.storage.put("k", 100)
         server.handle_operation(make_op("k"))
         env.run(until=1.0)
         assert client.responses[0].feedback is None
@@ -221,7 +195,6 @@ class TestFeedback:
     def test_feedback_reports_queued_work(self, env):
         server, client = make_server(env)
         for key in ("a", "b", "c"):
-            server.storage.put(key, 1000)
             server.handle_operation(make_op(key))
         feedback = server.make_feedback()
         # Three ops of 2ms each queued (one may be in service already).
@@ -230,7 +203,6 @@ class TestFeedback:
 
     def test_degraded_server_learns_its_rate(self, env):
         server, client = make_server(env, speed_steps=[(0.0, 0.5)])
-        server.storage.put("k", 1000)
         for _ in range(20):
             server.handle_operation(make_op("k"))
         env.run(until=5.0)
@@ -239,7 +211,6 @@ class TestFeedback:
 
     def test_in_service_residual(self, env):
         server, client = make_server(env)
-        server.storage.put("k", 1000)
         server.handle_operation(make_op("k"))
         env.run(until=1e-3)  # halfway through the 2ms service
         assert server.in_service_residual(env.now) == pytest.approx(1e-3)

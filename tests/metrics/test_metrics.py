@@ -71,13 +71,6 @@ class TestCollector:
         )
         assert collector.slowdowns()[0] == pytest.approx(2.0)
 
-    def test_op_counters(self):
-        collector = MetricsCollector()
-        collector.record_op_completion(True)
-        collector.record_op_completion(False)
-        assert collector.ops_completed == 1
-        assert collector.ops_failed == 1
-
 
 class TestSummary:
     def test_summarize_fields(self):

@@ -27,7 +27,7 @@ class TestReplicatedCorrectness:
             ) as cluster:
                 await cluster.client.put("k", b"v")
                 # Every server stored the key (rf == n_servers).
-                counts = [s.storage.key_count for s in cluster.servers]
+                counts = [len(s.storage) for s in cluster.servers]
                 assert counts == [1, 1, 1]
 
         run(scenario())

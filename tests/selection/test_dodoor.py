@@ -45,44 +45,42 @@ class TestConstruction:
 
     def test_registry_builds_policy(self):
         policy = create_selection_policy(
-            "dodoor", rng=np.random.default_rng(0), d=3, max_staleness=0.1
+            "dodoor", rng=np.random.default_rng(0), max_staleness=0.1
         )
         assert policy.name == "dodoor"
-        assert policy.d == 3
         assert policy.max_staleness == 0.1
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError, match="rng"):
             DodoorPolicy(None)
-        with pytest.raises(ConfigError, match="d >= 2"):
-            fresh_policy(d=1)
         with pytest.raises(ConfigError, match="max_staleness"):
             fresh_policy(max_staleness=0.0)
 
 
 class TestFreshCache:
     def test_picks_least_loaded_of_sample(self):
-        policy = fresh_policy(d=len(CANDIDATES))  # sample = all candidates
+        policy = fresh_policy()
         for sid, load in zip(CANDIDATES, (0.5, 0.1, 0.9, 0.7)):
             policy.observe_feedback(feedback(sid, queued_work=load), now=0.0)
-        assert policy.select("k", CANDIDATES, 1e-3) == 7
+        # Two candidates: the sample is both of them.
+        assert policy.select("k", (3, 7), 1e-3) == 7
+        assert policy.select("k", (11, 15), 1e-3) == 15
 
     def test_stale_entries_are_skipped(self):
-        policy = fresh_policy(d=len(CANDIDATES), max_staleness=0.01)
+        policy = fresh_policy(max_staleness=0.01)
         policy.observe_feedback(feedback(3, queued_work=0.0), now=0.0)
         policy.observe_feedback(feedback(7, queued_work=5.0), now=1.0)
         # Server 3's report has long expired; only 7 is fresh.
-        assert policy.select("k", CANDIDATES, 1.005) == 7
+        assert policy.select("k", (3, 7), 1.005) == 7
 
     def test_inflight_nudge_breaks_reported_ties(self):
-        policy = fresh_policy(d=len(CANDIDATES))
+        policy = fresh_policy()
         for sid in CANDIDATES:
             policy.observe_feedback(feedback(sid, queued_work=1.0), now=0.0)
         policy.on_dispatch(3, 0.0)
-        policy.on_dispatch(7, 0.0)
-        # All reported loads equal: the pick avoids the servers this
-        # client already has requests in flight on.
-        assert policy.select("k", CANDIDATES, 1e-3) in (11, 15)
+        # All reported loads equal: the pick avoids the server this
+        # client already has a request in flight on.
+        assert policy.select("k", (3, 7), 1e-3) == 7
 
 
 class TestExpiry:

@@ -26,6 +26,8 @@ from repro.selection import (
     create_selection_policy,
     selection_policy_needs,
 )
+from repro.selection.prequal import MAX_AGE, POOL_SIZE
+from repro.selection.scored import TARS_TAU
 
 CANDIDATES = (3, 7, 11)
 
@@ -80,11 +82,9 @@ class TestRegistry:
 
     def test_params_forwarded(self):
         policy = create_selection_policy(
-            "power_of_d", rng=np.random.default_rng(0), d=3
+            "dodoor", rng=np.random.default_rng(0), max_staleness=0.5
         )
-        assert policy.d == 3
-        policy = create_selection_policy("prequal", pool_size=4, max_age=0.5)
-        assert policy.pool_size == 4
+        assert policy.max_staleness == 0.5
 
 
 class TestBaseBookkeeping:
@@ -174,16 +174,12 @@ class TestPowerOfD:
         assert policy.picks.get(7, 0) > 0
 
     def test_falls_back_to_inflight_without_estimates(self):
-        policy = PowerOfDPolicy(np.random.default_rng(5), d=3)
+        policy = PowerOfDPolicy(np.random.default_rng(5))
         policy.on_dispatch(3)
         policy.on_dispatch(3)
         policy.on_dispatch(7)
-        # d == n: all sampled, least inflight (11, with zero) wins.
-        assert policy.select("k", CANDIDATES, now=0.0) == 11
-
-    def test_d_must_be_at_least_two(self):
-        with pytest.raises(ConfigError, match="d >= 2"):
-            PowerOfDPolicy(np.random.default_rng(0), d=1)
+        # d == n: both sampled, least inflight (7, with one) wins.
+        assert policy.select("k", (3, 7), now=0.0) == 7
 
 
 class TestScoredPolicies:
@@ -207,7 +203,7 @@ class TestScoredPolicies:
         est = ServerEstimates(drain=False)
         est.observe(feedback(3, queued_work=1.0, t=0.0))   # stale busy
         est.observe(feedback(7, queued_work=0.6, t=10.0))  # fresh medium
-        policy = TarsPolicy(est, tau=0.05)
+        policy = TarsPolicy(est)
         # At t=10, server 3's reading is 10s old: freshness ~ exp(-200) -> 0,
         # so its score collapses to the candidate mean (0.8) while 7 keeps
         # its fresh 0.6 -> 7 wins despite 3's *drainless* estimate being 1.0.
@@ -234,47 +230,44 @@ class TestScoredPolicies:
 
 class TestPrequal:
     def test_probe_pool_staleness_expiry(self):
-        policy = PrequalPolicy(pool_size=8, max_age=1.0)
+        policy = PrequalPolicy()
         policy.add_probe(3, rif=1, latency=0.001, now=0.0)
         policy.add_probe(7, rif=2, latency=0.002, now=0.1)
         assert len(policy.pool) == 2
-        # Selection at t=1.5 expires both (older than max_age=1.0).
-        policy.select("k", CANDIDATES, now=1.5)
+        # Selection at MAX_AGE + 0.5 expires both.
+        policy.select("k", CANDIDATES, now=MAX_AGE + 0.5)
         assert len(policy.pool) == 0
         assert policy.probes_expired == 2
 
     def test_pool_bounded_oldest_evicted(self):
-        policy = PrequalPolicy(pool_size=3)
-        for i in range(5):
-            policy.add_probe(i, rif=i, latency=0.0, now=float(i))
-        assert len(policy.pool) == 3
-        assert [p.server_id for p in policy.pool] == [2, 3, 4]
+        policy = PrequalPolicy()
+        for i in range(POOL_SIZE + 2):
+            policy.add_probe(i, rif=i, latency=0.0, now=0.0)
+        assert len(policy.pool) == POOL_SIZE
+        assert [p.server_id for p in policy.pool] == list(range(2, POOL_SIZE + 2))
 
     def test_cold_pick_lowest_latency(self):
-        policy = PrequalPolicy(hot_quantile=0.5)
+        policy = PrequalPolicy()
         policy.add_probe(3, rif=1, latency=0.005, now=0.0)
         policy.add_probe(7, rif=2, latency=0.001, now=0.0)
         policy.add_probe(11, rif=50, latency=0.0001, now=0.0)
-        # The pool's median RIF is 2: server 11 sits far above it -> hot,
-        # so its tiny latency does not matter; among the cold, 7 wins on
-        # latency.
+        for sid in (20, 21):  # non-candidates that fill out the pool
+            policy.add_probe(sid, rif=1, latency=0.5, now=0.0)
+        # The pool's 0.75 quantile RIF is 2: server 11 sits far above it
+        # -> hot, so its tiny latency does not matter; among the cold, 7
+        # wins on latency.
         assert policy.select("k", CANDIDATES, now=0.0) == 7
 
     def test_all_hot_picks_lowest_rif(self):
-        policy = PrequalPolicy(hot_quantile=0.25)
+        policy = PrequalPolicy()
         policy.add_probe(3, rif=40, latency=0.001, now=0.0)
         policy.add_probe(7, rif=30, latency=0.009, now=0.0)
         policy.add_probe(11, rif=50, latency=0.0001, now=0.0)
-        # Quantile threshold is the pool's low RIF (30): 3 and 11 exceed it,
-        # 7 sits exactly at the threshold and stays cold -> still 7, but by
-        # the cold rule.  Push the threshold below everything instead:
-        policy2 = PrequalPolicy(hot_quantile=0.01)
-        policy2.add_probe(3, rif=40, latency=0.001, now=0.0)
-        policy2.add_probe(7, rif=30, latency=0.009, now=0.0)
-        policy2.add_probe(11, rif=50, latency=0.0001, now=0.0)
-        policy2.add_probe(5, rif=1, latency=0.5, now=0.0)  # lowers threshold
-        # Candidates 3/7/11 are all above rif=1 -> all hot -> lowest RIF (7).
-        assert policy2.select("k", CANDIDATES, now=0.0) == 7
+        for sid in range(100, 109):  # nine rif=1 probes lower the threshold
+            policy.add_probe(sid, rif=1, latency=0.5, now=0.0)
+        # The pool's 0.75 quantile RIF is 1: candidates 3/7/11 are all
+        # above it -> all hot -> lowest RIF (7).
+        assert policy.select("k", CANDIDATES, now=0.0) == 7
 
     def test_feedback_funnel_feeds_pool(self):
         policy = PrequalPolicy()
@@ -291,14 +284,6 @@ class TestPrequal:
         policy.add_probe(3, rif=5, latency=0.004, now=0.0)
         policy.add_probe(7, rif=5, latency=0.004, now=0.0)
         assert policy.select("k", CANDIDATES, now=0.0) == 11
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            PrequalPolicy(pool_size=0)
-        with pytest.raises(ConfigError):
-            PrequalPolicy(max_age=0.0)
-        with pytest.raises(ConfigError):
-            PrequalPolicy(hot_quantile=1.5)
 
 
 class TestDeterminism:
@@ -324,6 +309,6 @@ class TestDeterminism:
     def test_freshness_is_exponential(self):
         est = ServerEstimates(drain=False)
         est.observe(feedback(3, queued_work=1.0, t=0.0))
-        policy = TarsPolicy(est, tau=0.5)
-        assert policy._freshness(3, now=0.5) == pytest.approx(math.exp(-1.0))
-        assert policy._freshness(99, now=0.5) == 0.0
+        policy = TarsPolicy(est)
+        assert policy._freshness(3, now=TARS_TAU) == pytest.approx(math.exp(-1.0))
+        assert policy._freshness(99, now=TARS_TAU) == 0.0

@@ -190,6 +190,27 @@ class TestKvstoreEquivalence:
 # ----------------------------------------------------------------------
 # Block schedule: growing lanes, fixed integer lanes
 # ----------------------------------------------------------------------
+#: Integer ranges below and above 2**32: numpy draws the first through a
+#: 32-bit buffer (two draws per 64-bit word), the rest from whole words.
+INTEGER_RANGES = [(0, 17), (3, 2**32 - 1), (0, 2**32 + 5), (-7, 2**40)]
+
+#: Ways to cut 1984 draws into successive fills: the growing-lane
+#: schedule (64 * 2**k), and odd cuts that leave half a 64-bit word.
+INTEGER_SPLITS = [
+    (64, 128, 256, 512, 1024),
+    (63, 65, 128, 256, 512, 960),
+    (1, 127, 255, 1, 1600),
+]
+
+
+@pytest.mark.parametrize("low, high", INTEGER_RANGES)
+@pytest.mark.parametrize("split", INTEGER_SPLITS)
+def test_split_integer_fills_equal_one_fill(low, high, split):
+    gen = _rng()
+    got = np.concatenate([gen.integers(low, high, size=n) for n in split])
+    assert got.tolist() == _rng().integers(low, high, size=sum(split)).tolist()
+
+
 #: Per growing lane: one scalar draw, ``n`` block draws, and the raw
 #: generator's scalar call they must reproduce.
 GROWING_LANES = {
