@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Fault tolerance in the asyncio runtime: chaos, retries, recovery.
 
-Starts a real 4-server cluster, preloads a keyspace, then crashes server
-0 mid-run (an injected outage: TCP stays up, nothing answers — the worst
-failure mode).  Side by side:
+Starts a real 4-server cluster, preloads a keyspace, then takes server
+0 dark mid-run with a fault plan's ``Pause`` (the runtime cuts the
+server: TCP stays up, nothing answers — the worst failure mode).  Side
+by side:
 
 * an *unprotected* client, which hangs on the first multiget that touches
   the dead server;
@@ -18,7 +19,8 @@ Run:  python examples/runtime_faults.py
 import asyncio
 import time
 
-from repro.runtime import LocalCluster, Outage, RetryPolicy
+from repro.faults import FaultPlan, Pause
+from repro.runtime import LocalCluster, RetryPolicy
 
 N_SERVERS = 4
 N_KEYS = 60
@@ -40,8 +42,9 @@ async def main() -> None:
             breaker_reset_timeout=0.2,
         )
 
-        print(f"-- crashing server 0 for {OUTAGE:.1f}s (injected outage)")
-        cluster.inject(0, Outage(0.0, OUTAGE))
+        print(f"-- server 0 dark for {OUTAGE:.1f}s (fault-plan Pause)")
+        driver = cluster.apply_fault_plan(FaultPlan((Pause(0, at=0.0, until=OUTAGE),)))
+        await asyncio.sleep(0)  # the driver opens the window
 
         # The unprotected client hangs until we give up on it.
         t0 = time.monotonic()
@@ -67,8 +70,9 @@ async def main() -> None:
                 )
         print(f"protected client:   {rounds} partial multigets during the outage")
 
-        # Recovery needs nothing from us: the outage window ends, the
+        # Recovery needs nothing from us: the pause window ends, the
         # breaker half-opens, the next probe succeeds.
+        await driver.wait()
         await asyncio.sleep(0.25)
         values, report = await protected.multiget(list(items), partial=True)
         assert report.complete and values == items

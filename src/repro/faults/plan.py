@@ -18,8 +18,8 @@ Entry semantics:
 * :class:`Pause` — the server's service loop stalls for the window:
   queued and arriving operations wait, the one in service completes,
   nothing is dropped.  One server's windows may neither overlap nor
-  touch.  The runtime approximates it with an
-  :class:`~repro.runtime.faults.Outage`, which swallows what arrives.
+  touch.  The runtime approximates it with a cut of the server, which
+  swallows what arrives instead of parking it.
 * :class:`Partition` — a client-group <-> server-group reachability cut:
   messages in either direction between the named groups vanish for the
   window.
@@ -36,12 +36,19 @@ Entry semantics:
 Every entry type is a frozen dataclass, so a plan embeds in the frozen
 ``ClusterConfig`` and contributes a deterministic ``repr`` to the
 parallel engine's checkpoint fingerprints.
+
+:class:`LinkFaults` is the live state of the link entries
+(``Partition``, ``PacketLoss``, ``DelaySpike``) whose windows are open.
+Both halves consult one per message: the simulator's network model as
+it sends, the runtime server as it receives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConfigError
 
@@ -389,3 +396,114 @@ def event_record(when: float, kind: str, entry: FaultEntry) -> Dict[str, Any]:
     if isinstance(entry, SlowNode):
         record["factor"] = entry.factor
     return record
+
+
+#: Sentinel extra-delay meaning "drop the message".
+DROP = float("inf")
+
+
+class LinkFaults:
+    """Currently-active link-level faults, consulted per message.
+
+    ``verdict(src, dst)`` returns the extra delay to add to the message
+    (0.0 when unaffected) or :data:`DROP` when the message must vanish.
+    Endpoints are ``("client", id)`` / ``("server", id)`` tuples.  When
+    no window is open, :attr:`active` is false and callers skip the
+    check.
+    """
+
+    def __init__(self):
+        #: (clients frozenset | None, servers frozenset) active cuts.
+        self._partitions: List[Tuple[Optional[frozenset], frozenset, Partition]] = []
+        #: (servers frozenset | None, probability, rng) active loss windows.
+        self._loss: List[Tuple[Optional[frozenset], float, Any, PacketLoss]] = []
+        #: (servers frozenset | None, extra) active delay windows.
+        self._delay: List[Tuple[Optional[frozenset], float, DelaySpike]] = []
+        self.dropped_partition = 0
+        self.dropped_loss = 0
+        self.delayed_messages = 0
+
+    @property
+    def active(self) -> bool:
+        return bool(self._partitions or self._loss or self._delay)
+
+    # -- window toggling (drivers only) --------------------------------
+    def start(self, entry: FaultEntry) -> None:
+        """Open ``entry``'s window.
+
+        A ``PacketLoss`` window draws from a generator seeded with the
+        entry's ``seed``; an entry opens once, so its draws repeat run
+        to run.
+        """
+        if isinstance(entry, Partition):
+            clients = frozenset(entry.clients) if entry.clients is not None else None
+            self._partitions.append((clients, frozenset(entry.servers), entry))
+        elif isinstance(entry, PacketLoss):
+            servers = frozenset(entry.servers) if entry.servers is not None else None
+            rng = np.random.default_rng(entry.seed)
+            self._loss.append((servers, entry.probability, rng, entry))
+        elif isinstance(entry, DelaySpike):
+            servers = frozenset(entry.servers) if entry.servers is not None else None
+            self._delay.append((servers, entry.extra, entry))
+        else:
+            raise TypeError(f"{type(entry).__name__} is not a link fault")
+
+    def end(self, entry: FaultEntry) -> None:
+        """Close the window :meth:`start` opened for ``entry``."""
+        if isinstance(entry, Partition):
+            self._partitions = [p for p in self._partitions if p[2] is not entry]
+        elif isinstance(entry, PacketLoss):
+            self._loss = [l for l in self._loss if l[3] is not entry]
+        elif isinstance(entry, DelaySpike):
+            self._delay = [d for d in self._delay if d[2] is not entry]
+        else:
+            raise TypeError(f"{type(entry).__name__} is not a link fault")
+
+    # -- the per-message check -----------------------------------------
+    @staticmethod
+    def _endpoints(src: Hashable, dst: Hashable) -> Tuple[Optional[int], Optional[int]]:
+        """Extract (client_id, server_id) from a link's endpoints."""
+        client_id = server_id = None
+        for end in (src, dst):
+            if isinstance(end, tuple) and len(end) == 2:
+                role, ident = end
+                if role == "client":
+                    client_id = ident
+                elif role == "server":
+                    server_id = ident
+        return client_id, server_id
+
+    def cut(self, src: Hashable, dst: Hashable) -> bool:
+        """Whether an open partition cuts this link; counts and draws nothing."""
+        client_id, server_id = self._endpoints(src, dst)
+        return any(
+            server_id in servers and (clients is None or client_id in clients)
+            for clients, servers, _ in self._partitions
+        )
+
+    def verdict(self, src: Hashable, dst: Hashable) -> float:
+        """Extra delay for this message, or :data:`DROP`."""
+        client_id, server_id = self._endpoints(src, dst)
+        for clients, servers, _ in self._partitions:
+            if server_id in servers and (clients is None or client_id in clients):
+                self.dropped_partition += 1
+                return DROP
+        for servers, probability, rng, _ in self._loss:
+            if servers is None or server_id in servers:
+                if rng.random() < probability:
+                    self.dropped_loss += 1
+                    return DROP
+        extra = 0.0
+        for servers, add, _ in self._delay:
+            if servers is None or server_id in servers:
+                extra += add
+        if extra > 0.0:
+            self.delayed_messages += 1
+        return extra
+
+    def counters(self) -> Dict[str, int]:
+        return {
+            "dropped_partition": self.dropped_partition,
+            "dropped_loss": self.dropped_loss,
+            "delayed_messages": self.delayed_messages,
+        }

@@ -1,34 +1,28 @@
-"""Runtime adapter: translate a :class:`FaultPlan` into live chaos.
+"""Runtime adapter: replay a :class:`FaultPlan` against a live cluster.
 
 The same declarative plan the simulator wires into its servers and
-network model is replayed here against a
-:class:`~repro.runtime.cluster.LocalCluster` using the runtime's
-existing fault machinery:
+network model is replayed here, in wall time, against a
+:class:`~repro.runtime.cluster.LocalCluster`:
 
 * ``Crash`` -> ``cluster.crash(sid)`` (listener closed, sockets severed,
   executor halted without draining — queued work dies with the process);
   ``Recover`` -> ``cluster.restart(sid)``.
-* ``Partition`` -> an :class:`~repro.runtime.faults.Outage` covering the
-  window on each partitioned server: connections refused and messages
-  swallowed, which is what an unreachable server looks like from a
-  client.  (The runtime has a single client group, so a client-scoped
-  partition degrades to a full cut; the sim models the client axis.)
-* ``Pause`` -> the same :class:`~repro.runtime.faults.Outage` on that
-  server.  Not the simulator's semantics: a paused simulated server
-  parks what arrives and serves it on resume, while the runtime server
-  swallows it (never served, no reply) and keeps answering what it had
-  queued before the window.
-* ``PacketLoss`` -> :class:`~repro.runtime.faults.DropReplies` in
-  probability mode (same seed), installed at ``at`` and removed at
-  ``until``.
-* ``DelaySpike`` -> :class:`~repro.runtime.faults.DelayReplies` for the
-  window.
-* ``SlowNode`` -> approximated as ``DelayReplies`` with a per-message
-  delay of ``(1/factor - 1) * (per_op_overhead + value_bytes / byte_rate)``
-  — the full demand term, so large values are slowed proportionally,
-  matching the sim's service-speed semantics.  The executor's service
-  rate cannot be changed live, so the slowdown is modelled at the reply
-  boundary instead of inside service.  Documented in ``docs/faults.md``.
+* ``PacketLoss`` / ``DelaySpike`` -> ``cluster.faults.start(entry)`` /
+  ``end(entry)``: the cluster's :class:`~repro.faults.plan.LinkFaults`,
+  the same object type the simulator's network consults, which every
+  server asks once per message.  A drop swallows the message, an extra
+  delay holds its reply back.
+* ``Partition`` -> the same, as a cut: a cut server refuses new
+  connections and swallows every message.  The runtime's clients are
+  one client group, client 0 of the plan, so a partition cuts them all.
+* ``Pause`` -> a cut of that server for the window.  Not the simulator's
+  semantics: a paused simulated server parks what arrives and serves it
+  on resume, while the runtime server swallows it (never served, no
+  reply) and keeps answering what it had queued before the window.
+* ``SlowNode`` -> sets the server's ``slowdown`` to ``1/factor - 1`` for
+  the window; the server holds each reply back by that share of its
+  demand, ``per_op_overhead + value_bytes / byte_rate``, because the
+  executor's service rate cannot change live.
 
 The driver appends the canonical
 :func:`~repro.faults.plan.event_record` dict — with *planned* times, so
@@ -40,25 +34,23 @@ event kind without a handler here raises.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
+import contextlib
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.faults.plan import FaultPlan, SlowNode, event_record
-from repro.runtime.faults import DelayReplies, DropReplies, FaultPolicy, Outage
+from repro.faults.plan import FaultPlan, Partition, Pause, event_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.cluster import LocalCluster
-
-#: Fallback per-op overhead for the SlowNode approximation when a server
-#: does not expose its executor's configured value.
-_DEFAULT_PER_OP_OVERHEAD = 50e-6
 
 
 class RuntimeFaultDriver:
     """Replays a fault plan against a running :class:`LocalCluster`.
 
-    ``time_scale`` maps plan seconds to wall seconds (default 1.0);
-    shrink it to replay a long simulated plan quickly in an integration
-    test.  Timeline records always carry the plan's own times.
+    The replay starts as a background task (:attr:`task`) on
+    construction.  ``time_scale`` maps plan seconds to wall seconds
+    (default 1.0); shrink it to replay a long simulated plan quickly in
+    an integration test.  Timeline records always carry the plan's own
+    times.
     """
 
     def __init__(
@@ -74,25 +66,21 @@ class RuntimeFaultDriver:
         self.time_scale = time_scale
         #: Canonical applied-event dicts, appended as each event fires.
         self.timeline: List[Dict[str, Any]] = []
-        #: (entry id, server) -> installed windowed policy, for removal.
-        self._installed: Dict[Tuple[int, int], FaultPolicy] = {}
-        self._task: asyncio.Task | None = None
-
-    # ------------------------------------------------------------------
-    def start(self) -> "RuntimeFaultDriver":
-        """Begin replaying the plan as a background task."""
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self.run())
-        return self
+        #: The cut standing in for each open ``Pause`` window.
+        self._pause_cuts: Dict[Pause, Partition] = {}
+        self.task = asyncio.get_running_loop().create_task(self._run())
 
     async def wait(self) -> None:
         """Block until every plan event has been applied."""
-        if self._task is not None:
-            await self._task
-        else:
-            await self.run()
+        await self.task
 
-    async def run(self) -> None:
+    async def stop(self) -> None:
+        """Apply no further event."""
+        self.task.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await self.task
+
+    async def _run(self) -> None:
         """Apply every scheduled event at its (scaled) time."""
         loop = asyncio.get_running_loop()
         start = loop.time()
@@ -102,72 +90,30 @@ class RuntimeFaultDriver:
                 await asyncio.sleep(delay)
             await self._apply(when, kind, entry)
 
-    # ------------------------------------------------------------------
-    def _slow_delay(self, entry: SlowNode) -> Tuple[float, float]:
-        """(fixed, per-byte) reply delay approximating the slowdown.
-
-        A factor-``f`` server takes ``demand / f`` instead of ``demand``;
-        the reply-boundary approximation adds the missing
-        ``(1/f - 1) * demand`` with demand split into its fixed
-        (``per_op_overhead``) and size-dependent (``bytes / byte_rate``)
-        terms.
-        """
-        server = self.cluster.servers[entry.server_id]
-        overhead = getattr(server, "per_op_overhead", None)
-        if overhead is None:
-            overhead = _DEFAULT_PER_OP_OVERHEAD
-        byte_rate = getattr(server, "byte_rate", None)
-        slow = 1.0 / entry.factor - 1.0
-        per_op = slow * max(overhead, 1e-6)
-        per_byte = slow / byte_rate if byte_rate else 0.0
-        return per_op, per_byte
-
     async def _apply(self, when: float, kind: str, entry) -> None:
         cluster = self.cluster
+        faults = cluster.faults
         if kind == "crash":
             await cluster.crash(entry.server_id)
         elif kind == "recover":
             await cluster.restart(entry.server_id)
-        elif kind in ("partition_start", "pause_start"):
-            window = (entry.until - entry.at) * self.time_scale
-            self._install(entry, lambda: Outage(0.0, window))
-        elif kind == "packet_loss_start":
-            self._install(
-                entry,
-                lambda: DropReplies(probability=entry.probability, seed=entry.seed),
-            )
-        elif kind == "delay_spike_start":
-            self._install(entry, lambda: DelayReplies(delay=entry.extra))
+        elif kind == "pause_start":
+            cut = Partition(entry.at, entry.until, servers=(entry.server_id,))
+            self._pause_cuts[entry] = cut
+            faults.start(cut)
+        elif kind == "pause_end":
+            faults.end(self._pause_cuts.pop(entry))
+        elif kind in ("partition_start", "packet_loss_start", "delay_spike_start"):
+            faults.start(entry)
+        elif kind in ("partition_end", "packet_loss_end", "delay_spike_end"):
+            faults.end(entry)
         elif kind == "slow_node_start":
-            per_op, per_byte = self._slow_delay(entry)
-            self._install(
-                entry, lambda: DelayReplies(delay=per_op, delay_per_byte=per_byte)
-            )
-        elif kind.endswith("_end"):
-            self._remove(entry)
+            cluster.servers[entry.server_id].slowdown = 1.0 / entry.factor - 1.0
+        elif kind == "slow_node_end":
+            cluster.servers[entry.server_id].slowdown = 0.0
         else:
             raise ValueError(f"no runtime handler for fault event {kind!r}")
         self.timeline.append(event_record(when, kind, entry))
-
-    def _install(self, entry, make_policy: Callable[[], FaultPolicy]) -> None:
-        """Install a fresh policy on every server a windowed entry covers."""
-        server_id = getattr(entry, "server_id", None)
-        if server_id is not None:
-            sids = [server_id]
-        elif entry.servers is not None:
-            sids = list(entry.servers)
-        else:
-            sids = list(range(len(self.cluster.servers)))
-        for sid in sids:
-            policy = make_policy()
-            self._installed[(id(entry), sid)] = policy
-            self.cluster.servers[sid].faults.add(policy)
-
-    def _remove(self, entry) -> None:
-        for (entry_id, sid), policy in list(self._installed.items()):
-            if entry_id == id(entry):
-                self.cluster.servers[sid].faults.remove(policy)
-                del self._installed[(entry_id, sid)]
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -19,6 +19,7 @@ from typing import Any, Callable, Hashable, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.faults.plan import DROP
 from repro.sim.core import NORMAL, URGENT, Environment
 from repro.sim.rand import as_batched
 
@@ -27,8 +28,6 @@ Handler = Callable[[Any], None]
 #: One message of a :meth:`NetworkModel.send_batch`:
 #: ``(dst, payload, handler, size_bytes)``.
 Message = Tuple[Hashable, Any, Handler, int]
-
-_DROPPED = float("inf")
 
 
 def _deliver_run(run: list) -> None:
@@ -44,7 +43,7 @@ class NetworkModel:
         self.env = env
         self.messages_sent = 0
         self.bytes_sent = 0
-        #: Optional :class:`~repro.faults.sim.LinkFaults` installed by a
+        #: Optional :class:`~repro.faults.plan.LinkFaults` installed by a
         #: fault driver; consulted per message when present.
         self.faults = None
         self.messages_dropped = 0
@@ -63,7 +62,7 @@ class NetworkModel:
         faults = self.faults
         if faults is not None and faults.active:
             extra = faults.verdict(src, dst)
-            if extra == _DROPPED:
+            if extra == DROP:
                 self.messages_dropped += 1
                 return extra
             d += extra
@@ -83,7 +82,7 @@ class NetworkModel:
         ``inf`` means the message was dropped by an active link fault.
         """
         d = self._admit(src, dst, size_bytes)
-        if d != _DROPPED:
+        if d != DROP:
             # A zero delay still goes through the queue, ahead of that
             # instant's timers, for deterministic ordering.
             self.env._schedule(handler, payload, d, NORMAL if d > 0 else URGENT)
@@ -106,7 +105,7 @@ class NetworkModel:
         run_delay = 0.0
         for dst, payload, handler, size_bytes in messages:
             d = self._admit(src, dst, size_bytes)
-            if d == _DROPPED:
+            if d == DROP:
                 continue
             if run and d != run_delay:
                 self._schedule_run(run, run_delay)

@@ -11,24 +11,17 @@ point being that simulation results carry over to a runnable system.
 * :mod:`repro.runtime.server` — the TCP key-value server;
 * :mod:`repro.runtime.client` — the multiget client with DAS tagging,
   retries/backoff, hedging, and per-server circuit breakers;
-* :mod:`repro.runtime.faults` — scripted fault injection (outages,
-  dropped and delayed replies) for chaos testing;
 * :mod:`repro.runtime.resilience` — the retry policy, its errors and
   the partial-multiget report (hedging and breakers are the shared
   :mod:`repro.faults.resilience` objects);
 * :mod:`repro.runtime.cluster` — in-process cluster harness for demos
-  and integration tests, with chaos controls (inject/crash/restart).
+  and integration tests, with chaos controls (crash/restart, and fault
+  plans applied through the :class:`~repro.faults.plan.LinkFaults` the
+  simulator's network also consults; see :mod:`repro.faults.runtime`).
 """
 
 from repro.runtime.client import RuntimeClient
 from repro.runtime.cluster import LocalCluster
-from repro.runtime.faults import (
-    DelayReplies,
-    DropReplies,
-    FaultInjector,
-    FaultPolicy,
-    Outage,
-)
 from repro.runtime.loadgen import LoadGenerator, LoadgenResult
 from repro.runtime.protocol import Message
 from repro.runtime.resilience import (
@@ -43,11 +36,7 @@ from repro.runtime.server import KVServer
 
 __all__ = [
     "CircuitOpenError",
-    "DelayReplies",
-    "DropReplies",
     "ExecutorStoppedError",
-    "FaultInjector",
-    "FaultPolicy",
     "KVServer",
     "LoadGenerator",
     "LoadgenResult",
@@ -55,7 +44,6 @@ __all__ = [
     "Message",
     "MultigetReport",
     "OperationTimeoutError",
-    "Outage",
     "QueuedOp",
     "RetryPolicy",
     "RuntimeClient",

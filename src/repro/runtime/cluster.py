@@ -6,8 +6,11 @@ For demos and integration tests::
         await cluster.client.put("k", b"v")
         values = await cluster.client.multiget(["k"])
 
-Chaos scripting rides on the same harness: ``cluster.inject(0,
-Outage(0.0, 1.5))`` makes server 0 go dark, ``cluster.crash(0)`` /
+Chaos scripting rides on the same harness:
+``cluster.apply_fault_plan(FaultPlan((Pause(0, at=0.0, until=1.5),)))``
+makes server 0 go dark for 1.5 s, ``cluster.faults`` (the
+:class:`~repro.faults.plan.LinkFaults` every server consults) opens and
+closes link-fault windows directly, ``cluster.crash(0)`` /
 ``cluster.restart(0)`` model a hard process death and recovery, and
 ``cluster.new_client(retry_policy=...)`` attaches extra clients (e.g. a
 protected and an unprotected one side by side).
@@ -18,10 +21,12 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional
 
+from repro.errors import ConfigError
+from repro.faults.plan import LinkFaults
 from repro.faults.resilience import HedgePolicy
+from repro.faults.runtime import RuntimeFaultDriver
 from repro.obs import MetricsRegistry, Tracer
 from repro.runtime.client import RuntimeClient
-from repro.runtime.faults import FaultPolicy
 from repro.runtime.resilience import RetryPolicy
 from repro.runtime.server import KVServer
 from repro.selection import selection_policy_needs
@@ -80,6 +85,9 @@ class LocalCluster:
             )
             for i in range(n_servers)
         ]
+        self.faults = LinkFaults()
+        for server in self.servers:
+            server.faults = self.faults
         self._retry_policy = retry_policy
         self._hedge_policy = hedge_policy
         self._replication_factor = replication_factor
@@ -105,13 +113,21 @@ class LocalCluster:
         return self
 
     async def stop(self) -> None:
-        for extra in self._extra_clients:
-            await extra.close()
-        self._extra_clients.clear()
-        if self.client is not None:
-            await self.client.close()
-            self.client = None
-        await asyncio.gather(*(s.stop() for s in self.servers))
+        """Stop a running fault plan first, then every client and server.
+
+        A fault plan that failed raises here, after the shutdown.
+        """
+        try:
+            if self._fault_driver is not None:
+                await self._fault_driver.stop()
+        finally:
+            for extra in self._extra_clients:
+                await extra.close()
+            self._extra_clients.clear()
+            if self.client is not None:
+                await self.client.close()
+                self.client = None
+            await asyncio.gather(*(s.stop() for s in self.servers))
 
     async def __aenter__(self) -> "LocalCluster":
         return await self.start()
@@ -135,14 +151,6 @@ class LocalCluster:
     # ------------------------------------------------------------------
     # Chaos controls
     # ------------------------------------------------------------------
-    def inject(self, server_id: int, *policies: FaultPolicy) -> None:
-        """Install fault policies on one server (see ``runtime.faults``)."""
-        for policy in policies:
-            self.servers[server_id].faults.add(policy)
-
-    def clear_faults(self, server_id: int) -> None:
-        self.servers[server_id].faults.clear()
-
     async def crash(self, server_id: int) -> None:
         """Hard-kill one server (connections severed, queue not drained)."""
         await self.servers[server_id].crash()
@@ -155,17 +163,18 @@ class LocalCluster:
         """Replay a declarative :class:`~repro.faults.plan.FaultPlan`.
 
         The same plan object the simulator accepts via
-        ``ClusterConfig.fault_plan`` is translated here into the runtime's
-        fault machinery (crash/restart calls and per-server
-        ``FaultInjector`` policies).  Returns the started
-        :class:`~repro.faults.runtime.RuntimeFaultDriver`; ``await
-        driver.wait()`` to block until the last event has been applied.
+        ``ClusterConfig.fault_plan`` is applied here through crash/restart
+        calls, :attr:`faults` and the servers' slowdown.  Returns the
+        started :class:`~repro.faults.runtime.RuntimeFaultDriver`;
+        ``await driver.wait()`` to block until the last event has been
+        applied.  One plan runs at a time: while a previous one is still
+        being applied this raises :class:`~repro.errors.ConfigError`.
         """
-        from repro.faults.runtime import RuntimeFaultDriver
-
+        if self._fault_driver is not None and not self._fault_driver.task.done():
+            raise ConfigError("a fault plan is still being applied")
         plan.validate_for(len(self.servers), n_clients=1)
         self._fault_driver = RuntimeFaultDriver(self, plan, time_scale=time_scale)
-        return self._fault_driver.start()
+        return self._fault_driver
 
     # ------------------------------------------------------------------
     async def preload(

@@ -6,13 +6,16 @@ operations into the executor and the response carries the executor's
 feedback snapshot — the runtime realization of piggybacked feedback.
 A get of an absent key answers ``None``.
 
-For chaos testing, a :class:`~repro.runtime.faults.FaultInjector` can be
-attached: it is consulted when a connection is accepted and once per
-message, and can make the server refuse, stall, or delay —
-the runtime twin of the simulator's outage windows.  :meth:`crash` /
-:meth:`restart` additionally model a hard process death: the listener
-closes, every live connection is severed, and the executor halts without
-draining, until ``restart`` brings the server back on the same port.
+For chaos testing, a server of a :class:`~repro.runtime.cluster.LocalCluster`
+consults the cluster's :class:`~repro.faults.plan.LinkFaults` — the
+object the simulator's network consults per message — when a connection
+is accepted and once per message: a cut server refuses connections, a
+dropped message is swallowed (never served, no reply), and an extra
+delay holds that one reply back.  A fault plan's ``SlowNode`` sets
+:attr:`KVServer.slowdown`, the server's own reply delay.  :meth:`crash` /
+:meth:`restart` model a hard process death: the listener closes, every
+live connection is severed, and the executor halts without draining,
+until ``restart`` brings the server back on the same port.
 """
 
 from __future__ import annotations
@@ -23,10 +26,14 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ProtocolError
+from repro.faults.plan import DROP, LinkFaults
 from repro.obs import MetricsRegistry, OpSpan, TRACE_REQUESTED
-from repro.runtime.faults import DELAY, DROP, FaultDecision, FaultInjector
 from repro.runtime.protocol import FrameProtocol, Message, write_message
 from repro.runtime.scheduling import ExecutorStoppedError, QueuedOp, ScheduledExecutor
+
+#: The link end a fault plan names for every runtime client: the runtime
+#: has one client group, client 0 of the plan.
+_CLIENT = ("client", 0)
 
 
 class _ServerConnection(FrameProtocol):
@@ -47,7 +54,9 @@ class _ServerConnection(FrameProtocol):
     def connection_made(self, transport: asyncio.Transport) -> None:
         super().connection_made(transport)
         server = self.server
-        if not server.faults.connection_allowed():
+        faults = server.faults
+        if faults is not None and faults.cut(_CLIENT, server._endpoint):
+            server.refused_connections += 1
             transport.close()
             return
         server._c_connections.inc()
@@ -80,9 +89,6 @@ class KVServer:
         Emulated backend throughput (bytes/s); None disables throttling.
     per_op_overhead:
         Emulated fixed per-operation cost in seconds.
-    fault_injector:
-        Optional scripted misbehaviour; defaults to a pass-through
-        injector so policies can be added later via ``faults.add(...)``.
     registry:
         Metrics registry to record into.  A cluster passes one shared
         registry so every server's series lands in one scrape; a
@@ -106,7 +112,6 @@ class KVServer:
         scheduler_params: Optional[Dict[str, Any]] = None,
         byte_rate: Optional[float] = 100e6,
         per_op_overhead: float = 50e-6,
-        fault_injector: Optional[FaultInjector] = None,
         registry: Optional[MetricsRegistry] = None,
         load_report_interval: Optional[float] = None,
     ):
@@ -128,7 +133,15 @@ class KVServer:
         )
         self.byte_rate = byte_rate
         self.per_op_overhead = per_op_overhead
-        self.faults = fault_injector if fault_injector is not None else FaultInjector()
+        self._endpoint = ("server", server_id)
+        #: Link faults to obey; a :class:`LocalCluster` hands its servers
+        #: one shared object, a standalone server has none.
+        self.faults: Optional[LinkFaults] = None
+        #: ``1/factor - 1`` while a ``SlowNode`` window slows this server.
+        self.slowdown = 0.0
+        self.dropped = 0
+        self.delayed = 0
+        self.refused_connections = 0
         self.load_report_interval = load_report_interval
         self._report_task: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -261,11 +274,31 @@ class KVServer:
             return 0.0
         return self.per_op_overhead + value_size / self.byte_rate
 
+    def _slow_delay(self, message: Message) -> float:
+        """The missing ``(1/f - 1) * demand`` of a slowed server's reply.
+
+        The executor's service rate cannot change live, so a ``SlowNode``
+        slows the reply instead, by the full demand term so large values
+        are slowed proportionally, as in the simulator.
+        """
+        demand = self.per_op_overhead
+        if self.byte_rate:
+            demand += self._message_value_bytes(message) / self.byte_rate
+        return self.slowdown * demand
+
     def _dispatch(self, connection: _ServerConnection, message: Message) -> None:
         """Serve one incoming frame; the reply is written when it is ready."""
-        decision = self.faults.decide(message)
-        if decision.action == DROP:
-            return
+        delay = 0.0
+        faults = self.faults
+        if faults is not None and faults.active:
+            delay = faults.verdict(_CLIENT, self._endpoint)
+            if delay == DROP:
+                self.dropped += 1
+                return
+        if self.slowdown:
+            delay += self._slow_delay(message)
+        if delay:
+            self.delayed += 1
         extra: Dict[str, Any] = {}
         fields = message.fields
         try:
@@ -283,7 +316,7 @@ class KVServer:
                 self.executor.submit_message(
                     ops,
                     lambda cancelled: self._finish(
-                        connection, message, decision, ops, cancelled
+                        connection, message, delay, ops, cancelled
                     ),
                 )
                 return
@@ -308,13 +341,13 @@ class KVServer:
             error = "server shutting down"
         except ProtocolError as exc:
             error = str(exc)
-        self._reply(connection, message, decision, {}, error, extra)
+        self._reply(connection, message, delay, {}, error, extra)
 
     def _finish(
         self,
         connection: _ServerConnection,
         message: Message,
-        decision: FaultDecision,
+        delay: float,
         ops: List[QueuedOp],
         cancelled: bool,
     ) -> None:
@@ -324,7 +357,7 @@ class KVServer:
         failed = next((op for op in ops if op.error is not None), None)
         if failed is not None:
             error = f"operation on {failed.key!r} failed: {failed.error}"
-            self._reply(connection, message, decision, {}, error)
+            self._reply(connection, message, delay, {}, error)
             return
         extra = None
         if message.fields.get("tags", {}).get(TRACE_REQUESTED):
@@ -334,18 +367,18 @@ class KVServer:
                 ]
             }
         values = {op.key: op.result for op in ops}
-        self._reply(connection, message, decision, values, None, extra)
+        self._reply(connection, message, delay, values, None, extra)
 
     def _reply(
         self,
         connection: _ServerConnection,
         message: Message,
-        decision: FaultDecision,
+        delay: float,
         values: Dict[str, Any],
         error: Optional[str] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Build the reply to ``message`` and send it (late under a DELAY fault)."""
+        """Build the reply to ``message`` and send it ``delay`` seconds late."""
         if error is None:
             self._c_ops_served.inc()
         else:
@@ -359,12 +392,9 @@ class KVServer:
         if extra:
             fields.update(extra)
         reply = Message("reply", message.id, fields)
-        if decision.action != DELAY:
+        if not delay:
             self._send(connection, reply)
             return
-        delay = decision.delay
-        if decision.delay_per_byte > 0.0:
-            delay += decision.delay_per_byte * self._message_value_bytes(message)
         # Holds back this reply only; the connection keeps serving others.
         asyncio.get_running_loop().call_later(delay, self._send, connection, reply)
 
@@ -412,7 +442,7 @@ class KVServer:
         return op
 
     def _message_value_bytes(self, message: Message) -> int:
-        """Value bytes a data message moves (size-dependent fault delays).
+        """Value bytes a data message moves (the slow delay's size term).
 
         Control-plane messages (stats, probe) move no value bytes, so a
         slow node still answers them promptly — like the real server,
@@ -463,7 +493,11 @@ class KVServer:
             "ops_failed": self.executor.ops_failed,
             "errors_returned": self.errors_returned,
             "crashes": self.crashes,
-            "faults": self.faults.counters.as_dict(),
+            "faults": {
+                "dropped": self.dropped,
+                "delayed": self.delayed,
+                "refused_connections": self.refused_connections,
+            },
             "lanes": self.executor.lane_stats(),
             "metrics": self.registry.snapshot(),
         }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,15 @@ def small_config(
 
 def quick_sim(max_requests: int = 400) -> SimulationConfig:
     return SimulationConfig(max_requests=max_requests, warmup_fraction=0.1)
+
+
+async def end_window_at(faults, entry, server, counter: str, count: int) -> None:
+    """End ``entry``'s window on ``faults`` once ``server.<counter>`` is ``count``.
+
+    Polls a runtime server's fault counter (``dropped`` / ``delayed``),
+    so a window opened for ``count`` faults closes on the last of them,
+    not after a guessed wait.
+    """
+    while getattr(server, counter) < count:
+        await asyncio.sleep(0.001)
+    faults.end(entry)

@@ -24,11 +24,15 @@ from repro.faults import (
     Recover,
     SlowNode,
 )
-from repro.faults.plan import _ENTRY_TYPES
+import numpy as np
+
+from repro.errors import ConfigError
+from repro.faults.plan import _ENTRY_TYPES, DROP
 from repro.faults.runtime import RuntimeFaultDriver
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.config import SimulationConfig
-from repro.runtime import DelayReplies, DropReplies, LocalCluster, Outage
+from repro.runtime import LocalCluster
+from repro.runtime.protocol import Message
 
 from tests.conftest import small_config
 
@@ -95,39 +99,78 @@ class TestTimelineParity:
         ]
 
 
+#: The link end a fault plan names for the runtime's clients.
+CLIENT = ("client", 0)
+
+
+async def applied(driver, n):
+    """Wait until ``driver`` has applied its first ``n`` events."""
+    while len(driver.timeline) < n:
+        await asyncio.sleep(0.001)
+
+
 class TestRuntimeTranslation:
-    def test_policies_installed_and_removed(self):
+    def test_windows_opened_and_closed(self):
+        loss = PacketLoss(at=0.0, until=0.05, probability=0.5, servers=(2,), seed=4)
         plan = FaultPlan(
             (
                 Pause(0, at=0.0, until=0.05),
                 Partition(at=0.0, until=0.05, servers=(1,)),
-                PacketLoss(at=0.0, until=0.05, probability=0.5, servers=(2,)),
+                loss,
                 DelaySpike(at=0.0, until=0.05, extra=0.001, servers=(3,)),
+                SlowNode(3, at=0.0, until=0.05, factor=0.25),
             )
         )
 
         async def scenario():
             async with LocalCluster(n_servers=4) as cluster:
-                driver = RuntimeFaultDriver(cluster, plan, time_scale=1.0)
-                task = asyncio.get_running_loop().create_task(driver.run())
-                await asyncio.sleep(0.02)
-                mid = {
-                    sid: [type(p) for p in cluster.servers[sid].faults.policies]
-                    for sid in (0, 1, 2, 3)
-                }
-                await task
-                end = {
-                    sid: list(cluster.servers[sid].faults.policies)
-                    for sid in (0, 1, 2, 3)
-                }
-                return mid, end
+                faults = cluster.faults
+                driver = cluster.apply_fault_plan(plan, time_scale=1.0)
+                await applied(driver, 5)
+                cuts = [faults.cut(CLIENT, ("server", sid)) for sid in range(4)]
+                # No traffic has drawn from the loss window's generator yet.
+                draws = [faults.verdict(CLIENT, ("server", 2)) for _ in range(20)]
+                delay = faults.verdict(CLIENT, ("server", 3))
+                slowdowns = [s.slowdown for s in cluster.servers]
+                await driver.wait()
+                ended = (faults.active, [s.slowdown for s in cluster.servers])
+                return cuts, draws, delay, slowdowns, ended
 
-        mid, end = asyncio.run(scenario())
-        assert mid[0] == [Outage]
-        assert Outage in mid[1]
-        assert DropReplies in mid[2]
-        assert DelayReplies in mid[3]
-        assert all(not policies for policies in end.values())
+        cuts, draws, delay, slowdowns, ended = asyncio.run(scenario())
+        assert cuts == [True, True, False, False]
+        expected = np.random.default_rng(loss.seed).random(20) < loss.probability
+        assert [d == DROP for d in draws] == list(expected)
+        assert DROP in draws and 0.0 in draws
+        assert delay == pytest.approx(0.001)
+        assert slowdowns == [0.0, 0.0, 0.0, pytest.approx(3.0)]
+        assert ended == (False, [0.0] * 4)
+
+    def test_client_scoped_partition_cuts_the_runtime_client(self):
+        # The runtime's clients are the plan's client 0.
+        plan = FaultPlan((Partition(at=0.0, until=60.0, servers=(0,), clients=(0,)),))
+
+        async def scenario():
+            async with LocalCluster(n_servers=2, byte_rate=None) as cluster:
+                client = cluster.client
+                cut_key = next(f"k{i}" for i in range(100) if client.owner(f"k{i}") == 0)
+                live_key = next(f"k{i}" for i in range(100) if client.owner(f"k{i}") == 1)
+                await client.put(live_key, b"v")
+                await applied(cluster.apply_fault_plan(plan), 1)
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(client.get(cut_key), 0.1)
+                assert await client.get(live_key) == b"v"
+                # A new connection to the cut server is closed at once.
+                server = cluster.servers[0]
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                assert await reader.read() == b""
+                writer.close()
+                return server.stats()["faults"]
+
+        assert asyncio.run(scenario()) == {
+            "dropped": 1,
+            "delayed": 0,
+            "refused_connections": 1,
+        }
 
     def test_crash_recover_round_trip(self):
         plan = FaultPlan((Crash(1, at=0.0), Recover(1, at=0.05)))
@@ -158,17 +201,16 @@ class TestRuntimeTranslation:
                 server = cluster.servers[0]
                 await cluster.client.put("small", b"x" * 64)
                 await cluster.client.put("large", b"x" * large)
-                driver = RuntimeFaultDriver(cluster, plan, time_scale=1.0)
-                task = asyncio.get_running_loop().create_task(driver.run())
-                while not server.faults.policies:
-                    await asyncio.sleep(0.001)
-                policy = server.faults.policies[0]
-                assert isinstance(policy, DelayReplies)
-                assert policy.delay == pytest.approx(
+                driver = cluster.apply_fault_plan(plan, time_scale=1.0)
+                await applied(driver, 1)
+                assert server.slowdown == pytest.approx(slow)
+                assert server._slow_delay(Message("probe", 1, {})) == pytest.approx(
                     slow * server.per_op_overhead
                 )
-                assert policy.delay_per_byte == pytest.approx(
-                    slow / server.byte_rate
+                assert server._slow_delay(
+                    Message("get", 1, {"key": "large"})
+                ) == pytest.approx(
+                    slow * (server.per_op_overhead + large / server.byte_rate)
                 )
                 loop = asyncio.get_running_loop()
                 t0 = loop.time()
@@ -177,11 +219,7 @@ class TestRuntimeTranslation:
                 t0 = loop.time()
                 assert len(await cluster.client.get("large")) == large
                 large_elapsed = loop.time() - t0
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
+                await driver.stop()
                 return server.byte_rate, small_elapsed, large_elapsed
 
         byte_rate, small_elapsed, large_elapsed = asyncio.run(scenario())
@@ -197,3 +235,34 @@ class TestRuntimeTranslation:
                     RuntimeFaultDriver(cluster, PLAN, time_scale=0.0)
 
         asyncio.run(scenario())
+
+    def test_stop_cancels_a_running_plan(self):
+        # Recovery is due 0.05 s in; the cluster stops before it.
+        plan = FaultPlan((Crash(0, at=0.0), Recover(0, at=1.0)))
+
+        async def scenario():
+            cluster = await LocalCluster(n_servers=2).start()
+            port = cluster.servers[0].port
+            await applied(cluster.apply_fault_plan(plan, time_scale=0.05), 1)
+            await cluster.stop()
+            await asyncio.sleep(0.1)
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", port)
+
+        asyncio.run(scenario())
+
+    def test_one_plan_at_a_time(self):
+        later = FaultPlan((Crash(1, at=0.0), Recover(1, at=0.01)))
+
+        async def scenario():
+            async with LocalCluster(n_servers=2) as cluster:
+                first = cluster.apply_fault_plan(
+                    FaultPlan((Pause(0, at=0.0, until=0.05),))
+                )
+                with pytest.raises(ConfigError):
+                    cluster.apply_fault_plan(later)
+                await first.wait()
+                await cluster.apply_fault_plan(later).wait()
+                return cluster.stats()["fault_plan"]["applied"]
+
+        assert asyncio.run(scenario()) == later.timeline()

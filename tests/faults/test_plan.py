@@ -1,4 +1,5 @@
-"""FaultPlan schema: entry validation, scheduling, serialization."""
+"""FaultPlan schema: entry validation, scheduling, serialization, and the
+LinkFaults state both halves consult per message."""
 
 import pytest
 
@@ -13,6 +14,9 @@ from repro.faults import (
     Recover,
     SlowNode,
 )
+from repro.faults.plan import DROP, LinkFaults
+
+CLIENT, SERVER = ("client", 0), ("server", 0)
 
 
 class TestPauseValidation:
@@ -172,3 +176,49 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             FaultPlan.from_dicts([{"kind": "meteor", "at": 0.0}])
+
+
+class TestLinkFaults:
+    def test_packet_loss_draws_repeat_from_the_entry_seed(self):
+        loss = PacketLoss(at=0.0, until=1.0, probability=0.5, seed=7)
+        runs = []
+        for _ in range(2):
+            faults = LinkFaults()
+            faults.start(loss)
+            runs.append([faults.verdict(CLIENT, SERVER) for _ in range(20)])
+        assert runs[0] == runs[1]
+        assert DROP in runs[0] and 0.0 in runs[0]
+
+    def test_cut_checks_partitions_only(self):
+        partition = Partition(at=0.0, until=1.0, servers=(0,))
+        faults = LinkFaults()
+        faults.start(PacketLoss(at=0.0, until=1.0, probability=1.0))
+        faults.start(partition)
+        assert faults.cut(CLIENT, SERVER)
+        assert not faults.cut(CLIENT, ("server", 1))
+        assert faults.counters() == {
+            "dropped_partition": 0,
+            "dropped_loss": 0,
+            "delayed_messages": 0,
+        }
+        # A message the cut drops makes no loss draw.
+        assert faults.verdict(CLIENT, SERVER) == DROP
+        assert (faults.dropped_partition, faults.dropped_loss) == (1, 0)
+        faults.end(partition)
+        assert not faults.cut(CLIENT, SERVER)
+        assert faults.verdict(CLIENT, SERVER) == DROP
+        assert (faults.dropped_partition, faults.dropped_loss) == (1, 1)
+
+    def test_delays_add_and_a_drop_beats_them(self):
+        faults = LinkFaults()
+        faults.start(DelaySpike(at=0.0, until=1.0, extra=0.001))
+        faults.start(DelaySpike(at=0.0, until=1.0, extra=0.002, servers=(0,)))
+        assert faults.verdict(CLIENT, SERVER) == pytest.approx(0.003)
+        assert faults.verdict(CLIENT, ("server", 1)) == pytest.approx(0.001)
+        faults.start(PacketLoss(at=0.0, until=1.0, probability=1.0, servers=(0,)))
+        assert faults.verdict(CLIENT, SERVER) == DROP
+        assert faults.delayed_messages == 2
+
+    def test_only_link_entries_open_windows(self):
+        with pytest.raises(TypeError):
+            LinkFaults().start(Pause(0, at=0.0, until=1.0))

@@ -18,7 +18,10 @@ from repro.experiments.scenarios import get_scenario
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.config import ClusterConfig, SimulationConfig
 from repro.obs import RequestTrace, Tracer
-from repro.runtime import DelayReplies, LocalCluster
+from repro.faults.plan import DelaySpike
+from repro.runtime import LocalCluster
+
+from tests.conftest import end_window_at
 
 
 def _das_gauge(snapshot, name, server):
@@ -94,9 +97,14 @@ class TestRuntimeObservability:
                 )
                 # Chaos: one server delays replies while the other takes
                 # a crash/restart, with traffic continuing throughout.
-                cluster.inject(1, DelayReplies(delay=0.01, count=4))
+                spike = DelaySpike(at=0.0, until=60.0, extra=0.01, servers=(1,))
+                cluster.faults.start(spike)
+                closer = asyncio.create_task(
+                    end_window_at(cluster.faults, spike, cluster.servers[1], "delayed", 4)
+                )
                 for i in range(12):
                     await cluster.client.multiget([f"key{i}", f"key{i + 4}"])
+                await closer
                 await cluster.crash(0)
                 await cluster.restart(0)
                 await cluster.client.multiget(["key0", "key1"])

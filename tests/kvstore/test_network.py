@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.faults.plan import DelaySpike, PacketLoss, Partition
-from repro.faults.sim import LinkFaults
+from repro.faults.plan import DelaySpike, LinkFaults, PacketLoss, Partition
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.sim.core import NORMAL, Environment
 
@@ -101,12 +100,8 @@ def network_under(env, base_delay, jitter_mean, fault):
         rng=np.random.default_rng(42) if jitter_mean > 0 else None,
     )
     net.faults = LinkFaults()
-    if isinstance(fault, DelaySpike):
-        net.faults.start_delay(fault)
-    elif isinstance(fault, PacketLoss):
-        net.faults.start_loss(fault, np.random.default_rng(fault.seed))
-    elif isinstance(fault, Partition):
-        net.faults.start_partition(fault)
+    if fault is not None:
+        net.faults.start(fault)
     return net
 
 
@@ -156,7 +151,7 @@ def test_send_batch_matches_one_send_per_message(base_delay, jitter_mean, fault,
 def test_send_batch_shares_one_kernel_entry_per_equal_delay_run(env):
     net = UniformLatencyNetwork(env, base_delay=1e-3)
     net.faults = LinkFaults()
-    net.faults.start_delay(DelaySpike(at=0.0, until=1.0, extra=1e-4, servers=(1,)))
+    net.faults.start(DelaySpike(at=0.0, until=1.0, extra=1e-4, servers=(1,)))
     received = []
     # Delays by destination: 0 -> base, 1 -> base + spike.
     net.send_batch(

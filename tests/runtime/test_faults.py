@@ -1,4 +1,4 @@
-"""Runtime failure paths: fault injection, retries, reconnects, chaos.
+"""Runtime failure paths: fault windows, retries, reconnects, chaos.
 
 These are the runtime twins of the simulator's X2 fault-tolerance
 benchmark: a server misbehaving (stalled, dropping, delayed, dead) must
@@ -9,20 +9,20 @@ import asyncio
 
 import pytest
 
+from repro.faults.plan import DelaySpike, PacketLoss, Partition
 from repro.faults.resilience import HedgePolicy
-from repro.runtime import (
-    DelayReplies,
-    DropReplies,
-    LocalCluster,
-    Outage,
-    RetryPolicy,
-    ServerUnavailableError,
-)
-from repro.runtime.faults import DELAY, DROP, PASS, FaultInjector
+from repro.runtime import LocalCluster, RetryPolicy, ServerUnavailableError
+
+from tests.conftest import end_window_at
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def cut(server_id):
+    """A partition of ``server_id`` from every client for the whole test."""
+    return Partition(at=0.0, until=60.0, servers=(server_id,))
 
 
 def keys_for_server(client, server_id, n, prefix="k"):
@@ -36,50 +36,13 @@ def keys_for_server(client, server_id, n, prefix="k"):
     return keys
 
 
-class TestFaultInjector:
-    def test_outage_window_relative_to_arming(self):
-        injector = FaultInjector()
-        injector.add(Outage(0.5, 1.5), now=100.0)
-        assert injector.decide(None, now=100.2).action == PASS
-        assert injector.connection_allowed(now=100.2)
-        assert injector.decide(None, now=100.9).action == DROP
-        assert not injector.connection_allowed(now=100.9)
-        assert injector.decide(None, now=101.6).action == PASS
-        assert injector.counters.dropped == 1
-        assert injector.counters.refused_connections == 1
-
-    def test_drop_count_mode_is_deterministic(self):
-        injector = FaultInjector()
-        injector.add(DropReplies(count=2), now=0.0)
-        actions = [injector.decide(None, now=0.0).action for _ in range(4)]
-        assert actions == [DROP, DROP, PASS, PASS]
-
-    def test_drop_probability_mode_reproducible(self):
-        a = DropReplies(probability=0.5, seed=7)
-        b = DropReplies(probability=0.5, seed=7)
-        decisions_a = [a.decide(None, 0.0).action for _ in range(20)]
-        decisions_b = [b.decide(None, 0.0).action for _ in range(20)]
-        assert decisions_a == decisions_b
-        assert DROP in decisions_a and PASS in decisions_a
-
-    def test_worst_decision_wins_and_delays_add(self):
-        injector = FaultInjector()
-        injector.add(DelayReplies(delay=0.1), now=0.0)
-        injector.add(DelayReplies(delay=0.2), now=0.0)
-        decision = injector.decide(None, now=0.0)
-        assert decision.action == DELAY
-        assert decision.delay == pytest.approx(0.3)
-        injector.add(DropReplies(count=1), now=0.0)
-        assert injector.decide(None, now=0.0).action == DROP
-
-
 class TestTimeoutsAndRetries:
     def test_unprotected_client_hangs_on_stalled_server(self):
         async def scenario():
             async with LocalCluster(n_servers=2, byte_rate=None) as cluster:
                 keys = keys_for_server(cluster.client, 0, 2)
                 await cluster.preload({k: b"v" for k in keys})
-                cluster.inject(0, Outage(0.0, 60.0))
+                cluster.faults.start(cut(0))
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(cluster.client.multiget(keys), 0.25)
 
@@ -95,8 +58,13 @@ class TestTimeoutsAndRetries:
                         op_timeout=0.05, max_attempts=3, backoff_base=0.005
                     )
                 )
-                cluster.inject(0, DropReplies(count=2))
+                loss = PacketLoss(at=0.0, until=60.0, probability=1.0, servers=(0,))
+                cluster.faults.start(loss)
+                closer = asyncio.create_task(
+                    end_window_at(cluster.faults, loss, cluster.servers[0], "dropped", 2)
+                )
                 value = await protected.get(key)
+                await closer
                 assert value == b"survives"
                 stats = protected.stats()
                 assert stats["retries"] == 2
@@ -114,7 +82,7 @@ class TestTimeoutsAndRetries:
                         op_timeout=0.03, max_attempts=2, backoff_base=0.005
                     )
                 )
-                cluster.inject(0, Outage(0.0, 60.0))
+                cluster.faults.start(cut(0))
                 with pytest.raises(ServerUnavailableError):
                     await protected.get(key)
                 assert protected.stats()["timeouts"] == 2
@@ -132,7 +100,7 @@ class TestTimeoutsAndRetries:
                         total_deadline=0.15,
                     )
                 )
-                cluster.inject(0, Outage(0.0, 60.0))
+                cluster.faults.start(cut(0))
                 loop = asyncio.get_running_loop()
                 start = loop.time()
                 with pytest.raises(ServerUnavailableError):
@@ -153,7 +121,9 @@ class TestCrashAndReconnect:
                         op_timeout=0.1, max_attempts=2, backoff_base=0.005
                     )
                 )
-                cluster.inject(1, DelayReplies(delay=0.5))
+                cluster.faults.start(
+                    DelaySpike(at=0.0, until=60.0, extra=0.5, servers=(1,))
+                )
                 fetch = asyncio.create_task(protected.multiget(keys))
                 await asyncio.sleep(0.05)  # multiget now in flight
                 await cluster.crash(1)
@@ -203,7 +173,7 @@ class TestPartialMultiget:
                         op_timeout=0.05, max_attempts=2, backoff_base=0.005
                     )
                 )
-                cluster.inject(0, Outage(0.0, 60.0))
+                cluster.faults.start(cut(0))
                 values, report = await protected.multiget(
                     list(items), partial=True
                 )
@@ -243,11 +213,16 @@ class TestHedging:
                 )
                 # Only the first reply (the primary's) is delayed; the
                 # hedge on the secondary connection sails through.
-                cluster.inject(0, DelayReplies(delay=0.4, count=1))
+                spike = DelaySpike(at=0.0, until=60.0, extra=0.4, servers=(0,))
+                cluster.faults.start(spike)
+                closer = asyncio.create_task(
+                    end_window_at(cluster.faults, spike, cluster.servers[0], "delayed", 1)
+                )
                 loop = asyncio.get_running_loop()
                 start = loop.time()
                 assert await hedger.get("slowkey") == b"payload"
                 assert loop.time() - start < 0.35
+                await closer
                 stats = hedger.stats()
                 assert stats["hedges_sent"] >= 1
                 assert stats["hedges_won"] >= 1
@@ -290,7 +265,8 @@ class TestGracefulDegradationChaos:
 
                 # Server 0 crashes mid-run (stalls, the worst failure mode:
                 # TCP stays up but nothing answers).
-                cluster.inject(0, Outage(0.0, 60.0))
+                dark = cut(0)
+                cluster.faults.start(dark)
 
                 # Unprotected client: hangs past the 250 ms deadline.
                 with pytest.raises(asyncio.TimeoutError):
@@ -311,7 +287,7 @@ class TestGracefulDegradationChaos:
                 assert protected.stats()["retries"] > 0
 
                 # Server 0 restarts; the client reconverges on its own.
-                cluster.clear_faults(0)
+                cluster.faults.end(dark)
                 await asyncio.sleep(0.15)  # let the breaker go half-open
                 values, report = await protected.multiget(
                     list(items), partial=True

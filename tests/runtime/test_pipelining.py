@@ -3,10 +3,12 @@
 import asyncio
 import socket
 
+from repro.faults.plan import DelaySpike, LinkFaults
 from repro.runtime import LocalCluster
 from repro.runtime.protocol import Message, write_message
 from repro.runtime.server import KVServer
 
+from tests.conftest import end_window_at
 from tests.runtime.test_server_errors import read_reply
 
 
@@ -72,17 +74,18 @@ class TestPipelinedConnection:
         run(scenario())
 
     def test_delay_fault_holds_back_one_reply_not_the_connection(self):
-        from repro.runtime.faults import DelayReplies
-
         async def scenario():
             server = KVServer(scheduler="fcfs", byte_rate=None)
+            server.faults = LinkFaults()
             await server.start()
             try:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
-                server.faults.add(DelayReplies(delay=0.1, count=1))
+                spike = DelaySpike(at=0.0, until=60.0, extra=0.1)
+                server.faults.start(spike)
                 write_message(writer, Message("get", 1, {"key": "a"}))  # delayed
+                await end_window_at(server.faults, spike, server, "delayed", 1)
                 write_message(writer, Message("get", 2, {"key": "b"}))
                 assert (await read_reply(reader)).id == 2
                 assert (await read_reply(reader)).id == 1
@@ -147,12 +150,12 @@ class TestStorageAccounting:
         run(scenario())
 
     def test_size_dependent_delay_does_not_count_reads(self):
-        from repro.runtime.faults import DelayReplies
-
         async def scenario():
-            async with LocalCluster(n_servers=1, scheduler="fcfs", byte_rate=None) as cluster:
+            async with LocalCluster(n_servers=1, scheduler="fcfs", byte_rate=1e6) as cluster:
                 await cluster.client.put("k", b"x" * 1000)
-                cluster.inject(0, DelayReplies(delay_per_byte=1e-6))
+                server = cluster.servers[0]
+                server.slowdown = 1.0  # a SlowNode at factor 0.5: ~1 ms here
                 assert await cluster.client.get("k") == b"x" * 1000
+                assert server.delayed == 1
 
         run(scenario())
