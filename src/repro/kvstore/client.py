@@ -10,7 +10,7 @@ the end-user view of latency.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
 
 from repro.core.estimator import ServerEstimates
 from repro.faults.resilience import (
@@ -34,6 +34,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kvstore.server import Server
 
 
+class KeyTable:
+    """What a client needs to know of each key, indexed by key index.
+
+    One table per cluster, built at ``Cluster()`` and shared by every
+    client: each key's name, value size, reference demand
+    (``per_op_overhead + size / byte_rate``, the reference service's own
+    expression) and replica list (primary first).  ``index`` maps a name
+    back to its index; only trace replay, whose records name their keys,
+    needs it, so it is None otherwise.
+    """
+
+    __slots__ = ("names", "sizes", "demands", "replicas", "demand", "index")
+
+    def __init__(
+        self,
+        names: List[str],
+        sizes: List[int],
+        replicas: List[List[int]],
+        reference_service: ServiceModel,
+        index: Optional[Dict[str, int]] = None,
+    ):
+        demand = reference_service.demand
+        self.names = names
+        self.sizes = sizes
+        self.demands = [demand(size) for size in sizes]
+        self.replicas = replicas
+        #: Demand of a size the table does not hold (a trace's own).
+        self.demand = demand
+        self.index = index
+
+
 class Client:
     """One front-end issuing multiget requests into the cluster."""
 
@@ -48,7 +79,7 @@ class Client:
         network: NetworkModel,
         servers: Dict[int, "Server"],
         metrics: MetricsCollector,
-        reference_service: ServiceModel,
+        keys: KeyTable,
         max_requests: Optional[int] = None,
         end_time: Optional[float] = None,
         request_id_base: int = 0,
@@ -82,7 +113,7 @@ class Client:
         self.network = network
         self.servers = servers
         self.metrics = metrics
-        self.reference_service = reference_service
+        self.keys = keys
         self.max_requests = max_requests
         self.end_time = end_time
         self._next_request_id = request_id_base
@@ -99,6 +130,7 @@ class Client:
         # Hot-path gates: only adaptive selection policies pay for the
         # per-op dispatch/response hooks (primary reads skip it all).
         self._track_inflight = placement.wants_inflight
+        self._primary_reads = placement.primary_reads
         self._track_selection_feedback = placement.wants_feedback
         # Dedicated probe round-trips (prequal at its true cost): fired
         # per dispatched request, rotating over the fleet.
@@ -192,7 +224,13 @@ class Client:
         return True
 
     def _build_request(self) -> Request:
-        descriptor = self.factory.make_request()
+        key_indices, puts, sizes = self.factory.next_request()
+        table = self.keys
+        if sizes is not None:  # a trace record: key names, its own sizes
+            key_indices = [table.index[key] for key in key_indices]
+        names, replicas = table.names, table.replicas
+        key_sizes, demands = table.sizes, table.demands
+        primary_reads = self._primary_reads
         now = self.env._now
         request = Request(
             request_id=self._next_request_id,
@@ -200,25 +238,37 @@ class Client:
             arrival_time=now,
         )
         self._next_request_id += 1
-        for i, (key, size, is_put) in enumerate(
-            zip(descriptor.keys, descriptor.sizes, descriptor.is_put)
-        ):
-            if is_put:
-                server_id = self.placement.write_set(key)[0]
+        ops = request.operations
+        for i, k in enumerate(key_indices):
+            key = names[k]
+            servers = replicas[k]
+            if sizes is None:
+                size = key_sizes[k]
+                demand = demands[k]
+            else:
+                size = sizes[i]
+                demand = table.demand(size)
+            if puts is not None and puts[i]:
+                server_id = servers[0]
                 kind = OpKind.PUT
             else:
-                server_id = self.placement.select_read_replica(key, now)
+                server_id = (
+                    servers[0]
+                    if primary_reads
+                    else self.placement.select_read_replica(key, servers, now)
+                )
                 kind = OpKind.GET
-            op = Operation(
-                request=request,
-                key=key,
-                kind=kind,
-                value_size=size,
-                server_id=server_id,
-                demand=self.reference_service.demand(size),
-                index=i,
+            ops.append(
+                Operation(
+                    request=request,
+                    key=key,
+                    kind=kind,
+                    value_size=size,
+                    server_id=server_id,
+                    demand=demand,
+                    index=i,
+                )
             )
-            request.operations.append(op)
         return request
 
     def _dispatch(self, request: Request) -> None:

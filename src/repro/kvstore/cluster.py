@@ -9,7 +9,7 @@ from repro.core.estimator import ServerEstimates
 from repro.core.feedback import FeedbackMode
 from repro.errors import ConfigError, TraceFormatError
 from repro.faults.sim import SimFaultDriver
-from repro.kvstore.client import Client
+from repro.kvstore.client import Client, KeyTable
 from repro.kvstore.config import ClusterConfig, SimulationConfig
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.partitioning import ConsistentHashRing
@@ -135,7 +135,7 @@ class Cluster:
         self.servers: Dict[int, Server] = {}
         for sid in range(config.n_servers):
             self.servers[sid] = self._build_server(sid)
-        self._warm_key_tables()
+        self.key_table = self._build_key_table()
 
         #: Fault-plan driver (None on healthy runs): crashes/recovers
         #: servers and toggles link faults at the plan's times.
@@ -210,26 +210,35 @@ class Cluster:
             piggyback_feedback=cfg.feedback.piggyback,
         )
 
-    def _warm_key_tables(self) -> None:
-        """Warm the keyspace name table and the ring's preference-list
-        cache with exactly the ``(key, n)`` pairs clients will look up, and
-        check that every key a trace names is in the keyspace.
+    def _build_key_table(self) -> KeyTable:
+        """The one key table every client reads, and the trace-key check.
+
+        Each key's replica list is the ring's walk for it, taken once
+        here; no request looks a key up on the ring.  A trace must name
+        only keyspace keys.
         """
+        keyspace = self.keyspace
+        names = keyspace.key_names(range(keyspace.size))
         n = self.config.replication_factor
-        keys = self.keyspace.key_names(range(self.keyspace.size))
         pref = self.ring.preference_list
-        for key in keys:
-            pref(key, n)
+        index = None
         trace = self.config.trace
         if trace is not None:
-            known = set(keys)
-            for index, record in enumerate(trace):
+            index = {key: i for i, key in enumerate(names)}
+            for number, record in enumerate(trace):
                 for key in record.keys:
-                    if key not in known:
+                    if key not in index:
                         raise TraceFormatError(
-                            f"trace record {index}: key {key!r} is not in the "
-                            f"{len(keys)}-key keyspace (see remap_keys)"
+                            f"trace record {number}: key {key!r} is not in the "
+                            f"{len(names)}-key keyspace (see remap_keys)"
                         )
+        return KeyTable(
+            names,
+            keyspace.value_sizes.tolist(),
+            [pref(key, n) for key in names],
+            self.reference_service,
+            index,
+        )
 
     def _build_client(self, cid: int) -> Client:
         cfg = self.config
@@ -322,7 +331,7 @@ class Cluster:
             network=self.network,
             servers=self.servers,
             metrics=self.metrics,
-            reference_service=self.reference_service,
+            keys=self.key_table,
             request_id_base=cid * 1_000_000_000,
             on_finished=self._check_drained,
             op_timeout=cfg.op_timeout,

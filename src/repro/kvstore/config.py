@@ -166,6 +166,16 @@ class ClusterConfig:
                 f"tenants ({self.tenants}) exceeds keyspace_size "
                 f"({self.keyspace_size})"
             )
+        if self.trace is None and self.tenants > 1:
+            # Each client draws its distinct keys from one tenant slice.
+            span = self.keyspace_size // self.tenants
+            cap = self.fanout.max_fanout()
+            if cap > span:
+                raise ConfigError(
+                    f"tenant slice of {span} keys (keyspace_size "
+                    f"{self.keyspace_size} / tenants {self.tenants}) is "
+                    f"smaller than the fan-out cap {cap}"
+                )
         # Validate the policy name at config time rather than deep inside
         # cluster assembly.  Imported here to keep the config module free
         # of a hard dependency for type checking.

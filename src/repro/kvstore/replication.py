@@ -84,31 +84,29 @@ class ReplicaPlacement:
         self.replication_factor = replication_factor
         self.policy = policy
         self.selection = policy.name
-        # With one replica every policy degenerates to "first (only) entry".
-        self._primary_reads = policy.name == "primary" or replication_factor == 1
+        #: Every read goes to the primary: with one replica every policy
+        #: degenerates to "first (only) entry".
+        self.primary_reads = policy.name == "primary" or replication_factor == 1
         #: Hot-path gates: callers skip the policy's hooks entirely when
         #: the policy has no use for the signal (or never gets to choose).
-        self.wants_inflight = policy.wants_inflight and not self._primary_reads
-        self.wants_feedback = policy.wants_feedback and not self._primary_reads
+        self.wants_inflight = policy.wants_inflight and not self.primary_reads
+        self.wants_feedback = policy.wants_feedback and not self.primary_reads
 
     def replicas(self, key: str) -> List[int]:
         """The full replica set for ``key`` (primary first)."""
         return self.ring.preference_list(key, self.replication_factor)
 
-    def select_read_replica(self, key: str, now: float = 0.0) -> int:
-        """Choose the server that will serve a GET for ``key`` at ``now``."""
-        if self._primary_reads:
-            # Primary-only reads (the paper default) are the hot path:
-            # skip the replica-set indirection entirely.
-            return self.ring.preference_list(key, self.replication_factor)[0]
-        candidates = self.replicas(key)
-        if len(candidates) == 1:
+    def select_read_replica(
+        self, key: str, candidates: List[int], now: float = 0.0
+    ) -> int:
+        """Choose which of ``key``'s replicas serves a GET at ``now``.
+
+        ``candidates`` is the key's replica list (:meth:`replicas`); the
+        simulated client passes the one its key table holds.
+        """
+        if self.primary_reads or len(candidates) == 1:
             return candidates[0]
         return self.policy.select(key, candidates, now)
-
-    def write_set(self, key: str) -> List[int]:
-        """Servers a PUT must reach (all replicas)."""
-        return self.replicas(key)
 
     def __repr__(self) -> str:
         return (

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -40,10 +41,23 @@ class RequestRecord:
 
 
 class MetricsCollector:
-    """Accumulates completed requests and answers summary queries."""
+    """Accumulates completed requests and answers summary queries.
+
+    Each completed request appends one machine value to each of eight
+    per-field columns (``array.array``, 8 bytes a value);
+    :class:`RequestRecord` objects are built only when :attr:`records` or
+    :meth:`filtered` asks for them.
+    """
 
     def __init__(self):
-        self._records: List[RequestRecord] = []
+        self._request_ids = array("q")
+        self._client_ids = array("q")
+        self._arrivals = array("d")
+        self._completions = array("d")
+        self._fanouts = array("q")
+        self._total_demands = array("d")
+        self._bottlenecks = array("d")
+        self._total_bytes = array("q")
         self.ops_completed = 0
 
     # ------------------------------------------------------------------
@@ -53,28 +67,40 @@ class MetricsCollector:
         """Snapshot a completed request."""
         if not request.done:
             raise ConfigError(f"request {request.request_id} has not completed")
-        self._records.append(
-            RequestRecord(
-                request_id=request.request_id,
-                client_id=request.client_id,
-                arrival_time=request.arrival_time,
-                completion_time=request.completion_time,
-                fanout=request.fanout,
-                total_demand=request.total_demand,
-                bottleneck_demand=request.bottleneck_demand(),
-                total_bytes=request.total_bytes,
-            )
-        )
+        self._request_ids.append(request.request_id)
+        self._client_ids.append(request.client_id)
+        self._arrivals.append(request.arrival_time)
+        self._completions.append(request.completion_time)
+        self._fanouts.append(request.fanout)
+        self._total_demands.append(request.total_demand)
+        self._bottlenecks.append(request.bottleneck_demand())
+        self._total_bytes.append(request.total_bytes)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._request_ids)
+
+    def _columns(self) -> tuple:
+        return (
+            self._request_ids,
+            self._client_ids,
+            self._arrivals,
+            self._completions,
+            self._fanouts,
+            self._total_demands,
+            self._bottlenecks,
+            self._total_bytes,
+        )
 
     @property
     def records(self) -> List[RequestRecord]:
-        return list(self._records)
+        return [RequestRecord(*row) for row in zip(*self._columns())]
+
+    def _window(self, warmup_time: float) -> np.ndarray:
+        """Mask of the requests that arrived at or after ``warmup_time``."""
+        return np.asarray(self._arrivals, dtype=np.float64) >= warmup_time
 
     def filtered(
         self,
@@ -86,21 +112,26 @@ class MetricsCollector:
         ``warmup_time`` drops requests that arrived before it; an optional
         ``cooldown_time`` drops those arriving after it (end effects).
         """
-        out = [r for r in self._records if r.arrival_time >= warmup_time]
-        if cooldown_time is not None:
-            out = [r for r in out if r.arrival_time <= cooldown_time]
-        return out
+        return [
+            RequestRecord(*row)
+            for row in zip(*self._columns())
+            if row[2] >= warmup_time
+            and (cooldown_time is None or row[2] <= cooldown_time)
+        ]
 
     def rcts(self, warmup_time: float = 0.0) -> np.ndarray:
         """Array of request completion times in the steady-state window."""
-        return np.asarray(
-            [r.rct for r in self.filtered(warmup_time)], dtype=np.float64
+        rcts = np.asarray(self._completions, dtype=np.float64) - np.asarray(
+            self._arrivals, dtype=np.float64
         )
+        return rcts[self._window(warmup_time)]
 
     def slowdowns(self, warmup_time: float = 0.0) -> np.ndarray:
-        return np.asarray(
-            [r.slowdown for r in self.filtered(warmup_time)], dtype=np.float64
+        bottlenecks = np.maximum(
+            np.asarray(self._bottlenecks, dtype=np.float64), 1e-12
         )
+        slowdowns = self.rcts() / bottlenecks
+        return slowdowns[self._window(warmup_time)]
 
     def summary(self, warmup_time: float = 0.0) -> SummaryStats:
         """Full summary of RCTs in the steady-state window."""
@@ -110,9 +141,9 @@ class MetricsCollector:
         """Arrival time below which the first ``fraction`` of requests fall."""
         if not 0 <= fraction < 1:
             raise ConfigError("fraction must be in [0, 1)")
-        if not self._records or fraction == 0:
+        if not self._arrivals or fraction == 0:
             return 0.0
-        arrivals = sorted(r.arrival_time for r in self._records)
+        arrivals = sorted(self._arrivals)
         idx = int(fraction * len(arrivals))
         return arrivals[min(idx, len(arrivals) - 1)]
 

@@ -14,6 +14,12 @@ because it is *bit-identical* to the scalar calls it replaces — see the
 class docstring for the exact contract and
 ``tests/workload/test_batched_equivalence.py`` for the per-distribution
 proofs.
+
+:class:`RawWords` goes one level lower, for draws numpy has no array
+form of: it serves a PCG64 generator's ``next_uint32`` words from
+``bit_generator.random_raw`` blocks and turns them into Lemire-bounded
+integers, vectorised across a block.  The uniform key sampler builds
+``Generator.choice(pop, n, replace=False)`` on it, bit for bit.
 """
 
 from __future__ import annotations
@@ -304,3 +310,105 @@ def as_batched(
     if isinstance(rng, BatchedStream):
         return rng
     return BatchedStream(rng, block_size=block_size)
+
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_TWO32 = np.uint64(1 << 32)
+
+
+class RawWords:
+    """A PCG64 generator's ``next_uint32`` stream, read in blocks.
+
+    **Word order.**  numpy's PCG64 makes 32-bit words from 64-bit outputs
+    low half first, then high half; an unused high half waits in the bit
+    generator's state (``has_uint32`` / ``uinteger``).  ``random_raw``
+    hands out whole 64-bit outputs and ignores that half, so the first
+    read takes a waiting half, if any, before any fresh word, and from
+    then on every output is split low, high.  Prefetched words live here:
+    the generator must have no other consumer once reading starts.
+
+    **Bounded draws.**  :meth:`bounded` is numpy's unbuffered Lemire
+    method (``random_bounded_uint64`` with a range below ``2**32 - 1``):
+    for a bound ``b`` it takes a word ``w``, forms ``m = w * b``, rejects
+    while ``m mod 2**32 < (2**32 - b) mod b``, and returns ``m >> 32``.
+    The multiply and shift run on a whole array of bounds; Python runs
+    only for a rejection (under ``b / 2**32`` per draw), after which the
+    rest of the array is redone one word later.
+
+    ``fill(k)`` returns ``k`` raw 64-bit outputs; it defaults to the
+    generator's ``random_raw`` and is injectable so the rejection path
+    can be tested with crafted words.
+    """
+
+    __slots__ = ("_gen", "_fill", "_words", "_pos")
+
+    def __init__(self, gen: np.random.Generator, fill=None):
+        self._gen = gen
+        self._fill = fill
+        #: Unread 32-bit words, as uint64 so ``w * b`` cannot overflow;
+        #: None until the first read.
+        self._words = None
+        self._pos = 0
+
+    def _start(self) -> np.ndarray:
+        """First read: adopt the generator's waiting half-word, if any."""
+        if self._fill is not None:
+            return np.empty(0, dtype=np.uint64)
+        bitgen = self._gen.bit_generator
+        self._fill = bitgen.random_raw
+        state = bitgen.state
+        if not state.get("has_uint32"):
+            return np.empty(0, dtype=np.uint64)
+        waiting = state["uinteger"]
+        state["has_uint32"] = 0
+        state["uinteger"] = 0
+        bitgen.state = state
+        return np.asarray([waiting], dtype=np.uint64)
+
+    def _take(self, n: int) -> np.ndarray:
+        """The next ``n`` words (a view; advances the cursor)."""
+        pos = self._pos
+        words = self._words
+        if words is None or words.shape[0] - pos < n:
+            head = self._start() if words is None else words[pos:]
+            raw = np.asarray(
+                self._fill((n - head.shape[0] + 1) // 2), dtype=np.uint64
+            )
+            fresh = np.empty(2 * raw.shape[0], dtype=np.uint64)
+            fresh[0::2] = raw & _MASK32
+            fresh[1::2] = raw >> np.uint64(32)
+            words = self._words = np.concatenate((head, fresh))
+            pos = 0
+        self._pos = pos + n
+        return words[pos : pos + n]
+
+    def bounded(self, bounds: np.ndarray) -> np.ndarray:
+        """One draw in ``[0, b)`` per bound, in order.
+
+        Needs ``2 <= b < 2**32``: numpy takes no word at all for
+        ``b = 1``, and a plain word for ``b = 2**32``.
+        """
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        thresholds = (_TWO32 - bounds) % bounds
+        n = bounds.shape[0]
+        out = np.empty(n, dtype=np.uint64)
+        done = 0
+        while done < n:
+            m = self._take(n - done) * bounds[done:]
+            rejected = (m & _MASK32) < thresholds[done:]
+            if not rejected.any():
+                out[done:] = m >> np.uint64(32)
+                break
+            r = int(rejected.argmax())
+            out[done : done + r] = m[:r] >> np.uint64(32)
+            # Give back the words after the rejected one, then redraw it.
+            self._pos -= n - done - r - 1
+            b = int(bounds[done + r])
+            threshold = int(thresholds[done + r])
+            while True:
+                m1 = int(self._take(1)[0]) * b
+                if m1 & 0xFFFFFFFF >= threshold:
+                    break
+            out[done + r] = m1 >> 32
+            done += r + 1
+        return out

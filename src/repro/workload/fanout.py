@@ -19,6 +19,10 @@ class FanoutSampler:
     def sample(self) -> int:
         raise NotImplementedError
 
+    def sample_block(self, n: int) -> np.ndarray:
+        """``n`` fan-outs, the same ones ``n`` calls to :meth:`sample` give."""
+        raise NotImplementedError
+
 
 class FanoutSpec:
     def build(self, rng: np.random.Generator) -> FanoutSampler:
@@ -59,6 +63,9 @@ class _FixedSampler(FanoutSampler):
     def sample(self) -> int:
         return self._k
 
+    def sample_block(self, n: int) -> np.ndarray:
+        return np.full(n, self._k, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class UniformFanout(FanoutSpec):
@@ -91,6 +98,9 @@ class _UniformFanoutSampler(FanoutSampler):
 
     def sample(self) -> int:
         return self._rng.integers(self._lo, self._hi + 1)
+
+    def sample_block(self, n: int) -> np.ndarray:
+        return self._rng.integers_block(self._lo, self._hi + 1, n)
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,9 @@ class _GeometricSampler(FanoutSampler):
         # numpy's geometric is supported on {1, 2, ...} already.
         return min(self._rng.geometric(self._p), self._cap)
 
+    def sample_block(self, n: int) -> np.ndarray:
+        return np.minimum(self._rng.geometric_block(self._p, n), self._cap)
+
 
 @dataclass(frozen=True)
 class BimodalFanout(FanoutSpec):
@@ -179,3 +192,7 @@ class _BimodalSampler(FanoutSampler):
 
     def sample(self) -> int:
         return self._large if self._rng.random() < self._p_large else self._small
+
+    def sample_block(self, n: int) -> np.ndarray:
+        large = self._rng.random_block(n) < self._p_large
+        return np.where(large, self._large, self._small).astype(np.int64)

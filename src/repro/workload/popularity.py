@@ -4,16 +4,29 @@ A popularity spec builds a sampler that draws *distinct* key indices in
 ``[0, keyspace_size)`` for a multiget.  Zipf is the workhorse (the standard
 model for KV-store key skew); hotspot models a small set of very hot keys
 over a uniform base.
+
+``build`` takes the largest fan-out the sampler will be asked for
+(``max_fanout``, None when unknown): the uniform sampler uses it to
+decide, once, whether it can draw every request from raw words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.rand import as_batched
+from repro.sim.rand import RawWords, as_batched
+
+
+def choice_uses_floyd(pop: int, n: int) -> bool:
+    """Whether numpy draws ``choice(pop, n, replace=False)`` by Floyd.
+
+    Otherwise (numpy 2.x) it shuffles the tail of ``arange(pop)``.
+    """
+    return n < pop and (pop <= 10_000 or n <= pop // 50)
 
 
 class PopularitySampler:
@@ -27,6 +40,18 @@ class PopularitySampler:
 
     def sample_one(self) -> int:
         raise NotImplementedError
+
+    def sample_block(self, counts) -> List[int]:
+        """Distinct indices for a block of requests, concatenated.
+
+        ``counts`` holds each request's fan-out; request ``i``'s keys are
+        the ``counts[i]`` entries after those of requests ``0..i-1``, the
+        same ones ``sample_distinct(counts[i])`` would draw in turn.
+        """
+        out: List[int] = []
+        for n in counts:
+            out.extend(self.sample_distinct(int(n)).tolist())
+        return out
 
     def sample_distinct(self, n: int) -> np.ndarray:
         """Draw ``n`` distinct indices (rejection over the marginal law)."""
@@ -66,7 +91,12 @@ class PopularitySampler:
 class PopularitySpec:
     """Base class for popularity specs."""
 
-    def build(self, keyspace_size: int, rng: np.random.Generator) -> PopularitySampler:
+    def build(
+        self,
+        keyspace_size: int,
+        rng: np.random.Generator,
+        max_fanout: Optional[int] = None,
+    ) -> PopularitySampler:
         raise NotImplementedError
 
 
@@ -74,24 +104,116 @@ class PopularitySpec:
 class UniformPopularity(PopularitySpec):
     """Every key equally likely."""
 
-    def build(self, keyspace_size: int, rng: np.random.Generator) -> PopularitySampler:
-        return _UniformSampler(keyspace_size, rng)
+    def build(
+        self,
+        keyspace_size: int,
+        rng: np.random.Generator,
+        max_fanout: Optional[int] = None,
+    ) -> PopularitySampler:
+        return _UniformSampler(keyspace_size, rng, max_fanout)
 
 
 class _UniformSampler(PopularitySampler):
-    # SCALAR FALLBACK (no BatchedStream): sample_distinct delegates to
-    # numpy's without-replacement ``choice``, whose bit-stream consumption
-    # has no scalar-loop equivalent to stay identical to.
-    def sample_one(self) -> int:
-        return int(self._rng.integers(0, self.keyspace_size))
+    """Uniform distinct keys: ``Generator.choice(pop, n, replace=False)``.
 
-    def sample_distinct(self, n: int) -> np.ndarray:
+    When every fan-out up to ``max_fanout`` falls in numpy's Floyd branch
+    (:func:`choice_uses_floyd`) and the stream is PCG64, the sampler
+    reproduces ``choice`` from raw words (:class:`RawWords`), a block of
+    requests at a time:
+
+    1. Floyd's algorithm: for ``j`` in ``pop - n .. pop - 1`` draw ``v``
+       in ``[0, j]``; keep ``v``, or ``j`` if ``v`` was already kept;
+    2. numpy's Fisher–Yates pass over the ``n`` picks: for ``i`` in
+       ``n - 1 .. 1`` swap position ``i`` with a draw in ``[0, i]``.
+
+    A request takes ``2n - 1`` words, all drawn in one vectorised
+    :meth:`RawWords.bounded` call per block; Python runs only for the
+    requests whose Floyd draws collide and for the swaps.  Otherwise (no
+    cap known, a cap numpy serves by tail shuffle, another bit
+    generator) every draw stays a ``choice`` call.  The choice is made
+    here, once: prefetched words must never interleave with a numpy draw
+    on the same stream.
+    """
+
+    def __init__(
+        self,
+        keyspace_size: int,
+        rng: np.random.Generator,
+        max_fanout: Optional[int] = None,
+    ):
+        super().__init__(keyspace_size, rng)
+        # Floyd's range is a prefix of fan-outs, so the cap decides it.
+        emulate = (
+            max_fanout is not None
+            and isinstance(rng.bit_generator, np.random.PCG64)
+            and choice_uses_floyd(keyspace_size, max_fanout)
+        )
+        self._max_fanout = max_fanout
+        self._words: Optional[RawWords] = RawWords(rng) if emulate else None
+
+    def _check(self, n: int) -> None:
         if n > self.keyspace_size:
             raise WorkloadError(
                 f"cannot draw {n} distinct keys from a keyspace of "
                 f"{self.keyspace_size}"
             )
+        if self._words is not None and n > self._max_fanout:
+            raise WorkloadError(
+                f"fan-out {n} is above the cap {self._max_fanout} this "
+                "sampler was built for"
+            )
+
+    def sample_one(self) -> int:
+        if self._words is not None:
+            return int(self._words.bounded(np.asarray([self.keyspace_size]))[0])
+        return int(self._rng.integers(0, self.keyspace_size))
+
+    def sample_distinct(self, n: int) -> np.ndarray:
+        self._check(n)
+        if self._words is not None:
+            return np.asarray(self.sample_block((n,)), dtype=np.int64)
         return self._rng.choice(self.keyspace_size, size=n, replace=False)
+
+    def sample_block(self, counts) -> List[int]:
+        if self._words is None:
+            return super().sample_block(counts)
+        n = np.asarray(counts, dtype=np.int64)
+        if n.size:
+            self._check(int(n.max()))
+        pop = self.keyspace_size
+        # Draw t of a request with fan-out k: Floyd bound pop - k + 1 + t
+        # for t < k, then Fisher–Yates bound 2k - t (k down to 2).
+        lengths = 2 * n - 1
+        owner = np.repeat(np.arange(n.shape[0]), lengths)
+        t = np.arange(owner.shape[0]) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        k = n[owner]
+        floyd = t < k
+        draws = self._words.bounded(np.where(floyd, pop - k + 1 + t, 2 * k - t))
+        picks_arr = draws[floyd].astype(np.int64)
+        picks = picks_arr.tolist()
+        starts = np.cumsum(n) - n
+        # Floyd keeps every draw unless one repeats within its request.
+        tagged = np.sort(owner[floyd] * pop + picks_arr)
+        repeats = tagged[1:][tagged[1:] == tagged[:-1]]
+        if repeats.size:
+            for r in np.unique(repeats // pop).tolist():
+                start, fanout = int(starts[r]), int(n[r])
+                kept = set()
+                for q in range(start, start + fanout):
+                    v = picks[q]
+                    if v in kept:
+                        v = picks[q] = pop - fanout + q - start
+                    kept.add(v)
+        # Swap draw t of a request swaps its positions 2k - 1 - t and the
+        # draw; requests are disjoint, so one flat pass keeps each order.
+        shuffle = ~floyd
+        base = starts[owner[shuffle]]
+        for i, j in zip(
+            (base + 2 * k[shuffle] - 1 - t[shuffle]).tolist(),
+            (base + draws[shuffle].astype(np.int64)).tolist(),
+        ):
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
 
 @dataclass(frozen=True)
@@ -110,7 +232,12 @@ class ZipfPopularity(PopularitySpec):
         if self.s < 0:
             raise WorkloadError(f"zipf exponent must be >= 0, got {self.s}")
 
-    def build(self, keyspace_size: int, rng: np.random.Generator) -> PopularitySampler:
+    def build(
+        self,
+        keyspace_size: int,
+        rng: np.random.Generator,
+        max_fanout: Optional[int] = None,
+    ) -> PopularitySampler:
         return _ZipfSampler(keyspace_size, rng, self.s, self.shuffle)
 
 
@@ -205,7 +332,12 @@ class PartitionedPopularity(PopularitySpec):
                 f"tenant must be in [0, {self.tenants}), got {self.tenant}"
             )
 
-    def build(self, keyspace_size: int, rng: np.random.Generator) -> PopularitySampler:
+    def build(
+        self,
+        keyspace_size: int,
+        rng: np.random.Generator,
+        max_fanout: Optional[int] = None,
+    ) -> PopularitySampler:
         span = keyspace_size // self.tenants
         if span < 1:
             raise WorkloadError(
@@ -213,7 +345,10 @@ class PartitionedPopularity(PopularitySpec):
                 f"{self.tenants} tenant slices"
             )
         return _PartitionedSampler(
-            keyspace_size, rng, self.inner.build(span, rng), self.tenant * span
+            keyspace_size,
+            rng,
+            self.inner.build(span, rng, max_fanout),
+            self.tenant * span,
         )
 
 
@@ -234,10 +369,14 @@ class _PartitionedSampler(PopularitySampler):
     def sample_one(self) -> int:
         return self._offset + self._inner.sample_one()
 
+    # Distinctness within the slice is distinctness globally (slices are
+    # disjoint), so the inner draw carries the whole guarantee.
     def sample_distinct(self, n: int) -> np.ndarray:
-        # Distinctness within the slice is distinctness globally (slices
-        # are disjoint), so the inner draw carries the whole guarantee.
         return self._inner.sample_distinct(n) + self._offset
+
+    def sample_block(self, counts) -> List[int]:
+        offset = self._offset
+        return [offset + i for i in self._inner.sample_block(counts)]
 
 
 @dataclass(frozen=True)
@@ -257,7 +396,12 @@ class HotspotPopularity(PopularitySpec):
         if not 0 < self.hot_probability < 1:
             raise WorkloadError("hot_probability must be in (0, 1)")
 
-    def build(self, keyspace_size: int, rng: np.random.Generator) -> PopularitySampler:
+    def build(
+        self,
+        keyspace_size: int,
+        rng: np.random.Generator,
+        max_fanout: Optional[int] = None,
+    ) -> PopularitySampler:
         return _HotspotSampler(
             keyspace_size, rng, self.hot_fraction, self.hot_probability
         )

@@ -1,14 +1,16 @@
 """Request factory: combines arrivals, fan-out, popularity, and sizes.
 
 The :class:`Keyspace` fixes key names and their value sizes once per
-experiment (sizes are a property of the *data*, not of each access), and
-the :class:`RequestFactory` draws multiget descriptors from it.
+experiment (sizes are a property of the *data*, not of each access).  A
+:class:`RequestFactory` hands out each request's key indices and put
+flags, drawn :data:`REQUEST_BLOCK` requests at a time; the simulated
+client resolves indices against its cluster's key table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +50,6 @@ class Keyspace:
         self.prefix = prefix
         sampler = size_spec.build(rng)
         self.value_sizes = np.asarray(sampler.sample_block(size), dtype=np.int64)
-        self._names: Optional[List[str]] = None
 
     def key_name(self, index: int) -> str:
         if not 0 <= index < self.size:
@@ -56,17 +57,13 @@ class Keyspace:
         return f"{self.prefix}{index:010d}"
 
     def key_names(self, indices) -> List[str]:
-        """Key names for an index array, via a lazily built name cache.
+        """Key names for an index array, formatted on each call.
 
-        Formatting key names dominates descriptor generation once draws
-        are batched, so the full name table is materialized on first use
-        and shared by every request.
+        The simulated cluster calls it once, for every index, to build
+        its key table; no request formats a name.
         """
-        names = self._names
-        if names is None:
-            prefix = self.prefix
-            names = self._names = [f"{prefix}{i:010d}" for i in range(self.size)]
-        return [names[i] for i in indices]
+        prefix = self.prefix
+        return [f"{prefix}{i:010d}" for i in indices]
 
     def value_size(self, index: int) -> int:
         return int(self.value_sizes[index])
@@ -96,21 +93,23 @@ class RequestSpec:
             raise WorkloadError("put_fraction must be in [0, 1]")
 
 
-@dataclass
-class RequestDescriptor:
-    """One generated multiget: which keys, their sizes, and op kinds."""
+#: Requests drawn per block: one refill draws this many requests'
+#: fan-outs, key indices and put coins, one call per stream.  Each stream
+#: feeds one component, so drawing ahead moves no sequence.
+REQUEST_BLOCK = 256
 
-    key_indices: np.ndarray
-    keys: List[str]
-    sizes: List[int]
-    is_put: List[bool] = field(default_factory=list)
+#: What a factory hands out per request: key indices (key names for a
+#: trace), put flags (None: all gets) and value sizes (None: the key's).
+RequestDraw = Tuple[list, Optional[list], Optional[list]]
 
 
 class RequestFactory:
-    """Stateful generator of request descriptors for one client.
+    """Stateful generator of one client's requests.
 
     Each factory owns independent sub-streams for arrivals, fan-out, key
     choice, and the GET/PUT coin so components never perturb each other.
+    The first block is drawn by the first :meth:`next_request`, so
+    building a factory draws nothing.
     """
 
     def __init__(
@@ -122,46 +121,54 @@ class RequestFactory:
         rng_keys: np.random.Generator,
         rng_kind: Optional[np.random.Generator] = None,
     ):
-        if spec.fanout.max_fanout() > keyspace.size:
+        cap = spec.fanout.max_fanout()
+        if cap > keyspace.size:
             raise WorkloadError(
-                f"max fanout {spec.fanout.max_fanout()} exceeds keyspace "
-                f"size {keyspace.size}"
+                f"max fanout {cap} exceeds keyspace size {keyspace.size}"
             )
         if spec.put_fraction > 0 and rng_kind is None:
             raise WorkloadError("put_fraction > 0 requires rng_kind")
         self.spec = spec
-        self.keyspace = keyspace
         self._arrivals = spec.arrivals.build(rng_arrivals)
         self._fanout = spec.fanout.build(rng_fanout)
-        self._popularity = spec.popularity.build(keyspace.size, rng_keys)
+        self._popularity = spec.popularity.build(keyspace.size, rng_keys, cap)
         self._rng_kind = as_batched(rng_kind) if rng_kind is not None else None
+        self._block: List[RequestDraw] = []
+        self._cursor = 0
         self.generated = 0
 
     def next_interarrival(self, now: float) -> float:
         """Gap until this client's next request."""
         return self._arrivals.next_interarrival(now)
 
-    def make_request(self) -> RequestDescriptor:
-        """Draw one multiget descriptor (one vectorized draw per field).
-
-        Keys, sizes, and op kinds come from block draws and array lookups
-        rather than N scalar calls; the draw sequences are bit-identical
-        to the scalar path (see ``tests/workload/test_batched_equivalence``).
-        """
-        n = self._fanout.sample()
-        indices = self._popularity.sample_distinct(n)
-        keys = self.keyspace.key_names(indices)
-        sizes = self.keyspace.value_sizes[indices].tolist()
-        if self.spec.put_fraction > 0:
-            is_put = (
-                self._rng_kind.random_block(n) < self.spec.put_fraction
-            ).tolist()
-        else:
-            is_put = [False] * n
+    def next_request(self) -> RequestDraw:
+        """The next request's ``(key indices, put flags, None)``."""
+        i = self._cursor
+        if i == len(self._block):
+            self._draw_block()
+            i = 0
+        self._cursor = i + 1
         self.generated += 1
-        return RequestDescriptor(
-            key_indices=indices, keys=keys, sizes=sizes, is_put=is_put
-        )
+        return self._block[i]
+
+    def _draw_block(self) -> None:
+        """Draw the next :data:`REQUEST_BLOCK` requests, one call per stream.
+
+        The sequences are the ones per-request draws would give (see
+        ``tests/workload/test_batched_equivalence.py``).
+        """
+        fanouts = self._fanout.sample_block(REQUEST_BLOCK)
+        keys = self._popularity.sample_block(fanouts)
+        ends = np.cumsum(fanouts).tolist()
+        starts = [0] + ends[:-1]
+        put_fraction = self.spec.put_fraction
+        if put_fraction > 0:
+            puts = (self._rng_kind.random_block(len(keys)) < put_fraction).tolist()
+            self._block = [
+                (keys[a:b], puts[a:b], None) for a, b in zip(starts, ends)
+            ]
+        else:
+            self._block = [(keys[a:b], None, None) for a, b in zip(starts, ends)]
 
     def mean_ops_per_request(self) -> float:
         return self.spec.fanout.mean()
@@ -188,7 +195,8 @@ class TraceReplayFactory:
     Replays every ``stride``-th record starting at ``start`` (so N clients
     can partition one trace without coordination).  Interarrivals derive
     from the absolute record times; after the last record the factory
-    reports an infinite gap, ending generation.
+    reports an infinite gap, ending generation.  A record names its keys
+    and carries its own sizes, which the client serves as they are.
     """
 
     def __init__(self, records, start: int = 0, stride: int = 1):
@@ -215,18 +223,14 @@ class TraceReplayFactory:
             return float("inf")
         return max(0.0, self._records[self._idx].t - now)
 
-    def make_request(self) -> RequestDescriptor:
+    def next_request(self) -> RequestDraw:
+        """The next record's ``(key names, put flags, sizes)``."""
         if self._idx >= len(self._records):
             raise WorkloadError("trace exhausted")
         record = self._records[self._idx]
         self._idx += 1
         self.generated += 1
-        return RequestDescriptor(
-            key_indices=np.asarray([], dtype=np.int64),
-            keys=list(record.keys),
-            sizes=list(record.sizes),
-            is_put=list(record.is_put),
-        )
+        return record.keys, record.is_put, record.sizes
 
     def mean_ops_per_request(self) -> float:
         if not self._records:

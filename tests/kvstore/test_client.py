@@ -53,6 +53,32 @@ class TestGeneration:
             assert record.completion_time > record.arrival_time
 
 
+class TestKeyTable:
+    def test_ops_read_size_demand_and_replica_from_the_key_table(self):
+        cluster = Cluster(small_config(n_clients=1))
+        table = cluster.key_table
+        keyspace, service = cluster.keyspace, cluster.reference_service
+        assert table.names == keyspace.key_names(range(keyspace.size))
+        request = cluster.clients[0]._build_request()
+        assert request.operations
+        for op in request.operations:
+            index = table.names.index(op.key)
+            assert op.value_size == keyspace.value_size(index)
+            assert op.demand == service.demand(op.value_size)
+            assert op.server_id == cluster.ring.preference_list(op.key, 1)[0]
+
+    def test_one_table_shared_by_every_client(self):
+        cluster = Cluster(small_config(n_clients=3))
+        assert all(c.keys is cluster.key_table for c in cluster.clients)
+
+    def test_trace_ops_serve_the_record_sizes(self):
+        records = (TraceRecord(t=0.0, keys=["key:0000000003"], sizes=[77]),)
+        cluster = Cluster(small_config(n_clients=1, trace=records))
+        (op,) = cluster.clients[0]._build_request().operations
+        assert (op.key, op.value_size) == ("key:0000000003", 77)
+        assert op.demand == cluster.reference_service.demand(77)
+
+
 class TestTraceClient:
     def test_trace_replay_uses_recorded_keys(self):
         records = tuple(

@@ -6,6 +6,7 @@ from repro.core.feedback import FeedbackConfig, FeedbackMode
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, SlowNode
 from repro.kvstore.config import ClusterConfig, ServiceConfig, SimulationConfig
+from repro.workload.fanout import FixedFanout
 
 
 class TestServiceConfig:
@@ -68,6 +69,20 @@ class TestClusterConfig:
                 n_servers=2,
                 fault_plan=FaultPlan((SlowNode(5, at=1.0, until=2.0, factor=0.5),)),
             )
+
+    def test_tenant_slice_below_the_fanout_cap_rejected(self):
+        """Each tenant's clients draw distinct keys from its slice alone:
+        a slice smaller than the fan-out cap can never serve a request."""
+        with pytest.raises(ConfigError, match=r"slice of 10 keys.*fan-out cap 16"):
+            ClusterConfig(
+                n_servers=4,
+                n_clients=4,
+                tenants=4,
+                keyspace_size=40,
+                fanout=FixedFanout(16),
+            )
+        ClusterConfig(n_servers=4, n_clients=4, tenants=4, keyspace_size=64,
+                      fanout=FixedFanout(16))
 
     def test_feedback_config_embedded(self):
         config = ClusterConfig(

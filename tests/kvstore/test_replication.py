@@ -50,15 +50,18 @@ class TestSelection:
         placement = ReplicaPlacement(ring, replication_factor=3, selection="primary")
         for i in range(30):
             key = f"k{i}"
-            assert placement.select_read_replica(key) == ring.preference_list(key, 3)[0]
+            assert (
+                placement.select_read_replica(key, placement.replicas(key))
+                == ring.preference_list(key, 3)[0]
+            )
 
     def test_round_robin_cycles_through_replicas(self, ring):
         placement = ReplicaPlacement(
             ring, replication_factor=3, selection="round_robin"
         )
         key = "hotkey"
-        picks = [placement.select_read_replica(key) for _ in range(6)]
         replicas = placement.replicas(key)
+        picks = [placement.select_read_replica(key, replicas) for _ in range(6)]
         assert picks == replicas * 2
 
     def test_random_stays_within_replica_set(self, ring):
@@ -70,7 +73,10 @@ class TestSelection:
         )
         key = "k"
         allowed = set(placement.replicas(key))
-        picks = {placement.select_read_replica(key) for _ in range(50)}
+        picks = {
+            placement.select_read_replica(key, placement.replicas(key))
+            for _ in range(50)
+        }
         assert picks <= allowed
         assert len(picks) > 1  # actually randomizes
 
@@ -85,17 +91,17 @@ class TestSelection:
         for i in range(20):
             key = f"k{i}"
             replicas = placement.replicas(key)
-            assert placement.select_read_replica(key) == min(replicas)
+            assert placement.select_read_replica(key, replicas) == min(replicas)
 
     def test_single_replica_short_circuits(self, ring):
         placement = ReplicaPlacement(ring, replication_factor=1, selection="primary")
         key = "k"
-        assert placement.select_read_replica(key) == ring.owner(key)
+        assert placement.select_read_replica(key, placement.replicas(key)) == ring.owner(key)
 
-    def test_write_set_is_full_replica_set(self, ring):
+    def test_replicas_is_the_full_preference_list(self, ring):
         placement = ReplicaPlacement(ring, replication_factor=3)
         key = "k"
-        assert placement.write_set(key) == ring.preference_list(key, 3)
+        assert placement.replicas(key) == ring.preference_list(key, 3)
 
     def test_repr(self, ring):
         placement = ReplicaPlacement(ring, replication_factor=2)

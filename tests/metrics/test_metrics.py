@@ -51,6 +51,35 @@ class TestCollector:
         window = collector.filtered(warmup_time=2.0, cooldown_time=7.0)
         assert len(window) == 6
 
+    def test_columns_equal_the_per_record_arithmetic(self):
+        """The vectorised rcts/slowdowns are bit-identical to each
+        RequestRecord's own float arithmetic, and records round-trip."""
+        rng = np.random.default_rng(5)
+        collector = MetricsCollector()
+        requests = []
+        for i in range(200):
+            arrival = float(rng.random() * 10)
+            slices = [(int(s), float(d)) for s, d in zip(
+                rng.integers(0, 4, size=3), rng.random(3) * 1e-3)]
+            request = finished_request(
+                request_id=i, arrival=arrival,
+                completion=arrival + float(rng.random()), slices=slices,
+            )
+            collector.record_request(request)
+            requests.append(request)
+        for warmup in (0.0, 5.0):
+            records = collector.filtered(warmup)
+            assert collector.rcts(warmup).tobytes() == np.asarray(
+                [r.rct for r in records], dtype=np.float64).tobytes()
+            assert collector.slowdowns(warmup).tobytes() == np.asarray(
+                [r.slowdown for r in records], dtype=np.float64).tobytes()
+        for record, request in zip(collector.records, requests):
+            assert record.request_id == request.request_id
+            assert record.completion_time == request.completion_time
+            assert record.total_demand == request.total_demand
+            assert record.bottleneck_demand == request.bottleneck_demand()
+            assert record.fanout == request.fanout == 3
+
     def test_warmup_time_for_fraction(self):
         collector = MetricsCollector()
         for i in range(10):

@@ -14,13 +14,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import WorkloadError
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.service import ServiceModel
 from repro.sim.core import Environment
-from repro.sim.rand import FIRST_BLOCK, BatchedStream
+from repro.sim.rand import FIRST_BLOCK, BatchedStream, RawWords
 from repro.workload.arrivals import MMPPArrivals, PoissonArrivals
-from repro.workload.fanout import BimodalFanout, GeometricFanout, UniformFanout
-from repro.workload.popularity import PopularitySampler, ZipfPopularity
+from repro.workload.fanout import (
+    BimodalFanout,
+    FixedFanout,
+    GeometricFanout,
+    UniformFanout,
+)
+from repro.workload.popularity import (
+    PartitionedPopularity,
+    PopularitySampler,
+    UniformPopularity,
+    ZipfPopularity,
+    choice_uses_floyd,
+)
+from repro.workload.requests import (
+    REQUEST_BLOCK,
+    Keyspace,
+    RequestFactory,
+    RequestSpec,
+)
 from repro.workload.sizes import (
     BimodalSize,
     ExponentialSize,
@@ -258,3 +276,259 @@ def test_integer_lanes_keep_the_full_block():
     raw = _rng()
     assert got == [int(raw.integers(0, 17)) for _ in range(2500)]
     assert stream.blocks_filled == 3  # 2500 draws in blocks of 1024
+
+
+# ----------------------------------------------------------------------
+# Fan-out blocks: one block call per refill, the scalar sequence
+# ----------------------------------------------------------------------
+FANOUT_SPECS = [
+    FixedFanout(k=6),
+    UniformFanout(lo=1, hi=16),
+    GeometricFanout(mean_target=5.0, cap=64),
+    BimodalFanout(small=2, large=32, p_large=0.1),
+]
+
+
+@pytest.mark.parametrize("spec", FANOUT_SPECS, ids=lambda s: type(s).__name__)
+def test_fanout_block_matches_scalar_samples(spec):
+    scalar = spec.build(_rng())
+    block = spec.build(_rng())
+    got = np.concatenate([block.sample_block(n) for n in (1, 255, 256, 700)])
+    assert got.dtype == np.int64
+    assert got.tolist() == [scalar.sample() for _ in range(got.shape[0])]
+
+
+# ----------------------------------------------------------------------
+# Uniform keys from raw words: Generator.choice(pop, n, replace=False)
+# ----------------------------------------------------------------------
+#: Populations on both sides of numpy's 10 000 Floyd limit.
+CHOICE_POPS = (2, 7, 2_500, 10_000, 10_001, 20_000)
+
+
+def _choice_cases():
+    for pop in CHOICE_POPS:
+        for cap in sorted({1, pop // 50, pop // 50 + 1, pop - 1, pop}):
+            if cap >= 1:
+                yield pop, cap
+
+
+def _fanouts(cap, count, seed):
+    """``count`` fan-outs in [1, cap], always including the cap itself."""
+    fanouts = np.random.default_rng(seed).integers(1, cap + 1, size=count)
+    fanouts[count // 2] = cap
+    return fanouts
+
+
+@pytest.mark.parametrize("pop, cap", list(_choice_cases()))
+@pytest.mark.parametrize("seed", [SEED, 3, 11])
+def test_uniform_keys_equal_generator_choice(pop, cap, seed):
+    """Every draw equals numpy's own ``choice``, however the requests are
+    split into blocks, whether or not the sampler emulates it."""
+    sampler = UniformPopularity().build(pop, np.random.default_rng(seed), cap)
+    assert (sampler._words is not None) == choice_uses_floyd(pop, cap)
+    count = 40 if cap <= 400 else 6
+    fanouts = _fanouts(cap, count, seed + 1)
+    reference = np.random.default_rng(seed)
+    expected = [
+        reference.choice(pop, int(n), replace=False).tolist() for n in fanouts
+    ]
+    cuts = [0, 1, 2, count // 2, count // 2 + 1, count]
+    got = []
+    for a, b in zip(cuts, cuts[1:]):
+        flat = sampler.sample_block(fanouts[a:b])
+        for n in fanouts[a:b].tolist():
+            got.append(flat[:n])
+            flat = flat[n:]
+        assert flat == []
+    assert got == expected
+    # sample_distinct reads the same stream, one request at a time.
+    assert sampler.sample_distinct(cap).tolist() == reference.choice(
+        pop, cap, replace=False
+    ).tolist()
+
+
+def test_floyd_branch_boundary():
+    """numpy's Floyd rule: n < pop, and pop <= 10 000 or n <= pop // 50."""
+    assert choice_uses_floyd(10_000, 9_999)
+    assert not choice_uses_floyd(10_000, 10_000)
+    assert choice_uses_floyd(10_001, 200)
+    assert not choice_uses_floyd(10_001, 201)
+    assert not choice_uses_floyd(20_000, 401)
+
+
+def test_emulation_needs_a_known_cap_and_pcg64():
+    assert UniformPopularity().build(100, _rng())._words is None
+    gen = np.random.Generator(np.random.MT19937(SEED))
+    assert UniformPopularity().build(100, gen, 5)._words is None
+
+
+def test_fanout_above_the_cap_rejected():
+    sampler = UniformPopularity().build(100, _rng(), 5)
+    with pytest.raises(WorkloadError, match="above the cap 5"):
+        sampler.sample_block([2, 6])
+
+
+def _words_of(gen, n_raw):
+    raw = gen.bit_generator.random_raw(n_raw)
+    words = np.empty(2 * n_raw, dtype=np.uint64)
+    words[0::2] = raw & np.uint64(0xFFFFFFFF)
+    words[1::2] = raw >> np.uint64(32)
+    return words
+
+
+def test_rejected_draw_at_choice_bound_matches_numpy():
+    """A Lemire rejection inside a key draw, against numpy itself.
+
+    At bound 10 000 a word is rejected about twice per million draws, so
+    no seeded run meets one.  Scan a stream for such a word, start a
+    generator just before it, and draw a request whose first Floyd draw
+    reads it.  An odd word position also exercises the half-word numpy
+    leaves waiting in the bit generator's state.
+    """
+    pop = 10_000
+    seed = 11  # its first 2**21 words hold two odd and two even rejections
+    words = _words_of(np.random.default_rng(seed), 1 << 20)
+    rejected = (words * np.uint64(pop)) & np.uint64(0xFFFFFFFF) < np.uint64(
+        ((1 << 32) - pop) % pop
+    )
+    positions = np.flatnonzero(rejected).tolist()
+    assert {p % 2 for p in positions} == {0, 1}
+    for position in positions:
+        fresh = []
+        for _ in range(2):
+            gen = np.random.default_rng(seed)
+            gen.bit_generator.advance(position // 2)
+            if position % 2:
+                gen.integers(0, 2)  # one word; the high half waits
+            fresh.append(gen)
+        reference, emulated = fresh
+        sampler = UniformPopularity().build(pop, emulated, 64)
+        fanouts = [1, 5, 64, 3]
+        expected = []
+        for n in fanouts:
+            expected.extend(reference.choice(pop, n, replace=False).tolist())
+        assert sampler.sample_block(fanouts) == expected
+
+
+def test_waiting_half_word_is_read_first():
+    """A stream numpy left with a half-word waiting starts with it."""
+    reference, emulated = _rng(), _rng()
+    for gen in (reference, emulated):
+        gen.integers(0, 2)
+    sampler = UniformPopularity().build(10_000, emulated, 8)
+    expected = reference.choice(10_000, 8, replace=False).tolist()
+    assert sampler.sample_block([8]) == expected
+    assert not emulated.bit_generator.state["has_uint32"]
+
+
+def test_rejections_match_numpy_bounded_integers():
+    """At bound 2**31 + 1 about half the words are rejected."""
+    bound = (1 << 31) + 1
+    got = RawWords(_rng()).bounded(np.full(2000, bound))
+    assert got.tolist() == _rng().integers(0, bound, size=2000).tolist()
+    bounds = np.tile([bound, 7, 10_000, 2], 300)
+    raw = _rng()
+    expected = [int(raw.integers(0, int(b))) for b in bounds]
+    assert RawWords(_rng()).bounded(bounds).tolist() == expected
+
+
+def test_crafted_rejections_take_the_next_word():
+    """A crafted word source: each rejected word is skipped, in order.
+
+    Bound 3 rejects a word ``w`` with ``3w mod 2**32 < 1`` and bound 10
+    one with ``10w mod 2**32 < 6``; ``0`` is rejected by both.
+    """
+    top = 0xFFFFFFFF
+    words = [0, top, 0, 0, 0x80000001, 0, 0x55555556, top]
+    raw = np.asarray(
+        [words[i] | (words[i + 1] << 32) for i in range(0, len(words), 2)],
+        dtype=np.uint64,
+    )
+    taken = []
+
+    def fill(k):
+        start = sum(taken)
+        taken.append(k)
+        return raw[start : start + k]
+
+    got = RawWords(None, fill=fill).bounded(np.asarray([3, 10, 3, 10]))
+    # (3 * top) >> 32 = 2; 10 * 0x80000001 = 5 * 2**32 + 10;
+    # 3 * 0x55555556 = 2**32 + 2; (10 * top) >> 32 = 9.
+    assert got.tolist() == [2, 5, 1, 9]
+    assert sum(taken) == len(raw)  # every word read, none to spare
+
+
+def test_partitioned_keys_are_inner_draws_plus_offset():
+    spec = PartitionedPopularity(UniformPopularity(), tenant=2, tenants=4)
+    sampler = spec.build(10_000, _rng(), 64)
+    assert sampler._inner._words is not None
+    fanouts = _fanouts(64, 300, 5)
+    reference = np.random.default_rng(SEED)
+    expected = []
+    for n in fanouts:
+        expected.extend((5_000 + reference.choice(2_500, n, replace=False)).tolist())
+    assert sampler.sample_block(fanouts[:100]) + sampler.sample_block(
+        fanouts[100:]
+    ) == expected
+
+
+def test_request_factory_blocks_match_per_request_draws():
+    """Across block boundaries the factory hands out exactly what one
+    draw per request per stream gives."""
+    spec = RequestSpec(
+        arrivals=PoissonArrivals(rate=100.0),
+        fanout=GeometricFanout(mean_target=5.0, cap=64),
+        popularity=UniformPopularity(),
+        put_fraction=0.3,
+    )
+    keyspace = Keyspace(10_000, FixedSize(size=100), np.random.default_rng(0))
+    streams = [np.random.default_rng(s) for s in (1, 2, 3, 4)]
+    factory = RequestFactory(spec, keyspace, *streams)
+    fanouts = spec.fanout.build(np.random.default_rng(2))
+    keys = np.random.default_rng(3)
+    kind = np.random.default_rng(4)
+    for _ in range(2 * REQUEST_BLOCK + 7):
+        n = fanouts.sample()
+        got_keys, got_puts, sizes = factory.next_request()
+        assert got_keys == keys.choice(10_000, n, replace=False).tolist()
+        assert got_puts == [kind.random() < 0.3 for _ in range(n)]
+        assert sizes is None
+
+
+def test_loadgen_key_sequence_unchanged():
+    """The runtime load generator keeps calling ``Generator.choice``."""
+    from repro.runtime.loadgen import LoadGenerator
+
+    names = [f"k{i}" for i in range(500)]
+    fanout = UniformFanout(lo=1, hi=8)
+    gen = LoadGenerator(
+        None, names, arrivals=PoissonArrivals(rate=10.0), fanout=fanout,
+        popularity=UniformPopularity(), seed=9,
+    )
+    fanouts = fanout.build(np.random.default_rng(10))
+    keys = np.random.default_rng(11)
+    for _ in range(300):
+        n = gen._fanout.sample()
+        assert n == fanouts.sample()
+        assert gen._popularity.sample_distinct(n).tolist() == keys.choice(
+            500, n, replace=False
+        ).tolist()
+
+
+@pytest.mark.parametrize("tenants", [1, 4])
+def test_cluster_leaves_key_streams_untouched(tenants):
+    """The first key block is drawn at the first arrival, not at set-up."""
+    from repro.kvstore.cluster import Cluster
+    from repro.sim.rand import RandomStreams
+
+    from tests.conftest import small_config
+
+    config = small_config(n_clients=4, tenants=tenants, keyspace_size=400)
+    cluster = Cluster(config)
+    fresh = RandomStreams(config.seed)
+    for cid in range(config.n_clients):
+        name = f"keys/{cid}"
+        assert (
+            cluster.streams.stream(name).bit_generator.state
+            == fresh.stream(name).bit_generator.state
+        )

@@ -72,16 +72,17 @@ class TestRequestFactory:
     def test_request_has_distinct_keys(self):
         factory = make_factory(fanout=5)
         for _ in range(50):
-            descriptor = factory.make_request()
-            assert len(set(descriptor.keys)) == 5
+            keys, _, _ = factory.next_request()
+            assert len(set(keys)) == 5
 
-    def test_sizes_match_keyspace(self):
+    def test_keys_index_the_keyspace_and_carry_no_sizes(self):
+        """A generated request names key indices; the key's own size
+        applies (the cluster's key table holds it)."""
         ks = make_keyspace()
         factory = make_factory(keyspace=ks)
-        descriptor = factory.make_request()
-        for key, size in zip(descriptor.keys, descriptor.sizes):
-            idx = int(key.split(":")[1])
-            assert size == ks.value_size(idx)
+        keys, puts, sizes = factory.next_request()
+        assert all(0 <= k < ks.size for k in keys)
+        assert puts is None and sizes is None
 
     def test_fanout_exceeding_keyspace_rejected(self):
         with pytest.raises(WorkloadError):
@@ -108,15 +109,15 @@ class TestRequestFactory:
         puts = 0
         total = 0
         for _ in range(500):
-            descriptor = factory.make_request()
-            puts += sum(descriptor.is_put)
-            total += len(descriptor.is_put)
+            _, is_put, _ = factory.next_request()
+            puts += sum(is_put)
+            total += len(is_put)
         assert puts / total == pytest.approx(0.5, abs=0.05)
 
     def test_generated_counter(self):
         factory = make_factory()
-        factory.make_request()
-        factory.make_request()
+        factory.next_request()
+        factory.next_request()
         assert factory.generated == 2
 
     def test_invalid_put_fraction(self):
@@ -163,21 +164,21 @@ class TestTraceReplayFactory:
             if gap == float("inf"):
                 break
             t += gap
-            keys.append(factory.make_request().keys[0])
+            keys.append(factory.next_request()[0][0])
         assert keys == [f"k{i}" for i in range(6)]
 
     def test_striding_partitions_records(self):
         a = TraceReplayFactory(self.records(), start=0, stride=2)
         b = TraceReplayFactory(self.records(), start=1, stride=2)
         assert len(a) == 3 and len(b) == 3
-        assert a.make_request().keys == ["k0"]
-        assert b.make_request().keys == ["k1"]
+        assert a.next_request()[0] == ["k0"]
+        assert b.next_request()[0] == ["k1"]
 
     def test_exhausted_factory_raises_on_make(self):
         factory = TraceReplayFactory(self.records()[:1])
-        factory.make_request()
+        factory.next_request()
         with pytest.raises(WorkloadError):
-            factory.make_request()
+            factory.next_request()
 
     def test_invalid_stride(self):
         with pytest.raises(WorkloadError):
