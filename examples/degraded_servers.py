@@ -13,8 +13,7 @@ Run:  python examples/degraded_servers.py
 from repro import ClusterConfig, ServiceConfig, SimulationConfig
 from repro.faults import FaultPlan, SlowNode
 from repro.kvstore.cluster import Cluster
-from repro.workload import PoissonArrivals
-from repro.workload.patterns import traffic_pattern
+from repro.workload import PoissonArrivals, workload
 from repro.workload.requests import arrival_rate_for_load
 
 N_SERVERS = 16
@@ -25,7 +24,7 @@ ONSET = 0.75  # seconds
 
 
 def main() -> None:
-    pattern = traffic_pattern("baseline")
+    pattern = workload("baseline")
     service = ServiceConfig()
     rate = arrival_rate_for_load(
         LOAD, pattern.fanout.mean(), service.mean_demand(pattern.sizes.mean()),

@@ -18,8 +18,7 @@ Run:  python examples/fault_tolerance.py
 from repro import ClusterConfig, ServiceConfig, SimulationConfig
 from repro.faults import FaultPlan, Pause
 from repro.kvstore.cluster import Cluster
-from repro.workload import PoissonArrivals
-from repro.workload.patterns import traffic_pattern
+from repro.workload import PoissonArrivals, workload
 from repro.workload.popularity import UniformPopularity
 from repro.workload.requests import arrival_rate_for_load
 
@@ -30,7 +29,7 @@ OUTAGE = (0.5, 1.5)  # server 0 is down for this window
 
 
 def run_variant(name: str, **overrides) -> None:
-    pattern = traffic_pattern("baseline")
+    pattern = workload("baseline")
     service = ServiceConfig()
     rate = arrival_rate_for_load(
         LOAD, pattern.fanout.mean(), service.mean_demand(pattern.sizes.mean()),

@@ -9,8 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import ClusterConfig, ServiceConfig, SimulationConfig, run_cluster
-from repro.workload import PoissonArrivals
-from repro.workload.patterns import traffic_pattern
+from repro.workload import PoissonArrivals, workload
 from repro.workload.requests import arrival_rate_for_load
 
 N_SERVERS = 16
@@ -19,7 +18,7 @@ REQUESTS = 10_000
 
 
 def main() -> None:
-    pattern = traffic_pattern("baseline")
+    pattern = workload("baseline")
     service = ServiceConfig()
     rate = arrival_rate_for_load(
         LOAD,

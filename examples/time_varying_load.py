@@ -12,8 +12,7 @@ Run:  python examples/time_varying_load.py
 from repro import ClusterConfig, ServiceConfig, SimulationConfig
 from repro.kvstore.cluster import Cluster
 from repro.metrics.timeseries import WindowedSeries
-from repro.workload import BimodalFanout, MMPPArrivals
-from repro.workload.patterns import traffic_pattern
+from repro.workload import BimodalFanout, MMPPArrivals, workload
 from repro.workload.requests import arrival_rate_for_load
 
 N_SERVERS = 16
@@ -31,7 +30,7 @@ def sparkline(values, lo, hi) -> str:
 
 
 def main() -> None:
-    base = traffic_pattern("baseline")
+    base = workload("baseline")
     fanout = BimodalFanout(small=2, large=32, p_large=0.1)
     service = ServiceConfig()
     mean_demand = service.mean_demand(base.sizes.mean())

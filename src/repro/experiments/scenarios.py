@@ -38,10 +38,11 @@ from repro.faults import (
 from repro.kvstore.config import ClusterConfig, ServiceConfig, SimulationConfig
 from repro.workload.arrivals import MMPPArrivals, PoissonArrivals
 from repro.workload.fanout import BimodalFanout, FixedFanout, GeometricFanout
-from repro.workload.patterns import TRAFFIC_PATTERNS, TrafficPattern
 from repro.workload.popularity import UniformPopularity
+from repro.workload.registry import workload
 from repro.workload.requests import arrival_rate_for_load
 from repro.workload.sizes import BimodalSize, ParetoSize
+from repro.workload.spec import WorkloadSpec
 
 #: Cluster-wide defaults for all scenarios.
 N_SERVERS = 16
@@ -51,7 +52,9 @@ SEED = 42
 BASE_REQUESTS = 12_000
 BASE_DURATION = 4.0
 
-BASELINE = TRAFFIC_PATTERNS["baseline"]
+#: A scenario reads a workload's ``fanout``, ``sizes`` and ``popularity``;
+#: its arrivals are calibrated per point.
+BASELINE = workload("baseline")
 
 # Most scenarios use the baseline pattern with *uniform* key popularity so
 # the per-server offered load equals the calibrated target: with Zipf skew
@@ -60,7 +63,7 @@ BASELINE = TRAFFIC_PATTERNS["baseline"]
 # Skewed popularity is studied on its own axis in E6.
 SWEEP = dataclasses.replace(BASELINE, popularity=UniformPopularity())
 BIMODAL_SWEEP = dataclasses.replace(
-    TRAFFIC_PATTERNS["bimodal"], popularity=UniformPopularity()
+    workload("bimodal-fanout"), popularity=UniformPopularity()
 )
 
 
@@ -339,26 +342,34 @@ def e5_scenario(scale: float = 1.0) -> Scenario:
 # ----------------------------------------------------------------------
 # E6 — traffic patterns
 # ----------------------------------------------------------------------
+#: E6's x labels and the bundled spec each one reads.
+E6_MIXES = (
+    ("baseline", "baseline"),
+    ("uniform", "uniform"),
+    ("bimodal", "bimodal-fanout"),
+    ("heavytail", "pareto-heavytail"),
+    ("hotspot", "hotspot"),
+    ("single-get", "single-get"),
+)
+
+
 def e6_scenario(scale: float = 1.0) -> Scenario:
     """Mean RCT across named traffic patterns at load 0.7."""
     _check_scale(scale)
-    names = ("baseline", "uniform", "bimodal", "heavytail", "hotspot", "single-get")
-    points = []
-    for name in names:
-        pattern = TRAFFIC_PATTERNS[name]
-        points.append(
-            RunPoint(
-                x=name,
-                config=_base_config(0.7, pattern=pattern),
-                sim=SimulationConfig(max_requests=_requests(scale)),
-            )
+    points = tuple(
+        RunPoint(
+            x=label,
+            config=_base_config(0.7, pattern=workload(name)),
+            sim=SimulationConfig(max_requests=_requests(scale)),
         )
+        for label, name in E6_MIXES
+    )
     return Scenario(
         experiment_id="E6",
         title="Mean RCT across traffic patterns (load 0.7)",
         x_label="pattern",
         metric="mean",
-        points=tuple(points),
+        points=points,
         schedulers=CORE_SCHEDULERS,
         notes="The paper's 'different traffic patterns' axis.",
     )
@@ -904,7 +915,7 @@ def x6_scenario(scale: float = 1.0) -> Scenario:
     )
 
 
-def _x4_pattern(name: str, sizes) -> TrafficPattern:
+def _x4_pattern(name: str, sizes) -> WorkloadSpec:
     """Multiget uniform-popularity pattern over a heavy-tailed size mix.
 
     Fan-out 8 is deliberate: a request is as slow as its slowest slice,
@@ -912,7 +923,7 @@ def _x4_pattern(name: str, sizes) -> TrafficPattern:
     *requests* — the tail-at-scale amplification that makes size-blind
     scheduling visible at p99, exactly the regime Minos targets.
     """
-    return TrafficPattern(
+    return WorkloadSpec(
         name=name,
         description=f"X4 size mix: {name}",
         fanout=FixedFanout(k=8),

@@ -46,7 +46,6 @@ class ConsistentHashRing:
         if vnodes < 1:
             raise PartitioningError("vnodes must be >= 1")
         self.vnodes = vnodes
-        self._points: List[int] = []
         self._owners: Dict[int, int] = {}
         self._servers: List[int] = sorted(server_list)
         #: (key, n) -> preference list.  The ring is static for the length
@@ -59,14 +58,15 @@ class ConsistentHashRing:
         self._slot_pref_cache: Dict[tuple, List[int]] = {}
         for sid in self._servers:
             self._add_points(sid)
+        self._points: List[int] = sorted(self._owners)
 
     def _add_points(self, server_id: int) -> None:
+        """Hash ``server_id``'s vnodes into ``_owners``; the caller re-sorts."""
         for v in range(self.vnodes):
             point = stable_hash(f"server:{server_id}/vnode:{v}")
             while point in self._owners:  # vanishingly rare 64-bit collision
                 point = (point + 1) % _RING_SIZE
             self._owners[point] = server_id
-            bisect.insort(self._points, point)
 
     def _remove_points(self, server_id: int) -> None:
         doomed = [p for p, s in self._owners.items() if s == server_id]
@@ -87,6 +87,7 @@ class ConsistentHashRing:
             raise PartitioningError(f"server {server_id} already on ring")
         bisect.insort(self._servers, server_id)
         self._add_points(server_id)
+        self._points = sorted(self._owners)
         self._pref_cache.clear()
         self._slot_pref_cache.clear()
 

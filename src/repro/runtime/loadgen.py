@@ -34,6 +34,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.metrics.summary import SummaryStats, summarize
 from repro.runtime.client import RuntimeClient
+from repro.sim.rand import as_batched
 from repro.workload.arrivals import ArrivalSpec
 from repro.workload.fanout import FanoutSpec
 from repro.workload.popularity import PopularitySpec
@@ -73,7 +74,7 @@ class LoadGenerator:
     arrivals / fanout / popularity:
         Workload specs, identical to the simulator's.
     seed:
-        Seeds the three independent sampler streams.
+        Seeds the three independent draw streams.
     """
 
     def __init__(
@@ -99,9 +100,15 @@ class LoadGenerator:
         self.keys = list(keys)
         self.mode = mode
         self.closed_concurrency = closed_concurrency
-        self._arrivals = arrivals.build(np.random.default_rng(seed))
-        self._fanout = fanout.build(np.random.default_rng(seed + 1))
+        self._gap = arrivals.gaps(as_batched(np.random.default_rng(seed)))
+        self._fanout = fanout
+        self._fanout_stream = as_batched(np.random.default_rng(seed + 1))
         self._popularity = popularity.build(len(keys), np.random.default_rng(seed + 2))
+
+    def _next_keys(self) -> List[str]:
+        """The next request's keys: one fan-out, then its distinct keys."""
+        counts = self._fanout.draw(self._fanout_stream, 1)
+        return [self.keys[i] for i in self._popularity.sample_block(counts)]
 
     @classmethod
     def from_spec(
@@ -164,7 +171,7 @@ class LoadGenerator:
         while True:
             if n_requests is not None and result.launched >= n_requests:
                 break
-            gap = self._arrivals.next_interarrival(virtual_now)
+            gap = self._gap(virtual_now)
             if gap == float("inf"):
                 break
             virtual_now += gap
@@ -174,10 +181,9 @@ class LoadGenerator:
             delay = virtual_now - (time.monotonic() - t0)
             if delay > 0:
                 await asyncio.sleep(delay)
-            n = self._fanout.sample()
-            indices = self._popularity.sample_distinct(n)
-            keys = [self.keys[int(i)] for i in indices]
-            tasks.append(asyncio.create_task(one(keys, t0 + virtual_now)))
+            tasks.append(
+                asyncio.create_task(one(self._next_keys(), t0 + virtual_now))
+            )
             result.launched += 1
 
         if tasks:
@@ -205,10 +211,7 @@ class LoadGenerator:
         async def worker() -> None:
             while can_issue():
                 result.launched += 1
-                n = self._fanout.sample()
-                indices = self._popularity.sample_distinct(n)
-                keys = [self.keys[int(i)] for i in indices]
-                await one(keys)
+                await one(self._next_keys())
 
         await asyncio.gather(
             *(worker() for _ in range(self.closed_concurrency))

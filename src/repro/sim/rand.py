@@ -130,11 +130,11 @@ class BatchedStream:
     lanes**: a component that alternates distributions (or integer bounds)
     on one stream would consume bits in a different order than its scalar
     version.  Such components must keep scalar draws on the raw generator
-    — the sinusoidal arrival sampler and the hotspot popularity sampler do
-    exactly that (flagged at their call sites) — or tolerate a new
-    sequence.  Components that draw a single distribution per stream (the
-    repository norm; see ``RandomStreams``) get batching for free with
-    experiment outputs unchanged.
+    — the hotspot popularity sampler does exactly that (flagged at its
+    call site) — or tolerate a new sequence.  Components that draw a
+    single distribution per stream (the repository norm; see
+    ``RandomStreams``) get batching for free with experiment outputs
+    unchanged.
 
     **Block schedule.**  Every lane but ``integers`` starts at
     :data:`FIRST_BLOCK` draws and doubles per refill up to ``block_size``:

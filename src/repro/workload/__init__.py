@@ -1,9 +1,18 @@
 """Workload generation: arrivals, key popularity, fan-out, value sizes.
 
-Every generator is described by a declarative *spec* (a small frozen
-dataclass exposing ``build(rng)`` and analytic moments like ``mean()``)
-so experiment configurations are self-describing, serializable, and the
-offered load can be computed in closed form for calibration.
+Every distribution is one small frozen dataclass that draws for itself
+and exposes analytic moments like ``mean()``, so experiment
+configurations are self-describing, serializable, and the offered load
+can be computed in closed form for calibration:
+
+* an arrival spec hands its client a gap function, ``gaps(stream)``;
+* fan-out and size specs return int64 blocks, ``draw(stream, n)``;
+* a popularity spec builds a keyspace-sized sampler,
+  ``build(keyspace_size, rng, max_fanout)``, that answers
+  ``sample_block(counts)``.
+
+A named traffic mix is a bundled spec file (``specs/*.toml``), looked
+up with :func:`workload`.
 """
 
 from repro.workload.arrivals import (
@@ -12,7 +21,6 @@ from repro.workload.arrivals import (
     MMPPArrivals,
     PhasedArrivals,
     PoissonArrivals,
-    SinusoidalArrivals,
 )
 from repro.workload.fanout import (
     BimodalFanout,
@@ -47,7 +55,6 @@ from repro.workload.traces import (
     trace_info,
     write_trace,
 )
-from repro.workload.patterns import TRAFFIC_PATTERNS, traffic_pattern
 from repro.workload.spec import WorkloadSpec, load_spec
 from repro.workload.registry import (
     BUNDLED_SPECS_DIR,
@@ -75,12 +82,10 @@ __all__ = [
     "PhasedArrivals",
     "PoissonArrivals",
     "PopularitySpec",
-    "SinusoidalArrivals",
     "RequestFactory",
     "RequestSpec",
     "SAMPLE_TRACE",
     "SizeSpec",
-    "TRAFFIC_PATTERNS",
     "TraceInfo",
     "TraceRecord",
     "UniformFanout",
@@ -95,7 +100,6 @@ __all__ = [
     "remap_keys",
     "rescale_trace",
     "trace_info",
-    "traffic_pattern",
     "workload",
     "write_trace",
 ]

@@ -2,7 +2,10 @@
 
 Facebook's memcached analysis reports multiget batches from 1 to hundreds
 of keys with a geometric-ish body; the paper sweeps fan-out directly.  All
-specs expose analytic means so offered load can be calibrated exactly.
+specs expose analytic means so offered load can be calibrated exactly, and
+each draws its own fan-outs: ``draw(stream, n)`` returns ``n`` of them as
+an int64 block from a :class:`~repro.sim.rand.BatchedStream`, the same
+values ``n`` scalar numpy calls on the stream's generator give.
 """
 
 from __future__ import annotations
@@ -12,20 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.rand import as_batched
-
-
-class FanoutSampler:
-    def sample(self) -> int:
-        raise NotImplementedError
-
-    def sample_block(self, n: int) -> np.ndarray:
-        """``n`` fan-outs, the same ones ``n`` calls to :meth:`sample` give."""
-        raise NotImplementedError
+from repro.sim.rand import BatchedStream
 
 
 class FanoutSpec:
-    def build(self, rng: np.random.Generator) -> FanoutSampler:
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        """The next ``n`` fan-outs from ``stream``, as int64."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -46,8 +41,8 @@ class FixedFanout(FanoutSpec):
         if self.k < 1:
             raise WorkloadError(f"fanout must be >= 1, got {self.k}")
 
-    def build(self, rng: np.random.Generator) -> FanoutSampler:
-        return _FixedSampler(self.k)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        return np.full(n, self.k, dtype=np.int64)
 
     def mean(self) -> float:
         return float(self.k)
@@ -55,16 +50,6 @@ class FixedFanout(FanoutSpec):
     def max_fanout(self) -> int:
         return self.k
 
-
-class _FixedSampler(FanoutSampler):
-    def __init__(self, k: int):
-        self._k = k
-
-    def sample(self) -> int:
-        return self._k
-
-    def sample_block(self, n: int) -> np.ndarray:
-        return np.full(n, self._k, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -80,8 +65,8 @@ class UniformFanout(FanoutSpec):
         if self.hi < self.lo:
             raise WorkloadError("hi must be >= lo")
 
-    def build(self, rng: np.random.Generator) -> FanoutSampler:
-        return _UniformFanoutSampler(self.lo, self.hi, rng)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        return stream.integers_block(self.lo, self.hi + 1, n)
 
     def mean(self) -> float:
         return (self.lo + self.hi) / 2.0
@@ -89,18 +74,6 @@ class UniformFanout(FanoutSpec):
     def max_fanout(self) -> int:
         return self.hi
 
-
-class _UniformFanoutSampler(FanoutSampler):
-    def __init__(self, lo: int, hi: int, rng: np.random.Generator):
-        self._lo = lo
-        self._hi = hi
-        self._rng = as_batched(rng)
-
-    def sample(self) -> int:
-        return self._rng.integers(self._lo, self._hi + 1)
-
-    def sample_block(self, n: int) -> np.ndarray:
-        return self._rng.integers_block(self._lo, self._hi + 1, n)
 
 
 @dataclass(frozen=True)
@@ -126,8 +99,9 @@ class GeometricFanout(FanoutSpec):
         """Success probability of the underlying geometric."""
         return 1.0 / self.mean_target
 
-    def build(self, rng: np.random.Generator) -> FanoutSampler:
-        return _GeometricSampler(self.p, self.cap, rng)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        # numpy's geometric is supported on {1, 2, ...} already.
+        return np.minimum(stream.geometric_block(self.p, n), self.cap)
 
     def mean(self) -> float:
         # E[min(X, cap)] for X ~ Geometric(p) on {1, 2, ...}:
@@ -138,19 +112,6 @@ class GeometricFanout(FanoutSpec):
     def max_fanout(self) -> int:
         return self.cap
 
-
-class _GeometricSampler(FanoutSampler):
-    def __init__(self, p: float, cap: int, rng: np.random.Generator):
-        self._p = p
-        self._cap = cap
-        self._rng = as_batched(rng)
-
-    def sample(self) -> int:
-        # numpy's geometric is supported on {1, 2, ...} already.
-        return min(self._rng.geometric(self._p), self._cap)
-
-    def sample_block(self, n: int) -> np.ndarray:
-        return np.minimum(self._rng.geometric_block(self._p, n), self._cap)
 
 
 @dataclass(frozen=True)
@@ -173,26 +134,12 @@ class BimodalFanout(FanoutSpec):
         if not 0 < self.p_large < 1:
             raise WorkloadError("p_large must be in (0, 1)")
 
-    def build(self, rng: np.random.Generator) -> FanoutSampler:
-        return _BimodalSampler(self.small, self.large, self.p_large, rng)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        large = stream.random_block(n) < self.p_large
+        return np.where(large, self.large, self.small).astype(np.int64)
 
     def mean(self) -> float:
         return self.small * (1 - self.p_large) + self.large * self.p_large
 
     def max_fanout(self) -> int:
         return self.large
-
-
-class _BimodalSampler(FanoutSampler):
-    def __init__(self, small: int, large: int, p_large: float, rng: np.random.Generator):
-        self._small = small
-        self._large = large
-        self._p_large = p_large
-        self._rng = as_batched(rng)
-
-    def sample(self) -> int:
-        return self._large if self._rng.random() < self._p_large else self._small
-
-    def sample_block(self, n: int) -> np.ndarray:
-        large = self._rng.random_block(n) < self._p_large
-        return np.where(large, self._large, self._small).astype(np.int64)

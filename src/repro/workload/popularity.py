@@ -1,9 +1,9 @@
 """Key popularity distributions.
 
-A popularity spec builds a sampler that draws *distinct* key indices in
-``[0, keyspace_size)`` for a multiget.  Zipf is the workhorse (the standard
-model for KV-store key skew); hotspot models a small set of very hot keys
-over a uniform base.
+A popularity spec builds a sampler whose one call, ``sample_block``,
+draws *distinct* key indices in ``[0, keyspace_size)`` for each multiget
+of a block.  Zipf is the workhorse (the standard model for KV-store key
+skew); hotspot models a small set of very hot keys over a uniform base.
 
 ``build`` takes the largest fan-out the sampler will be asked for
 (``max_fanout``, None when unknown): the uniform sampler uses it to
@@ -30,7 +30,12 @@ def choice_uses_floyd(pop: int, n: int) -> bool:
 
 
 class PopularitySampler:
-    """Draws distinct key indices for a request."""
+    """Draws distinct key indices for blocks of requests.
+
+    A sampler answers one call, :meth:`sample_block`.  A law drawn key by
+    key names its next candidates in :meth:`_candidates` and shares the
+    rejection loop in :meth:`_distinct`.
+    """
 
     def __init__(self, keyspace_size: int, rng: np.random.Generator):
         if keyspace_size < 1:
@@ -38,54 +43,60 @@ class PopularitySampler:
         self.keyspace_size = keyspace_size
         self._rng = rng
 
-    def sample_one(self) -> int:
-        raise NotImplementedError
-
     def sample_block(self, counts) -> List[int]:
         """Distinct indices for a block of requests, concatenated.
 
         ``counts`` holds each request's fan-out; request ``i``'s keys are
-        the ``counts[i]`` entries after those of requests ``0..i-1``, the
-        same ones ``sample_distinct(counts[i])`` would draw in turn.
+        the ``counts[i]`` entries after those of requests ``0..i-1``.
         """
         out: List[int] = []
         for n in counts:
-            out.extend(self.sample_distinct(int(n)).tolist())
+            out.extend(self._distinct(int(n)))
         return out
 
-    def sample_distinct(self, n: int) -> np.ndarray:
-        """Draw ``n`` distinct indices (rejection over the marginal law)."""
+    def _check(self, n: int) -> None:
         if n > self.keyspace_size:
             raise WorkloadError(
                 f"cannot draw {n} distinct keys from a keyspace of "
                 f"{self.keyspace_size}"
             )
-        chosen: list[int] = []
-        seen: set[int] = set()
-        # Rejection sampling; with realistic skew and fanout << keyspace the
-        # expected number of redraws is tiny.
+
+    def _candidates(self, k: int) -> List[int]:
+        """The law's next ``k`` single-key draws, in order."""
+        raise NotImplementedError
+
+    def _distinct(self, n: int) -> List[int]:
+        """``n`` distinct indices by rejection over the marginal law.
+
+        Each round draws as many candidates as keys are still missing
+        (capped by the remaining rejection budget) and accepts new indices
+        in draw order, so a request takes exactly the draws a key-by-key
+        loop would.  With realistic skew and fan-out far below the
+        keyspace the expected number of redraws is tiny.
+        """
+        self._check(n)
+        chosen: List[int] = []
+        seen: set = set()
         guard = 0
         limit = 1000 * n + 1000
         while len(chosen) < n:
-            idx = self.sample_one()
-            if idx not in seen:
-                seen.add(idx)
-                chosen.append(idx)
-            guard += 1
-            if guard > limit:
+            take = min(n - len(chosen), limit - guard + 1)
+            for idx in self._candidates(take):
+                if idx not in seen:
+                    seen.add(idx)
+                    chosen.append(idx)
+            guard += take
+            if guard > limit and len(chosen) < n:
                 # Extremely skewed distribution: fill the remainder from
                 # the least-popular tail deterministically rather than loop.
-                # (Guarded on len < n: filling an already-complete draw
-                # would overshoot past the == n check below.)
-                if len(chosen) < n:
-                    for idx in range(self.keyspace_size):
-                        if idx not in seen:
-                            seen.add(idx)
-                            chosen.append(idx)
-                            if len(chosen) == n:
-                                break
+                for idx in range(self.keyspace_size):
+                    if idx not in seen:
+                        seen.add(idx)
+                        chosen.append(idx)
+                        if len(chosen) == n:
+                            break
                 break
-        return np.asarray(chosen, dtype=np.int64)
+        return chosen
 
 
 class PopularitySpec:
@@ -110,10 +121,10 @@ class UniformPopularity(PopularitySpec):
         rng: np.random.Generator,
         max_fanout: Optional[int] = None,
     ) -> PopularitySampler:
-        return _UniformSampler(keyspace_size, rng, max_fanout)
+        return _UniformKeys(keyspace_size, rng, max_fanout)
 
 
-class _UniformSampler(PopularitySampler):
+class _UniformKeys(PopularitySampler):
     """Uniform distinct keys: ``Generator.choice(pop, n, replace=False)``.
 
     When every fan-out up to ``max_fanout`` falls in numpy's Floyd branch
@@ -152,27 +163,17 @@ class _UniformSampler(PopularitySampler):
         self._words: Optional[RawWords] = RawWords(rng) if emulate else None
 
     def _check(self, n: int) -> None:
-        if n > self.keyspace_size:
-            raise WorkloadError(
-                f"cannot draw {n} distinct keys from a keyspace of "
-                f"{self.keyspace_size}"
-            )
+        super()._check(n)
         if self._words is not None and n > self._max_fanout:
             raise WorkloadError(
                 f"fan-out {n} is above the cap {self._max_fanout} this "
                 "sampler was built for"
             )
 
-    def sample_one(self) -> int:
-        if self._words is not None:
-            return int(self._words.bounded(np.asarray([self.keyspace_size]))[0])
-        return int(self._rng.integers(0, self.keyspace_size))
-
-    def sample_distinct(self, n: int) -> np.ndarray:
+    def _distinct(self, n: int) -> List[int]:
+        # No rejection: one ``choice`` call draws the whole request.
         self._check(n)
-        if self._words is not None:
-            return np.asarray(self.sample_block((n,)), dtype=np.int64)
-        return self._rng.choice(self.keyspace_size, size=n, replace=False)
+        return self._rng.choice(self.keyspace_size, size=n, replace=False).tolist()
 
     def sample_block(self, counts) -> List[int]:
         if self._words is None:
@@ -221,12 +222,11 @@ class ZipfPopularity(PopularitySpec):
     """Zipfian popularity: P(key rank i) proportional to 1/i^s.
 
     ``s = 0.99`` is the YCSB default and the skew most KV-store papers use.
-    Key ranks are shuffled onto key indices so popular keys spread across
+    Key ranks are permuted onto key indices so popular keys spread across
     the ring instead of clustering.
     """
 
     s: float = 0.99
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.s < 0:
@@ -238,74 +238,31 @@ class ZipfPopularity(PopularitySpec):
         rng: np.random.Generator,
         max_fanout: Optional[int] = None,
     ) -> PopularitySampler:
-        return _ZipfSampler(keyspace_size, rng, self.s, self.shuffle)
+        return _ZipfKeys(keyspace_size, rng, self.s)
 
 
-class _ZipfSampler(PopularitySampler):
-    def __init__(
-        self, keyspace_size: int, rng: np.random.Generator, s: float, shuffle: bool
-    ):
+class _ZipfKeys(PopularitySampler):
+    """Zipf ranks by inverse CDF, a block of uniforms per rejection round.
+
+    ``_perm[rank]`` is the key index of popularity rank ``rank`` (0 is
+    the hottest).
+    """
+
+    def __init__(self, keyspace_size: int, rng: np.random.Generator, s: float):
         super().__init__(keyspace_size, rng)
         ranks = np.arange(1, keyspace_size + 1, dtype=np.float64)
         weights = ranks ** (-s)
         self._cum = np.cumsum(weights / weights.sum())
         self._cum[-1] = 1.0  # guard against floating-point shortfall
-        if shuffle:
-            # One-time permutation on the raw generator, *before* the
-            # batched wrapper prefetches anything from the stream.
-            self._perm = rng.permutation(keyspace_size)
-        else:
-            self._perm = np.arange(keyspace_size)
-        self._bstream = as_batched(rng)
+        # One-time permutation on the raw generator, *before* the
+        # batched wrapper prefetches anything from the stream.
+        self._perm = rng.permutation(keyspace_size)
+        self._stream = as_batched(rng)
 
-    def sample_one(self) -> int:
-        u = self._bstream.random()
-        rank = int(np.searchsorted(self._cum, u, side="left"))
-        return int(self._perm[min(rank, self.keyspace_size - 1)])
-
-    def sample_distinct(self, n: int) -> np.ndarray:
-        """Vectorized rejection sampling, draw-for-draw equal to the base.
-
-        Each round draws exactly as many uniforms as keys still missing
-        (capped by the remaining rejection budget), maps them through one
-        ``searchsorted``, and accepts new indices in draw order — the
-        uniform consumption, acceptance decisions, and tail-fill fallback
-        are identical to the scalar loop in
-        :meth:`PopularitySampler.sample_distinct`.
-        """
-        if n > self.keyspace_size:
-            raise WorkloadError(
-                f"cannot draw {n} distinct keys from a keyspace of "
-                f"{self.keyspace_size}"
-            )
-        chosen: list[int] = []
-        seen: set[int] = set()
-        guard = 0
-        limit = 1000 * n + 1000
-        last = self.keyspace_size - 1
-        while len(chosen) < n:
-            take = min(n - len(chosen), limit - guard + 1)
-            us = self._bstream.random_block(take)
-            ranks = np.searchsorted(self._cum, us, side="left")
-            np.minimum(ranks, last, out=ranks)
-            for idx in self._perm[ranks]:
-                idx = int(idx)
-                if idx not in seen:
-                    seen.add(idx)
-                    chosen.append(idx)
-            guard += take
-            if guard > limit and len(chosen) < n:
-                # Extremely skewed distribution: fill the remainder from
-                # the least-popular tail deterministically (same fallback
-                # as the scalar path).
-                for idx in range(self.keyspace_size):
-                    if idx not in seen:
-                        seen.add(idx)
-                        chosen.append(idx)
-                        if len(chosen) == n:
-                            break
-                break
-        return np.asarray(chosen, dtype=np.int64)
+    def _candidates(self, k: int) -> List[int]:
+        ranks = np.searchsorted(self._cum, self._stream.random_block(k), side="left")
+        np.minimum(ranks, self.keyspace_size - 1, out=ranks)
+        return self._perm[ranks].tolist()
 
 
 @dataclass(frozen=True)
@@ -344,7 +301,7 @@ class PartitionedPopularity(PopularitySpec):
                 f"keyspace of {keyspace_size} cannot be split into "
                 f"{self.tenants} tenant slices"
             )
-        return _PartitionedSampler(
+        return _TenantKeys(
             keyspace_size,
             rng,
             self.inner.build(span, rng, max_fanout),
@@ -352,7 +309,7 @@ class PartitionedPopularity(PopularitySpec):
         )
 
 
-class _PartitionedSampler(PopularitySampler):
+class _TenantKeys(PopularitySampler):
     """Offsets an inner sampler's draws into this tenant's slice."""
 
     def __init__(
@@ -366,14 +323,8 @@ class _PartitionedSampler(PopularitySampler):
         self._inner = inner
         self._offset = offset
 
-    def sample_one(self) -> int:
-        return self._offset + self._inner.sample_one()
-
     # Distinctness within the slice is distinctness globally (slices are
     # disjoint), so the inner draw carries the whole guarantee.
-    def sample_distinct(self, n: int) -> np.ndarray:
-        return self._inner.sample_distinct(n) + self._offset
-
     def sample_block(self, counts) -> List[int]:
         offset = self._offset
         return [offset + i for i in self._inner.sample_block(counts)]
@@ -402,12 +353,12 @@ class HotspotPopularity(PopularitySpec):
         rng: np.random.Generator,
         max_fanout: Optional[int] = None,
     ) -> PopularitySampler:
-        return _HotspotSampler(
+        return _HotspotKeys(
             keyspace_size, rng, self.hot_fraction, self.hot_probability
         )
 
 
-class _HotspotSampler(PopularitySampler):
+class _HotspotKeys(PopularitySampler):
     def __init__(
         self,
         keyspace_size: int,
@@ -423,13 +374,17 @@ class _HotspotSampler(PopularitySampler):
         # Spread the hot region across key indices.
         self._perm = rng.permutation(keyspace_size)
 
-    def sample_one(self) -> int:
+    def _candidates(self, k: int) -> List[int]:
         # SCALAR FALLBACK (no BatchedStream): each draw interleaves a
         # uniform with one of two differently-bounded integer draws on one
         # stream; per-lane prefetching would consume the bit stream in a
         # different order than these scalar calls and change the sequence.
-        if self._rng.random() < self._hot_probability:
-            raw = int(self._rng.integers(0, self._hot_count))
-        else:
-            raw = int(self._rng.integers(self._hot_count, self.keyspace_size))
-        return int(self._perm[raw])
+        rng, hot, perm = self._rng, self._hot_count, self._perm
+        out = []
+        for _ in range(k):
+            if rng.random() < self._hot_probability:
+                raw = int(rng.integers(0, hot))
+            else:
+                raw = int(rng.integers(hot, self.keyspace_size))
+            out.append(int(perm[raw]))
+        return out

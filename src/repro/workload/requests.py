@@ -48,8 +48,7 @@ class Keyspace:
             raise WorkloadError("keyspace size must be >= 1")
         self.size = size
         self.prefix = prefix
-        sampler = size_spec.build(rng)
-        self.value_sizes = np.asarray(sampler.sample_block(size), dtype=np.int64)
+        self.value_sizes = size_spec.draw(as_batched(rng), size)
 
     def key_name(self, index: int) -> str:
         if not 0 <= index < self.size:
@@ -129,17 +128,15 @@ class RequestFactory:
         if spec.put_fraction > 0 and rng_kind is None:
             raise WorkloadError("put_fraction > 0 requires rng_kind")
         self.spec = spec
-        self._arrivals = spec.arrivals.build(rng_arrivals)
-        self._fanout = spec.fanout.build(rng_fanout)
+        #: ``next_interarrival(now)``: the gap until this client's next
+        #: request.
+        self.next_interarrival = spec.arrivals.gaps(as_batched(rng_arrivals))
+        self._fanout_stream = as_batched(rng_fanout)
         self._popularity = spec.popularity.build(keyspace.size, rng_keys, cap)
         self._rng_kind = as_batched(rng_kind) if rng_kind is not None else None
         self._block: List[RequestDraw] = []
         self._cursor = 0
         self.generated = 0
-
-    def next_interarrival(self, now: float) -> float:
-        """Gap until this client's next request."""
-        return self._arrivals.next_interarrival(now)
 
     def next_request(self) -> RequestDraw:
         """The next request's ``(key indices, put flags, None)``."""
@@ -157,7 +154,7 @@ class RequestFactory:
         The sequences are the ones per-request draws would give (see
         ``tests/workload/test_batched_equivalence.py``).
         """
-        fanouts = self._fanout.sample_block(REQUEST_BLOCK)
+        fanouts = self.spec.fanout.draw(self._fanout_stream, REQUEST_BLOCK)
         keys = self._popularity.sample_block(fanouts)
         ends = np.cumsum(fanouts).tolist()
         starts = [0] + ends[:-1]

@@ -3,7 +3,9 @@
 Sizes drive service demands (``demand = overhead + size / byte_rate``).
 The lognormal and generalized-Pareto specs follow the shapes reported in
 Facebook's memcached workload analysis (Atikoglu et al., SIGMETRICS 2012);
-exact parameters differ per deployment, so all are configurable.
+exact parameters differ per deployment, so all are configurable.  Each
+spec draws its own sizes: ``draw(stream, n)`` returns ``n`` of them as an
+int64 block from a :class:`~repro.sim.rand.BatchedStream`.
 """
 
 from __future__ import annotations
@@ -14,24 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.rand import as_batched
-
-
-class SizeSampler:
-    def sample(self) -> int:
-        raise NotImplementedError
-
-    def sample_block(self, n: int) -> np.ndarray:
-        """``n`` sizes, identical to ``n`` successive :meth:`sample` calls.
-
-        Subclasses with a vectorizable draw override this; the fallback
-        just loops (used by e.g. custom user samplers).
-        """
-        return np.asarray([self.sample() for _ in range(n)], dtype=np.int64)
+from repro.sim.rand import BatchedStream
 
 
 class SizeSpec:
-    def build(self, rng: np.random.Generator) -> SizeSampler:
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        """The next ``n`` sizes from ``stream``, as int64."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -49,22 +39,12 @@ class FixedSize(SizeSpec):
         if self.size < 0:
             raise WorkloadError("size must be >= 0")
 
-    def build(self, rng: np.random.Generator) -> SizeSampler:
-        return _FixedSizeSampler(self.size)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        return np.full(n, self.size, dtype=np.int64)
 
     def mean(self) -> float:
         return float(self.size)
 
-
-class _FixedSizeSampler(SizeSampler):
-    def __init__(self, size: int):
-        self._size = size
-
-    def sample(self) -> int:
-        return self._size
-
-    def sample_block(self, n: int) -> np.ndarray:
-        return np.full(n, self._size, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -78,24 +58,12 @@ class UniformSize(SizeSpec):
         if self.lo < 0 or self.hi < self.lo:
             raise WorkloadError("need 0 <= lo <= hi")
 
-    def build(self, rng: np.random.Generator) -> SizeSampler:
-        return _UniformSizeSampler(self.lo, self.hi, rng)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        return stream.integers_block(self.lo, self.hi + 1, n)
 
     def mean(self) -> float:
         return (self.lo + self.hi) / 2.0
 
-
-class _UniformSizeSampler(SizeSampler):
-    def __init__(self, lo: int, hi: int, rng: np.random.Generator):
-        self._lo = lo
-        self._hi = hi
-        self._rng = as_batched(rng)
-
-    def sample(self) -> int:
-        return self._rng.integers(self._lo, self._hi + 1)
-
-    def sample_block(self, n: int) -> np.ndarray:
-        return self._rng.integers_block(self._lo, self._hi + 1, n)
 
 
 @dataclass(frozen=True)
@@ -119,8 +87,9 @@ class LognormalSize(SizeSpec):
         if self.cap < self.median:
             raise WorkloadError("cap must be >= median")
 
-    def build(self, rng: np.random.Generator) -> SizeSampler:
-        return _LognormalSampler(np.log(self.median), self.sigma, self.cap, rng)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        raw = stream.lognormal_block(np.log(self.median), self.sigma, n)
+        return np.clip(raw, 1.0, self.cap).astype(np.int64)
 
     def mean(self) -> float:
         # E[min(X, cap)] for X ~ LogNormal(mu, sigma).
@@ -138,29 +107,13 @@ def _normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-class _LognormalSampler(SizeSampler):
-    def __init__(self, mu: float, sigma: float, cap: int, rng: np.random.Generator):
-        self._mu = mu
-        self._sigma = sigma
-        self._cap = cap
-        self._rng = as_batched(rng)
-
-    def sample(self) -> int:
-        raw = self._rng.lognormal(self._mu, self._sigma)
-        return int(min(max(1.0, raw), self._cap))
-
-    def sample_block(self, n: int) -> np.ndarray:
-        raw = self._rng.lognormal_block(self._mu, self._sigma, n)
-        return np.clip(raw, 1.0, self._cap).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class ParetoSize(SizeSpec):
     """Plain (type-I) Pareto tail over a minimum size (heavy-tailed values).
 
     ``X = lo * (1 - U)^(-1/alpha)`` with support ``[lo, inf)``, truncated
-    at ``cap``.  Small ``alpha`` gives the heavy tail used in our
-    "heavytail" traffic pattern; ``alpha <= 1`` (infinite untruncated
+    at ``cap``.  Small ``alpha`` gives the heavy tail of the
+    bundled ``pareto-heavytail`` spec; ``alpha <= 1`` (infinite untruncated
     mean) is allowed because the ``cap`` truncation keeps ``mean()``
     finite.
     """
@@ -177,8 +130,9 @@ class ParetoSize(SizeSpec):
         if self.cap <= self.lo:
             raise WorkloadError("cap must exceed lo")
 
-    def build(self, rng: np.random.Generator) -> SizeSampler:
-        return _ParetoSampler(self.lo, self.alpha, self.cap, rng)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        raw = self.lo * (1.0 - stream.random_block(n)) ** (-1.0 / self.alpha)
+        return np.minimum(raw, self.cap).astype(np.int64)
 
     def mean(self) -> float:
         # E[min(X, cap)] for Pareto(lo, alpha), any alpha > 0:
@@ -191,23 +145,6 @@ class ParetoSize(SizeSpec):
             return lo * (1.0 + np.log(cap / lo))
         return lo + lo**a * (cap ** (1 - a) - lo ** (1 - a)) / (1 - a)
 
-
-class _ParetoSampler(SizeSampler):
-    def __init__(self, lo: float, alpha: float, cap: int, rng: np.random.Generator):
-        self._lo = lo
-        self._alpha = alpha
-        self._cap = cap
-        self._rng = as_batched(rng)
-
-    def sample(self) -> int:
-        u = self._rng.random()
-        raw = self._lo * (1.0 - u) ** (-1.0 / self._alpha)
-        return int(min(raw, self._cap))
-
-    def sample_block(self, n: int) -> np.ndarray:
-        us = self._rng.random_block(n)
-        raw = self._lo * (1.0 - us) ** (-1.0 / self._alpha)
-        return np.minimum(raw, self._cap).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -226,26 +163,13 @@ class BimodalSize(SizeSpec):
         if not 0 < self.p_large < 1:
             raise WorkloadError("p_large must be in (0, 1)")
 
-    def build(self, rng: np.random.Generator) -> SizeSampler:
-        return _BimodalSizeSampler(self.small, self.large, self.p_large, rng)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        large = stream.random_block(n) < self.p_large
+        return np.where(large, self.large, self.small).astype(np.int64)
 
     def mean(self) -> float:
         return self.small * (1 - self.p_large) + self.large * self.p_large
 
-
-class _BimodalSizeSampler(SizeSampler):
-    def __init__(self, small: int, large: int, p_large: float, rng: np.random.Generator):
-        self._small = small
-        self._large = large
-        self._p_large = p_large
-        self._rng = as_batched(rng)
-
-    def sample(self) -> int:
-        return self._large if self._rng.random() < self._p_large else self._small
-
-    def sample_block(self, n: int) -> np.ndarray:
-        us = self._rng.random_block(n)
-        return np.where(us < self._p_large, self._large, self._small).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -266,23 +190,10 @@ class ExponentialSize(SizeSpec):
         if self.cap <= self.mean_size:
             raise WorkloadError("cap must exceed mean_size")
 
-    def build(self, rng: np.random.Generator) -> SizeSampler:
-        return _ExponentialSampler(self.mean_size, self.cap, rng)
+    def draw(self, stream: BatchedStream, n: int) -> np.ndarray:
+        raw = stream.exponential_block(self.mean_size, n)
+        return np.minimum(raw, self.cap).astype(np.int64)
 
     def mean(self) -> float:
         # E[min(X, cap)] = mean * (1 - exp(-cap/mean)).
         return self.mean_size * (1.0 - np.exp(-self.cap / self.mean_size))
-
-
-class _ExponentialSampler(SizeSampler):
-    def __init__(self, mean_size: float, cap: int, rng: np.random.Generator):
-        self._mean = mean_size
-        self._cap = cap
-        self._rng = as_batched(rng)
-
-    def sample(self) -> int:
-        return int(min(self._rng.exponential(self._mean), self._cap))
-
-    def sample_block(self, n: int) -> np.ndarray:
-        raw = self._rng.exponential_block(self._mean, n)
-        return np.minimum(raw, self._cap).astype(np.int64)

@@ -49,7 +49,6 @@ from repro.workload.arrivals import (
     MMPPArrivals,
     PhasedArrivals,
     PoissonArrivals,
-    SinusoidalArrivals,
 )
 from repro.workload.fanout import (
     BimodalFanout,
@@ -89,7 +88,6 @@ ARRIVAL_KINDS: Dict[str, type] = {
     "poisson": PoissonArrivals,
     "deterministic": DeterministicArrivals,
     "mmpp": MMPPArrivals,
-    "sinusoidal": SinusoidalArrivals,
     "phased": PhasedArrivals,
 }
 
@@ -147,11 +145,23 @@ _TRACE_KEYS = frozenset(
 )
 
 
-def _tupled(value: Any) -> Any:
-    """Lists (from TOML/JSON arrays) become tuples, recursively."""
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
+def _typed(value: Any, annotation: str) -> Any:
+    """``value`` as a field annotated ``annotation`` takes it.
+
+    ``int`` takes an integer, ``float`` any number (as a float), and
+    ``Tuple[X, ...]`` an array of ``X``; a bool is never a number.
+    Raises ``TypeError`` for anything else.
+    """
+    if annotation.startswith("Tuple["):
+        if isinstance(value, (list, tuple)):
+            inner = annotation[len("Tuple[") : annotation.rindex(",")]
+            return tuple(_typed(v, inner) for v in value)
+    elif not isinstance(value, bool):
+        if annotation == "int" and isinstance(value, int):
+            return value
+        if annotation == "float" and isinstance(value, (int, float)):
+            return float(value)
+    raise TypeError(annotation)
 
 
 def _build_component(name: str, section_key: str, section: Any) -> Any:
@@ -162,7 +172,7 @@ def _build_component(name: str, section_key: str, section: Any) -> Any:
             f"spec {name!r}: {section_key} must be a table, got "
             f"{type(section).__name__}"
         )
-    data = {key: _tupled(value) for key, value in section.items()}
+    data = dict(section)
     kind = data.pop("kind", None)
     if kind is None:
         raise WorkloadError(f"spec {name!r}: {section_key}.kind is required")
@@ -172,14 +182,22 @@ def _build_component(name: str, section_key: str, section: Any) -> Any:
             f"spec {name!r}: unknown {section_key}.kind {kind!r}; "
             f"known: {', '.join(sorted(kinds))}"
         )
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - allowed)
+    allowed = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise WorkloadError(
             f"spec {name!r}: unknown {section_key} parameter(s) "
             f"{', '.join(unknown)} for kind {kind!r}; "
             f"known: {', '.join(sorted(allowed))}"
         )
+    for key, value in data.items():
+        try:
+            data[key] = _typed(value, allowed[key])
+        except TypeError:
+            raise WorkloadError(
+                f"spec {name!r}: {section_key} ({kind}) parameter {key} must "
+                f"be {allowed[key]}, got {value!r}"
+            ) from None
     try:
         return cls(**data)
     except WorkloadError as exc:

@@ -120,6 +120,19 @@ class TestMembershipChanges:
         with pytest.raises(PartitioningError):
             ring.remove_server(1)
 
+    def test_grown_ring_equals_ring_built_at_once(self):
+        servers = [5, 0, 11, 3, 8, 1, 10, 2, 7, 4, 9, 6]
+        whole = ConsistentHashRing(servers, vnodes=16)
+        grown = ConsistentHashRing(servers[:1], vnodes=16)
+        for sid in servers[1:]:
+            grown.add_server(sid)
+        assert grown._points == whole._points
+        assert grown._owners == whole._owners
+        assert grown.servers == whole.servers
+        for key in sample_keys(2000):
+            for n in range(1, len(servers) + 1):
+                assert grown.preference_list(key, n) == whole.preference_list(key, n)
+
 
 class TestPreferenceList:
     def test_distinct_servers(self):

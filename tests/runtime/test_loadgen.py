@@ -170,9 +170,9 @@ class TestLoadGenerator:
 
                 a = build()
                 b = build()
-                # The samplers replay identically: same fan-outs and keys.
-                draws_a = [a._popularity.sample_distinct(2).tolist() for _ in range(5)]
-                draws_b = [b._popularity.sample_distinct(2).tolist() for _ in range(5)]
+                # The draws replay identically: same fan-outs and keys.
+                draws_a = [a._next_keys() for _ in range(5)]
+                draws_b = [b._next_keys() for _ in range(5)]
                 assert draws_a == draws_b
             finally:
                 await cluster.stop()

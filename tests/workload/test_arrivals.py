@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.sim.rand import as_batched
 from repro.workload.arrivals import (
     DeterministicArrivals,
     MMPPArrivals,
@@ -23,21 +24,21 @@ class TestPoisson:
             PoissonArrivals(rate=0)
 
     def test_empirical_mean_interarrival(self, rng):
-        sampler = PoissonArrivals(rate=100.0).build(rng)
-        gaps = [sampler.next_interarrival(0.0) for _ in range(20000)]
+        gap = PoissonArrivals(rate=100.0).gaps(as_batched(rng))
+        gaps = [gap(0.0) for _ in range(20000)]
         assert np.mean(gaps) == pytest.approx(0.01, rel=0.05)
 
     def test_memorylessness_cv(self, rng):
-        sampler = PoissonArrivals(rate=50.0).build(rng)
-        gaps = np.array([sampler.next_interarrival(0.0) for _ in range(20000)])
+        gap = PoissonArrivals(rate=50.0).gaps(as_batched(rng))
+        gaps = np.array([gap(0.0) for _ in range(20000)])
         assert gaps.std() / gaps.mean() == pytest.approx(1.0, rel=0.05)
 
 
 class TestDeterministic:
     def test_constant_gap(self, rng):
-        sampler = DeterministicArrivals(rate=10.0).build(rng)
-        assert sampler.next_interarrival(0.0) == pytest.approx(0.1)
-        assert sampler.next_interarrival(55.0) == pytest.approx(0.1)
+        gap = DeterministicArrivals(rate=10.0).gaps(as_batched(rng))
+        assert gap(0.0) == pytest.approx(0.1)
+        assert gap(55.0) == pytest.approx(0.1)
 
     def test_invalid(self):
         with pytest.raises(WorkloadError):
@@ -65,21 +66,25 @@ class TestMMPP:
         assert spec.dwell_means == (1.0, 3.0)
 
     def test_state_advances_over_time(self, rng):
-        spec = MMPPArrivals(rates=(1000.0, 1000.0), dwell_means=(0.01, 0.01))
-        sampler = spec.build(rng)
+        # A calm state at 100/s and a burst at 10 000/s, 10 ms dwells: the
+        # state lives inside the gap function, so it shows in the gaps.
+        spec = MMPPArrivals(rates=(100.0, 10_000.0), dwell_means=(0.01, 0.01))
+        gap = spec.gaps(as_batched(rng))
         t = 0.0
+        gaps = []
         for _ in range(2000):
-            t += sampler.next_interarrival(t)
-        # After ~2 seconds with 10ms dwells, many switches happened and we
-        # are in a valid state.
-        assert sampler.state in (0, 1)
+            gaps.append(gap(t))
+            t += gaps[-1]
+        # After many 10 ms dwells, both states were visited: burst gaps
+        # (mean 0.1 ms) and gaps cut by a calm dwell coexist.
+        assert min(gaps) < 1e-4 and max(gaps) > 1e-3
 
     def test_empirical_rate_matches_two_state_average(self, rng):
         spec = MMPPArrivals(rates=(50.0, 200.0), dwell_means=(0.5, 0.5))
-        sampler = spec.build(rng)
+        gap = spec.gaps(as_batched(rng))
         t = 0.0
         n = 20000
         for _ in range(n):
-            t += sampler.next_interarrival(t)
+            t += gap(t)
         assert n / t == pytest.approx(spec.mean_rate(), rel=0.1)
 

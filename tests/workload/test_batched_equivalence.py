@@ -18,7 +18,7 @@ from repro.errors import WorkloadError
 from repro.kvstore.network import UniformLatencyNetwork
 from repro.kvstore.service import ServiceModel
 from repro.sim.core import Environment
-from repro.sim.rand import FIRST_BLOCK, BatchedStream, RawWords
+from repro.sim.rand import FIRST_BLOCK, BatchedStream, RawWords, as_batched
 from repro.workload.arrivals import MMPPArrivals, PoissonArrivals
 from repro.workload.fanout import (
     BimodalFanout,
@@ -28,7 +28,6 @@ from repro.workload.fanout import (
 )
 from repro.workload.popularity import (
     PartitionedPopularity,
-    PopularitySampler,
     UniformPopularity,
     ZipfPopularity,
     choice_uses_floyd,
@@ -56,21 +55,25 @@ def _rng():
     return np.random.default_rng(SEED)
 
 
+def _stream():
+    return as_batched(_rng())
+
+
 # ----------------------------------------------------------------------
 # Arrivals
 # ----------------------------------------------------------------------
 class TestArrivalEquivalence:
     def test_poisson_matches_scalar_exponential(self):
-        sampler = PoissonArrivals(rate=250.0).build(_rng())
+        gap = PoissonArrivals(rate=250.0).gaps(_stream())
         reference = _rng()
         for _ in range(N):
-            assert sampler.next_interarrival(0.0) == reference.exponential(1.0 / 250.0)
+            assert gap(0.0) == reference.exponential(1.0 / 250.0)
 
     def test_mmpp_matches_scalar_reference(self):
         spec = MMPPArrivals(rates=(50.0, 400.0), dwell_means=(0.05, 0.02))
-        sampler = spec.build(_rng())
+        gap_fn = spec.gaps(_stream())
 
-        # Scalar re-implementation of the sampler on a raw generator.
+        # Scalar re-implementation of the process on a raw generator.
         reference = _rng()
         state = 0
         state_until = reference.exponential(spec.dwell_means[0])
@@ -86,7 +89,7 @@ class TestArrivalEquivalence:
                 t = state_until
                 state = (state + 1) % len(spec.rates)
                 state_until = t + reference.exponential(spec.dwell_means[state])
-            assert sampler.next_interarrival(now) == gap
+            assert gap_fn(now) == gap
             now += gap
 
 
@@ -94,29 +97,31 @@ class TestArrivalEquivalence:
 # Fan-out
 # ----------------------------------------------------------------------
 class TestFanoutEquivalence:
+    """One-value draws, as the runtime load generator makes them."""
+
     def test_uniform_matches_scalar_integers(self):
-        sampler = UniformFanout(lo=1, hi=16).build(_rng())
+        spec, stream = UniformFanout(lo=1, hi=16), _stream()
         reference = _rng()
         for _ in range(N):
-            assert sampler.sample() == reference.integers(1, 17)
+            assert spec.draw(stream, 1)[0] == reference.integers(1, 17)
 
     def test_geometric_matches_scalar_geometric(self):
-        spec = GeometricFanout(mean_target=5.0, cap=64)
-        sampler = spec.build(_rng())
+        spec, stream = GeometricFanout(mean_target=5.0, cap=64), _stream()
         reference = _rng()
         for _ in range(N):
-            assert sampler.sample() == min(int(reference.geometric(spec.p)), 64)
+            expected = min(int(reference.geometric(spec.p)), 64)
+            assert spec.draw(stream, 1)[0] == expected
 
     def test_bimodal_matches_scalar_uniform(self):
-        sampler = BimodalFanout(small=2, large=32, p_large=0.1).build(_rng())
+        spec, stream = BimodalFanout(small=2, large=32, p_large=0.1), _stream()
         reference = _rng()
         for _ in range(N):
             expected = 32 if reference.random() < 0.1 else 2
-            assert sampler.sample() == expected
+            assert spec.draw(stream, 1)[0] == expected
 
 
 # ----------------------------------------------------------------------
-# Value sizes: each sampler's vectorized sample_block vs its scalar sample
+# Value sizes: each spec's block draw vs numpy's scalar calls
 # ----------------------------------------------------------------------
 SIZE_SPECS = [
     FixedSize(size=777),
@@ -132,12 +137,30 @@ SIZE_SPECS = [
 ]
 
 
+def _scalar_size(spec, gen) -> int:
+    """One size of ``spec`` from numpy scalar calls on ``gen``."""
+    if isinstance(spec, FixedSize):
+        return spec.size
+    if isinstance(spec, UniformSize):
+        return int(gen.integers(spec.lo, spec.hi + 1))
+    if isinstance(spec, LognormalSize):
+        raw = gen.lognormal(np.log(spec.median), spec.sigma)
+        return int(min(max(1.0, raw), spec.cap))
+    if isinstance(spec, ParetoSize):
+        return int(min(spec.lo * (1.0 - gen.random()) ** (-1.0 / spec.alpha), spec.cap))
+    if isinstance(spec, BimodalSize):
+        return spec.large if gen.random() < spec.p_large else spec.small
+    assert isinstance(spec, ExponentialSize)
+    return int(min(gen.exponential(spec.mean_size), spec.cap))
+
+
 @pytest.mark.parametrize("spec", SIZE_SPECS, ids=lambda s: type(s).__name__)
 def test_size_block_matches_scalar_loop(spec):
-    scalar = spec.build(_rng())
-    block = spec.build(_rng())
-    expected = np.asarray([scalar.sample() for _ in range(N)], dtype=np.int64)
-    got = block.sample_block(N)
+    reference = _rng()
+    expected = np.asarray(
+        [_scalar_size(spec, reference) for _ in range(N)], dtype=np.int64
+    )
+    got = spec.draw(_stream(), N)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
 
@@ -145,15 +168,42 @@ def test_size_block_matches_scalar_loop(spec):
 @pytest.mark.parametrize("spec", SIZE_SPECS, ids=lambda s: type(s).__name__)
 def test_size_block_split_draws_same_sequence(spec):
     """Block draws crossing a prefetch boundary stay identical."""
-    one_shot = spec.build(_rng()).sample_block(N)
-    split = spec.build(_rng())
-    parts = [split.sample_block(n) for n in (1, 7, N - 8)]
+    one_shot = spec.draw(_stream(), N)
+    split = _stream()
+    parts = [spec.draw(split, n) for n in (1, 7, N - 8)]
     np.testing.assert_array_equal(np.concatenate(parts), one_shot)
 
 
 # ----------------------------------------------------------------------
-# Popularity: vectorized Zipf rejection vs the scalar base-class loop
+# Popularity: vectorized Zipf rejection vs a key-by-key scalar loop
 # ----------------------------------------------------------------------
+def _zipf_key(gen, cum, perm) -> int:
+    """One Zipf key index from one scalar ``random()`` on ``gen``."""
+    rank = min(int(np.searchsorted(cum, gen.random(), side="left")), len(cum) - 1)
+    return int(perm[rank])
+
+
+def _scalar_distinct(gen, cum, perm, n):
+    """``n`` distinct Zipf keys drawn one scalar uniform at a time."""
+    chosen, seen = [], set()
+    guard, limit = 0, 1000 * n + 1000
+    while len(chosen) < n:
+        idx = _zipf_key(gen, cum, perm)
+        if idx not in seen:
+            seen.add(idx)
+            chosen.append(idx)
+        guard += 1
+        if guard > limit:
+            for idx in range(len(cum)):
+                if len(chosen) == n:
+                    break
+                if idx not in seen:
+                    seen.add(idx)
+                    chosen.append(idx)
+            break
+    return chosen
+
+
 class TestZipfEquivalence:
     @pytest.mark.parametrize("s,keyspace,fanout", [
         (0.99, 5000, 16),
@@ -161,24 +211,19 @@ class TestZipfEquivalence:
         (0.0, 1000, 8),      # uniform weights
     ])
     def test_sample_distinct_matches_scalar_rejection(self, s, keyspace, fanout):
-        spec = ZipfPopularity(s=s, shuffle=True)
-        vectorized = spec.build(keyspace, _rng())
-        scalar = spec.build(keyspace, _rng())
+        vectorized = ZipfPopularity(s=s).build(keyspace, _rng())
+        reference = _rng()
+        perm = reference.permutation(keyspace)
         for _ in range(200):
-            got = vectorized.sample_distinct(fanout)
-            # The unbound base-class method is the scalar rejection loop.
-            expected = PopularitySampler.sample_distinct(scalar, fanout)
-            np.testing.assert_array_equal(got, expected)
+            got = vectorized.sample_block([fanout])
+            assert got == _scalar_distinct(reference, vectorized._cum, perm, fanout)
 
     def test_sample_one_matches_scalar_searchsorted(self):
-        spec = ZipfPopularity(s=0.99, shuffle=True)
-        sampler = spec.build(2000, _rng())
+        sampler = ZipfPopularity(s=0.99).build(2000, _rng())
         reference = _rng()
         perm = reference.permutation(2000)
-        for _ in range(N):
-            u = reference.random()
-            rank = min(int(np.searchsorted(sampler._cum, u, side="left")), 1999)
-            assert sampler.sample_one() == int(perm[rank])
+        expected = [_zipf_key(reference, sampler._cum, perm) for _ in range(N)]
+        assert sampler.sample_block([1] * N) == expected
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +324,7 @@ def test_integer_lanes_keep_the_full_block():
 
 
 # ----------------------------------------------------------------------
-# Fan-out blocks: one block call per refill, the scalar sequence
+# Fan-out blocks: one block call per refill, numpy's scalar sequence
 # ----------------------------------------------------------------------
 FANOUT_SPECS = [
     FixedFanout(k=6),
@@ -289,13 +334,27 @@ FANOUT_SPECS = [
 ]
 
 
+def _scalar_fanout(spec, gen) -> int:
+    """One fan-out of ``spec`` from numpy scalar calls on ``gen``."""
+    if isinstance(spec, FixedFanout):
+        return spec.k
+    if isinstance(spec, UniformFanout):
+        return int(gen.integers(spec.lo, spec.hi + 1))
+    if isinstance(spec, GeometricFanout):
+        return min(int(gen.geometric(spec.p)), spec.cap)
+    assert isinstance(spec, BimodalFanout)
+    return spec.large if gen.random() < spec.p_large else spec.small
+
+
 @pytest.mark.parametrize("spec", FANOUT_SPECS, ids=lambda s: type(s).__name__)
 def test_fanout_block_matches_scalar_samples(spec):
-    scalar = spec.build(_rng())
-    block = spec.build(_rng())
-    got = np.concatenate([block.sample_block(n) for n in (1, 255, 256, 700)])
+    stream = _stream()
+    got = np.concatenate([spec.draw(stream, n) for n in (1, 255, 256, 700)])
     assert got.dtype == np.int64
-    assert got.tolist() == [scalar.sample() for _ in range(got.shape[0])]
+    reference = _rng()
+    assert got.tolist() == [
+        _scalar_fanout(spec, reference) for _ in range(got.shape[0])
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +400,8 @@ def test_uniform_keys_equal_generator_choice(pop, cap, seed):
             flat = flat[n:]
         assert flat == []
     assert got == expected
-    # sample_distinct reads the same stream, one request at a time.
-    assert sampler.sample_distinct(cap).tolist() == reference.choice(
+    # A one-request block reads on from the same stream.
+    assert sampler.sample_block([cap]) == reference.choice(
         pop, cap, replace=False
     ).tolist()
 
@@ -484,11 +543,11 @@ def test_request_factory_blocks_match_per_request_draws():
     keyspace = Keyspace(10_000, FixedSize(size=100), np.random.default_rng(0))
     streams = [np.random.default_rng(s) for s in (1, 2, 3, 4)]
     factory = RequestFactory(spec, keyspace, *streams)
-    fanouts = spec.fanout.build(np.random.default_rng(2))
+    fanouts = np.random.default_rng(2)
     keys = np.random.default_rng(3)
     kind = np.random.default_rng(4)
     for _ in range(2 * REQUEST_BLOCK + 7):
-        n = fanouts.sample()
+        n = min(int(fanouts.geometric(spec.fanout.p)), 64)
         got_keys, got_puts, sizes = factory.next_request()
         assert got_keys == keys.choice(10_000, n, replace=False).tolist()
         assert got_puts == [kind.random() < 0.3 for _ in range(n)]
@@ -505,14 +564,15 @@ def test_loadgen_key_sequence_unchanged():
         None, names, arrivals=PoissonArrivals(rate=10.0), fanout=fanout,
         popularity=UniformPopularity(), seed=9,
     )
-    fanouts = fanout.build(np.random.default_rng(10))
+    fanouts = np.random.default_rng(10)
     keys = np.random.default_rng(11)
     for _ in range(300):
-        n = gen._fanout.sample()
-        assert n == fanouts.sample()
-        assert gen._popularity.sample_distinct(n).tolist() == keys.choice(
-            500, n, replace=False
-        ).tolist()
+        got = gen._next_keys()
+        n = len(got)
+        assert n == fanouts.integers(1, 9)
+        assert got == [
+            names[i] for i in keys.choice(500, n, replace=False).tolist()
+        ]
 
 
 @pytest.mark.parametrize("tenants", [1, 4])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.sim.rand import as_batched
 from repro.workload.fanout import (
     BimodalFanout,
     FixedFanout,
@@ -19,15 +20,19 @@ from repro.workload.sizes import (
 )
 
 
-def empirical_mean(sampler, n=30000):
-    return np.mean([sampler.sample() for _ in range(n)])
+def draws(spec, rng, n):
+    """``n`` values of ``spec`` from a fresh stream over ``rng``."""
+    return spec.draw(as_batched(rng), n).tolist()
+
+
+def empirical_mean(spec, rng, n=30000):
+    return np.mean(draws(spec, rng, n))
 
 
 class TestFanoutSpecs:
     def test_fixed(self, rng):
         spec = FixedFanout(k=7)
-        sampler = spec.build(rng)
-        assert sampler.sample() == 7
+        assert draws(spec, rng, 1) == [7]
         assert spec.mean() == 7.0
         assert spec.max_fanout() == 7
 
@@ -37,10 +42,9 @@ class TestFanoutSpecs:
 
     def test_uniform_range_and_mean(self, rng):
         spec = UniformFanout(lo=2, hi=8)
-        sampler = spec.build(rng)
-        draws = [sampler.sample() for _ in range(5000)]
-        assert min(draws) == 2 and max(draws) == 8
-        assert np.mean(draws) == pytest.approx(spec.mean(), rel=0.05)
+        values = draws(spec, rng, 5000)
+        assert min(values) == 2 and max(values) == 8
+        assert np.mean(values) == pytest.approx(spec.mean(), rel=0.05)
 
     def test_uniform_invalid(self):
         with pytest.raises(WorkloadError):
@@ -50,12 +54,11 @@ class TestFanoutSpecs:
 
     def test_geometric_mean_matches_analytic(self, rng):
         spec = GeometricFanout(mean_target=5.0, cap=64)
-        assert empirical_mean(spec.build(rng)) == pytest.approx(spec.mean(), rel=0.03)
+        assert empirical_mean(spec, rng) == pytest.approx(spec.mean(), rel=0.03)
 
     def test_geometric_cap_enforced(self, rng):
         spec = GeometricFanout(mean_target=10.0, cap=4)
-        draws = [spec.build(rng).sample() for _ in range(100)]
-        assert max(draws) <= 4
+        assert max(draws(spec, rng, 100)) <= 4
 
     def test_geometric_truncated_mean_below_target(self):
         spec = GeometricFanout(mean_target=10.0, cap=4)
@@ -67,9 +70,7 @@ class TestFanoutSpecs:
 
     def test_bimodal_mean_and_values(self, rng):
         spec = BimodalFanout(small=2, large=32, p_large=0.25)
-        sampler = spec.build(rng)
-        draws = {sampler.sample() for _ in range(1000)}
-        assert draws == {2, 32}
+        assert set(draws(spec, rng, 1000)) == {2, 32}
         assert spec.mean() == pytest.approx(2 * 0.75 + 32 * 0.25)
 
     def test_bimodal_invalid(self):
@@ -82,23 +83,22 @@ class TestFanoutSpecs:
 class TestSizeSpecs:
     def test_fixed(self, rng):
         spec = FixedSize(size=2048)
-        assert spec.build(rng).sample() == 2048
+        assert draws(spec, rng, 1) == [2048]
         assert spec.mean() == 2048.0
 
     def test_uniform(self, rng):
         spec = UniformSize(lo=100, hi=200)
-        draws = [spec.build(rng).sample() for _ in range(100)]
-        assert all(100 <= d <= 200 for d in draws)
+        assert all(100 <= d <= 200 for d in draws(spec, rng, 100))
 
     def test_lognormal_mean_matches_analytic(self, rng):
         spec = LognormalSize(median=1000.0, sigma=1.0, cap=1 << 20)
-        assert empirical_mean(spec.build(rng)) == pytest.approx(spec.mean(), rel=0.05)
+        assert empirical_mean(spec, rng) == pytest.approx(spec.mean(), rel=0.05)
 
     def test_lognormal_cap_accounted_in_mean(self, rng):
         uncapped = LognormalSize(median=1000.0, sigma=1.5, cap=1 << 30)
         capped = LognormalSize(median=1000.0, sigma=1.5, cap=4096)
         assert capped.mean() < uncapped.mean()
-        assert empirical_mean(capped.build(rng)) == pytest.approx(
+        assert empirical_mean(capped, rng) == pytest.approx(
             capped.mean(), rel=0.05
         )
 
@@ -118,14 +118,13 @@ class TestSizeSpecs:
 
     def test_pareto_mean_matches_analytic(self, rng):
         spec = ParetoSize(lo=256.0, alpha=2.5, cap=1 << 20)
-        assert empirical_mean(spec.build(rng), n=100000) == pytest.approx(
+        assert empirical_mean(spec, rng, n=100000) == pytest.approx(
             spec.mean(), rel=0.05
         )
 
     def test_pareto_respects_bounds(self, rng):
         spec = ParetoSize(lo=256.0, alpha=1.5, cap=10000)
-        draws = [spec.build(rng).sample() for _ in range(200)]
-        assert all(256 <= d <= 10000 for d in draws)
+        assert all(256 <= d <= 10000 for d in draws(spec, rng, 200))
 
     def test_pareto_invalid(self):
         with pytest.raises(WorkloadError):
@@ -144,7 +143,7 @@ class TestSizeSpecs:
         spec = ParetoSize(lo=256.0, alpha=0.9, cap=1 << 22)
         # Block draw: the truncated tail is so variable that a loop-sized
         # sample would need rel tolerances too loose to catch the bug.
-        empirical = spec.build(rng).sample_block(2_000_000).mean()
+        empirical = spec.draw(as_batched(rng), 2_000_000).mean()
         assert empirical == pytest.approx(spec.mean(), rel=0.05)
 
     def test_pareto_alpha_one_log_case(self, rng):
@@ -152,7 +151,7 @@ class TestSizeSpecs:
         assert spec.mean() == pytest.approx(
             256.0 * (1.0 + np.log((1 << 22) / 256.0))
         )
-        empirical = spec.build(rng).sample_block(2_000_000).mean()
+        empirical = spec.draw(as_batched(rng), 2_000_000).mean()
         assert empirical == pytest.approx(spec.mean(), rel=0.05)
 
     def test_pareto_alpha_continuity_at_one(self):
@@ -163,8 +162,7 @@ class TestSizeSpecs:
 
     def test_bimodal_size(self, rng):
         spec = BimodalSize(small=100, large=10000, p_large=0.5)
-        draws = {spec.build(rng).sample() for _ in range(200)}
-        assert draws == {100, 10000}
+        assert set(draws(spec, rng, 200)) == {100, 10000}
         assert spec.mean() == pytest.approx(5050.0)
 
     def test_bimodal_size_invalid(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.config import ClusterConfig, ServiceConfig, SimulationConfig
+from repro.sim.rand import as_batched
 from repro.workload.registry import (
     BUNDLED_SPECS_DIR,
     SAMPLE_TRACE,
@@ -59,13 +60,13 @@ class TestRoundTrip:
     def test_spec_builds_generators(self, name):
         spec = workload(name)
         rng = np.random.default_rng(0)
-        sampler = spec.build_arrivals(
+        gap = spec.build_arrivals(
             n_servers=8, service=ServiceConfig()
-        ).build(rng)
-        assert sampler.next_interarrival(0.0) >= 0.0
-        assert spec.fanout.build(rng).sample() >= 1
-        assert spec.sizes.build(rng).sample() >= 0
-        assert spec.popularity.build(100, rng).sample_distinct(1).size == 1
+        ).gaps(as_batched(rng))
+        assert gap(0.0) >= 0.0
+        assert spec.fanout.draw(as_batched(rng), 1)[0] >= 1
+        assert spec.sizes.draw(as_batched(rng), 1)[0] >= 0
+        assert len(spec.popularity.build(100, rng).sample_block([1])) == 1
 
     @pytest.mark.parametrize("name", sorted(list_workloads()))
     def test_smoke_cell(self, name):

@@ -6,8 +6,9 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.kvstore.config import ServiceConfig
+from repro.sim.rand import as_batched
 from repro.workload.arrivals import MMPPArrivals, PhasedArrivals, PoissonArrivals
-from repro.workload.fanout import FixedFanout
+from repro.workload.fanout import FixedFanout, GeometricFanout
 from repro.workload.popularity import HotspotPopularity
 from repro.workload.sizes import BimodalSize
 from repro.workload.spec import (
@@ -142,6 +143,40 @@ class TestValidation:
         with pytest.raises(WorkloadError, match="invalid arrivals \\(poisson\\)"):
             self.from_dict(arrivals={"kind": "poisson", "rate": -1.0})
 
+    def test_float_for_int_parameter_rejected(self):
+        # Accepted, it drew fan-out 2 while mean() said 2.5, so `load`
+        # calibration ran the cell at 80% of its stated load.
+        with pytest.raises(
+            WorkloadError, match=r"fanout \(fixed\) parameter k must be int, got 2.5"
+        ):
+            self.from_dict(fanout={"kind": "fixed", "k": 2.5})
+
+    def test_bool_for_int_parameter_rejected(self):
+        with pytest.raises(
+            WorkloadError, match=r"sizes \(fixed\) parameter size must be int, got True"
+        ):
+            self.from_dict(sizes={"kind": "fixed", "size": True})
+
+    def test_string_for_float_parameter_rejected(self):
+        with pytest.raises(
+            WorkloadError,
+            match=r"fanout \(geometric\) parameter mean_target must be float, got '5'",
+        ):
+            self.from_dict(fanout={"kind": "geometric", "mean_target": "5"})
+
+    def test_parameter_types_coerced(self):
+        spec = self.from_dict(
+            fanout={"kind": "geometric", "mean_target": 5, "cap": 64},
+            arrivals={"kind": "phased", "phases": [[1, 200], [2.0, 600.0]]},
+        )
+        assert spec.fanout == GeometricFanout(mean_target=5.0, cap=64)
+        assert type(spec.fanout.mean_target) is float
+        assert spec.arrivals.phases == ((1.0, 200.0), (2.0, 600.0))
+        with pytest.raises(WorkloadError, match="rates must be Tuple"):
+            self.from_dict(arrivals={"kind": "mmpp", "rates": 5.0, "dwell_means": [1.0]})
+        with pytest.raises(WorkloadError, match="phases must be Tuple"):
+            self.from_dict(arrivals={"kind": "phased", "phases": [[1.0, "fast"]]})
+
     def test_trace_unknown_key(self):
         with pytest.raises(WorkloadError, match="unknown trace key.*loop"):
             self.from_dict(trace={"path": "t.csv", "loop": True})
@@ -202,10 +237,10 @@ class TestPhasedArrivals:
         import numpy as np
 
         spec = PhasedArrivals(phases=((1.0, 50.0), (1.0, 500.0)))
-        sampler = spec.build(np.random.default_rng(0))
+        gap = spec.gaps(as_batched(np.random.default_rng(0)))
         t, count = 0.0, 0
         while t < 200.0:
-            t += sampler.next_interarrival(t)
+            t += gap(t)
             count += 1
         # Long-run average ~275/s over the 2 s cycle.
         assert count / t == pytest.approx(275.0, rel=0.1)
