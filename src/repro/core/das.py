@@ -126,7 +126,7 @@ class DasQueue(ServerQueue):
         self._srpt_front = srpt_front
         self._last_band_enabled = last_band
         self._k_min = k_min
-        #: Demotion multiplier, moved by :meth:`_adapt`.
+        #: Demotion multiplier, moved by :meth:`_move_k`.
         self.k = K_INIT
         #: EWMA of observed queue lengths; None before the first sample.
         self._pressure: Optional[float] = None
@@ -182,15 +182,23 @@ class DasQueue(ServerQueue):
 
     # ------------------------------------------------------------------
     def _adapt(self, queue_length: int, now: float) -> None:
-        """Fold a queue-length sample into the pressure; maybe move ``k``."""
+        """Fold a queue-length sample into the pressure; maybe move ``k``.
+
+        :meth:`_push` and :meth:`_pop` take their sample with these same
+        statements written out, so the per-op path makes no call for it.
+        """
         pressure = self._pressure
-        if pressure is None:
-            pressure = float(queue_length)
-        else:
-            pressure += CTRL_ALPHA * (queue_length - pressure)
+        pressure = (
+            float(queue_length)
+            if pressure is None
+            else pressure + CTRL_ALPHA * (queue_length - pressure)
+        )
         self._pressure = pressure
-        if not self._adaptive or now - self._last_adapt < ADAPT_INTERVAL:
-            return
+        if self._adaptive and now - self._last_adapt >= ADAPT_INTERVAL:
+            self._move_k(pressure, now)
+
+    def _move_k(self, pressure: float, now: float) -> None:
+        """One controller step, at most once per :data:`ADAPT_INTERVAL`."""
         self._last_adapt = now
         if pressure > Q_HIGH and self.k > self._k_min:
             self.k = max(self._k_min, self.k * (1.0 - GAIN))
@@ -209,7 +217,17 @@ class DasQueue(ServerQueue):
             self._scale = rpt
         else:
             self._scale = prev_scale + SCALE_ALPHA * (rpt - prev_scale)
-        self._adapt(self._length + 1, now)
+        # _adapt(self._length + 1, now), written out:
+        queue_length = self._length + 1
+        pressure = self._pressure
+        pressure = (
+            float(queue_length)
+            if pressure is None
+            else pressure + CTRL_ALPHA * (queue_length - pressure)
+        )
+        self._pressure = pressure
+        if self._adaptive and now - self._last_adapt >= ADAPT_INTERVAL:
+            self._move_k(pressure, now)
         threshold = None
         if prev_scale is not None:
             threshold = tag[OBS_THRESHOLD] = self.k * prev_scale
@@ -238,7 +256,17 @@ class DasQueue(ServerQueue):
         raise SchedulerError("last band has no live operations")
 
     def _pop(self, now: float) -> Operation:
-        self._adapt(self._length, now)
+        # _adapt(self._length, now), written out:
+        queue_length = self._length
+        pressure = self._pressure
+        pressure = (
+            float(queue_length)
+            if pressure is None
+            else pressure + CTRL_ALPHA * (queue_length - pressure)
+        )
+        self._pressure = pressure
+        if self._adaptive and now - self._last_adapt >= ADAPT_INTERVAL:
+            self._move_k(pressure, now)
         # Fast path: no demoted operations means no aging to check and no
         # threshold/budget to evaluate — the common case at light load,
         # where pop is just a front-band heappop.

@@ -111,25 +111,29 @@ class ServerEstimates:
     # Updates
     # ------------------------------------------------------------------
     def observe(self, feedback: Feedback) -> None:
-        """Fold one feedback snapshot into the estimates."""
-        state = self._servers.get(feedback.server_id)
+        """Fold one feedback snapshot into the estimates.
+
+        The snapshot is a tuple and is read as one: its five values are
+        unpacked once, not looked up field by field.
+        """
+        server_id, queued_work, queue_length, sample, timestamp = feedback
+        state = self._servers.get(server_id)
         if state is None:
-            state = self._servers[feedback.server_id] = _ServerState()
-        work = max(0.0, feedback.queued_work)
+            state = self._servers[server_id] = _ServerState()
+        work = queued_work if queued_work > 0.0 else 0.0  # max(0.0, queued_work)
         previous = state.queued_work
         if previous is None:
             state.queued_work = float(work)
         else:
             state.queued_work = previous + self.alpha_work * (work - previous)
-        sample = feedback.rate_sample
         if sample > 0:
             previous = state.rate
             if previous is None:
                 state.rate = float(sample)
             else:
                 state.rate = previous + self.alpha_rate * (sample - previous)
-        state.last_update = feedback.timestamp
-        state.snapshot_queue_length = feedback.queue_length
+        state.last_update = timestamp
+        state.snapshot_queue_length = queue_length
         state.observations += 1
         self.feedback_count += 1
 

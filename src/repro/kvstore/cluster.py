@@ -158,7 +158,7 @@ class Cluster:
             self.clients.append(self._build_client(cid))
         for server in self.servers.values():
             for client in self.clients:
-                server.clients[client.client_id] = client
+                server.connect(client)
 
         # One periodic broadcaster covers both delivery styles: A2's
         # PERIODIC feedback mode and the Dodoor-style load reporter (a
@@ -214,13 +214,12 @@ class Cluster:
         """The one key table every client reads, and the trace-key check.
 
         Each key's replica list is the ring's walk for it, taken once
-        here; no request looks a key up on the ring.  A trace must name
+        here through the ring's per-slot cache; no request looks a key up
+        on the ring, so nothing is cached per key.  A trace must name
         only keyspace keys.
         """
         keyspace = self.keyspace
         names = keyspace.key_names(range(keyspace.size))
-        n = self.config.replication_factor
-        pref = self.ring.preference_list
         index = None
         trace = self.config.trace
         if trace is not None:
@@ -235,7 +234,7 @@ class Cluster:
         return KeyTable(
             names,
             keyspace.value_sizes.tolist(),
-            [pref(key, n) for key in names],
+            self.ring.preference_lists(names, self.config.replication_factor),
             self.reference_service,
             index,
         )

@@ -6,17 +6,20 @@ the unit the per-server schedulers order.  A request completes when its
 last operation completes — the "max structure" that makes the scheduling
 problem the concurrent open shop problem.
 
-These dataclasses are declared with ``slots=True``: a load sweep creates
-millions of operations/responses per run, and dropping the per-instance
-``__dict__`` cuts both allocation time and peak memory on the simulator
-hot path (scheduler tags still live in the explicit ``tag`` dict).
+Requests and operations are dataclasses declared with ``slots=True``: a
+load sweep creates millions of operations per run, and dropping the
+per-instance ``__dict__`` cuts both allocation time and peak memory on
+the simulator hot path (scheduler tags still live in the explicit
+``tag`` dict).  The two messages a server sends back, :class:`Feedback`
+and :class:`Response`, are named tuples: immutable values that the
+simulated server builds without running a Python ``__init__``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 
 class OpKind(enum.Enum):
@@ -112,6 +115,11 @@ class Request:
     #: Largest per-server demand, remembered the first time it is worked
     #: out (at tagging, once every operation is attached).
     bottleneck: Optional[float] = None
+    #: Sum of service demands over all operations (seconds) and of their
+    #: value sizes (bytes), added up by whoever attaches the operations
+    #: (the simulated client, while it builds the request).
+    total_demand: float = 0.0
+    total_bytes: int = 0
 
     def __repr__(self) -> str:
         return (
@@ -123,15 +131,6 @@ class Request:
     def fanout(self) -> int:
         """Number of operations (keys) in the request."""
         return len(self.operations)
-
-    @property
-    def total_demand(self) -> float:
-        """Sum of service demands over all operations (seconds)."""
-        return sum(op.demand for op in self.operations)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(op.value_size for op in self.operations)
 
     @property
     def remaining(self) -> int:
@@ -161,8 +160,7 @@ class Request:
         return self.bottleneck
 
 
-@dataclass(slots=True)
-class Feedback:
+class Feedback(NamedTuple):
     """Server state piggybacked on every response.
 
     ``queued_work`` is the server's estimate of the total remaining service
@@ -179,8 +177,7 @@ class Feedback:
     timestamp: float
 
 
-@dataclass(slots=True)
-class Response:
+class Response(NamedTuple):
     """Completion message for one operation, sent server -> client.
 
     The value moved is ``operation.value_size``: a simulated server holds

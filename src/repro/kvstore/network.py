@@ -10,6 +10,13 @@ event object.
 One implementation, :class:`UniformLatencyNetwork`: every pair has the
 same base delay plus optional exponential jitter, which matches the
 paper's single-datacenter simulation setting.
+
+Without jitter and without an open link-fault window every message
+takes the base delay, draws nothing and gets no verdict, so
+:meth:`NetworkModel.send` and :meth:`NetworkModel.send_batch` count it
+and schedule it without a further call.  Otherwise each message is
+counted, given its delay and asked for its verdict one at a time, in
+sending order.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ class NetworkModel:
         #: fault driver; consulted per message when present.
         self.faults = None
         self.messages_dropped = 0
+        #: The delay of every message when :meth:`delay` is a constant,
+        #: set by a subclass whose delay is; None asks per message.
+        self._fixed_delay: Optional[float] = None
 
     def delay(self, src: Hashable, dst: Hashable) -> float:
         """One-way delay for a message from ``src`` to ``dst``."""
@@ -81,11 +91,18 @@ class NetworkModel:
         Returns the sampled delay (useful for tests and tracing);
         ``inf`` means the message was dropped by an active link fault.
         """
-        d = self._admit(src, dst, size_bytes)
-        if d != DROP:
-            # A zero delay still goes through the queue, ahead of that
-            # instant's timers, for deterministic ordering.
-            self.env._schedule(handler, payload, d, NORMAL if d > 0 else URGENT)
+        d = self._fixed_delay
+        faults = self.faults
+        if d is not None and (faults is None or not faults.active):
+            self.messages_sent += 1
+            self.bytes_sent += size_bytes
+        else:
+            d = self._admit(src, dst, size_bytes)
+            if d == DROP:
+                return d
+        # A zero delay still goes through the queue, ahead of that
+        # instant's timers, for deterministic ordering.
+        self.env._schedule(handler, payload, d, NORMAL if d > 0 else URGENT)
         return d
 
     def send_batch(self, src: Hashable, messages: Iterable[Message]) -> None:
@@ -101,7 +118,21 @@ class NetworkModel:
         delivery instant runs after its run, not between two of its
         messages.
         """
-        run: list = []
+        d = self._fixed_delay
+        faults = self.faults
+        if d is not None and (faults is None or not faults.active):
+            # Every message takes the same delay: one run.
+            run: list = []
+            total_bytes = 0
+            for _, payload, handler, size_bytes in messages:
+                run.append((handler, payload))
+                total_bytes += size_bytes
+            if run:
+                self.messages_sent += len(run)
+                self.bytes_sent += total_bytes
+                self._schedule_run(run, d)
+            return
+        run = []
         run_delay = 0.0
         for dst, payload, handler, size_bytes in messages:
             d = self._admit(src, dst, size_bytes)
@@ -150,6 +181,8 @@ class UniformLatencyNetwork(NetworkModel):
         self.base_delay = base_delay
         self.jitter_mean = jitter_mean
         self._rng = as_batched(rng) if rng is not None else None
+        if jitter_mean == 0:
+            self._fixed_delay = base_delay
 
     def delay(self, src: Hashable, dst: Hashable) -> float:
         d = self.base_delay

@@ -122,36 +122,46 @@ class ConsistentHashRing:
         """
         cache_key = (key, n)
         cached = self._pref_cache.get(cache_key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._pref_cache[cache_key] = self.preference_lists((key,), n)[0]
+        return cached
+
+    def preference_lists(self, keys: Iterable[str], n: int) -> List[List[int]]:
+        """:meth:`preference_list` of each key, caching nothing per key.
+
+        For a caller that asks for every key once (the simulator's key
+        table): the walks go through the per-slot cache only, so the
+        per-key cache stays empty.
+        """
         if n < 1:
             raise PartitioningError("preference list length must be >= 1")
         if n > len(self._servers):
             raise PartitioningError(
                 f"requested {n} replicas but only {len(self._servers)} servers"
             )
-        point = stable_hash(key)
-        idx = bisect.bisect_right(self._points, point)
-        slot_key = (idx, n)
-        result = self._slot_pref_cache.get(slot_key)
-        if result is None:
-            result = []
-            seen = set()
-            for step in range(len(self._points)):
-                ring_idx = (idx + step) % len(self._points)
-                sid = self._owners[self._points[ring_idx]]
-                if sid not in seen:
-                    seen.add(sid)
-                    result.append(sid)
-                    if len(result) == n:
-                        break
-            if len(result) < n:
-                raise PartitioningError(
-                    "ring walk failed to find enough distinct servers"
-                )
-            self._slot_pref_cache[slot_key] = result
-        self._pref_cache[cache_key] = result
-        return result
+        points, owners = self._points, self._owners
+        slot_cache = self._slot_pref_cache
+        lists = []
+        for key in keys:
+            idx = bisect.bisect_right(points, stable_hash(key))
+            result = slot_cache.get((idx, n))
+            if result is None:
+                result = []
+                seen = set()
+                for step in range(len(points)):
+                    sid = owners[points[(idx + step) % len(points)]]
+                    if sid not in seen:
+                        seen.add(sid)
+                        result.append(sid)
+                        if len(result) == n:
+                            break
+                if len(result) < n:
+                    raise PartitioningError(
+                        "ring walk failed to find enough distinct servers"
+                    )
+                slot_cache[(idx, n)] = result
+            lists.append(result)
+        return lists
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -8,9 +8,11 @@ decides which — the *selection* lever a front-end has besides scheduling
 :mod:`repro.selection` powers the X1/X3 extension experiments).
 
 :class:`ReplicaPlacement` is a ring plus a policy: it resolves each
-key's replica set and delegates the pick.  The client feeds its
-dispatch/response/feedback events to ``placement.policy`` directly,
-saying what time it is (``env.now``).
+key's replica set and says whether every read goes to the primary
+(``primary_reads``).  When not, the client asks ``placement.policy``
+for each pick with one ``select`` call, and feeds it its
+dispatch/response/feedback events directly, saying what time it is
+(``env.now``).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.selection import (
 
 
 class ReplicaPlacement:
-    """Maps keys to replica sets and picks a read replica per operation.
+    """Maps keys to replica sets and holds the read-replica policy.
 
     Parameters
     ----------
@@ -95,18 +97,6 @@ class ReplicaPlacement:
     def replicas(self, key: str) -> List[int]:
         """The full replica set for ``key`` (primary first)."""
         return self.ring.preference_list(key, self.replication_factor)
-
-    def select_read_replica(
-        self, key: str, candidates: List[int], now: float = 0.0
-    ) -> int:
-        """Choose which of ``key``'s replicas serves a GET at ``now``.
-
-        ``candidates`` is the key's replica list (:meth:`replicas`); the
-        simulated client passes the one its key table holds.
-        """
-        if self.primary_reads or len(candidates) == 1:
-            return candidates[0]
-        return self.policy.select(key, candidates, now)
 
     def __repr__(self) -> str:
         return (

@@ -2,28 +2,30 @@
 
 One server = one scheduler queue + one service loop.  The loop is
 non-preemptive and work-conserving: whenever operations are queued it
-serves the one the scheduler picks, for a service time drawn from the
-server's :class:`~repro.kvstore.service.ServiceModel` (which may degrade
-over time) at the operation's own ``value_size``.  The server holds no
-data: the size an operation names is the size it serves, so the rate the
-server learns is measured on the same demand the client tagged.
-Completions are shipped back to the issuing client with optional
-piggybacked feedback.
+serves the one the scheduler picks, for ``op.demand / speed × noise``
+seconds, with the speed and noise of the server's
+:class:`~repro.kvstore.service.ServiceModel` (the speed may degrade over
+time).  The server holds no data: the size an operation names is the
+size it serves, so the rate the server learns is measured on the same
+demand the client tagged.  Completions are shipped back to the issuing
+client with optional piggybacked feedback.
 
 The loop is a re-arming kernel entry, not a coroutine:
 :meth:`Server._start_next` runs whenever the server might be able to
 start work (a delivery, a completion, a resume, a recovery) and
 schedules at most one call — the completion of what it started — which
-calls it again.
+calls it again.  That completion, :meth:`Server._service_done`, is the
+whole per-operation epilogue in one body: service accounting, the rate
+sample, the feedback snapshot and the response send.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.core.estimator import check_alpha
 from repro.kvstore.items import Feedback, Operation, Response
-from repro.kvstore.network import NetworkModel
+from repro.kvstore.network import Handler, NetworkModel
 from repro.kvstore.service import ServiceModel
 from repro.schedulers.base import ServerQueue
 from repro.sim.core import NORMAL, Environment
@@ -31,9 +33,22 @@ from repro.sim.core import NORMAL, Environment
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kvstore.client import Client
 
+#: Builds a named tuple from a tuple of its values without running the
+#: class's Python-level ``__new__`` (what ``namedtuple._make`` does): the
+#: per-operation :class:`Feedback` and :class:`Response` cost no call.
+_make = tuple.__new__
+
 
 class Server:
-    """A simulated KV server with a pluggable scheduling queue."""
+    """A simulated KV server with a pluggable scheduling queue.
+
+    An operation is served for ``op.demand / speed × noise`` seconds:
+    ``op.demand`` is the reference demand of its size, the speed is the
+    service model's base speed (its ``speed_factor(now)`` on a server
+    with speed steps), and the noise is the next draw of the model's
+    lognormal lane.  The cluster wires each client with :meth:`connect`
+    before the run.
+    """
 
     def __init__(
         self,
@@ -51,8 +66,19 @@ class Server:
         self.service = service
         self.network = network
         self.piggyback_feedback = piggyback_feedback
-        #: client_id -> Client, wired by the cluster after construction.
-        self.clients: dict[int, "Client"] = {}
+        #: client_id -> Client, wired by :meth:`connect`.
+        self.clients: Dict[int, "Client"] = {}
+        #: client_id -> (network address, response handler), resolved
+        #: once by :meth:`connect` so a completion looks up one entry.
+        self._routes: Dict[int, Tuple[tuple, Handler]] = {}
+        self.address = ("server", server_id)
+        #: The speed every op is served at, or None when speed steps make
+        #: it depend on the time (then the service model bisects).
+        self._steady_speed = None if service.varies else service.base_speed
+        #: Only a queue that overrides the completion hook is told.
+        self._notify_queue = (
+            type(queue).on_service_complete is not ServerQueue.on_service_complete
+        )
 
         #: True while the completion of the operation in service is
         #: pending, so at most one is ever armed.
@@ -84,6 +110,14 @@ class Server:
         self.probes_answered = 0
         self.busy_time = 0.0
 
+    def connect(self, client: "Client") -> None:
+        """Route ``client``'s responses (and probe replies) back to it."""
+        self.clients[client.client_id] = client
+        self._routes[client.client_id] = (
+            ("client", client.client_id),
+            client.handle_response,
+        )
+
     # ------------------------------------------------------------------
     # Ingress
     # ------------------------------------------------------------------
@@ -114,7 +148,7 @@ class Server:
             )
         self.probes_answered += 1
         self.network.send(
-            ("server", self.server_id),
+            self.address,
             ("client", client_id),
             self.make_feedback(),
             client.receive_probe_reply,
@@ -136,7 +170,7 @@ class Server:
         self.crashed = True
         self.crashes += 1
         now = self.env.now
-        while len(self.queue):
+        while self.queue._length:
             self.queue.pop(now)
             self.ops_dropped += 1
 
@@ -171,13 +205,19 @@ class Server:
         if self._timer_armed or self.crashed or self.paused:
             return
         queue = self.queue
-        if len(queue) == 0:
+        if queue._length == 0:
             return
         env = self.env
         now = env._now
         op = queue.pop(now)
         op.start_time = now
-        service_time = self.service.sample_service_time(op.value_size, now)
+        speed = self._steady_speed
+        if speed is None:
+            speed = self.service.speed_factor(now)
+        service_time = op.demand / speed
+        noise = self.service.noise
+        if noise is not None:
+            service_time *= next(noise)
         self._current_finish = now + service_time
         self._timer_armed = True
         env._schedule(
@@ -188,18 +228,15 @@ class Server:
         )
 
     def _service_done(self, served: tuple) -> None:
+        """Account for a served operation, ship its response, start the next."""
         op, epoch, service_time = served
         self._timer_armed = False
         self._current_finish = None
         if self.crashes != epoch:
             # The server died mid-service; the op dies with it.
             self.ops_dropped += 1
-        else:
-            self._complete(op, service_time)
-        self._start_next()
-
-    def _complete(self, op: Operation, service_time: float) -> None:
-        """Account for a served operation and ship its response."""
+            self._start_next()
+            return
         now = self.env._now
         op.finish_time = now
         self.busy_time += service_time
@@ -207,24 +244,34 @@ class Server:
             lane = op.tag.get("lane")
             if lane in self.lane_busy_time:
                 self.lane_busy_time[lane] += service_time
-        # Learn our own effective rate from the completed operation.
-        observed = self.service.rate_sample(op.demand, service_time)
-        self._rate += self._rate_alpha * (observed - self._rate)
-        self.queue.on_service_complete(op, now)
+        # Learn our own effective rate: demand seconds per wall second.
+        observed = op.demand / service_time if service_time > 0 else self.service.base_speed
+        rate = self._rate = self._rate + self._rate_alpha * (observed - self._rate)
+        queue = self.queue
+        if self._notify_queue:
+            queue.on_service_complete(op, now)
         self.ops_served += 1
-        client = self.clients.get(op.request.client_id)
-        if client is None:  # pragma: no cover - wiring error
-            raise RuntimeError(
-                f"server {self.server_id} has no route to client "
-                f"{op.request.client_id}"
+        dst, handler = self._routes[op.request.client_id]
+        # make_feedback() with nothing in service (it just finished).
+        feedback = (
+            _make(
+                Feedback,
+                (
+                    self.server_id,
+                    queue.queued_demand / (rate if rate > 1e-9 else 1e-9),
+                    queue._length,
+                    rate,
+                    now,
+                ),
             )
-        self.network.send(
-            ("server", self.server_id),
-            ("client", client.client_id),
-            Response(op, self.make_feedback() if self.piggyback_feedback else None),
-            client.handle_response,
-            op.value_size,
+            if self.piggyback_feedback
+            else None
         )
+        self.network.send(
+            self.address, dst, _make(Response, (op, feedback)), handler, op.value_size
+        )
+        if queue._length:  # else _start_next would find nothing to start
+            self._start_next()
 
     # ------------------------------------------------------------------
     # Feedback & introspection
@@ -251,7 +298,7 @@ class Server:
         rate = self._rate
         queue = self.queue
         queued_seconds = queue.queued_demand / max(rate, 1e-9) + self.in_service_residual(now)
-        return Feedback(self.server_id, queued_seconds, len(queue), rate, now)
+        return Feedback(self.server_id, queued_seconds, queue._length, rate, now)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` spent serving operations."""

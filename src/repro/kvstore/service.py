@@ -9,13 +9,22 @@ reference server.  ``speed_factor_s(t)`` is a step function of
 ``(time, factor)`` speed steps — the fault plan's ``SlowNode`` windows,
 as :meth:`~repro.faults.plan.FaultPlan.slow_windows` returns them — and
 this is the "time-varying server performance" axis the paper's
-adaptivity targets.  Optional service-time noise models OS jitter.
+adaptivity targets.  Optional multiplicative lognormal noise models OS
+jitter.
+
+The simulated :class:`~repro.kvstore.server.Server` does the arithmetic
+itself, once per operation: ``op.demand / speed × noise``, where
+``op.demand`` is :meth:`ServiceModel.demand` of the operation's size
+(the client's key table computed it with the same expression), the speed
+is :attr:`ServiceModel.base_speed` unless speed steps make
+:meth:`ServiceModel.speed_factor` worth a bisect, and the noise is the
+next value of :attr:`ServiceModel.noise`.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +33,7 @@ from repro.sim.rand import as_batched
 
 
 class ServiceModel:
-    """Computes demands and samples actual service times for one server.
+    """One server's service parameters: demands, speed and noise.
 
     Parameters
     ----------
@@ -74,14 +83,17 @@ class ServiceModel:
         self.byte_rate = byte_rate
         self.base_speed = base_speed
         self.noise_cv = noise_cv
-        self._rng = as_batched(rng) if rng is not None else None
         self._step_times = [time for time, _ in steps]
         self._step_factors = [factor for _, factor in steps]
+        #: True when speed steps make the speed depend on the time.
+        self.varies = bool(steps)
+        #: Multiplicative noise, one value per served operation: the
+        #: draws of the rng's lognormal lane (mean 1, the requested CV),
+        #: in order, or None without noise.
+        self.noise: Optional[Iterator[float]] = None
         if noise_cv > 0:
-            # Lognormal with mean 1 and the requested CV.
-            self._sigma2 = float(np.log(1.0 + noise_cv**2))
-            self._mu = -self._sigma2 / 2.0
-            self._sigma = self._sigma2**0.5
+            sigma2 = float(np.log(1.0 + noise_cv**2))
+            self.noise = as_batched(rng).lognormal_draws(-sigma2 / 2.0, sigma2**0.5)
 
     # ------------------------------------------------------------------
     def demand(self, value_size: int) -> float:
@@ -100,19 +112,6 @@ class ServiceModel:
         if idx >= 0:
             factor *= self._step_factors[idx]
         return factor
-
-    def sample_service_time(self, value_size: int, now: float) -> float:
-        """Actual service time for an operation starting at ``now``."""
-        base = self.demand(value_size) / self.speed_factor(now)
-        if self.noise_cv > 0:
-            base *= self._rng.lognormal(self._mu, self._sigma)
-        return base
-
-    def rate_sample(self, demand: float, actual: float) -> float:
-        """Observed speed for a completed op: demand seconds per wall second."""
-        if actual <= 0:
-            return self.base_speed
-        return demand / actual
 
     def __repr__(self) -> str:
         return (

@@ -64,16 +64,25 @@ class MetricsCollector:
     # Recording
     # ------------------------------------------------------------------
     def record_request(self, request: Request) -> None:
-        """Snapshot a completed request."""
-        if not request.done:
+        """Snapshot a completed request.
+
+        Reads plain fields only: the totals were added up when the request
+        was built, and the bottleneck when it was tagged (worked out here
+        only for a request no tagger saw).
+        """
+        completion = request.completion_time
+        if completion != completion:  # NaN: not done
             raise ConfigError(f"request {request.request_id} has not completed")
+        bottleneck = request.bottleneck
+        if bottleneck is None:
+            bottleneck = request.bottleneck_demand()
         self._request_ids.append(request.request_id)
         self._client_ids.append(request.client_id)
         self._arrivals.append(request.arrival_time)
-        self._completions.append(request.completion_time)
-        self._fanouts.append(request.fanout)
+        self._completions.append(completion)
+        self._fanouts.append(len(request.operations))
         self._total_demands.append(request.total_demand)
-        self._bottlenecks.append(request.bottleneck_demand())
+        self._bottlenecks.append(bottleneck)
         self._total_bytes.append(request.total_bytes)
 
     # ------------------------------------------------------------------

@@ -30,17 +30,14 @@ class ServerQueue:
     """
 
     def __init__(self) -> None:
+        #: Queued operations; ``len(queue)`` reads it.
         self._length = 0
-        self._queued_demand = 0.0
+        #: Total service demand (reference seconds) of queued operations.
+        self.queued_demand = 0.0
 
     # -- bookkeeping ------------------------------------------------------
     def __len__(self) -> int:
         return self._length
-
-    @property
-    def queued_demand(self) -> float:
-        """Total service demand (reference seconds) of queued operations."""
-        return self._queued_demand
 
     # -- public API -------------------------------------------------------
     def push(self, op: Operation, now: float) -> None:
@@ -48,7 +45,7 @@ class ServerQueue:
         op.enqueue_time = now
         self._push(op, now)
         self._length += 1
-        self._queued_demand += op.demand
+        self.queued_demand += op.demand
 
     def pop(self, now: float) -> Operation:
         """Dequeue the next operation to serve."""
@@ -56,9 +53,9 @@ class ServerQueue:
             raise SchedulerError("pop() from an empty queue")
         op = self._pop(now)
         self._length -= 1
-        self._queued_demand -= op.demand
-        if self._queued_demand < 0 and self._queued_demand > -1e-12:
-            self._queued_demand = 0.0  # absorb float drift
+        self.queued_demand -= op.demand
+        if self.queued_demand < 0 and self.queued_demand > -1e-12:
+            self.queued_demand = 0.0  # absorb float drift
         return op
 
     # -- policy hooks -------------------------------------------------------

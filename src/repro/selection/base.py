@@ -24,7 +24,6 @@ parallel experiment engine.
 
 from __future__ import annotations
 
-import abc
 from typing import Any, ClassVar, Dict, Sequence
 
 #: The control-plane message kinds the accounting recognises, in the
@@ -42,12 +41,14 @@ FEEDBACK_WIRE_BYTES = 40
 PROBE_WIRE_BYTES = 8
 
 
-class SelectionPolicy(abc.ABC):
+class SelectionPolicy:
     """Chooses the replica that serves a GET, from client-local signals.
 
     Subclasses implement :meth:`_choose`; the public :meth:`select`
     wrapper handles the single-candidate short-circuit and pick counting.
-    All tie-breaks are ``(score, server_id)`` so selection is fully
+    A policy on the fleet cell's per-read path (Dodoor) overrides
+    :meth:`select` whole instead, so a decision is one call.  All
+    tie-breaks are ``(score, server_id)`` so selection is fully
     deterministic given the same observation sequence.
     """
 
@@ -92,9 +93,9 @@ class SelectionPolicy(abc.ABC):
         self.picks[chosen] = self.picks.get(chosen, 0) + 1
         return chosen
 
-    @abc.abstractmethod
     def _choose(self, key: str, candidates: Sequence[int], now: float) -> int:
         """Policy-specific choice among >= 2 candidates."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Signal hooks (no-ops unless the policy wants them)

@@ -25,11 +25,11 @@ needs the staleness bound it tolerates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Iterator, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.selection.base import SelectionPolicy
-from repro.selection.static import D_CHOICES, sample_choices
+from repro.selection.static import D_CHOICES
 from repro.sim.rand import BatchedStream, as_batched
 
 #: Default staleness bound, sized as a small multiple of the default
@@ -68,6 +68,8 @@ class DodoorPolicy(SelectionPolicy):
                 f"dodoor needs max_staleness > 0, got {max_staleness}"
             )
         self._rng: BatchedStream = as_batched(rng)
+        #: bound -> the rng's ``integers(0, bound)`` draws, in order.
+        self._draws: Dict[int, Iterator[int]] = {}
         self.max_staleness = max_staleness
         #: server_id -> (reported queued work seconds, report timestamp).
         self._cache: Dict[int, Tuple[float, float]] = {}
@@ -81,41 +83,65 @@ class DodoorPolicy(SelectionPolicy):
         self._cache[feedback.server_id] = (feedback.queued_work, now)
         self.reports_cached += 1
 
-    def cached_load(self, server_id: int, now: float):
-        """The fresh cached load for ``server_id``, or None when stale."""
-        entry = self._cache.get(server_id)
-        if entry is None:
-            return None
-        load, stamp = entry
-        if now - stamp > self.max_staleness:
-            self.expired_lookups += 1
-            return None
-        return load
-
     # ------------------------------------------------------------------
-    def _choose(self, key: str, candidates: Sequence[int], now: float) -> int:
-        sampled = sample_choices(self._rng, candidates)
-        best = None
-        best_rank = None
-        for sid in sampled:
-            load = self.cached_load(sid, now)
-            if load is None:
-                continue
-            # The in-flight nudge decorrelates clients between reports:
-            # two servers that reported identical load diverge as soon as
-            # this client has dispatched to one of them.
-            rank = (load + 1e-6 * self.inflight_of(sid), sid)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best = sid
-        if best is not None:
-            return best
-        # Every sampled entry is missing or expired: degrade to uniform
-        # random among the sample.  The Fisher-Yates order is already a
-        # uniform draw, so the first sampled element is uniform over the
-        # candidates — no low-server-id pinning.
-        self.blind_decisions += 1
-        return sampled[0]
+    def select(self, key: str, candidates: Sequence[int], now: float = 0.0) -> int:
+        """Pick the replica of ``key`` to read from, in one call.
+
+        :meth:`SelectionPolicy.select` with the choice written in: a
+        partial Fisher-Yates draw of :data:`D_CHOICES` candidates (the
+        draws of :func:`~repro.selection.static.sample_choices`, taken
+        from the same ``integers(0, n - i)`` lanes in the same order),
+        then the least cached load among them.
+        """
+        n = len(candidates)
+        if n == 1:
+            chosen = candidates[0]
+        else:
+            if D_CHOICES >= n:
+                sampled = candidates
+            else:
+                idx = list(range(n))
+                draws = self._draws
+                for i in range(D_CHOICES):
+                    lane = draws.get(n - i)
+                    if lane is None:
+                        lane = draws[n - i] = self._rng.integers_draws(0, n - i)
+                    j = i + next(lane)
+                    idx[i], idx[j] = idx[j], idx[i]
+                sampled = []
+                for i in range(D_CHOICES):
+                    sampled.append(candidates[idx[i]])
+            cache = self._cache
+            inflight = self.inflight
+            best = None
+            best_rank = None
+            for sid in sampled:
+                entry = cache.get(sid)
+                if entry is None:
+                    continue
+                load, stamp = entry
+                if now - stamp > self.max_staleness:
+                    self.expired_lookups += 1
+                    continue
+                # The in-flight nudge decorrelates clients between reports:
+                # two servers that reported identical load diverge as soon
+                # as this client has dispatched to one of them.
+                rank = (load + 1e-6 * inflight.get(sid, 0), sid)
+                if best_rank is None or rank < best_rank:
+                    best_rank = rank
+                    best = sid
+            if best is None:
+                # Every sampled entry is missing or expired: degrade to
+                # uniform random among the sample.  The Fisher-Yates order
+                # is already a uniform draw, so the first sampled element
+                # is uniform over the candidates — no low-server-id
+                # pinning.
+                self.blind_decisions += 1
+                best = sampled[0]
+            chosen = best
+        self.decisions += 1
+        self.picks[chosen] = self.picks.get(chosen, 0) + 1
+        return chosen
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -24,7 +24,8 @@ integers, vectorised across a block.  The uniform key sampler builds
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from itertools import chain
+from typing import Callable, Dict, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -242,6 +243,47 @@ class BatchedStream:
         i = lane[1]
         lane[1] = i + 1
         return lane[0].item(i)
+
+    # -- draw iterators (same lanes, same sequence) ---------------------
+    def _lane_draws(
+        self, key: _LaneKey, fill, grow: bool, convert: Callable
+    ) -> Iterator:
+        """Endless iterator over lane ``key``'s draws, as Python scalars.
+
+        Python runs once per block, not once per draw: the lane refills
+        exactly when the next draw needs it (as a scalar call would) and
+        hands its whole block over, so the iterator owns the lane from
+        its first draw on.
+        """
+
+        def blocks():
+            lane = self._lanes.get(key)
+            while True:
+                if lane is None or lane[1] >= lane[0].shape[0]:
+                    lane = self._refill(key, lane, fill, grow)
+                buf, cur = lane
+                lane[1] = buf.shape[0]
+                yield buf[cur:]
+
+        return map(convert, chain.from_iterable(blocks()))
+
+    def lognormal_draws(self, mean: float, sigma: float) -> Iterator[float]:
+        """``next()`` gives what successive :meth:`lognormal` calls would."""
+        return self._lane_draws(
+            ("ln", mean, sigma),
+            lambda b: self.gen.lognormal(mean, sigma, size=b),
+            True,
+            float,
+        )
+
+    def integers_draws(self, low: int, high: int) -> Iterator[int]:
+        """``next()`` gives what successive :meth:`integers` calls would."""
+        return self._lane_draws(
+            ("i", low, high),
+            lambda b: self.gen.integers(low, high, size=b),
+            False,
+            int,
+        )
 
     # -- block draws (same lanes, same sequence) ------------------------
     def _take_block(

@@ -4,6 +4,8 @@ The controller lives on :class:`~repro.core.das.DasQueue`; these tests
 feed it queue-length samples directly through ``_adapt``.
 """
 
+import random
+
 import pytest
 
 from repro.core.das import (
@@ -73,6 +75,30 @@ class TestAdjustment:
         queue._adapt(0, now=0.0)
         queue._adapt(10, now=1.0)
         assert queue.queue_pressure == pytest.approx(CTRL_ALPHA * 10)
+
+
+def test_push_and_pop_sample_as_adapt_does():
+    """``_push`` and ``_pop`` take their sample with ``_adapt`` written
+    out: a queue driven by pushes and pops moves its pressure and ``k``
+    exactly as ``_adapt`` fed the same lengths at the same times."""
+    queue, reference = DasQueue(), DasQueue()
+    rng = random.Random(1)
+    now = 0.0
+    for step in range(4000):
+        now += rng.expovariate(4000.0)
+        push_share = 0.7 if (step // 1000) % 2 == 0 else 0.3
+        if len(queue) and rng.random() >= push_share:
+            reference._adapt(len(queue), now)
+            queue.pop(now)
+        else:
+            reference._adapt(len(queue) + 1, now)
+            queue.push(make_op(demand=rng.random()), now)
+        assert (queue.k, queue._pressure, queue.adjustments) == (
+            reference.k,
+            reference._pressure,
+            reference.adjustments,
+        )
+    assert queue.adjustments > 10
 
 
 class TestThreshold:

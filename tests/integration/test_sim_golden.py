@@ -279,3 +279,47 @@ def test_link_fault_verdicts_are_the_recorded_ones():
     result = run_cluster(config, sim)
     assert result.faults["network"] == LINK_FAULT_COUNTERS
     assert (result.requests_sent, result.requests_completed) == (323, 239)
+
+
+#: ``dodoor-reports``' replica-selection accounting, per client: what the
+#: read-replica decisions chose and what kept the load cache fresh.  A
+#: decision that draws its candidates in another order, or a report or
+#: piggybacked snapshot counted twice, moves these even where the RCTs
+#: hold.
+SELECTION_COUNTERS = {
+    0: {
+        "decisions": 610,
+        "picks": {0: 122, 1: 160, 2: 171, 3: 157},
+        "expired_lookups": 0,
+        "blind_decisions": 6,
+        "messages_sent": {"probe": 0, "report": 228, "feedback": 0},
+        "bytes_sent": {"probe": 0, "report": 9120, "feedback": 24400},
+    },
+    1: {
+        "decisions": 535,
+        "picks": {0: 153, 1: 123, 2: 120, 3: 139},
+        "expired_lookups": 0,
+        "blind_decisions": 12,
+        "messages_sent": {"probe": 0, "report": 228, "feedback": 0},
+        "bytes_sent": {"probe": 0, "report": 9120, "feedback": 21400},
+    },
+}
+
+
+def test_selection_accounting_is_the_recorded_one():
+    config, sim = CELLS["dodoor-reports"]
+    cluster = Cluster(config)
+    cluster.run(sim)
+    stats = cluster.selection_stats()
+    assert sorted(stats) == sorted(SELECTION_COUNTERS)
+    for cid, expected in SELECTION_COUNTERS.items():
+        got = stats[cid]
+        plane = got["control_plane"]
+        assert {
+            "decisions": got["decisions"],
+            "picks": got["picks"],
+            "expired_lookups": got["expired_lookups"],
+            "blind_decisions": got["blind_decisions"],
+            "messages_sent": plane["messages_sent"],
+            "bytes_sent": plane["bytes_sent"],
+        } == expected, f"client {cid}"

@@ -25,14 +25,25 @@ def make_request(slices):
     return request
 
 
+def built_requests(n=50):
+    """Requests as a simulated client builds them (not dispatched)."""
+    from repro.kvstore.cluster import Cluster
+    from tests.integration.test_sim_golden import cell
+
+    client = Cluster(cell()).clients[0]
+    return [client._build_request() for _ in range(n)]
+
+
 class TestRequest:
     def test_fanout(self):
         request = make_request([(0, 1.0), (1, 2.0), (2, 3.0)])
         assert request.fanout == 3
 
     def test_total_demand(self):
-        request = make_request([(0, 1.0), (1, 2.0)])
-        assert request.total_demand == pytest.approx(3.0)
+        """The simulated client adds a request's demands up as it builds it."""
+        for request in built_requests():
+            demands = [op.demand for op in request.operations]
+            assert request.total_demand == pytest.approx(sum(demands))
 
     def test_demands_by_server_aggregates_slices(self):
         request = make_request([(0, 1.0), (0, 2.0), (1, 5.0)])
@@ -61,8 +72,10 @@ class TestRequest:
         assert request.rct == pytest.approx(2.5)
 
     def test_total_bytes(self):
-        request = make_request([(0, 1.0), (1, 1.0)])
-        assert request.total_bytes == 200
+        for request in built_requests():
+            sizes = [op.value_size for op in request.operations]
+            assert request.total_bytes == sum(sizes)
+        assert Request(request_id=1, client_id=0, arrival_time=0.0).total_bytes == 0
 
     def test_repr(self):
         request = make_request([(0, 1.0)])

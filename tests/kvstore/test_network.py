@@ -164,9 +164,12 @@ def test_send_batch_shares_one_kernel_entry_per_equal_delay_run(env):
 
 
 def test_send_batch_rejects_a_negative_delay(env):
+    # A jittered network asks ``delay`` per message (a constant one never
+    # does: its messages all take ``base_delay``).
     class Backwards(UniformLatencyNetwork):
         def delay(self, src, dst):
             return -1.0
 
+    net = Backwards(env, jitter_mean=1e-3, rng=np.random.default_rng(0))
     with pytest.raises(ConfigError, match="negative delay"):
-        Backwards(env).send_batch("a", [("b", None, id, 0)])
+        net.send_batch("a", [("b", None, id, 0)])

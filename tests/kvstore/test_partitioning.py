@@ -212,3 +212,30 @@ def test_preference_list_properties(n_servers, n_replicas, key):
     assert len(set(replicas)) == n_replicas
     assert all(0 <= r < n_servers for r in replicas)
     assert replicas[0] == ring.owner(key)
+
+
+def test_key_table_walks_the_ring_without_a_per_key_cache():
+    """The simulator's key table takes every key's walk once, through the
+    per-slot cache only; each row is what a fresh ring's
+    ``preference_list`` answers."""
+    from repro import ClusterConfig
+    from repro.kvstore.cluster import Cluster
+
+    config = ClusterConfig(n_servers=256, replication_factor=3, keyspace_size=2000)
+    cluster = Cluster(config)
+    assert cluster.ring._pref_cache == {}
+    fresh = ConsistentHashRing(range(256), vnodes=config.vnodes)
+    table = cluster.key_table
+    assert len(table.names) == 2000
+    for key, row in zip(table.names, table.replicas):
+        assert row == fresh.preference_list(key, 3)
+
+
+def test_preference_lists_match_preference_list():
+    ring = ConsistentHashRing(range(7), vnodes=8)
+    keys = sample_keys(300)
+    lists = ring.preference_lists(keys, 3)
+    assert ring._pref_cache == {}
+    assert lists == [ConsistentHashRing(range(7), vnodes=8).preference_list(k, 3) for k in keys]
+    with pytest.raises(PartitioningError):
+        ring.preference_lists(keys, 8)

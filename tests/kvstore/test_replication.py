@@ -51,7 +51,7 @@ class TestSelection:
         for i in range(30):
             key = f"k{i}"
             assert (
-                placement.select_read_replica(key, placement.replicas(key))
+                placement.policy.select(key, placement.replicas(key))
                 == ring.preference_list(key, 3)[0]
             )
 
@@ -61,7 +61,7 @@ class TestSelection:
         )
         key = "hotkey"
         replicas = placement.replicas(key)
-        picks = [placement.select_read_replica(key, replicas) for _ in range(6)]
+        picks = [placement.policy.select(key, replicas) for _ in range(6)]
         assert picks == replicas * 2
 
     def test_random_stays_within_replica_set(self, ring):
@@ -74,7 +74,7 @@ class TestSelection:
         key = "k"
         allowed = set(placement.replicas(key))
         picks = {
-            placement.select_read_replica(key, placement.replicas(key))
+            placement.policy.select(key, placement.replicas(key))
             for _ in range(50)
         }
         assert picks <= allowed
@@ -91,12 +91,12 @@ class TestSelection:
         for i in range(20):
             key = f"k{i}"
             replicas = placement.replicas(key)
-            assert placement.select_read_replica(key, replicas) == min(replicas)
+            assert placement.policy.select(key, replicas) == min(replicas)
 
     def test_single_replica_short_circuits(self, ring):
         placement = ReplicaPlacement(ring, replication_factor=1, selection="primary")
         key = "k"
-        assert placement.select_read_replica(key, placement.replicas(key)) == ring.owner(key)
+        assert placement.policy.select(key, placement.replicas(key)) == ring.owner(key)
 
     def test_replicas_is_the_full_preference_list(self, ring):
         placement = ReplicaPlacement(ring, replication_factor=3)

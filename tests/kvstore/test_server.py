@@ -30,7 +30,7 @@ def make_server(env, scheduler="fcfs", base_delay=0.0, **service_kwargs):
     network = UniformLatencyNetwork(env, base_delay=base_delay)
     server = Server(env, 0, queue, service, network)
     client = FakeClient()
-    server.clients[0] = client
+    server.connect(client)
     return server, client
 
 
@@ -187,7 +187,7 @@ class TestFeedback:
             network, piggyback_feedback=False,
         )
         client = FakeClient()
-        server.clients[0] = client
+        server.connect(client)
         server.handle_operation(make_op("k"))
         env.run(until=1.0)
         assert client.responses[0].feedback is None

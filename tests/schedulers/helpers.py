@@ -24,6 +24,8 @@ def make_op(
         demand=demand,
     )
     request.operations.append(op)
+    request.total_demand = demand
+    request.total_bytes = op.value_size
     if tag:
         op.tag.update(tag)
     return op
@@ -44,6 +46,8 @@ def make_multiget(slices, request_id: int = 0, arrival: float = 0.0) -> Request:
                 index=i,
             )
         )
+        request.total_demand += demand
+        request.total_bytes += int(demand * 1e6)
     return request
 
 

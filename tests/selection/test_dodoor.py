@@ -87,9 +87,12 @@ class TestExpiry:
     def test_expiry_boundary_is_deterministic(self):
         policy = fresh_policy(max_staleness=0.02)
         policy.observe_feedback(feedback(3, queued_work=1.0), now=0.0)
-        # Exactly at the bound the entry is still valid (> comparison).
-        assert policy.cached_load(3, 0.02) == 1.0
-        assert policy.cached_load(3, 0.020000001) is None
+        policy.observe_feedback(feedback(7, queued_work=2.0), now=0.01)
+        # Exactly at the bound server 3's entry is still valid (>
+        # comparison), so its lower load wins; just past it, it expired.
+        assert policy.select("k", (3, 7), 0.02) == 3
+        assert policy.expired_lookups == 0
+        assert policy.select("k", (3, 7), 0.020000001) == 7
         assert policy.expired_lookups == 1
 
     def test_same_timeline_same_expiry(self):

@@ -247,7 +247,7 @@ class TestKvstoreEquivalence:
         mu, sigma = -sigma2 / 2.0, sigma2**0.5
         for _ in range(N):
             expected = model.demand(4096) * reference.lognormal(mu, sigma)
-            assert model.sample_service_time(4096, now=0.0) == expected
+            assert model.demand(4096) * next(model.noise) == expected
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +321,24 @@ def test_integer_lanes_keep_the_full_block():
     raw = _rng()
     assert got == [int(raw.integers(0, 17)) for _ in range(2500)]
     assert stream.blocks_filled == 3  # 2500 draws in blocks of 1024
+
+
+def test_draw_iterators_take_bits_as_scalar_calls_do():
+    """Lanes read through iterators, interleaved on one generator, equal
+    the same scalar calls on a twin: every refill lands on the draw that
+    needs it (Dodoor's two integer bounds, a server's noise lane)."""
+    stream = BatchedStream(_rng(), block_size=100)
+    twin = BatchedStream(_rng(), block_size=100)
+    three, two = stream.integers_draws(0, 3), stream.integers_draws(0, 2)
+    noise = stream.lognormal_draws(0.0, 0.5)
+    for i in range(1000):
+        assert next(three) == twin.integers(0, 3)
+        assert next(two) == twin.integers(0, 2)
+        if i % 3 == 0:
+            value = next(noise)
+            assert type(value) is float
+            assert value == twin.lognormal(0.0, 0.5)
+    assert stream.blocks_filled == twin.blocks_filled
 
 
 # ----------------------------------------------------------------------
