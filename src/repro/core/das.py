@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.estimator import ServerEstimates
 from repro.errors import ConfigError, SchedulerError
@@ -72,6 +72,39 @@ ADAPT_INTERVAL = 1e-3
 _MIN_RATE = 1e-9
 
 
+def rpt_of_slices(
+    demands: Dict[int, float], estimates: Optional[ServerEstimates]
+) -> Tuple[float, float]:
+    """The rank of a request whose slices place ``demands`` on their servers.
+
+    ``demands`` maps each touched server to the summed demand of the
+    request's operations there.  Returns ``(rpt, bottleneck)``: the
+    speed-adjusted bottleneck ``max_s(demand_s / rate_s)`` (the raw
+    ``demand_s`` when there are no estimates) and the raw one.  Clock
+    free; both halves rank their requests here, the simulated client
+    from the sums it adds up while building a request, the runtime
+    client from its key slices' demand guesses.
+    """
+    rpt = bottleneck = 0.0
+    if estimates is None:
+        for demand in demands.values():
+            if demand > bottleneck:
+                bottleneck = demand
+        return bottleneck, bottleneck
+    servers = estimates._servers
+    default_rate = estimates.default_rate
+    for server_id, demand in demands.items():
+        if demand > bottleneck:
+            bottleneck = demand
+        # estimates.rate(server_id), written out.
+        state = servers.get(server_id)
+        rate = default_rate if state is None or state.rate is None else state.rate
+        adjusted = demand / max(rate, _MIN_RATE)
+        if adjusted > rpt:
+            rpt = adjusted
+    return rpt, bottleneck
+
+
 def remaining_processing_time(
     request: Request, now: float, estimates: Optional[ServerEstimates]
 ) -> float:
@@ -83,17 +116,7 @@ def remaining_processing_time(
     request's raw bottleneck, so it leaves it on the request for whoever
     asks :meth:`Request.bottleneck_demand` later.
     """
-    rpt = bottleneck = 0.0
-    for server_id, demand in request.demands_by_server().items():
-        if demand > bottleneck:
-            bottleneck = demand
-        if estimates is None:
-            adjusted = demand
-        else:
-            adjusted = demand / max(estimates.rate(server_id), _MIN_RATE)
-        if adjusted > rpt:
-            rpt = adjusted
-    request.bottleneck = bottleneck
+    rpt, request.bottleneck = rpt_of_slices(request.demands_by_server(), estimates)
     return rpt
 
 

@@ -409,7 +409,8 @@ class LinkFaults:
     (0.0 when unaffected) or :data:`DROP` when the message must vanish.
     Endpoints are ``("client", id)`` / ``("server", id)`` tuples.  When
     no window is open, :attr:`active` is false and callers skip the
-    check.
+    check; it is a plain attribute, set whenever a window opens or closes,
+    because every message of both halves reads it.
     """
 
     def __init__(self):
@@ -422,10 +423,8 @@ class LinkFaults:
         self.dropped_partition = 0
         self.dropped_loss = 0
         self.delayed_messages = 0
-
-    @property
-    def active(self) -> bool:
-        return bool(self._partitions or self._loss or self._delay)
+        #: Whether any window is open.
+        self.active = False
 
     # -- window toggling (drivers only) --------------------------------
     def start(self, entry: FaultEntry) -> None:
@@ -447,6 +446,7 @@ class LinkFaults:
             self._delay.append((servers, entry.extra, entry))
         else:
             raise TypeError(f"{type(entry).__name__} is not a link fault")
+        self.active = True
 
     def end(self, entry: FaultEntry) -> None:
         """Close the window :meth:`start` opened for ``entry``."""
@@ -458,6 +458,7 @@ class LinkFaults:
             self._delay = [d for d in self._delay if d[2] is not entry]
         else:
             raise TypeError(f"{type(entry).__name__} is not a link fault")
+        self.active = bool(self._partitions or self._loss or self._delay)
 
     # -- the per-message check -----------------------------------------
     @staticmethod

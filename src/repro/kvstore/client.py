@@ -135,6 +135,9 @@ class Client:
         #: One policy call per read-replica decision.
         self._select_read = placement.policy.select
         self._track_selection_feedback = placement.wants_feedback
+        #: Whether a response reaches the policy at all (its in-flight
+        #: view or its feedback).
+        self._track_reply = self._track_inflight or self._track_selection_feedback
         # Dedicated probe round-trips (prequal at its true cost): fired
         # per dispatched request, rotating over the fleet.
         self.probes_per_request = probes_per_request
@@ -245,6 +248,9 @@ class Client:
         ops = request.operations
         total_demand = 0.0
         total_bytes = 0
+        # Per-server demand sums in operation order, the sums
+        # Request.demands_by_server() would add up: what DAS ranks by.
+        server_demands: Dict[int, float] = {}
         for i, k in enumerate(key_indices):
             key = names[k]
             servers = replicas[k]
@@ -263,10 +269,12 @@ class Client:
                 )
                 kind = OpKind.GET
             ops.append(Operation(request, key, kind, size, server_id, demand, {}, i))
+            server_demands[server_id] = server_demands.get(server_id, 0.0) + demand
             total_demand += demand
             total_bytes += size
         request.total_demand = total_demand
         request.total_bytes = total_bytes
+        request.server_demands = server_demands
         return request
 
     def _dispatch(self, request: Request) -> None:
@@ -511,24 +519,20 @@ class Client:
         now = self.env._now
         op, feedback = response
         op.response_time = now
-        if self._track_inflight:
-            self.placement.policy.on_response(op.server_id, now, now - op.dispatch_time)
         if self._latency is not None:
             self._latency.record(now - op.dispatch_time)
         if self._breakers:
             breaker = self._breakers.get(op.server_id)
             if breaker is not None:
                 breaker.record_success()
-        if feedback is not None:
-            if self.estimates is not None:
-                self.estimates.observe(feedback)
-            if self._track_selection_feedback:
-                # Piggybacked snapshots ride an existing data reply: zero
-                # extra messages, but the payload bytes are real.
-                self.placement.policy.record_control_message(
-                    "feedback", messages=0, payload_bytes=FEEDBACK_WIRE_BYTES
-                )
-                self.placement.policy.observe_feedback(feedback, now)
+        if feedback is not None and self.estimates is not None:
+            self.estimates.observe(feedback)
+        if self._track_reply:
+            # The response and its piggybacked snapshot (zero extra
+            # messages, but the payload bytes are real) in one call.
+            self.placement.policy.on_reply(
+                op.server_id, now, now - op.dispatch_time, feedback
+            )
         self.metrics.ops_completed += 1
 
         request = op.request

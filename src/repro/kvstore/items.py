@@ -120,6 +120,10 @@ class Request:
     #: (the simulated client, while it builds the request).
     total_demand: float = 0.0
     total_bytes: int = 0
+    #: Summed demand per touched server, in first-touch order, when
+    #: whoever attached the operations added it up (the simulated client
+    #: does); :meth:`demands_by_server` then returns it as is.
+    server_demands: Optional[Dict[int, float]] = None
 
     def __repr__(self) -> str:
         return (
@@ -148,6 +152,8 @@ class Request:
 
     def demands_by_server(self) -> Dict[int, float]:
         """Total service demand this request places on each server."""
+        if self.server_demands is not None:
+            return self.server_demands
         per_server: Dict[int, float] = {}
         for op in self.operations:
             per_server[op.server_id] = per_server.get(op.server_id, 0.0) + op.demand

@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.das import rpt_of_slices
 from repro.core.estimator import ServerEstimates
 from repro.errors import ProtocolError
 from repro.faults.resilience import CircuitBreaker, HedgePolicy, LatencyTracker
@@ -56,6 +57,8 @@ from repro.selection import (
 #: Assumed value size for keys never seen before (bytes).
 DEFAULT_SIZE_GUESS = 1024
 
+_new_tuple = tuple.__new__
+
 #: Synthetic feedback pushed when a breaker opens: the server looks like a
 #: minute of queued work at a crawl, so DAS tags steer giants elsewhere.
 UNHEALTHY_QUEUED_WORK = 60.0
@@ -83,7 +86,11 @@ class _Connection(FrameProtocol):
     def message_received(self, message: Message) -> None:
         self.client._absorb_feedback(self.server_id, message)
         waiter = self.pending.pop(message.id, None)
-        if waiter is not None and not waiter.done():
+        if waiter is None:
+            return
+        # Whatever settles a slot takes it out of ``pending`` first, so a
+        # slot found here is unsettled; a future may have been cancelled.
+        if waiter.__class__ is _Slot or not waiter.done():
             waiter.set_result(message)
 
     def protocol_error(self, exc: ProtocolError) -> None:
@@ -127,24 +134,32 @@ class _Slot:
         return self.outcome is not None
 
     def set_result(self, reply: Message) -> None:
-        self.client._record_latency(time.monotonic() - self.sent_at)
-        self._settle(reply)
+        # The latency is observed once, into the histogram only: the
+        # client's LatencyTracker feeds hedging, which needs a retry
+        # policy, and then no sub-request has a slot.
+        client = self.client
+        now = time.monotonic()
+        latency = now - self.sent_at
+        client._attempt_latency.observe(latency)
+        self.outcome = reply
+        if client._track_inflight:
+            client.selection_policy.on_response(self.server_id, now, latency)
+        scatter = self.scatter
+        scatter.remaining -= 1
+        if scatter.remaining == 0 and not scatter.future.done():
+            scatter.future.set_result(None)
 
     def set_exception(self, exc: BaseException) -> None:
         scatter = self.scatter
         if not scatter.partial and not scatter.future.done():
             scatter.future.set_exception(exc)
-        self._settle(exc)
-
-    def _settle(self, outcome: Any) -> None:
-        self.outcome = outcome
+        self.outcome = exc
         client = self.client
         if client._track_inflight:
             now = time.monotonic()
             client.selection_policy.on_response(
                 self.server_id, now, now - self.sent_at
             )
-        scatter = self.scatter
         scatter.remaining -= 1
         if scatter.remaining == 0 and not scatter.future.done():
             scatter.future.set_result(None)
@@ -252,7 +267,15 @@ class RuntimeClient:
         self.retry_policy = retry_policy
         self.hedge_policy = hedge_policy
         self._rng = np.random.default_rng(seed)
-        self._size_cache: Dict[str, int] = {}
+        #: key -> the demand guess ``per_op_overhead_hint + size /
+        #: byte_rate_hint`` of its last seen size; an unseen key's guess
+        #: is ``_default_demand`` (the DEFAULT_SIZE_GUESS one).
+        self._demand_guesses: Dict[str, float] = {}
+        self._default_demand = per_op_overhead_hint + DEFAULT_SIZE_GUESS / byte_rate_hint
+        #: key -> primary owner, for reads that need no replica selection.
+        #: The ring's membership is fixed for the client's life; a miss
+        #: walks the ring without filling its own per-key cache too.
+        self._owners: Dict[str, int] = {}
         self._connections: Dict[int, _Connection] = {}
         self._hedge_connections: Dict[int, _Connection] = {}
         self._connect_locks: Dict[Tuple[int, bool], asyncio.Lock] = {}
@@ -366,23 +389,29 @@ class RuntimeClient:
         await asyncio.sleep(0)
 
     def _absorb_feedback(self, server_id: int, message: Message) -> None:
-        feedback = message.fields.get("feedback")
+        fields = message.fields
+        feedback = fields.get("feedback")
         if not feedback:
             return
-        if message.type == "load_report":
+        report = message.type == "load_report"
+        if report:
             self.counters["load_reports"].inc()
         # Probe replies and load reports additionally carry in_flight
         # (queued + in-service), a strictly better requests-in-flight
-        # signal than queue_length.
-        queue_length = int(
-            message.fields.get("in_flight", feedback.get("queue_length", 0))
-        )
-        fb = Feedback(
-            server_id=server_id,
-            queued_work=float(feedback.get("queued_work", 0.0)),
-            queue_length=queue_length,
-            rate_sample=float(feedback.get("rate_sample", 1.0)),
-            timestamp=time.monotonic(),
+        # signal than queue_length.  The codec always fills all three
+        # feedback members.
+        in_flight = fields.get("in_flight")
+        now = time.monotonic()
+        # Feedback(...) without its generated __new__.
+        fb = _new_tuple(
+            Feedback,
+            (
+                server_id,
+                float(feedback["queued_work"]),
+                int(feedback["queue_length"] if in_flight is None else in_flight),
+                float(feedback["rate_sample"]),
+                now,
+            ),
         )
         self.estimates.observe(fb)
         if self._track_feedback:
@@ -392,19 +421,16 @@ class RuntimeClient:
             # a broadcast report is a dedicated message, a probe reply is
             # the return leg of a round-trip, and piggybacked feedback
             # rides an existing data reply (bytes only, zero messages).
-            if message.type == "load_report":
-                self.selection_policy.record_control_message(
-                    "report", payload_bytes=FEEDBACK_WIRE_BYTES
+            policy = self.selection_policy
+            if report or in_flight is not None:
+                policy.record_control_message(
+                    "report" if report else "probe", payload_bytes=FEEDBACK_WIRE_BYTES
                 )
-            elif "in_flight" in message.fields:
-                self.selection_policy.record_control_message(
-                    "probe", payload_bytes=FEEDBACK_WIRE_BYTES
-                )
+                policy.observe_feedback(fb, now)
             else:
-                self.selection_policy.record_control_message(
-                    "feedback", messages=0, payload_bytes=FEEDBACK_WIRE_BYTES
-                )
-            self.selection_policy.observe_feedback(fb, now=time.monotonic())
+                # The slot or the tracked call reports the response itself
+                # (failed ones too), so no latency here.
+                policy.on_reply(server_id, now, None, fb)
 
     # ------------------------------------------------------------------
     # Resilient call machinery
@@ -577,40 +603,44 @@ class RuntimeClient:
     # ------------------------------------------------------------------
     # Tagging (the distributed half of DAS)
     # ------------------------------------------------------------------
-    def _demand_guess(self, key: str) -> float:
-        size = self._size_cache.get(key, DEFAULT_SIZE_GUESS)
-        return self.per_op_overhead_hint + size / self.byte_rate_hint
-
     def _tags_for(self, by_server: Dict[int, List[str]]) -> Dict[str, float]:
-        """Compute DAS/SBF/SJF tags for a request spanning ``by_server``."""
-        bottleneck = 0.0
-        rpt = 0.0
+        """Compute DAS/SBF/SJF tags for a request spanning ``by_server``.
+
+        One pass over the slices sums each one's demand guesses; the
+        ranking itself is :func:`~repro.core.das.rpt_of_slices`, the
+        simulator's.
+        """
+        guess = self._demand_guesses.get
+        unseen = itertools.repeat(self._default_demand)
+        demands: Dict[int, float] = {}
         total = 0.0
         for server_id, keys in by_server.items():
-            slice_demand = sum(self._demand_guess(k) for k in keys)
+            demands[server_id] = slice_demand = sum(map(guess, keys, unseen))
             total += slice_demand
-            bottleneck = max(bottleneck, slice_demand)
-            rate = max(self.estimates.rate(server_id), 1e-9)
-            rpt = max(rpt, slice_demand / rate)
+        rpt, bottleneck = rpt_of_slices(demands, self.estimates)
         return {"rpt": rpt, "bottleneck": bottleneck, "total_demand": total}
 
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
     def owner(self, key: str) -> int:
-        return self.ring.owner(key)
+        """The primary owner of ``key``, from the client's owner table."""
+        server_id = self._owners.get(key)
+        if server_id is None:
+            server_id = self._owners[key] = self.ring.preference_lists((key,), 1)[0][0]
+        return server_id
 
     def read_replica(self, key: str) -> int:
         """The replica chosen to serve reads of ``key`` this instant."""
         if self._primary_reads:
-            return self.ring.owner(key)
+            return self.owner(key)
         candidates = self.ring.preference_list(key, self.replication_factor)
         return self.selection_policy.select(key, candidates, time.monotonic())
 
     def write_set(self, key: str) -> List[int]:
         """Every replica a PUT of ``key`` must reach."""
         if self.replication_factor == 1:
-            return [self.ring.owner(key)]
+            return [self.owner(key)]
         return list(self.ring.preference_list(key, self.replication_factor))
 
     async def _tracked_call(
@@ -674,7 +704,7 @@ class RuntimeClient:
             # reply must find no entry, and the selection policy must see
             # every dispatch end.
             for conn, request_id, slot in sent:
-                if not slot.done():
+                if slot.outcome is None:
                     conn.pending.pop(request_id, None)
                     slot.set_exception(asyncio.CancelledError())
         return [slot.outcome for slot in slots]
@@ -687,25 +717,11 @@ class RuntimeClient:
         for reply in replies:
             if not reply.fields.get("ok"):
                 raise ProtocolError(f"put failed: {reply.fields.get('error')}")
-        self._size_cache[key] = len(value)
+        self._demand_guesses[key] = self.per_op_overhead_hint + len(value) / self.byte_rate_hint
 
     async def get(self, key: str) -> Optional[bytes]:
         values = await self.multiget([key])
         return values[key]
-
-    def _mget_values(
-        self, reply: Message, span_sink: Optional[List[dict]]
-    ) -> Dict[str, Optional[bytes]]:
-        """The values one ``mget`` reply carries (raises if it is an error reply)."""
-        if not reply.fields.get("ok"):
-            raise ProtocolError(f"mget failed: {reply.fields.get('error')}")
-        if span_sink is not None:
-            span_sink.extend(reply.fields.get("spans") or [])
-        values = reply.fields.get("values", {})
-        for key, value in values.items():
-            if value is not None:
-                self._size_cache[key] = len(value)
-        return values
 
     async def multiget(
         self, keys: Sequence[str], partial: bool = False
@@ -724,9 +740,19 @@ class RuntimeClient:
         if not keys:
             return ({}, MultigetReport()) if partial else {}
         by_server: Dict[int, List[str]] = {}
-        for key in keys:
-            by_server.setdefault(self.read_replica(key), []).append(key)
-        self._maybe_probe(keys)
+        if self._primary_reads:
+            # owner(key), written out: once per key.
+            owners = self._owners
+            for key in keys:
+                server_id = owners.get(key)
+                if server_id is None:
+                    server_id = self.owner(key)
+                by_server.setdefault(server_id, []).append(key)
+        else:
+            for key in keys:
+                by_server.setdefault(self.read_replica(key), []).append(key)
+        if self._want_probes:
+            self._maybe_probe(keys)
         tag_time = time.monotonic()
         tags = self._tags_for(by_server)
         span_sink: Optional[List[dict]] = None
@@ -734,23 +760,39 @@ class RuntimeClient:
             tags[TRACE_REQUESTED] = True
             span_sink = []
         server_ids = list(by_server)
-        retries_before = self.counters["retries"].value
-        hedges_before = self.counters["hedges_sent"].value
+        if partial:
+            retries_before = self.counters["retries"].value
+            hedges_before = self.counters["hedges_sent"].value
+        requests = []
+        for server_id, slice_keys in by_server.items():
+            requests.append((server_id, "mget", {"keys": slice_keys, "tags": tags}))
 
-        results = await self._scatter(
-            [(sid, "mget", {"keys": by_server[sid], "tags": tags}) for sid in server_ids],
-            partial=partial,
-            idempotent=True,
-        )
+        results = await self._scatter(requests, partial=partial, idempotent=True)
         reply_time = time.monotonic()
-        for index, reply in enumerate(results):
+        merged: Dict[str, Optional[bytes]] = {}
+        report = MultigetReport(requested=len(keys)) if partial else None
+        guesses = self._demand_guesses
+        overhead, byte_rate = self.per_op_overhead_hint, self.byte_rate_hint
+        for server_id, reply in zip(server_ids, results):
             if isinstance(reply, Message):
-                try:
-                    results[index] = self._mget_values(reply, span_sink)
-                except ProtocolError as exc:
-                    if not partial:
-                        raise
-                    results[index] = exc
+                fields = reply.fields
+                if fields.get("ok"):
+                    if span_sink is not None:
+                        span_sink.extend(fields.get("spans") or [])
+                    values = fields.get("values", {})
+                    for key, value in values.items():
+                        if value is not None:
+                            guesses[key] = overhead + len(value) / byte_rate
+                    merged.update(values)
+                    # Preserve the slice's key set even if the server omitted entries.
+                    for key in by_server[server_id]:
+                        merged.setdefault(key, None)
+                    continue
+                reply = ProtocolError(f"mget failed: {fields.get('error')}")
+                if not partial:
+                    raise reply
+            report.failed_servers[server_id] = str(reply)
+            report.missing_keys.extend(by_server[server_id])
         if span_sink is not None:
             self.tracer.record(
                 RequestTrace(
@@ -761,17 +803,6 @@ class RuntimeClient:
                     meta={"keys": len(keys), "servers": len(server_ids)},
                 )
             )
-        merged: Dict[str, Optional[bytes]] = {}
-        report = MultigetReport(requested=len(keys))
-        for server_id, chunk in zip(server_ids, results):
-            if isinstance(chunk, BaseException):
-                report.failed_servers[server_id] = str(chunk)
-                report.missing_keys.extend(by_server[server_id])
-                continue
-            merged.update(chunk)
-            # Preserve the slice's key set even if the server omitted entries.
-            for key in by_server[server_id]:
-                merged.setdefault(key, None)
         if not partial:
             return merged
         report.fetched = len(merged)
@@ -792,10 +823,9 @@ class RuntimeClient:
         the servers this client might route to next.  Probes are
         fire-and-forget background tasks: their replies refresh the pool
         through the frame handler's feedback funnel, never blocking the
-        request that triggered them.
+        request that triggered them.  Called only when the policy wants
+        probes.
         """
-        if not self._want_probes:
-            return
         candidates: Set[int] = set()
         for key in keys:
             candidates.update(

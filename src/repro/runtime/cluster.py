@@ -180,18 +180,22 @@ class LocalCluster:
     async def preload(
         self, items: Dict[str, bytes], concurrency: int = 32
     ) -> None:
-        """Write a batch of keys through the client, ``concurrency`` at a time."""
+        """Write a batch of keys through the client, ``concurrency`` at a time.
+
+        ``concurrency`` writers take the items in order from one iterator,
+        so the batch costs that many tasks, not one per key.
+        """
         if self.client is None:
             raise RuntimeError("cluster not started")
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        semaphore = asyncio.Semaphore(concurrency)
+        pending = iter(items.items())
 
-        async def one(key: str, value: bytes) -> None:
-            async with semaphore:
+        async def writer() -> None:
+            for key, value in pending:
                 await self.client.put(key, value)
 
-        await asyncio.gather(*(one(k, v) for k, v in items.items()))
+        await asyncio.gather(*(writer() for _ in range(min(concurrency, len(items)))))
 
     def total_ops_executed(self) -> int:
         return sum(s.executor.ops_executed for s in self.servers)

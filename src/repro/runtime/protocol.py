@@ -96,8 +96,8 @@ import asyncio
 import json
 import logging
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ProtocolError
 
@@ -116,6 +116,8 @@ _TAG_CODES = {name: code for code, name in enumerate(TAG_NAMES)}
 _TAG_SPELLED = 0xFF
 
 _HEADER = struct.Struct(">BHQ")
+#: The length prefix and the header, packed together.
+_PREFIX_HEADER = struct.Struct(">IBHQ")
 _U16 = struct.Struct(">H")
 _F64 = struct.Struct(">d")
 _I64 = struct.Struct(">q")
@@ -135,206 +137,202 @@ _NONE, _FALSE, _TRUE, _FLOAT, _INT, _STR = range(6)
 _ABSENT, _ACK, _BYTES = range(3)
 #: The kind bytes as bytes, indexed by kind.
 _KIND = [bytes((kind,)) for kind in range(6)]
-_FLOAT_TAG_PREFIX = {name: bytes((code, _FLOAT)) for name, code in _TAG_CODES.items()}
+#: An interned tag name's code, its kind byte and a float, in one pack.
+_FLOAT_TAG = struct.Struct(">BBd")
+#: A ``values`` entry's kind byte and its value's length, in one pack.
+_BYTES_ENTRY = struct.Struct(">BI")
+_INTERNED = len(TAG_NAMES)
+#: Builds a decoded :class:`Message` without its constructor.
+_new = object.__new__
 
 
 def _overrun(size: int) -> ProtocolError:
     return ProtocolError(f"declared length {size} runs past the end of the message")
 
 
-def _pack_tags(out: List[bytes], tags: Dict[str, Any]) -> None:
-    out.append(bytes((len(tags),)))
-    for name, value in tags.items():
-        prefix = _FLOAT_TAG_PREFIX.get(name)
-        if prefix is not None and type(value) is float:
-            # What every request carries: an interned name and a float.
-            out.append(prefix)
-            out.append(_F64.pack(value))
-            continue
-        code = _TAG_CODES.get(name)
-        if code is None:
-            raw = name.encode("utf-8")
-            out.append(bytes((_TAG_SPELLED, len(raw))))
-            out.append(raw)
-        else:
-            out.append(bytes((code,)))
-        # bool before int: True is an int.
-        if value is None:
-            out.append(_KIND[_NONE])
-        elif value is True or value is False:
-            out.append(_KIND[_TRUE if value else _FALSE])
-        elif isinstance(value, float):
-            out.append(_KIND[_FLOAT])
-            out.append(_F64.pack(value))
-        elif isinstance(value, int):
-            out.append(_KIND[_INT])
-            out.append(_I64.pack(value))
-        elif isinstance(value, str):
-            raw = value.encode("utf-8")
-            out.append(_KIND[_STR])
-            out.append(_U16.pack(len(raw)))
-            out.append(raw)
-        else:
-            raise ProtocolError(f"tag {name!r} has unsupported value {value!r}")
+def _pack_tag(out: List[bytes], name: str, value: Any) -> None:
+    """One tag that is not an interned name with a float value."""
+    code = _TAG_CODES.get(name)
+    if code is None:
+        raw = name.encode("utf-8")
+        out.append(bytes((_TAG_SPELLED, len(raw))))
+        out.append(raw)
+    else:
+        out.append(bytes((code,)))
+    # bool before int: True is an int.
+    if value is None:
+        out.append(_KIND[_NONE])
+    elif value is True or value is False:
+        out.append(_KIND[_TRUE if value else _FALSE])
+    elif isinstance(value, float):
+        out.append(_KIND[_FLOAT])
+        out.append(_F64.pack(value))
+    elif isinstance(value, int):
+        out.append(_KIND[_INT])
+        out.append(_I64.pack(value))
+    elif isinstance(value, str):
+        raw = value.encode("utf-8")
+        out.append(_KIND[_STR])
+        out.append(_U16.pack(len(raw)))
+        out.append(raw)
+    else:
+        raise ProtocolError(f"tag {name!r} has unsupported value {value!r}")
 
 
-def _unpack_tags(body: bytes, pos: int, end: int) -> Tuple[Dict[str, Any], int]:
-    tags: Dict[str, Any] = {}
-    count = body[pos]
+def _unpack_tag(tags: Dict[str, Any], body: bytes, pos: int, end: int) -> int:
+    """Read the tag at ``pos`` into ``tags``; returns the position after it."""
+    code = body[pos]
     pos += 1
-    for _ in range(count):
-        code = body[pos]
-        pos += 1
-        if code < len(TAG_NAMES):
-            name = TAG_NAMES[code]
-        elif code == _TAG_SPELLED:
-            stop = pos + 1 + body[pos]
-            if stop > end:
-                raise _overrun(body[pos])
-            name = body[pos + 1 : stop].decode("utf-8")
-            pos = stop
-        else:
-            raise ProtocolError(f"unknown tag name code {code}")
-        kind = body[pos]
-        pos += 1
-        if kind == _FLOAT:
-            (tags[name],) = _F64.unpack_from(body, pos)
-            pos += 8
-        elif kind == _TRUE or kind == _FALSE:
-            tags[name] = kind == _TRUE
-        elif kind == _INT:
-            (tags[name],) = _I64.unpack_from(body, pos)
-            pos += 8
-        elif kind == _STR:
-            (size,) = _U16.unpack_from(body, pos)
-            stop = pos + 2 + size
-            if stop > end:
-                raise _overrun(size)
-            tags[name] = body[pos + 2 : stop].decode("utf-8")
-            pos = stop
-        elif kind == _NONE:
-            tags[name] = None
-        else:
-            raise ProtocolError(f"unknown tag value kind {kind}")
-    return tags, pos
+    if code < _INTERNED:
+        name = TAG_NAMES[code]
+    elif code == _TAG_SPELLED:
+        stop = pos + 1 + body[pos]
+        if stop > end:
+            raise _overrun(body[pos])
+        name = body[pos + 1 : stop].decode("utf-8")
+        pos = stop
+    else:
+        raise ProtocolError(f"unknown tag name code {code}")
+    kind = body[pos]
+    pos += 1
+    if kind == _FLOAT:
+        (tags[name],) = _F64.unpack_from(body, pos)
+        pos += 8
+    elif kind == _TRUE or kind == _FALSE:
+        tags[name] = kind == _TRUE
+    elif kind == _INT:
+        (tags[name],) = _I64.unpack_from(body, pos)
+        pos += 8
+    elif kind == _STR:
+        (size,) = _U16.unpack_from(body, pos)
+        stop = pos + 2 + size
+        if stop > end:
+            raise _overrun(size)
+        tags[name] = body[pos + 2 : stop].decode("utf-8")
+        pos = stop
+    elif kind == _NONE:
+        tags[name] = None
+    else:
+        raise ProtocolError(f"unknown tag value kind {kind}")
+    return pos
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Message:
-    """One protocol message (either direction)."""
+    """One protocol message (either direction).
+
+    Building one validates its type and id; :meth:`decode` builds its
+    messages without going through the constructor, having checked the
+    type code itself (any id a ``u64`` holds is valid).
+    """
 
     type: str
     id: int
-    fields: Dict[str, Any] = field(default_factory=dict)
+    fields: Dict[str, Any]
 
-    def __post_init__(self):
-        if self.type not in _TYPE_CODES:
-            raise ProtocolError(f"invalid message type {self.type!r}")
-        if not isinstance(self.id, int) or self.id < 0:
-            raise ProtocolError(f"invalid message id {self.id!r}")
+    def __init__(self, type: str, id: int, fields: Optional[Dict[str, Any]] = None):
+        if type not in _TYPE_CODES:
+            raise ProtocolError(f"invalid message type {type!r}")
+        if not isinstance(id, int) or id < 0:
+            raise ProtocolError(f"invalid message id {id!r}")
+        self.type = type
+        self.id = id
+        self.fields = {} if fields is None else fields
 
     def encode(self) -> bytes:
         """The full frame: length prefix, header, sections."""
         try:
-            return self._encode()
+            fields = self.fields
+            sections = 0
+            # A placeholder for the length prefix and the header, known last.
+            out: List[bytes] = [b""]
+            append = out.append
+            pack_u16 = _U16.pack
+            if "key" in fields:
+                sections |= _KEY
+                raw = fields["key"].encode("utf-8")
+                append(pack_u16(len(raw)))
+                append(raw)
+            if "keys" in fields:
+                sections |= _KEYS
+                keys = fields["keys"]
+                append(pack_u16(len(keys)))
+                for key in keys:
+                    raw = key.encode()
+                    append(pack_u16(len(raw)))
+                    append(raw)
+            if "value" in fields:
+                sections |= _VALUE
+                value = fields["value"]
+                if not isinstance(value, (bytes, bytearray)):
+                    raise ProtocolError("value must be bytes")
+                append(_LEN.pack(len(value)))
+                append(value)
+            if "tags" in fields:
+                sections |= _TAGS
+                tags = fields["tags"]
+                append(bytes((len(tags),)))
+                for name, value in tags.items():
+                    code = _TAG_CODES.get(name)
+                    if code is not None and type(value) is float:
+                        # What every request carries: an interned name and a float.
+                        append(_FLOAT_TAG.pack(code, _FLOAT, value))
+                    else:
+                        _pack_tag(out, name, value)
+            if "ok" in fields:
+                sections |= _OK
+                append(b"\x01" if fields["ok"] else b"\x00")
+            if fields.get("error") is not None:
+                sections |= _ERROR
+                raw = fields["error"].encode("utf-8")
+                append(pack_u16(len(raw)))
+                append(raw)
+            if "values" in fields:
+                sections |= _VALUES
+                values = fields["values"]
+                append(pack_u16(len(values)))
+                for key, value in values.items():
+                    raw = key.encode()
+                    append(pack_u16(len(raw)))
+                    append(raw)
+                    if type(value) is bytes or isinstance(value, (bytes, bytearray)):
+                        append(_BYTES_ENTRY.pack(_BYTES, len(value)))
+                        append(value)
+                    elif value is None:
+                        append(_KIND[_ABSENT])
+                    elif value is True:
+                        append(_KIND[_ACK])
+                    else:
+                        raise ProtocolError(f"value of {key!r} must be bytes, None or True")
+            if "feedback" in fields:
+                sections |= _FEEDBACK_BIT
+                feedback = fields["feedback"]
+                append(
+                    _FEEDBACK.pack(
+                        feedback["queued_work"],
+                        feedback["queue_length"],
+                        feedback["rate_sample"],
+                    )
+                )
+            if not fields.keys() <= _SECTION_FIELDS:
+                sections |= _BLOB
+                blob = {k: v for k, v in fields.items() if k not in _SECTION_FIELDS}
+                raw = json.dumps(blob, separators=(",", ":")).encode("utf-8")
+                append(_LEN.pack(len(raw)))
+                append(raw)
+            length = _HEADER.size + sum(map(len, out))
+            out[0] = _PREFIX_HEADER.pack(length, _TYPE_CODES[self.type], sections, self.id)
         except (struct.error, ValueError, TypeError, AttributeError, KeyError) as exc:
             # A length or number that does not fit its field, or a field
             # of the wrong shape (keys that are not strings, ...).
             raise ProtocolError(f"cannot encode {self.type} message: {exc}") from exc
-
-    def _encode(self) -> bytes:
-        fields = self.fields
-        sections = 0
-        # Two placeholders: the length prefix and the header, known last.
-        out: List[bytes] = [b"", b""]
-        append = out.append
-        pack_u16 = _U16.pack
-        if "key" in fields:
-            sections |= _KEY
-            raw = fields["key"].encode("utf-8")
-            append(pack_u16(len(raw)))
-            append(raw)
-        if "keys" in fields:
-            sections |= _KEYS
-            keys = fields["keys"]
-            append(pack_u16(len(keys)))
-            for key in keys:
-                raw = key.encode("utf-8")
-                append(pack_u16(len(raw)))
-                append(raw)
-        if "value" in fields:
-            sections |= _VALUE
-            value = fields["value"]
-            if not isinstance(value, (bytes, bytearray)):
-                raise ProtocolError("value must be bytes")
-            append(_LEN.pack(len(value)))
-            append(value)
-        if "tags" in fields:
-            sections |= _TAGS
-            _pack_tags(out, fields["tags"])
-        if "ok" in fields:
-            sections |= _OK
-            append(b"\x01" if fields["ok"] else b"\x00")
-        if fields.get("error") is not None:
-            sections |= _ERROR
-            raw = fields["error"].encode("utf-8")
-            append(pack_u16(len(raw)))
-            append(raw)
-        if "values" in fields:
-            sections |= _VALUES
-            values = fields["values"]
-            append(pack_u16(len(values)))
-            for key, value in values.items():
-                raw = key.encode("utf-8")
-                append(pack_u16(len(raw)))
-                append(raw)
-                if value is None:
-                    append(_KIND[_ABSENT])
-                elif value is True:
-                    append(_KIND[_ACK])
-                elif isinstance(value, (bytes, bytearray)):
-                    append(_KIND[_BYTES])
-                    append(_LEN.pack(len(value)))
-                    append(value)
-                else:
-                    raise ProtocolError(f"value of {key!r} must be bytes, None or True")
-        if "feedback" in fields:
-            sections |= _FEEDBACK_BIT
-            feedback = fields["feedback"]
-            append(
-                _FEEDBACK.pack(
-                    feedback["queued_work"],
-                    feedback["queue_length"],
-                    feedback["rate_sample"],
-                )
-            )
-        if not fields.keys() <= _SECTION_FIELDS:
-            sections |= _BLOB
-            blob = {k: v for k, v in fields.items() if k not in _SECTION_FIELDS}
-            raw = json.dumps(blob, separators=(",", ":")).encode("utf-8")
-            append(_LEN.pack(len(raw)))
-            append(raw)
-        out[1] = _HEADER.pack(_TYPE_CODES[self.type], sections, self.id)
-        length = sum(map(len, out))
         if length > MAX_MESSAGE_BYTES:
             raise ProtocolError(f"message too large: {length} bytes")
-        out[0] = _LEN.pack(length)
         return b"".join(out)
 
     @classmethod
     def decode(cls, body: bytes) -> "Message":
         """Parse one frame body (the bytes after the length prefix)."""
-        try:
-            return cls._decode(body)
-        except (struct.error, IndexError) as exc:
-            # A fixed-size item that starts within the body and ends
-            # beyond it (variable-size ones are checked where they are read).
-            raise ProtocolError(f"truncated message: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"malformed text in message: {exc}") from exc
-
-    @classmethod
-    def _decode(cls, body: bytes) -> "Message":
         end = len(body)
         if end > MAX_MESSAGE_BYTES:
             raise ProtocolError(f"message too large: {end} bytes")
@@ -348,96 +346,116 @@ class Message:
         pos = _HEADER.size
         unpack_u16 = _U16.unpack_from
         fields: Dict[str, Any] = {}
-        if sections & _KEY:
-            (size,) = unpack_u16(body, pos)
-            stop = pos + 2 + size
-            if stop > end:
-                raise _overrun(size)
-            fields["key"] = body[pos + 2 : stop].decode("utf-8")
-            pos = stop
-        if sections & _KEYS:
-            (count,) = unpack_u16(body, pos)
-            pos += 2
-            keys = fields["keys"] = []
-            for _ in range(count):
+        try:
+            if sections & _KEY:
                 (size,) = unpack_u16(body, pos)
                 stop = pos + 2 + size
                 if stop > end:
                     raise _overrun(size)
-                keys.append(body[pos + 2 : stop].decode("utf-8"))
+                fields["key"] = body[pos + 2 : stop].decode("utf-8")
                 pos = stop
-        if sections & _VALUE:
-            (size,) = _LEN.unpack_from(body, pos)
-            stop = pos + 4 + size
-            if stop > end:
-                raise _overrun(size)
-            fields["value"] = body[pos + 4 : stop]
-            pos = stop
-        if sections & _TAGS:
-            fields["tags"], pos = _unpack_tags(body, pos, end)
-        if sections & _OK:
-            fields["ok"] = body[pos] != 0
-            fields["error"] = None
-            pos += 1
-        if sections & _ERROR:
-            (size,) = unpack_u16(body, pos)
-            stop = pos + 2 + size
-            if stop > end:
-                raise _overrun(size)
-            fields["error"] = body[pos + 2 : stop].decode("utf-8")
-            pos = stop
-        if sections & _VALUES:
-            (count,) = unpack_u16(body, pos)
-            pos += 2
-            values = fields["values"] = {}
-            for _ in range(count):
-                (size,) = unpack_u16(body, pos)
-                stop = pos + 2 + size
-                if stop >= end:  # the kind byte follows the key
-                    raise _overrun(size)
-                key = body[pos + 2 : stop].decode("utf-8")
-                kind = body[stop]
-                pos = stop + 1
-                if kind == _BYTES:
-                    (size,) = _LEN.unpack_from(body, pos)
-                    stop = pos + 4 + size
+            if sections & _KEYS:
+                (count,) = unpack_u16(body, pos)
+                pos += 2
+                keys = fields["keys"] = []
+                for _ in range(count):
+                    (size,) = unpack_u16(body, pos)
+                    stop = pos + 2 + size
                     if stop > end:
                         raise _overrun(size)
-                    values[key] = body[pos + 4 : stop]
+                    keys.append(body[pos + 2 : stop].decode())
                     pos = stop
-                elif kind == _ABSENT:
-                    values[key] = None
-                elif kind == _ACK:
-                    values[key] = True
-                else:
-                    raise ProtocolError(f"unknown value kind {kind}")
-        if sections & _FEEDBACK_BIT:
-            queued_work, queue_length, rate_sample = _FEEDBACK.unpack_from(body, pos)
-            pos += _FEEDBACK.size
-            fields["feedback"] = {
-                "queued_work": queued_work,
-                "queue_length": queue_length,
-                "rate_sample": rate_sample,
-            }
-        if sections & _BLOB:
-            (size,) = _LEN.unpack_from(body, pos)
-            stop = pos + 4 + size
-            if stop > end:
-                raise _overrun(size)
-            try:
-                blob = json.loads(body[pos + 4 : stop])
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise ProtocolError(f"malformed JSON section: {exc}") from exc
-            if not isinstance(blob, dict):
-                raise ProtocolError("JSON section must be a JSON object")
-            if not _SECTION_FIELDS.isdisjoint(blob):
-                raise ProtocolError("JSON section repeats a packed field")
-            fields.update(blob)
-            pos = stop
+            if sections & _VALUE:
+                (size,) = _LEN.unpack_from(body, pos)
+                stop = pos + 4 + size
+                if stop > end:
+                    raise _overrun(size)
+                fields["value"] = body[pos + 4 : stop]
+                pos = stop
+            if sections & _TAGS:
+                tags = fields["tags"] = {}
+                count = body[pos]
+                pos += 1
+                for _ in range(count):
+                    name_code = body[pos]
+                    if name_code < _INTERNED and body[pos + 1] == _FLOAT:
+                        (tags[TAG_NAMES[name_code]],) = _F64.unpack_from(body, pos + 2)
+                        pos += 10
+                    else:
+                        pos = _unpack_tag(tags, body, pos, end)
+            if sections & _OK:
+                fields["ok"] = body[pos] != 0
+                fields["error"] = None
+                pos += 1
+            if sections & _ERROR:
+                (size,) = unpack_u16(body, pos)
+                stop = pos + 2 + size
+                if stop > end:
+                    raise _overrun(size)
+                fields["error"] = body[pos + 2 : stop].decode("utf-8")
+                pos = stop
+            if sections & _VALUES:
+                (count,) = unpack_u16(body, pos)
+                pos += 2
+                values = fields["values"] = {}
+                for _ in range(count):
+                    (size,) = unpack_u16(body, pos)
+                    stop = pos + 2 + size
+                    if stop >= end:  # the kind byte follows the key
+                        raise _overrun(size)
+                    key = body[pos + 2 : stop].decode()
+                    kind = body[stop]
+                    pos = stop + 1
+                    if kind == _BYTES:
+                        (size,) = _LEN.unpack_from(body, pos)
+                        stop = pos + 4 + size
+                        if stop > end:
+                            raise _overrun(size)
+                        values[key] = body[pos + 4 : stop]
+                        pos = stop
+                    elif kind == _ABSENT:
+                        values[key] = None
+                    elif kind == _ACK:
+                        values[key] = True
+                    else:
+                        raise ProtocolError(f"unknown value kind {kind}")
+            if sections & _FEEDBACK_BIT:
+                queued_work, queue_length, rate_sample = _FEEDBACK.unpack_from(body, pos)
+                pos += _FEEDBACK.size
+                fields["feedback"] = {
+                    "queued_work": queued_work,
+                    "queue_length": queue_length,
+                    "rate_sample": rate_sample,
+                }
+            if sections & _BLOB:
+                (size,) = _LEN.unpack_from(body, pos)
+                stop = pos + 4 + size
+                if stop > end:
+                    raise _overrun(size)
+                try:
+                    blob = json.loads(body[pos + 4 : stop])
+                except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                    raise ProtocolError(f"malformed JSON section: {exc}") from exc
+                if not isinstance(blob, dict):
+                    raise ProtocolError("JSON section must be a JSON object")
+                if not _SECTION_FIELDS.isdisjoint(blob):
+                    raise ProtocolError("JSON section repeats a packed field")
+                fields.update(blob)
+                pos = stop
+        except (struct.error, IndexError) as exc:
+            # A fixed-size item that starts within the body and ends
+            # beyond it (variable-size ones are checked where they are read).
+            raise ProtocolError(f"truncated message: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"malformed text in message: {exc}") from exc
         if pos != end:
             # Also where a fixed-size item that ended past the body lands.
             raise ProtocolError(f"{end - pos} bytes after the last section")
-        return cls(VALID_TYPES[code], mid, fields)
+        message = _new(cls)
+        message.type = VALID_TYPES[code]
+        message.id = mid
+        message.fields = fields
+        return message
 
 
 def write_message(transport: asyncio.WriteTransport, message: Message) -> None:
@@ -456,7 +474,9 @@ class FrameProtocol(asyncio.Protocol):
     Buffers what arrives, decodes every complete frame in
     ``data_received`` and calls :meth:`message_received` with it, inline —
     no reader task, one event-loop callback per socket read however many
-    frames it holds.  A malformed frame closes the connection
+    frames it holds.  A frame costs one :meth:`Message.decode` call, which
+    builds the message without re-validating it, and a reply one
+    :func:`write_message` call.  A malformed frame closes the connection
     (:meth:`protocol_error`): after one, the frame boundaries that follow
     cannot be trusted.
     """

@@ -1,16 +1,17 @@
 """Scheduled executor: the simulator's queues driving real work.
 
 The executor owns a :class:`~repro.schedulers.base.ServerQueue` (any
-registered policy — FCFS, SBF, DAS, ...) and a single worker task that
-repeatedly pops the queue's pick and executes it.  An optional service
-throttle emulates a bounded-rate backend so scheduling visibly matters in
-demos; production use would set ``byte_rate=None`` and let real storage
-latency be the cost.
+registered policy — FCFS, SBF, DAS, ...) and serves its picks from
+event-loop callbacks: no worker task, nothing awaited.  An optional
+service throttle emulates a bounded-rate backend so scheduling visibly
+matters in demos; production use would set ``byte_rate=None`` and let
+real storage latency be the cost.
 
-The worker serves *runs*: it pops and executes picks back to back and
-gives the event loop a turn once per :data:`RUN_BUDGET_SECONDS`, not once
-per operation.  Completion is per *message*: the operations a message
-fans into share one :class:`OpSink`, which fires after the last of them.
+Work is served in *runs*: a run pops and executes picks back to back
+and gives the event loop back once per :data:`RUN_BUDGET_SECONDS`, not
+once per operation.  Completion is per *message*: the operations a
+message fans into share one :class:`OpSink`, which fires after the last
+of them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from repro.schedulers.registry import create_policy
 
 logger = logging.getLogger(__name__)
 
-#: How long the worker serves picks back to back before it yields the
-#: event loop (socket reads, timers and other tasks wait that long at most).
+#: How long a run serves picks back to back before it hands the event
+#: loop back (socket reads, timers and other tasks wait that long at most).
 RUN_BUDGET_SECONDS = 200e-6
 
 
@@ -37,7 +38,7 @@ class ExecutorStoppedError(RuntimeError):
     """Submit rejected because the executor has been stopped or aborted.
 
     Raised synchronously by :meth:`ScheduledExecutor.submit` so a caller
-    can never be handed a future that no worker will ever resolve.
+    can never be handed a future that nothing will ever resolve.
     """
 
 
@@ -46,8 +47,8 @@ class OpSink:
 
     ``on_done(cancelled)`` is called exactly once: with False right after
     the last operation has been served (results and errors are then on
-    the operations), or with True when :meth:`ScheduledExecutor.abort`
-    discarded one of them.
+    the operations; the executor counts ``remaining`` down itself), or
+    with True when :meth:`ScheduledExecutor.abort` discarded one of them.
 
     The sink releases ``on_done`` once it has fired.  Every operation
     points at its sink, and ``on_done`` usually closes over those very
@@ -60,12 +61,6 @@ class OpSink:
     def __init__(self, count: int, on_done: Callable[[bool], None]):
         self.remaining = count
         self.on_done: Optional[Callable[[bool], None]] = on_done
-
-    def op_done(self) -> None:
-        self.remaining -= 1
-        if self.remaining == 0:
-            on_done, self.on_done = self.on_done, None
-            on_done(False)
 
     def cancel(self) -> None:
         if self.remaining > 0:
@@ -104,15 +99,22 @@ class QueuedOp:
 
 
 class ScheduledExecutor:
-    """Single-worker executor ordered by a scheduling policy.
+    """Executor serving a scheduling policy's picks one at a time.
+
+    Nothing runs until there is work: a submit that makes the queue
+    non-empty schedules a run with ``loop.call_soon``, and a run that has
+    spent its :data:`RUN_BUDGET_SECONDS` schedules its continuation the
+    same way.  With ``byte_rate`` set, an operation's emulated service is
+    a ``loop.call_later(demand)`` whose callback completes it and carries
+    the run on.  One run (or one emulated service) is pending at a time.
 
     Parameters
     ----------
     policy_name / policy_params:
         Scheduler to instantiate from the registry.
     byte_rate:
-        When set, each operation additionally sleeps ``bytes / byte_rate``
-        seconds to emulate a bounded-throughput backend.
+        When set, each operation additionally takes ``bytes / byte_rate``
+        seconds of emulated service to emulate a bounded-throughput backend.
     """
 
     def __init__(
@@ -130,12 +132,18 @@ class ScheduledExecutor:
         self.queue: ServerQueue = self.policy.make_queue()
         self.byte_rate = byte_rate
         self._rate_ewma = EwmaEstimator(rate_alpha, initial=1.0)
-        self._wakeup = asyncio.Event()
-        self._worker: Optional[asyncio.Task] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The pending run or emulated service; None when idle.  It is
+        #: set from scheduling until the run ends, so a submit made
+        #: meanwhile schedules nothing.
+        self._pending: Optional[asyncio.Handle] = None
+        #: The operation in emulated service, if any.
+        self._in_service: Optional[QueuedOp] = None
+        #: Resolved by the run that empties the queue after :meth:`stop`.
+        self._drained: Optional[asyncio.Future] = None
         self._stopping = False
-        self._serving = False
         #: Lane names when the policy built a size-laned queue (dispatch
-        #: order changes, the worker does not), else None.
+        #: order changes, the executor does not), else None.
         self.lanes = getattr(self.queue, "lanes", None)
         #: Registry instruments.  A shared registry (e.g. the cluster's)
         #: keeps one series per server across executor restarts; a fresh
@@ -164,17 +172,28 @@ class ScheduledExecutor:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        if self._worker is not None:
+        if self._loop is not None:
             raise RuntimeError("executor already started")
         self._stopping = False
-        self._worker = asyncio.create_task(self._run(), name="scheduled-executor")
+        self._loop = asyncio.get_running_loop()
+        if self.queue._length:
+            # Work submitted before start is served from here.
+            self._pending = self._loop.call_soon(self._run, None)
 
     async def stop(self) -> None:
+        """Refuse new work, then wait until what is queued has been served.
+
+        Concurrent calls wait for the same drain; cancelling one of them
+        leaves the drain and the other waiters alone.
+        """
         self._stopping = True
-        self._wakeup.set()
-        if self._worker is not None:
-            await self._worker
-            self._worker = None
+        if self._loop is None:
+            return
+        if self._pending is not None:
+            if self._drained is None:
+                self._drained = self._loop.create_future()
+            await asyncio.shield(self._drained)
+        self._loop = None
 
     async def abort(self) -> None:
         """Halt immediately without draining queued work (crash semantics).
@@ -184,21 +203,24 @@ class ScheduledExecutor:
         come.
         """
         self._stopping = True
-        if self._worker is not None:
-            self._worker.cancel()
-            try:
-                await self._worker
-            except asyncio.CancelledError:
-                pass
-            self._worker = None
-        while len(self.queue) > 0:
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
+        op, self._in_service = self._in_service, None
+        if op is not None:
+            op.sink.cancel()
+        while self.queue._length:
             self.queue.pop(time.monotonic()).sink.cancel()
+        drained, self._drained = self._drained, None
+        if drained is not None:
+            drained.set_result(None)
+        self._loop = None
 
     def submit(self, op: QueuedOp) -> asyncio.Future:
         """Enqueue one operation; the returned future resolves with its result.
 
         Submitting before :meth:`start` is allowed (the batch is served
-        once the worker runs); submitting after :meth:`stop` or
+        once the executor runs); submitting after :meth:`stop` or
         :meth:`abort` raises :class:`ExecutorStoppedError` immediately —
         the queue is dead and a future enqueued onto it would hang its
         awaiter forever.
@@ -223,7 +245,7 @@ class ScheduledExecutor:
     ) -> None:
         """Enqueue the operations of one message behind one :class:`OpSink`.
 
-        ``on_done`` runs inside the worker, right after the message's last
+        ``on_done`` runs inside a run, right after the message's last
         operation: one completion per message, no future per operation.
         Raises :class:`ExecutorStoppedError` like :meth:`submit`, before
         anything is enqueued.
@@ -236,64 +258,81 @@ class ScheduledExecutor:
             return
         sink = OpSink(len(ops), on_done)
         now = time.monotonic()
+        push = self.queue.push
         for op in ops:
             op.sink = sink
-            self.queue.push(op, now)
-        self._wakeup.set()
+            push(op, now)
+        if self._pending is None and self._loop is not None:
+            self._pending = self._loop.call_soon(self._run, None)
 
     # ------------------------------------------------------------------
-    async def _run(self) -> None:
+    def _run(self, served: Optional[QueuedOp]) -> None:
+        """One run: picks served back to back until the queue is empty or
+        the budget is spent.  ``served`` is the operation whose emulated
+        service just ended, completed first.
+
+        ``pop`` is still called once per operation, so what the scheduler
+        decides is the per-op loop's.
+        """
         queue = self.queue
         monotonic = time.monotonic
+        emulated = self.byte_rate is not None
+        hook = queue.on_service_complete
+        if getattr(hook, "__func__", None) is ServerQueue.on_service_complete:
+            hook = None  # the base no-op; an override (or a patched one) runs
+        service_hist = self._service_hist
+        op = served
+        if op is not None:
+            self._in_service = None
+            started = op.start_time
+        run_ends = monotonic() + RUN_BUDGET_SECONDS
         while True:
-            if len(queue) == 0:
-                self._wakeup.clear()
-                if self._stopping:
-                    return
-                await self._wakeup.wait()
-                continue
-            # One run: picks served back to back until the queue is empty
-            # or the budget is spent.  ``pop`` is still called once per
-            # operation, so what the scheduler decides is unchanged.
-            run_ends = monotonic() + RUN_BUDGET_SECONDS
-            while len(queue) > 0:
+            if op is None:
+                if not queue._length:
+                    break
                 started = monotonic()
                 op = queue.pop(started)
                 op.start_time = started
-                self._serving = True
                 try:
                     if op.work is not None:
                         op.result = op.work()
                 except Exception as exc:  # noqa: BLE001 - forwarded to the sink
                     op.error = exc
-                if self.byte_rate is not None and op.demand > 0 and op.error is None:
-                    try:
-                        await asyncio.sleep(op.demand)
-                    except asyncio.CancelledError:
-                        op.sink.cancel()  # abort() caught this one in service
-                        raise
-                    run_ends = monotonic() + RUN_BUDGET_SECONDS
-                finished = op.finish_time = monotonic()
-                self._serving = False
-                elapsed = finished - started
-                if op.error is not None:
-                    self._ops_failed.inc()
-                else:
-                    if op.demand > 0 and elapsed > 0:
-                        self._rate_ewma.update(op.demand / elapsed)
-                    self._ops_executed.inc()
-                self._service_hist.observe(elapsed)
-                # A failed operation left service too; skipping the hook
-                # would desynchronize adaptive queue state from reality.
-                queue.on_service_complete(op, finished)
+                if emulated and op.demand > 0 and op.error is None:
+                    self._in_service = op
+                    self._pending = self._loop.call_later(op.demand, self._run, op)
+                    return
+            finished = op.finish_time = monotonic()
+            elapsed = finished - started
+            if op.error is not None:
+                self._ops_failed.value += 1.0
+            else:
+                if op.demand > 0 and elapsed > 0:
+                    self._rate_ewma.update(op.demand / elapsed)
+                self._ops_executed.value += 1.0
+            service_hist.observe(elapsed)
+            # A failed operation left service too; skipping the hook
+            # would desynchronize adaptive queue state from reality.
+            if hook is not None:
+                hook(op, finished)
+            # The sink's countdown; its callback fires after the last op.
+            sink = op.sink
+            sink.remaining -= 1
+            if sink.remaining == 0:
+                on_done, sink.on_done = sink.on_done, None
                 try:
-                    op.sink.op_done()
-                except Exception:  # noqa: BLE001 - the worker must outlive a bad callback
+                    on_done(False)
+                except Exception:  # noqa: BLE001 - serving must outlive a bad callback
                     logger.exception("completion callback of %r raised", op.key)
-                if finished >= run_ends:
-                    # Yield so a flood of zero-cost ops cannot starve the loop.
-                    await asyncio.sleep(0)
-                    run_ends = monotonic() + RUN_BUDGET_SECONDS
+            op = None
+            if finished >= run_ends and queue._length:
+                # Give the loop back so a flood of zero-cost ops cannot starve it.
+                self._pending = self._loop.call_soon(self._run, None)
+                return
+        self._pending = None
+        drained, self._drained = self._drained, None
+        if drained is not None:
+            drained.set_result(None)
 
     # ------------------------------------------------------------------
     @property
@@ -312,8 +351,8 @@ class ScheduledExecutor:
 
     @property
     def in_flight(self) -> int:
-        """Operations queued plus the one currently in service."""
-        return len(self.queue) + (1 if self._serving else 0)
+        """Operations queued plus the one in emulated service."""
+        return self.queue._length + (self._in_service is not None)
 
     def feedback(self) -> Dict[str, float]:
         """Feedback snapshot in the wire-protocol shape."""

@@ -301,30 +301,29 @@ class KVServer:
             self.delayed += 1
         extra: Dict[str, Any] = {}
         fields = message.fields
+        mtype = message.type
         try:
-            ops = None
-            if message.type == "put":
-                ops = [self._put_op(fields)]
-            elif message.type == "mget":
+            if mtype == "mget":
                 ops = self._get_ops(fields["keys"], fields.get("tags", {}))
-            elif message.type == "get":
+            elif mtype == "get":
                 ops = self._get_ops([fields["key"]], fields.get("tags", {}))
+            elif mtype == "put":
+                ops = [self._put_op(fields)]
+            else:
+                ops = None
             if ops is not None:
                 # Answered from inside the executor, after the last op.
-                # The closure holds ``ops`` and each op's sink holds the
-                # closure; the sink drops it once fired, ending that cycle.
+                # The partial holds ``ops`` and each op's sink holds the
+                # partial; the sink drops it once fired, ending that cycle.
                 self.executor.submit_message(
-                    ops,
-                    lambda cancelled: self._finish(
-                        connection, message, delay, ops, cancelled
-                    ),
+                    ops, partial(self._finish, connection, message, delay, ops)
                 )
                 return
-            if message.type == "stats":
+            if mtype == "stats":
                 # Control plane: answered directly, never queued behind
                 # data operations (a scrape must work on a loaded server).
                 extra["stats"] = self.stats()
-            elif message.type == "probe":
+            elif mtype == "probe":
                 # Control plane, like stats: a load probe must reflect the
                 # server's congestion *now*, not after waiting out the very
                 # queue it is trying to measure.  The reply's standard
@@ -333,7 +332,7 @@ class KVServer:
                 extra["in_flight"] = self.executor.in_flight
                 self._c_probes.inc()
             else:
-                raise ProtocolError(f"unexpected message type {message.type!r}")
+                raise ProtocolError(f"unexpected message type {mtype!r}")
             error = None
         except KeyError as exc:
             error = f"missing field {exc}"
@@ -354,11 +353,13 @@ class KVServer:
         """The operations of a data message have all been served: answer it."""
         if cancelled:
             return  # crash(): the connection went with the queue
-        failed = next((op for op in ops if op.error is not None), None)
-        if failed is not None:
-            error = f"operation on {failed.key!r} failed: {failed.error}"
-            self._reply(connection, message, delay, {}, error)
-            return
+        values = {}
+        for op in ops:
+            if op.error is not None:
+                error = f"operation on {op.key!r} failed: {op.error}"
+                self._reply(connection, message, delay, {}, error)
+                return
+            values[op.key] = op.result
         extra = None
         if message.fields.get("tags", {}).get(TRACE_REQUESTED):
             extra = {
@@ -366,7 +367,6 @@ class KVServer:
                     vars(OpSpan.from_op(op, server_id=self.server_id)) for op in ops
                 ]
             }
-        values = {op.key: op.result for op in ops}
         self._reply(connection, message, delay, values, None, extra)
 
     def _reply(
@@ -380,14 +380,23 @@ class KVServer:
     ) -> None:
         """Build the reply to ``message`` and send it ``delay`` seconds late."""
         if error is None:
-            self._c_ops_served.inc()
+            self._c_ops_served.value += 1.0
         else:
-            self._c_errors.inc()
+            self._c_errors.value += 1.0
+        # ScheduledExecutor.feedback(), written out.  The rate EWMA starts
+        # at 1.0, so its value is never None.
+        executor = self.executor
+        queue = executor.queue
+        measured = executor._rate_ewma._value
         fields = {
             "ok": error is None,
             "values": values,
             "error": error,
-            "feedback": self.executor.feedback(),
+            "feedback": {
+                "queued_work": queue.queued_demand / max(measured, 1e-9),
+                "queue_length": queue._length,
+                "rate_sample": measured,
+            },
         }
         if extra:
             fields.update(extra)
@@ -412,11 +421,16 @@ class KVServer:
             write_message(transport, Message("reply", reply.id, fields))
 
     def _get_ops(self, keys: List[str], tags: Dict[str, Any]) -> List[QueuedOp]:
+        get = self.storage.get
+        byte_rate = self.byte_rate
         ops = []
         for key in keys:
-            size = self._size_of(key)
-            op = QueuedOp(key=key, demand=self._demand(size), size=size, tag=dict(tags))
-            op.work = partial(self.storage.get, key)
+            # _size_of(key) and _demand(size), written out.
+            value = get(key)
+            size = 0 if value is None else len(value)
+            demand = 0.0 if byte_rate is None else self.per_op_overhead + size / byte_rate
+            op = QueuedOp(key, demand, size, dict(tags))
+            op.work = partial(get, key)
             ops.append(op)
         return ops
 

@@ -24,7 +24,7 @@ parallel experiment engine.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, Sequence
+from typing import Any, ClassVar, Dict, Optional, Sequence
 
 #: The control-plane message kinds the accounting recognises, in the
 #: order they appear in stats output.  ``probe`` is a request/response
@@ -114,6 +114,25 @@ class SelectionPolicy:
 
     def observe_feedback(self, feedback, now: float = 0.0) -> None:
         """A server feedback snapshot arrived (reply, broadcast, or probe)."""
+
+    def on_reply(
+        self, server_id: int, now: float, latency: Optional[float], feedback
+    ) -> None:
+        """A data reply from ``server_id`` arrived: its hooks in one call.
+
+        What :meth:`on_response` does when ``latency`` is given and the
+        policy ``wants_inflight``; when ``feedback`` rode the reply and
+        the policy ``wants_feedback``, the piggybacked snapshot's
+        accounting (zero messages, :data:`FEEDBACK_WIRE_BYTES` bytes of
+        kind ``feedback``) and :meth:`observe_feedback`.  A caller whose
+        in-flight view ends elsewhere (the runtime's slots) passes None
+        for ``latency``.
+        """
+        if latency is not None and self.wants_inflight:
+            self.on_response(server_id, now, latency)
+        if feedback is not None and self.wants_feedback:
+            self.control_bytes["feedback"] += FEEDBACK_WIRE_BYTES
+            self.observe_feedback(feedback, now)
 
     # ------------------------------------------------------------------
     # Control-plane accounting

@@ -25,10 +25,10 @@ needs the staleness bound it tolerates.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.selection.base import SelectionPolicy
+from repro.selection.base import FEEDBACK_WIRE_BYTES, SelectionPolicy
 from repro.selection.static import D_CHOICES
 from repro.sim.rand import BatchedStream, as_batched
 
@@ -82,6 +82,20 @@ class DodoorPolicy(SelectionPolicy):
         """Cache the latest load report (or piggybacked snapshot)."""
         self._cache[feedback.server_id] = (feedback.queued_work, now)
         self.reports_cached += 1
+
+    def on_reply(
+        self, server_id: int, now: float, latency: Optional[float], feedback
+    ) -> None:
+        """:meth:`SelectionPolicy.on_reply`, its hooks written out: the
+        fleet cell makes this call once per read."""
+        if latency is not None:
+            remaining = self.inflight.get(server_id, 0)
+            if remaining > 0:
+                self.inflight[server_id] = remaining - 1
+        if feedback is not None:
+            self.control_bytes["feedback"] += FEEDBACK_WIRE_BYTES
+            self._cache[feedback.server_id] = (feedback.queued_work, now)
+            self.reports_cached += 1
 
     # ------------------------------------------------------------------
     def select(self, key: str, candidates: Sequence[int], now: float = 0.0) -> int:

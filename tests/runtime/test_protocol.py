@@ -1,5 +1,6 @@
 """Tests for the runtime wire protocol: the binary frame and its parser."""
 
+import hashlib
 import json
 import random
 import struct
@@ -233,6 +234,74 @@ class TestMessage:
     def test_unencodable_fields_rejected(self, fields):
         with pytest.raises(ProtocolError):
             Message("reply", 1, fields).encode()
+
+
+class TestWireFormat:
+    """The exact frames of the messages a multiget exchanges, byte for byte.
+
+    Recorded from the encoder before the runtime's request path was
+    flattened; a faster codec must still send these very bytes, and read
+    them back into the messages they came from.
+    """
+
+    VALUES = {f"key-{i:05d}": bytes((i + j) % 256 for j in range(256)) for i in range(3)}
+    #: name -> (message, frame as hex); the 256 B values reply by digest.
+    FRAMES = {
+        "mget": (
+            Message("mget", 41, {"keys": list(VALUES), "tags": TAGS}),
+            "0000004d02000a0000000000000029000300096b65792d30303030300009"
+            "6b65792d303030303100096b65792d30303030320300033f23a92a305532"
+            "6101033f1cd5f99c38b04b02033f33a92a30553261",
+        ),
+        "put": (
+            Message("put", 42, {"key": "key-00007", "value": b"v" * 16, "tags": TAGS}),
+            "0000004901000d000000000000002a00096b65792d303030303700000010"
+            "767676767676767676767676767676760300033f23a92a3055326101033f"
+            "1cd5f99c38b04b02033f33a92a30553261",
+        ),
+        "error-reply": (
+            Message(
+                "reply",
+                43,
+                {"ok": False, "values": {}, "error": "missing field 'keys'", "feedback": FEEDBACK},
+            ),
+            "0000003c0500f0000000000000002b0000146d697373696e67206669656c"
+            "6420276b6579732700003f547ae147ae147b00000000000000033ff051eb"
+            "851eb852",
+        ),
+        "probe-reply": (
+            Message(
+                "reply",
+                44,
+                {"ok": True, "values": {}, "error": None, "feedback": FEEDBACK, "in_flight": 5},
+            ),
+            "000000390501d0000000000000002c0100003f547ae147ae147b00000000"
+            "000000033ff051eb851eb8520000000f7b22696e5f666c69676874223a35"
+            "7d",
+        ),
+        "load_report": (
+            Message("load_report", 0, {"feedback": FEEDBACK, "in_flight": 2}),
+            "0000003606018000000000000000003f547ae147ae147b00000000000000"
+            "033ff051eb851eb8520000000f7b22696e5f666c69676874223a327d",
+        ),
+    }
+    REPLY = Message(
+        "reply", 41, {"ok": True, "values": VALUES, "error": None, "feedback": FEEDBACK}
+    )
+    REPLY_SHA256 = "3f401a16eb6763f51bda64e380ebdbe323dd3f884b05e438c8b420c360c1ebf3"
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    def test_frame_bytes_are_pinned(self, name):
+        message, expected = self.FRAMES[name]
+        raw = message.encode()
+        assert raw.hex() == expected
+        assert Message.decode(raw[4:]) == message
+
+    def test_value_reply_is_pinned(self):
+        raw = self.REPLY.encode()
+        assert len(raw) == 858
+        assert hashlib.sha256(raw).hexdigest() == self.REPLY_SHA256
+        assert Message.decode(raw[4:]) == self.REPLY
 
 
 class TestValues:

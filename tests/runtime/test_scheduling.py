@@ -155,6 +155,27 @@ class TestExecutor:
 
         run(scenario())
 
+    def test_stop_waiters_share_the_drain_and_survive_a_cancelled_one(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            executor = ScheduledExecutor(policy_name="fcfs", byte_rate=1.0)
+            await executor.start()
+            futures = [executor.submit(make_queued_op(demand=0.01, result=i)) for i in range(3)]
+            impatient = asyncio.create_task(executor.stop())
+            await asyncio.sleep(0)
+            patient = asyncio.create_task(executor.stop())
+            await asyncio.sleep(0)
+            impatient.cancel()
+            # The drain goes on, and the other stop() returns once it is done.
+            assert await asyncio.wait_for(asyncio.gather(*futures), 2.0) == [0, 1, 2]
+            await asyncio.wait_for(patient, 1.0)
+            assert impatient.cancelled()
+            assert errors == []
+
+        run(scenario())
+
 
 class TestLifecycleRejection:
     """submit() after stop/abort must fail fast, never hang the awaiter."""
