@@ -1,9 +1,9 @@
 """E10 — fairness: P99 slowdown under the bimodal mix.
 
 Expected shape: FCFS is the fairness gold standard (low slowdown spread);
-pure size-based ordering starves large multigets; DAS's aging promotion
-keeps its P99 slowdown within a bounded factor of FCFS while preserving
-the mean-RCT win.
+size-based ordering can starve large multigets; DAS, ranking by the
+speed-adjusted bottleneck alone, keeps its P99 slowdown within a bounded
+factor of FCFS while preserving the mean-RCT win.
 """
 
 from benchmarks.conftest import execute_scenario, report

@@ -1,8 +1,7 @@
 """E8 — DAS parameter sensitivity on the degradation scenario.
 
-Expected shape: DAS's win over Rein-SBF is robust across the demotion
-floor ``k_min`` and the rate-EWMA ``alpha_rate`` — no cliff where a wrong
-constant erases the result.
+Expected shape: DAS's win over Rein-SBF is robust across the rate-EWMA
+``alpha_rate`` — no cliff where a wrong constant erases the result.
 """
 
 from benchmarks.conftest import execute_scenario, report

@@ -1,26 +1,21 @@
 """DAS — the Distributed Adaptive Scheduler (the paper's contribution).
 
-DAS cuts mean request completion time with a *distributed combination* of
-two classic disciplines:
-
-* **SRPT-first** — among normal requests, serve operations of the request
-  with the shortest estimated remaining processing time first;
-* **LRPT-last** — requests whose estimated remaining processing time is
-  far above the norm are demoted to a background band served only when
-  nothing else is queued.
-
-and it is *adaptive*: remaining-time estimates fold in each server's
-measured service rate (learned from feedback piggybacked on responses),
-and each queue's demotion threshold tracks its own queue length.
+DAS cuts mean request completion time by serving, at every server, the
+operations of the request with the shortest estimated remaining
+processing time first (*SRPT-first*).  It is *adaptive* in its
+estimates: a request's remaining time is its speed-adjusted bottleneck,
+folding in each server's measured service rate (learned from feedback
+piggybacked on responses).  So the reconstructed DAS is rate-adjusted
+shortest-bottleneck-first.
 
 See DESIGN.md §2 for the reconstruction notes (the algorithm is rebuilt
-from the paper's abstract; the full text was unavailable).
+from the paper's abstract; the full text was unavailable) and for why
+the abstract's *LRPT-last* band is not part of it.
 """
 
 from repro.core.das import (
     TAG_RPT,
     DasPolicy,
-    DasQueue,
     DasTagger,
     remaining_processing_time,
 )
@@ -29,7 +24,6 @@ from repro.core.feedback import FeedbackMode
 
 __all__ = [
     "DasPolicy",
-    "DasQueue",
     "DasTagger",
     "EwmaEstimator",
     "FeedbackMode",

@@ -1,6 +1,6 @@
 """Experiment harness: one scenario per table/figure of the evaluation.
 
-``SCENARIOS`` maps experiment ids (E1..E10, A1, A2 — see DESIGN.md §4) to
+``SCENARIOS`` maps experiment ids (E1..E10, A2, X1..X6 — see DESIGN.md §4) to
 factories building a :class:`~repro.experiments.scenarios.Scenario`; the
 :func:`~repro.experiments.runner.run_scenario` function executes every
 (point × scheduler) cell sequentially,

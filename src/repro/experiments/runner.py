@@ -123,7 +123,7 @@ def run_cell(point: RunPoint, scheduler: SchedulerSpec) -> CellResult:
         requests=result.requests_completed,
         wall_seconds=wall,
         # Gauges are evaluated here, while queues are still live, so the
-        # snapshot records end-of-run queue truth (k, band lengths, ...).
+        # snapshot records end-of-run queue truth (lengths, lane state, ...).
         metrics=cluster.registry.snapshot(),
         traces=cluster.tracer.as_dicts(),
         prometheus=cluster.registry.to_prometheus(

@@ -7,10 +7,7 @@ the metric naming scheme, and the export formats.
 from repro.obs.bridge import register_queue_gauges
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
-    OBS_BAND,
     OBS_FAULT,
-    OBS_PROMOTED,
-    OBS_THRESHOLD,
     TRACE_REQUESTED,
     OpSpan,
     RequestTrace,
@@ -22,10 +19,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "OBS_BAND",
     "OBS_FAULT",
-    "OBS_PROMOTED",
-    "OBS_THRESHOLD",
     "OpSpan",
     "RequestTrace",
     "TRACE_REQUESTED",

@@ -2,23 +2,13 @@
 
 A *request trace* records the life of one sampled multiget: the moment
 the client tagged it, one :class:`OpSpan` per operation (enqueue at the
-server, service start/end, plus the scheduler decisions taken — band
-assignment, the demotion threshold at enqueue, and whether the op was
-later promoted out of the last band), and the moment the last reply
-landed back at the client.
+server, service start/end), and the moment the last reply landed back at
+the client.
 
-Scheduler decisions are annotated unconditionally by the queues into the
-operation's ``tag`` dict (three dict writes — far cheaper than deciding
-per-op whether tracing is on); the *span assembly* is what gets sampled.
-Sampling is deterministic (every ``1/sample_rate``-th completed request,
-starting with the first), so short test runs always produce at least one
-trace and long runs stay affordable.
-
-Tag keys written by queues (``obs.*`` is reserved for observability)::
-
-    obs.band       "front" | "last"     band chosen at enqueue
-    obs.threshold  float                demotion threshold used to classify
-    obs.promoted   True                 op aged out of the last band
+The timestamps live on the operation anyway; the *span assembly* is what
+gets sampled.  Sampling is deterministic (every ``1/sample_rate``-th
+completed request, starting with the first), so short test runs always
+produce at least one trace and long runs stay affordable.
 """
 
 from __future__ import annotations
@@ -29,11 +19,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
-
-#: Tag keys the queues use to annotate scheduling decisions.
-OBS_BAND = "obs.band"
-OBS_THRESHOLD = "obs.threshold"
-OBS_PROMOTED = "obs.promoted"
 
 #: Trace meta key listing the fault kinds active when a request completed
 #: (comma-joined, e.g. ``"crash,packet_loss"``); set only during chaos runs.
@@ -49,35 +34,27 @@ def _none_if_nan(value: float) -> Optional[float]:
 
 @dataclass
 class OpSpan:
-    """Timing + decisions for one operation at one server."""
+    """Timing for one operation at one server."""
 
     key: str
     server_id: int
     enqueue: float = float("nan")
     service_start: float = float("nan")
     service_end: float = float("nan")
-    band: Optional[str] = None
-    threshold: Optional[float] = None
-    promoted: bool = False
 
     @classmethod
     def from_op(cls, op: Any, server_id: Optional[int] = None) -> "OpSpan":
         """Build a span from any op-shaped object (sim or runtime).
 
-        Reads ``key``/``enqueue_time``/``start_time``/``finish_time``,
-        the ``obs.*`` annotations in ``tag`` and, unless ``server_id`` is
-        given, the op's own ``server_id``.
+        Reads ``key``/``enqueue_time``/``start_time``/``finish_time``
+        and, unless ``server_id`` is given, the op's own ``server_id``.
         """
-        tag = op.tag or {}
         return cls(
             key=op.key,
             server_id=server_id if server_id is not None else op.server_id,
             enqueue=op.enqueue_time,
             service_start=op.start_time,
             service_end=op.finish_time,
-            band=tag.get(OBS_BAND),
-            threshold=tag.get(OBS_THRESHOLD),
-            promoted=bool(tag.get(OBS_PROMOTED, False)),
         )
 
     def monotone(self) -> bool:

@@ -216,9 +216,9 @@ class LocalCluster:
     def metrics_snapshot(self) -> Dict[str, Any]:
         """JSON-able snapshot of the shared registry plus trace summary.
 
-        Callback gauges are evaluated now, so DAS gauges (``das_k``,
-        band lengths, promotions/demotions) reflect queue-internal truth
-        at the moment of the call.
+        Callback gauges are evaluated now, so queue gauges (length,
+        queued demand, per-lane state) reflect queue-internal truth at
+        the moment of the call.
         """
         return {
             "metrics": self.registry.snapshot(),

@@ -79,8 +79,7 @@ Response (server -> client):
   (str or None), ``feedback`` (``queued_work``, ``queue_length``,
   ``rate_sample``).  When the request's tags carried ``"trace": true``
   the reply additionally includes ``spans``: one ``{key, server_id,
-  enqueue, service_start, service_end, band, threshold, promoted}``
-  object per operation, timestamped with the server's monotonic clock.
+  enqueue, service_start, service_end}`` object per operation, timestamped with the server's monotonic clock.
 
 ``tags`` carries the scheduler priority payload (e.g. DAS's ``rpt``) —
 the protocol-level realization of "priorities travel with operations".

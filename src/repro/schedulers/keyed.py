@@ -1,6 +1,7 @@
 """One heap queue keyed on a client-stamped tag.
 
-``sbf`` keys it on the request's bottleneck demand, ``sjf-req`` on the
+``das`` keys it on the request's rate-adjusted bottleneck (its RPT),
+``sbf`` on the request's bottleneck demand, ``sjf-req`` on the
 request's total demand.  An operation without the tag is keyed on its
 own demand, so an untagged stream is per-operation SJF.
 """

@@ -2,7 +2,7 @@
 
 The lane layer composes with — rather than replaces — the existing
 scheduler zoo: each lane holds its *own* queue built from the inner
-policy, so DAS's bands (or SBF's size ordering, or plain FCFS) operate
+policy, so DAS's RPT ordering (or SBF's, or plain FCFS) operates
 unchanged inside a lane.  Routing is by operation value size against the
 cutoff estimator: a multi-KB get can no longer head-of-line-block the
 sub-KB majority because it never enters their queue.

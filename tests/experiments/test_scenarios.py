@@ -52,12 +52,6 @@ class TestScenarioFactories:
         labels = {s.label for s in scenario.schedulers}
         assert {"FCFS", "Rein-SBF", "DAS"} <= labels
 
-    def test_a1_has_ablation_variants(self):
-        scenario = get_scenario("A1", scale=0.1)
-        labels = [s.label for s in scenario.schedulers]
-        assert any("adapt" in label for label in labels)
-        assert any("last band" in label for label in labels)
-
     def test_a2_feedback_modes_differ(self):
         scenario = get_scenario("A2", scale=0.1)
         modes = {p.config.feedback.mode for p in scenario.points}

@@ -8,11 +8,12 @@ over two golden cells and divides by the operations served, so a change
 that puts a wrapper, a property or a message object back on that path
 fails here even when no clock would notice.
 
-Recorded figures (Python 3.11): ``open-das`` 18.6 calls per served op
+Recorded figures (Python 3.11): ``open-das`` 18.4 calls per served op
 (43.0 before the op path was flattened, 19.0 before one function ranked
-requests for both halves), ``dodoor-reports`` 26.1 (63.3, then 28.2
-before a reply reached the selection policy in one call; each read also
-makes its replica decision and feeds the load cache).  The budget is
+requests for both halves, 18.6 before DAS's queue became a plain keyed
+heap), ``dodoor-reports`` 25.9 (63.3, then 28.2 before a reply reached
+the selection policy in one call, 26.1 before the keyed heap; each read
+also makes its replica decision and feeds the load cache).  The budget is
 each figure plus the slack below.
 
 The runtime's cost is per request: a multiget's keys are routed and
@@ -20,10 +21,10 @@ tagged, one frame per touched server is encoded, decoded, queued, served
 and answered, and the replies are folded back in.  The runtime case
 counts the same calls per multiget over a four-server ``LocalCluster``
 (no emulated service time) driven by one closed-loop caller, so no two
-replies share a socket read; only the DAS controller's time-driven ``k``
-steps move the count from run to run (by about one call).  Recorded:
-152.9 calls per multiget (367.3 before the executor was served from
-loop callbacks and the request path was flattened).
+replies share a socket read, and the count is the same from run to run.
+Recorded: 150.9 calls per multiget (367.3 before the executor was served
+from loop callbacks and the request path was flattened, 152.9 before
+DAS's queue became a plain keyed heap).
 """
 
 import asyncio
@@ -41,11 +42,11 @@ from repro.runtime import LocalCluster
 from tests.integration.test_sim_golden import CELLS
 
 #: Calls per served op, as recorded above, plus one call of slack.
-BUDGET = {"open-das": 18.6 + 1.0, "dodoor-reports": 26.1 + 1.0}
+BUDGET = {"open-das": 18.4 + 1.0, "dodoor-reports": 25.9 + 1.0}
 
 #: Calls per multiget, as recorded above, plus eight calls of slack (about
 #: one frame's encode-to-decode path).
-RUNTIME_BUDGET = 152.9 + 8.0
+RUNTIME_BUDGET = 150.9 + 8.0
 #: The runtime plan: multigets of this many 256 B keys out of a small
 #: preloaded keyspace, counted after a warm-up.
 RUNTIME_FANOUT = 8

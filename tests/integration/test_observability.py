@@ -2,7 +2,7 @@
 
 Both halves of the system — the simulator's experiment runner and the
 asyncio runtime under chaos — must produce metrics snapshots (JSON and
-Prometheus text) whose DAS gauges equal the queues' internal truth at
+Prometheus text) whose queue gauges equal the queues' internal truth at
 snapshot time, plus sampled request traces whose tag → enqueue →
 service → reply timestamps are monotone.
 """
@@ -24,7 +24,7 @@ from repro.runtime import LocalCluster
 from tests.conftest import end_window_at
 
 
-def _das_gauge(snapshot, name, server):
+def _queue_gauge(snapshot, name, server):
     return snapshot["metrics"]["gauges"][f'{name}{{server="{server}"}}']
 
 
@@ -35,20 +35,17 @@ class TestSimulatorObservability:
         result = cluster.run(SimulationConfig(max_requests=300))
         return cluster, result
 
-    def test_das_gauges_match_queue_internal_truth(self):
+    def test_queue_gauges_match_queue_internal_truth(self):
         cluster, result = self.run_cluster()
         snap = result.metrics_snapshot()
         for sid, server in cluster.servers.items():
             queue = server.queue
-            assert _das_gauge(snap, "das_k", sid) == queue.k
-            assert _das_gauge(snap, "das_queue_pressure", sid) == queue.queue_pressure
-            assert _das_gauge(snap, "das_front_length", sid) == queue.front_length
-            assert _das_gauge(snap, "das_last_length", sid) == queue.last_length
-            assert _das_gauge(snap, "das_demotions_total", sid) == queue.demotions
-            assert _das_gauge(snap, "das_promotions_total", sid) == queue.promotions
-            assert _das_gauge(snap, "das_threshold", sid) == pytest.approx(
-                queue.threshold
+            assert _queue_gauge(snap, "queue_length", sid) == len(queue)
+            assert _queue_gauge(snap, "queue_queued_demand", sid) == pytest.approx(
+                queue.queued_demand
             )
+        # DAS keeps no queue state beyond its heap: no scheduler gauges.
+        assert not any(k.startswith("das_") for k in snap["metrics"]["gauges"])
 
     def test_traces_cover_request_lifecycle_monotonically(self):
         cluster, result = self.run_cluster()
@@ -59,10 +56,6 @@ class TestSimulatorObservability:
             assert trace.monotone(), (
                 f"non-monotone trace for request {trace.request_id}"
             )
-        # Spans carry the scheduler's band decision.
-        bands = {span.band for t in traces for span in t.ops}
-        assert bands <= {"front", "last"}
-        assert "front" in bands
 
     def test_experiment_artifacts_written_next_to_results(self, tmp_path):
         scenario = get_scenario("E1", scale=0.02)
@@ -80,9 +73,9 @@ class TestSimulatorObservability:
         assert data["experiment_id"] == "E1"
         cell = data["cells"][0]
         assert cell["scheduler"] == "DAS"
-        assert any(k.startswith("das_k{") for k in cell["metrics"]["gauges"])
+        assert any(k.startswith("queue_length{") for k in cell["metrics"]["gauges"])
         prom = (tmp_path / "E1.metrics.prom").read_text()
-        assert prom.count("# TYPE das_k gauge") == 1
+        assert prom.count("# TYPE queue_length gauge") == 1
         assert 'scheduler="DAS"' in prom
 
 
@@ -114,26 +107,17 @@ class TestRuntimeObservability:
                 for server in cluster.servers:
                     queue = server.executor.queue
                     sid = server.server_id
-                    assert _das_gauge(snap, "das_k", sid) == queue.k
-                    assert (
-                        _das_gauge(snap, "das_front_length", sid)
-                        == queue.front_length
-                    )
-                    assert (
-                        _das_gauge(snap, "das_last_length", sid)
-                        == queue.last_length
-                    )
-                    assert (
-                        _das_gauge(snap, "das_demotions_total", sid)
-                        == queue.demotions
-                    )
+                    assert _queue_gauge(snap, "queue_length", sid) == len(queue)
+                    assert _queue_gauge(
+                        snap, "queue_queued_demand", sid
+                    ) == pytest.approx(queue.queued_demand)
                 # Counters survived the crash/restart (shared registry).
                 assert snap["metrics"]["counters"][
                     'server_crashes_total{server="0"}'
                 ] == 1.0
                 # Prometheus text is one valid scrape: a single TYPE line
                 # per metric name even with two servers' label sets.
-                assert text.count("# TYPE das_k gauge") == 1
+                assert text.count("# TYPE queue_length gauge") == 1
                 assert text.count("# TYPE executor_ops_total counter") == 1
                 json.dumps(snap)  # JSON-able end to end
                 return snap
@@ -157,8 +141,6 @@ class TestRuntimeObservability:
                 for trace in with_spans:
                     assert isinstance(trace, RequestTrace)
                     assert trace.monotone()
-                    for span in trace.ops:
-                        assert span.band in {"front", "last"}
 
         asyncio.run(scenario())
 
@@ -170,7 +152,7 @@ class TestRuntimeObservability:
                 assert stats["ops_served"] >= 1
                 assert "metrics" in stats
                 assert any(
-                    name.startswith("das_k{")
+                    name.startswith("queue_length{")
                     for name in stats["metrics"]["gauges"]
                 )
 

@@ -5,14 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.obs import (
-    OBS_BAND,
-    OBS_PROMOTED,
-    OBS_THRESHOLD,
-    OpSpan,
-    RequestTrace,
-    Tracer,
-)
+from repro.obs import OpSpan, RequestTrace, Tracer
 
 
 class FakeOp:
@@ -26,17 +19,15 @@ class FakeOp:
 
 
 class TestOpSpan:
-    def test_from_op_reads_timestamps_and_annotations(self):
-        op = FakeOp(
-            tag={OBS_BAND: "last", OBS_THRESHOLD: 0.5, OBS_PROMOTED: True}
-        )
-        span = OpSpan.from_op(op)
+    def test_from_op_reads_timestamps(self):
+        span = OpSpan.from_op(FakeOp(tag={"rpt": 0.5}))
         assert span.key == "k"
         assert span.server_id == 3
         assert (span.enqueue, span.service_start, span.service_end) == (1.0, 2.0, 3.0)
-        assert span.band == "last"
-        assert span.threshold == 0.5
-        assert span.promoted is True
+        # Scheduler tags are the client's priority payload, not span fields.
+        assert set(vars(span)) == {
+            "key", "server_id", "enqueue", "service_start", "service_end"
+        }
 
     def test_explicit_server_id_wins(self):
         assert OpSpan.from_op(FakeOp(), server_id=9).server_id == 9
@@ -69,7 +60,7 @@ class TestRequestTrace:
     def test_as_dict_round_trips_json(self):
         data = json.loads(json.dumps(self.trace().as_dict()))
         assert data["request_id"] == 7
-        assert data["ops"][0]["band"] is None
+        assert data["ops"][0]["enqueue"] == 1.0
 
 
 class TestTracer:

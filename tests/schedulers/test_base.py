@@ -57,10 +57,10 @@ class TestRegistry:
         assert "fcfs" in str(info.value)
 
     def test_create_with_params(self):
-        policy = create_policy("das", k_min=2.0)
-        assert policy.params["k_min"] == 2.0
+        policy = create_policy("laned", small_share=0.8)
+        assert policy.params["small_share"] == 0.8
 
-    @pytest.mark.parametrize("name", ["fcfs", "sbf", "rein-ml", "sfq", "sjf-req"])
+    @pytest.mark.parametrize("name", ["das", "fcfs", "sbf", "rein-ml", "sfq", "sjf-req"])
     def test_knobless_policy_rejects_params(self, name):
         with pytest.raises(TypeError):
             create_policy(name, weight=2.0)
@@ -81,9 +81,10 @@ class TestRegistry:
 
     def test_describe(self):
         assert create_policy("fcfs").describe() == "fcfs"
-        text = create_policy("das", k_min=2.0).describe()
-        assert text.startswith("das(")
-        assert "k_min=2.0" in text
+        assert create_policy("das").describe() == "das"
+        text = create_policy("laned", inner="sbf").describe()
+        assert text.startswith("laned(")
+        assert "inner='sbf'" in text
 
     def test_default_tagger_is_null(self):
         tagger = create_policy("fcfs").make_tagger()

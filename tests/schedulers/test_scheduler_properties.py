@@ -91,8 +91,8 @@ def test_sjf_op_pops_in_nondecreasing_demand(demands):
 @given(demands=st.lists(st.floats(min_value=0.001, max_value=10.0), min_size=2, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_das_without_estimates_matches_sbf_order(demands):
-    """With identical tags and no feedback, DAS front band == SBF order."""
-    das = create_policy("das", last_band=False).make_queue()
+    """With identical tags and no feedback, DAS order == SBF order."""
+    das = create_policy("das").make_queue()
     sbf = create_policy("sbf").make_queue()
     for i, demand in enumerate(demands):
         tag = {"rpt": demand, "bottleneck": demand}
